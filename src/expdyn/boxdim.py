@@ -21,7 +21,7 @@ from .induced import (
     negative_geometry,
     verify_contraction,
 )
-from .invariant_sets import ThinSetSpec
+from .invariant_sets import ThinSetSpec, _lsq_fit
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,7 @@ def box_count(
 
     xs = [math.log(1.0 / e) for e in eps]
     ys = [math.log(n) for n in counts]
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    ss_tot = sum((y - my) ** 2 for y in ys)
-    ss_res = sum((y - (my + slope * (x - mx))) ** 2 for x, y in zip(xs, ys))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, r2 = _lsq_fit(xs, ys)
     return BoxCountResult(
         tuple(eps), tuple(counts), slope, r2, len(pts) >= 100, len(pts)
     )

@@ -18,6 +18,7 @@ from .coding import parse_address
 from .rays import trace_ray, write_ray_csv
 from .invariant_sets import (
     ThinSetSpec,
+    _write_payload,
     horizontal_strip,
     sample_lambda_set,
     symmetric_strip,
@@ -109,10 +110,8 @@ def _parse_trange(text: str) -> list[float]:
     if step <= 0 or t1 < t0:
         raise ValidationError("--t needs STEP > 0 and T1 >= T0")
     out = []
-    t = t0
-    while t <= t1 + 1e-9:
+    while (t := t0 + len(out) * step) <= t1 + 1e-9:
         out.append(t)
-        t += step
     return out
 
 
@@ -135,9 +134,8 @@ def _parse_scales(text: str) -> list[float]:
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-        return
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+    else:
+        _write_payload(path, text)
 
 
 def _read_points(path: str) -> list[complex]:

@@ -25,10 +25,9 @@ from .errors import (
     NumericRangeError,
     ValidationError,
 )
-from .towers import NEG_SENTINEL, TowerReal, ZERO
+from .towers import _EXP_SAFE, NEG_SENTINEL, TowerReal, ZERO
 
 TAU = 2.0 * math.pi
-_EXP_SAFE = 709.78
 # |z| beyond which Im z mod 2pi is below one ulp of Im z
 ARG_TRUST_LIMIT = TAU / 2.220446049250313e-16
 
@@ -307,21 +306,6 @@ def _largest_growth_root(c: float) -> Optional[float]:
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def _tower_diff_float(a: TowerReal, b: TowerReal) -> float:
-    """a - b as a float, +-inf when the difference leaves the float range."""
-    fa, fb = a.to_float(), b.to_float()
-    if fa != math.inf and fb != math.inf:
-        return fa - fb
-    if fa == math.inf and fb == math.inf:
-        # both huge: compare exactly, magnitude of the gap is itself huge
-        if a > b:
-            return math.inf
-        if b > a:
-            return -math.inf
-        return 0.0
-    return math.inf if fa == math.inf else -math.inf
 
 
 def check_supergrowth(

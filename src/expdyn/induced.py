@@ -43,6 +43,10 @@ from .dynamics import (
 from .coding import strip_index, _strip_of_imag
 from .invariant_sets import ThinSetSpec
 
+# Exponents below this take the native path.  It sits ~20 below the
+# overflow limit towers._EXP_SAFE so that exp(log_e + 1) and products of
+# exp results with strip counts stay finite.  Cover totals for columns
+# 690-709 depend on this value, so it is not the overflow limit itself.
 _EXP_NATIVE = 690.0
 _HUGE_COLUMN = 1e300
 
@@ -164,9 +168,9 @@ def _positive_column_sum(
 
     if log_e > _EXP_NATIVE:
         # all factors at or below E^{-delta} scale; bound with E/2 <= s0
-        p1 = _exp_or_zero(math.log(lead) - delta * log_e)
-        p2a = _exp_or_zero(math.log(lead) - (1.0 + delta) * (log_e - math.log(2.0)))
-        p2b = _exp_or_zero(math.log(lead / delta) - delta * (log_e - math.log(2.0)))
+        p1 = _exp_or_inf(math.log(lead) - delta * log_e)
+        p2a = _exp_or_inf(math.log(lead) - (1.0 + delta) * (log_e - math.log(2.0)))
+        p2b = _exp_or_inf(math.log(lead / delta) - delta * (log_e - math.log(2.0)))
         return p1 + p2a + p2b
 
     e = math.exp(log_e)
@@ -186,7 +190,7 @@ def _positive_column_sum(
     return part1 + lead * tail
 
 
-def _exp_or_zero(x: float) -> float:
+def _exp_or_inf(x: float) -> float:
     return math.exp(x) if x < _EXP_NATIVE else math.inf
 
 
@@ -218,9 +222,6 @@ class Ball:
     level: int
     center: LogPolarComplex
     log_radius: TowerReal  # log(D |beta_l|)
-
-    def radius(self) -> float:
-        return self.log_radius.exp().to_float()
 
 
 @dataclass(frozen=True)
@@ -433,7 +434,7 @@ def _negative_level_bound(
         + math.log(ps)
         - math.log1p(-math.exp(-delta / 2.0))
     )
-    return _exp_or_zero(log_bound) if log_bound < _EXP_NATIVE else math.inf
+    return _exp_or_inf(log_bound)
 
 
 def verify_contraction(

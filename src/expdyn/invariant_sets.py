@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import ValidationError
 from .dynamics import (
@@ -143,39 +143,37 @@ class MembershipResult:
         return f"exit-at {self.exit_index}"
 
 
-@dataclass(frozen=True)
-class _Walk:
-    conservative_exit: Optional[int]
-    optimistic_exit: Optional[int]
-    caveat: bool
-    conservative_point: Optional[complex]
-    optimistic_point: Optional[complex]
+def _membership_walk(
+    lam: complex, spec: ThinSetSpec, z: complex, n: int
+) -> tuple[Optional[int], Optional[int], bool]:
+    """(conservative exit, optimistic exit, precision caveat) of z's orbit.
 
-
-def _membership_walk(lam: complex, spec: ThinSetSpec, z: complex, n: int) -> _Walk:
+    An exit index of None means the orbit stayed in the set to depth n.
+    """
     p = LogPolarComplex.from_complex(z)
-    native: Optional[complex] = complex(z)
     cons: Optional[int] = None
-    cons_pt: Optional[complex] = None
     caveat = False
     for i in range(n):
         verdict = spec.classify(p)
         if verdict == EXIT:
-            if cons is None:
-                cons, cons_pt = i, native
-            return _Walk(cons, i, caveat, cons_pt, native)
+            return (i if cons is None else cons), i, caveat
         if verdict == UNDECIDED:
             caveat = True
             if cons is None:
-                cons, cons_pt = i, native
+                cons = i
         if i + 1 < n:
-            if native is not None:
-                try:
-                    native = eval_map(lam, native)
-                except NumericRangeError:
-                    native = None
             p = step_log_polar(lam, p)
-    return _Walk(cons, None, caveat, cons_pt, None)
+    return cons, None, caveat
+
+
+def _native_point(lam: complex, z: complex, k: int) -> Optional[complex]:
+    """f^k(z) in native arithmetic, or None once a step leaves its range."""
+    try:
+        for _ in range(k):
+            z = eval_map(lam, z)
+    except NumericRangeError:
+        return None
+    return z
 
 
 def lambda_membership(
@@ -198,12 +196,10 @@ def lambda_membership(
         raise ValidationError("membership depth must be >= 1")
     if policy not in ("conservative", "optimistic"):
         raise ValidationError("policy must be 'conservative' or 'optimistic'")
-    w = _membership_walk(lam, spec, z, n)
-    if policy == "conservative":
-        ex, pt = w.conservative_exit, w.conservative_point
-    else:
-        ex, pt = w.optimistic_exit, w.optimistic_point
-    return MembershipResult(ex is None, n, ex, pt, w.caveat, policy)
+    cons, opt, caveat = _membership_walk(lam, spec, z, n)
+    ex = cons if policy == "conservative" else opt
+    pt = None if ex is None else _native_point(lam, z, ex)
+    return MembershipResult(ex is None, n, ex, pt, caveat, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +284,10 @@ def sample_lambda_set(
         opt_row: list[int] = []
         caveats = 0
         for ix in range(nx):
-            w = _membership_walk(lam, spec, complex(x0 + ix * dx, y), n)
-            cons_row.append(n + 1 if w.conservative_exit is None else w.conservative_exit)
-            opt_row.append(n + 1 if w.optimistic_exit is None else w.optimistic_exit)
-            if w.caveat:
+            c, o, caveat = _membership_walk(lam, spec, complex(x0 + ix * dx, y), n)
+            cons_row.append(n + 1 if c is None else c)
+            opt_row.append(n + 1 if o is None else o)
+            if caveat:
                 caveats += 1
         return cons_row, opt_row, caveats
 
@@ -398,7 +394,7 @@ def measure_expansion(
             dropped += 1
             continue
         series.append(logs)
-        slopes.append(_lsq_slope(js, logs))
+        slopes.append(_lsq_fit(js, logs)[0])
         kept.append(z)
     if not slopes:
         return ExpansionEstimate("no surviving samples", None, None, 0, dropped)
@@ -409,12 +405,16 @@ def measure_expansion(
     )
 
 
-def _lsq_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+def _lsq_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Least-squares slope of ys against xs, and the fit's r^2."""
     mx = sum(xs) / len(xs)
     my = sum(ys) / len(ys)
     sxx = sum((x - mx) ** 2 for x in xs)
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return sxy / sxx
+    slope = sxy / sxx
+    ss_tot = sum((y - my) ** 2 for y in ys)
+    ss_res = sum((y - (my + slope * (x - mx))) ** 2 for x, y in zip(xs, ys))
+    return slope, 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +496,7 @@ def thin_check(
     if len(widths) >= 2:
         xs = [math.log(r) for r, _ in widths]
         ys = [math.log(w) if w > 1.0 else 0.0 for _, w in widths]
-        exponent = _lsq_slope(xs, ys)
+        exponent = _lsq_fit(xs, ys)[0]
     return ThinCheckReport(
         cone_ok, width_ok, exponent, tuple(empty), violation, tuple(widths)
     )
@@ -504,6 +504,19 @@ def thin_check(
 
 # ---------------------------------------------------------------------------
 # field export
+
+
+def _write_payload(dest, payload: Union[str, bytes]) -> None:
+    """Write to an open file object, or to a path: text as ASCII with
+    newlines untranslated, bytes as binary."""
+    if hasattr(dest, "write"):
+        dest.write(payload)
+    elif isinstance(payload, str):
+        with open(dest, "w", encoding="ascii", newline="") as fh:
+            fh.write(payload)
+    else:
+        with open(dest, "wb") as fh:
+            fh.write(payload)
 
 
 def field_to_csv(field: ExitDepthField, policy: str = "conservative") -> str:
@@ -519,12 +532,7 @@ def field_to_csv(field: ExitDepthField, policy: str = "conservative") -> str:
 
 
 def write_field_csv(field: ExitDepthField, dest, policy: str = "conservative") -> None:
-    text = field_to_csv(field, policy)
-    if hasattr(dest, "write"):
-        dest.write(text)
-        return
-    with open(dest, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+    _write_payload(dest, field_to_csv(field, policy))
 
 
 def field_to_pgm(field: ExitDepthField, policy: str = "conservative") -> bytes:
@@ -536,9 +544,4 @@ def field_to_pgm(field: ExitDepthField, policy: str = "conservative") -> bytes:
 
 
 def write_field_pgm(field: ExitDepthField, dest, policy: str = "conservative") -> None:
-    blob = field_to_pgm(field, policy)
-    if hasattr(dest, "write"):
-        dest.write(blob)
-        return
-    with open(dest, "wb") as fh:
-        fh.write(blob)
+    _write_payload(dest, field_to_pgm(field, policy))

@@ -1,36 +1,17 @@
-"""Deterministic data-parallel helpers.
+"""Ordered map over the rows of a sampled field.
 
-Worker count comes from the EXPDYN_THREADS environment variable (default:
-machine parallelism).  Results are always assembled in input order, so
-output never depends on the worker count.
+The per-row work is pure Python, so the interpreter lock serialises
+threads and a thread pool only adds hand-off cost: rows run one after
+another, in input order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def thread_count() -> int:
-    raw = os.environ.get("EXPDYN_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 0
-        if n >= 1:
-            return n
-    return os.cpu_count() or 1
-
-
 def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    seq = list(items)
-    n = thread_count()
-    if n <= 1 or len(seq) <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, seq))
+    return [fn(x) for x in items]

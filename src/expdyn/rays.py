@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 from .errors import NonConvergenceError, NumericRangeError, ValidationError
 from .dynamics import TAU, _require_lambda, eval_map, inverse_branch
 from .coding import ExternalAddress, strip_index
+from .invariant_sets import _write_payload
 
 ESCAPE_CAP = 1e14
 _LOG_CAP = math.log(ESCAPE_CAP)
@@ -227,9 +228,4 @@ def ray_to_csv(ray: Ray) -> str:
 
 def write_ray_csv(ray: Ray, dest) -> None:
     """Write the CSV form to a path or text file object, LF line endings."""
-    text = ray_to_csv(ray)
-    if hasattr(dest, "write"):
-        dest.write(text)
-        return
-    with open(dest, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+    _write_payload(dest, ray_to_csv(ray))

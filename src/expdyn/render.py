@@ -9,10 +9,11 @@ y axis matches the imaginary axis.
 from __future__ import annotations
 
 import io
+from os import PathLike
 from typing import BinaryIO, Union
 
 from .errors import ValidationError
-from .invariant_sets import ExitDepthField
+from .invariant_sets import ExitDepthField, _write_payload
 
 
 def _fire(t: float) -> tuple[int, int, int]:
@@ -24,7 +25,7 @@ def _fire(t: float) -> tuple[int, int, int]:
 
 def render_field(
     field: ExitDepthField,
-    dest: Union[str, BinaryIO],
+    dest: Union[str, PathLike, BinaryIO],
     palette: str = "gray",
     policy: str = "conservative",
 ) -> None:
@@ -44,9 +45,4 @@ def render_field(
             else:
                 row.extend(_fire(t))
         buf.write(bytes(row))
-    payload = buf.getvalue()
-    if isinstance(dest, str):
-        with open(dest, "wb") as fh:
-            fh.write(payload)
-    else:
-        dest.write(payload)
+    _write_payload(dest, buf.getvalue())

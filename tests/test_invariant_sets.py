@@ -101,6 +101,23 @@ def test_policies_split_when_trust_dies():
     assert opt.is_member and opt.precision_caveat
 
 
+def test_undecided_exit_keeps_its_native_point():
+    # f(z) = -1e17 is past the argument trust bound, so step 2 is
+    # undecided while f^2(z) = -e^(-1e17) is still native (it underflows
+    # to -0): the conservative exit point is that value, not None
+    spec = symmetric_strip(20.0)
+    z = complex(math.log(1e17), 0.0)
+    cons = lambda_membership(-1.0, spec, z, 8, policy="conservative")
+    opt = lambda_membership(-1.0, spec, z, 8, policy="optimistic")
+    assert cons.status == "exit-at 2"
+    assert cons.exit_point == 0j
+    assert math.copysign(1.0, cons.exit_point.real) == -1.0
+    assert cons.precision_caveat
+    assert opt.status == "member-to-depth 8"
+    assert opt.exit_point is None
+    assert opt.precision_caveat
+
+
 def test_membership_validation():
     with pytest.raises(ValidationError):
         lambda_membership(1.0, STRIP, 1.0, 0)

@@ -7,8 +7,17 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from expdyn import ValidationError, horizontal_strip, render_field, sample_lambda_set
+from expdyn import (
+    ExternalAddress,
+    ValidationError,
+    horizontal_strip,
+    render_field,
+    sample_lambda_set,
+    trace_ray,
+    write_ray_csv,
+)
 from expdyn.cli import main
+from expdyn.invariant_sets import write_field_csv, write_field_pgm
 
 STRIP = "strip:0,3.141592653589793"
 
@@ -53,6 +62,32 @@ def test_render_to_path(tmp_path):
     dest = tmp_path / "field.pgm"
     render_field(_small_field(), str(dest), palette="gray")
     assert dest.read_bytes() == GRAY
+
+
+def _ray():
+    return trace_ray(1.0, ExternalAddress.constant(0), [2.0, 3.0], depth=10)
+
+
+WRITERS = {
+    "write_field_csv": (lambda dest: write_field_csv(_small_field(), dest), io.StringIO),
+    "write_field_pgm": (lambda dest: write_field_pgm(_small_field(), dest), io.BytesIO),
+    "write_ray_csv": (lambda dest: write_ray_csv(_ray(), dest), io.StringIO),
+    "render_field": (lambda dest: render_field(_small_field(), dest, palette="fire"),
+                     io.BytesIO),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writers_accept_pathlib_paths(tmp_path, name):
+    write, buffer = WRITERS[name]
+    mem = buffer()
+    write(mem)
+    expected = mem.getvalue()
+    if isinstance(expected, str):
+        expected = expected.encode("ascii")
+    dest = tmp_path / "out"
+    write(dest)
+    assert dest.read_bytes() == expected
 
 
 def test_render_rejects_unknown_palette():
@@ -196,6 +231,17 @@ def test_ray_csv_file_and_summary(tmp_path):
     assert lines[0] == "t,re,im,depth,residual"
     assert lines[1] == "2,2,0,2,0"
     assert len(lines) == 4
+
+
+def test_ray_t_range_does_not_drift():
+    # t = t0 + i*step: the last sample is T1 itself, not T1 plus the
+    # rounding error of ten accumulated steps
+    code, out, _ = run_cli(["ray", "--lambda", "1", "--address", "0...const",
+                            "--t", "1:2:0.1", "--depth", "10"])
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 11
+    assert rows[-1].split(",")[0] == "2"
 
 
 # ---------------------------------------------------------------------------
