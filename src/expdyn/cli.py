@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -107,6 +109,8 @@ def _parse_trange(text: str) -> list[float]:
         t0, t1, step = (float(v) for v in parts)
     except ValueError:
         raise ValidationError(f"--t expects numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (t0, t1, step)):
+        raise ValidationError(f"--t needs finite numbers, got {text!r}")
     if step <= 0 or t1 < t0:
         raise ValidationError("--t needs STEP > 0 and T1 >= T0")
     out = []
@@ -399,10 +403,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Options that take a value, in the parser and its subcommands."""
+    flags: set[str] = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _value_flags(sub)
+        elif action.nargs != 0:
+            flags.update(action.option_strings)
+    return flags
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
+    # argparse reads a spaced value that starts with '-' as an option unless
+    # it is a plain number, so "--z -1,0" goes on as "--z=-1,0"
+    flags = _value_flags(parser)
+    tokens: list[str] = []
+    for tok in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in flags and re.match(r"-[0-9.]", tok):
+            tokens[-1] += "=" + tok
+        else:
+            tokens.append(tok)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(tokens)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

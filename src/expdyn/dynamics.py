@@ -114,7 +114,7 @@ def eval_map(lam: complex, z: complex) -> complex:
     """One application of z -> lambda * e^z in native arithmetic."""
     lam = _require_lambda(lam)
     z = _require_point(z)
-    if math.log(abs(lam)) + z.real > _EXP_SAFE:
+    if z.real > _EXP_SAFE or math.log(abs(lam)) + z.real > _EXP_SAFE:
         raise NumericRangeError(
             f"Re(z) = {z.real:.6g} exceeds the native exponent budget for this lambda"
         )

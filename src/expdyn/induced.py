@@ -126,18 +126,26 @@ def build_zm(
 
 
 def _max_width(spec: ThinSetSpec, lo: float, log_hi: float) -> float:
+    """Widest slice over image columns [lo, e^log_hi]: the profile at the far end."""
     hi = math.exp(log_hi) if log_hi < _EXP_NATIVE else _HUGE_COLUMN
-    lo = max(lo, 1.0)
-    if hi <= lo:
-        return spec.width_profile(lo)
-    n = 16
-    ratio = (hi / lo) ** (1.0 / (n - 1))
-    w = 0.0
-    x = lo
-    for _ in range(n):
-        w = max(w, spec.width_profile(x))
-        x *= ratio
-    return max(w, spec.width_profile(hi))
+    return spec.width_profile(max(lo, 1.0, hi))
+
+
+def _column_terms(
+    lam: complex, spec: ThinSetSpec, r: float, m: float
+) -> tuple[float, float]:
+    """(log E, n_sup) at positive column r: E = |lambda| e^r, and n_sup
+    bounds the rectangles per image column (0.0 when the slices are empty)."""
+    log_e = math.log(abs(lam)) + r
+    w_max = _max_width(spec, m, log_e + 1.0)
+    return log_e, (0.0 if w_max == 0.0 else w_max / TAU + 2.0)
+
+
+def _tail(s: float, e1: float, delta: float) -> float:
+    """Bound for sum of t^-(1+delta) over image columns s <= t <= eE + 1."""
+    return s ** -(1.0 + delta) + max(
+        0.0, (s ** -delta - (e1 + 1.0) ** -delta) / delta
+    )
 
 
 def _positive_column_sum(
@@ -155,15 +163,9 @@ def _positive_column_sum(
     their count is limited by the cone condition; columns beyond E decay
     like s^{-(1+delta)} and are absorbed by an integral tail.
     """
-    log_lam = math.log(abs(lam))
-    log_e = log_lam + r
-    log_e1 = log_e + 1.0
-    k = spec.cone_constant
-
-    w_max = _max_width(spec, max(m, 1.0), log_e1)
-    if w_max == 0.0:
+    log_e, n_sup = _column_terms(lam, spec, r, m)
+    if n_sup == 0.0:
         return 0.0
-    n_sup = w_max / TAU + 2.0
     lead = sides * n_sup
 
     if log_e > _EXP_NATIVE:
@@ -174,20 +176,17 @@ def _positive_column_sum(
         return p1 + p2a + p2b
 
     e = math.exp(log_e)
-    e1 = math.exp(log_e1)
+    e1 = math.exp(log_e + 1.0)
     if m > e1 + 1.0:
         return 0.0
-    inner = max(float(m), e / k - 2.0)
+    inner = max(float(m), e / spec.cone_constant - 2.0)
     count = max(0.0, e - inner + 1.0)
     part1 = lead * count * e ** -(1.0 + delta)
 
     s0 = max(math.ceil(max(e, float(m))), 1)
     if s0 > e1 + 1.0:
         return part1
-    tail = s0 ** -(1.0 + delta) + max(
-        0.0, (s0 ** -delta - (e1 + 1.0) ** -delta) / delta
-    )
-    return part1 + lead * tail
+    return part1 + lead * _tail(s0, e1, delta)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -594,8 +593,6 @@ def cover_iterate(
 
     base = TAU + 1.0
     scale = base ** (1.0 + delta)
-    log_lam = math.log(abs(lam))
-    k_cone = spec.cone_constant
 
     masses: dict[int, float] = {start: 1.0}
     tail_mass = 0.0
@@ -628,10 +625,10 @@ def cover_iterate(
                     cells += 1.0
                 continue
 
-            log_e = log_lam + col
             ps = _positive_column_sum(lam, spec, float(col), delta, float(m), sides)
             if mass * ps == 0.0:
                 continue
+            log_e, n_sup = _column_terms(lam, spec, col, float(m))
             if log_e > _EXP_NATIVE:
                 # destinations beyond any enumerable column
                 new_tail += mass * ps
@@ -641,11 +638,7 @@ def cover_iterate(
 
             e = math.exp(log_e)
             e1 = math.exp(log_e + 1.0)
-            w_max = _max_width(spec, max(float(m), 1.0), log_e + 1.0)
-            if w_max == 0.0:
-                continue
-            n_sup = w_max / TAU + 2.0
-            inner = max(float(m), e / k_cone - 2.0)
+            inner = max(float(m), e / spec.cone_constant - 2.0)
             s_start = max(math.ceil(inner), m)
             s_stop_full = math.floor(e1) + 2
             s_stop = min(s_stop_full, s_start + branch_cap)
@@ -668,10 +661,7 @@ def cover_iterate(
 
             if s_stop < s_stop_full:
                 s_cut = float(s_stop)
-                rem = n_sup * (
-                    s_cut ** -(1.0 + delta)
-                    + max(0.0, (s_cut ** -delta - (e1 + 1.0) ** -delta) / delta)
-                ) * sides
+                rem = n_sup * _tail(s_cut, e1, delta) * sides
                 if mass * rem > 0.0:
                     new_tail += mass * rem
                     new_tail_col = min(new_tail_col, s_cut)

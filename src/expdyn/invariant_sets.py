@@ -47,9 +47,10 @@ _ARG_DEAD_ZONE = 1e-12
 class ThinSetSpec:
     """Membership predicate plus cone constant and width profile.
 
-    ``width_profile(R)`` must upper-bound the diameter of the slice of the
-    set at |Re z| = R; returning 0.0 asserts the slice is empty (use a
-    small positive value for degenerate but nonempty slices).
+    ``width_profile(R)`` must upper-bound the diameter of every slice of
+    the set at 1 <= |Re z| <= R, so it is nondecreasing in R; returning
+    0.0 asserts those slices are empty (use a small positive value for
+    degenerate but nonempty slices).
     ``classify_log`` optionally decides membership of a log-polar point,
     returning MEMBER, EXIT, or UNDECIDED; without it, points beyond native
     range are undecided.

@@ -54,9 +54,13 @@ def _normalize(level: int, mantissa: float) -> tuple[int, float]:
     return level, mantissa
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TowerReal:
-    """exp applied ``level`` times to ``mantissa``; total order; exp/log lifts."""
+    """exp applied ``level`` times to ``mantissa``; total order; exp/log lifts.
+
+    The canonical form makes level ranges disjoint, so the generated
+    field-wise order on (level, mantissa) is the value order.
+    """
 
     level: int
     mantissa: float
@@ -143,24 +147,6 @@ class TowerReal:
             return TowerReal(1, math.log(self.mantissa) + math.log(c))
         # multiply by shifting the log one level down
         return self.log().add_float(math.log(c)).exp()
-
-    # ---- order ----------------------------------------------------------
-
-    def _key(self) -> tuple[int, float]:
-        # canonical form makes level ranges disjoint, so this is the value order
-        return (self.level, self.mantissa)
-
-    def __lt__(self, other: "TowerReal") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "TowerReal") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "TowerReal") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "TowerReal") -> bool:
-        return self._key() >= other._key()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.level == 0:

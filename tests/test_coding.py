@@ -143,6 +143,17 @@ def test_itinerary_raises_once_argument_trust_dies():
         itinerary(1.0, 40.0 + 1e-20j, 4)
 
 
+def test_itinerary_raises_once_rounding_can_cross_a_strip_edge():
+    # |f^3(z)| ~ 3e29: its Im carries an error far wider than a strip, and
+    # the two ways of reaching f^3 used to report different huge indices
+    z = complex(1.484375, 0.125)
+    assert itinerary(1.0, z, 3).entries == (0, 0, 7)
+    for start, n in ((z, 4), (eval_map(1.0, z), 3)):
+        with pytest.raises(UntrustedArgumentError,
+                           match="strip of the orbit point undecided at orbit step"):
+            itinerary(1.0, start, n)
+
+
 @settings(max_examples=40)
 @given(st.floats(min_value=-1.5, max_value=1.5, allow_nan=False),
        st.floats(min_value=-1.2, max_value=1.2, allow_nan=False))

@@ -45,6 +45,9 @@ def test_eval_map_rejects_non_finite_point():
 def test_eval_map_overflow_raises_numeric_range():
     with pytest.raises(NumericRangeError):
         eval_map(1.0, 1000.0)
+    # 0.2 e^z is still native here, but e^z alone overflows
+    with pytest.raises(NumericRangeError):
+        eval_map(0.2, 709.9)
 
 
 # ---------------------------------------------------------------------------

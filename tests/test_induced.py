@@ -16,6 +16,7 @@ from expdyn import (
     ValidationError,
     build_zm,
     certificate_to_json,
+    cone_band,
     cover_iterate,
     eval_map,
     horizontal_strip,
@@ -104,6 +105,29 @@ def test_positive_sum_upper_bounds_a_sampled_branch_sum():
     mc = sum(v ** -(1 + delta) for v in cells.values())
     assert mc == 0.19146296760432926
     assert mc <= bound
+
+
+def test_width_profile_is_read_once_at_the_far_column():
+    # the profile bounds every slice up to its argument, so a ramp that
+    # reaches 50 before the image columns gives the constant-50 sums
+    calls = []
+
+    def ramp_profile(r):
+        calls.append(r)
+        return min(r, 50.0)
+
+    ramp = cone_band(STRIP.membership, STRIP.cone_constant, ramp_profile, "ramp")
+    bar = cone_band(STRIP.membership, STRIP.cone_constant, lambda r: 50.0, "bar")
+    for r in (10, 11, 30, 700):
+        calls.clear()
+        assert positive_sum(1.0, ramp, r, 0.5, 10) == \
+            positive_sum(1.0, bar, r, 0.5, 10)
+        assert len(calls) == 1 and calls[0] > 50.0
+    ramp_run = cover_iterate(1.0, ramp, 0.5, 2, 10 ** 5, m=10)
+    bar_run = cover_iterate(1.0, bar, 0.5, 2, 10 ** 5, m=10)
+    assert [lv.total for lv in ramp_run.levels] == \
+        [lv.total for lv in bar_run.levels]
+    assert ramp_run.levels[1].total > 0.0
 
 
 def test_positive_sum_validation():

@@ -118,6 +118,15 @@ def test_undecided_exit_keeps_its_native_point():
     assert opt.precision_caveat
 
 
+def test_exit_point_past_the_exp_range_is_none():
+    # f(z) = 0.2 e^z is finite but e^z overflows: the exit is still
+    # reported, without a native point
+    r = lambda_membership(0.2, symmetric_strip(20.0), complex(709.9, 1e-300), 3,
+                          policy="conservative")
+    assert r.status == "exit-at 1"
+    assert r.exit_point is None
+
+
 def test_membership_validation():
     with pytest.raises(ValidationError):
         lambda_membership(1.0, STRIP, 1.0, 0)

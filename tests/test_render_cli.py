@@ -244,6 +244,27 @@ def test_ray_t_range_does_not_drift():
     assert rows[-1].split(",")[0] == "2"
 
 
+def test_ray_t_range_rejects_non_finite_bounds():
+    for t in ("1:inf:1", "-inf:1:1", "1:2:nan"):
+        code, _, err = run_cli(["ray", "--lambda=1", "--address=0", f"--t={t}"])
+        assert code == 2
+        assert err.startswith("error: --t needs finite numbers")
+
+
+@pytest.mark.parametrize("flag, value, rest", [
+    ("--lambda", "-1,0", ["orbit", "--z", "0", "--steps", "2"]),
+    ("--z", "-1,0", ["orbit", "--lambda", "1", "--steps", "2"]),
+    ("--window", "-2,-1,4,4",
+     ["lambdaset", "--lambda", "1", "--set", "strip:0,3.141592653589793",
+      "--res", "4,4", "--depth", "3"]),
+])
+def test_negative_values_after_a_space(flag, value, rest):
+    spaced = run_cli(rest + [flag, value])
+    joined = run_cli(rest + [f"{flag}={value}"])
+    assert spaced == joined
+    assert spaced[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # lambdaset
 
