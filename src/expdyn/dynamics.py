@@ -11,6 +11,16 @@ is exact in that representation:
 Arguments are native floats.  Once |z_n| exceeds 2 pi / ulp the reduction
 of Im z_n modulo 2 pi carries no information; from that step on arguments
 are marked untrusted (they are still propagated deterministically).
+
+step_log_polar has one native branch and one tower branch.  While |z_n|
+is a finite double (log modulus at tower level 0 and at most _EXP_SAFE),
+Re z_n, Im z_n and the new log modulus are float arithmetic, and the
+result is built as a level-0 tower directly when it is canonical there
+(NEG_SENTINEL <= value < LIFT); it gives the bits of the tower formula
+real_part_tower().add_float(log|lambda|).  Towers take over for a new log
+modulus outside that range (TowerReal normalisation) and for a point
+whose modulus exceeds the double range (the tower branch).  log|lambda|
+and Arg lambda are computed once per lambda value (_lambda_logs).
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import (
@@ -25,7 +36,7 @@ from .errors import (
     NumericRangeError,
     ValidationError,
 )
-from .towers import _EXP_SAFE, NEG_SENTINEL, TowerReal, ZERO
+from .towers import _EXP_SAFE, LIFT, NEG_SENTINEL, TowerReal, ZERO, _level0
 
 TAU = 2.0 * math.pi
 # |z| beyond which Im z mod 2pi is below one ulp of Im z
@@ -39,6 +50,20 @@ def _require_lambda(lam: complex) -> complex:
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise ValidationError("lambda must be finite")
     return lam
+
+
+def _lambda_logs(lam: complex) -> tuple[float, float]:
+    """(log|lambda|, Arg lambda); lambda is validated the first time a
+    value is seen, so an invalid one raises as in _require_lambda."""
+    lam = complex(lam)
+    # -1+0j == -1-0j, but their arguments are pi and -pi
+    return _lambda_logs_of(lam, math.copysign(1.0, lam.imag))
+
+
+@lru_cache(maxsize=256)
+def _lambda_logs_of(lam: complex, imag_sign: float) -> tuple[float, float]:
+    lam = _require_lambda(lam)
+    return math.log(abs(lam)), math.atan2(lam.imag, lam.real)
 
 
 def _require_point(z: complex) -> complex:
@@ -67,8 +92,9 @@ class LogPolarComplex:
         z = _require_point(z)
         m = abs(z)
         if m == 0.0:
-            return cls(TowerReal(0, NEG_SENTINEL), 0.0, True)
-        return cls(TowerReal.from_float(math.log(m)), math.atan2(z.imag, z.real), True)
+            return cls(_level0(NEG_SENTINEL), 0.0, True)
+        # the log of a finite nonzero double lies in [-745, 710)
+        return cls(_level0(math.log(m)), math.atan2(z.imag, z.real), True)
 
     def modulus_float(self) -> float:
         """Native modulus, or inf when it exceeds the float range."""
@@ -112,30 +138,36 @@ class LogPolarComplex:
 
 def eval_map(lam: complex, z: complex) -> complex:
     """One application of z -> lambda * e^z in native arithmetic."""
-    lam = _require_lambda(lam)
+    log_lam = _lambda_logs(lam)[0]
     z = _require_point(z)
-    if z.real > _EXP_SAFE or math.log(abs(lam)) + z.real > _EXP_SAFE:
+    if z.real > _EXP_SAFE or log_lam + z.real > _EXP_SAFE:
         raise NumericRangeError(
             f"Re(z) = {z.real:.6g} exceeds the native exponent budget for this lambda"
         )
-    return lam * cmath.exp(z)
+    return complex(lam) * cmath.exp(z)
 
 
 def step_log_polar(lam: complex, p: LogPolarComplex) -> LogPolarComplex:
     """One exact map step in log-polar form."""
-    lam = _require_lambda(lam)
-    log_lam = math.log(abs(lam))
-    arg_lam = math.atan2(lam.imag, lam.real)
-
-    alpha = p.real_part_tower()
-    new_logmod = alpha.add_float(log_lam)
-
+    log_lam, arg_lam = _lambda_logs(lam)
     m = p.modulus_float()
     s = math.sin(p.argument)
     if m != math.inf:
+        # native branch: the same bits as real_part_tower().add_float(log_lam).
+        # re < NEG_SENTINEL needs no test of its own: |log_lam| < 745 is
+        # below half its ulp, so x == re and the test on x sends it on.
+        re = m * math.cos(p.argument)
+        x = re + log_lam if log_lam != 0.0 else re
+        if re < LIFT and NEG_SENTINEL <= x < LIFT:
+            new_logmod = _level0(x)
+        else:
+            new_logmod = TowerReal(0, re).add_float(log_lam)
         new_arg = _principal(m * s + arg_lam)
         trusted = p.arg_trusted and (m <= ARG_TRUST_LIMIT or s == 0.0)
-    elif s == 0.0:
+        return LogPolarComplex(new_logmod, new_arg, trusted)
+
+    new_logmod = p.real_part_tower().add_float(log_lam)
+    if s == 0.0:
         # exactly real direction: Im z is exactly zero at any modulus
         new_arg = _principal(arg_lam)
         trusted = p.arg_trusted

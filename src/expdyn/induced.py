@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import neg
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -244,13 +246,20 @@ class InducedGeometry:
         return self.sigmas[i]
 
     def level_of_column(self, r: int) -> int:
-        """Band level of the column [r, r+1); ties go to the smaller level."""
+        """Band level of the column [r, r+1); ties go to the smaller level.
+
+        Level l holds the column when sigma_{l+1} < r + 1 and sigma_l > r.
+        The sigmas do not increase with l, so the smallest such l is found
+        by two bisections over them.
+        """
         if r > -self.m:
             raise ValidationError(f"column {r} is not on the negative side of Y_M")
-        for l in range(self.l0, self.l0 + self.n_levels + 1):
-            lo, hi = self.sigma(l + 1), self.sigma(l)
-            if lo < r + 1 and hi > r:
-                return l
+        # first index with sigma < r + 1, first index with sigma <= r
+        below_top = bisect_right(self.sigmas, -(r + 1), key=neg)
+        below_r = bisect_left(self.sigmas, -r, key=neg)
+        i = max(below_top - 1, 0)
+        if i < below_r and i <= self.n_levels:
+            return self.l0 + i
         raise GeometryError(
             f"column {r} below the deepest computed band; increase n_levels"
         )

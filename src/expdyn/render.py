@@ -33,16 +33,17 @@ def render_field(
         raise ValidationError(f"unknown palette {palette!r}")
     data = field.data(policy)
     top = field.depth + 1
+    if data and not (min(data) >= 0 and max(data) <= top):
+        raise ValidationError(f"field values must lie in 0..{top}")
+    # pixel bytes of each value 0..top (exits and the survivor value)
+    if palette == "gray":
+        table = [bytes((round(255 * (v / top)),)) for v in range(top + 1)]
+    else:
+        table = [bytes(_fire(v / top)) for v in range(top + 1)]
+    nx = field.nx
     buf = io.BytesIO()
     magic = b"P5" if palette == "gray" else b"P6"
-    buf.write(magic + b"\n%d %d\n255\n" % (field.nx, field.ny))
+    buf.write(magic + b"\n%d %d\n255\n" % (nx, field.ny))
     for iy in range(field.ny):
-        row = bytearray()
-        for ix in range(field.nx):
-            t = data[iy * field.nx + ix] / top
-            if palette == "gray":
-                row.append(round(255 * t))
-            else:
-                row.extend(_fire(t))
-        buf.write(bytes(row))
+        buf.write(b"".join(table[v] for v in data[iy * nx:(iy + 1) * nx]))
     _write_payload(dest, buf.getvalue())

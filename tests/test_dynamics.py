@@ -21,7 +21,9 @@ from expdyn import (
     step_log_polar,
     strip_index,
 )
-from expdyn.towers import NEG_SENTINEL
+from expdyn import dynamics
+from expdyn.dynamics import ARG_TRUST_LIMIT, _principal
+from expdyn.towers import _EXP_SAFE, LIFT, NEG_SENTINEL
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +63,143 @@ def test_step_matches_native_map_while_representable():
     assert p.log_modulus.to_float() == pytest.approx(math.log(abs(w)), rel=1e-14)
     assert p.argument == pytest.approx(cmath.phase(w), abs=1e-14)
     assert p.arg_trusted
+
+
+def _tower_step(lam, p, log_lam=None):
+    """Reference for a point of native modulus: the tower formula."""
+    lam = complex(lam)
+    if log_lam is None:
+        log_lam = math.log(abs(lam))
+    m = p.modulus_float()
+    s = math.sin(p.argument)
+    assert m != math.inf
+    return LogPolarComplex(
+        p.real_part_tower().add_float(log_lam),
+        _principal(m * s + math.atan2(lam.imag, lam.real)),
+        p.arg_trusted and (m <= ARG_TRUST_LIMIT or s == 0.0),
+    )
+
+
+def _bits(p):
+    lm = p.log_modulus
+    return lm.level, lm.mantissa.hex(), p.argument.hex(), p.arg_trusted
+
+
+def _near(x, k=4):
+    """x and its k nearest floats on either side."""
+    out = [x]
+    lo = hi = x
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+# log|lambda| = 0.0 (|lambda| = 1, signed-zero imaginary parts included),
+# small, large positive and large negative
+_EDGE_LAMBDAS = (1.0, -1.0, complex(-1.0, -0.0), 1j, -1j, 0.25 + 0.1j,
+                 -0.3, 2.0 - 1.0j, math.exp(20.0), -math.exp(-10.0), 1e-300j)
+
+
+def _re_exactly_lift():
+    """Points whose Re z is exactly LIFT, found by search (libm dependent)."""
+    pts = []
+    for lm in _near(math.log(LIFT), 8):
+        m = math.exp(lm)
+        if m >= LIFT:
+            pts += [LogPolarComplex(TowerReal(0, lm), a, True)
+                    for a in _near(math.acos(LIFT / m), 64) if m * math.cos(a) == LIFT]
+    return pts
+
+
+def _edge_points():
+    pts = [LogPolarComplex.from_complex(0.0)]
+    # modulus underflowed to 0: Re z is -0.0 in the left half-plane
+    pts += [LogPolarComplex(TowerReal(0, lm), a, True)
+            for lm in (NEG_SENTINEL, -800.0) for a in (math.pi, 3.0, -2.0)]
+    # Re z just below, at and above LIFT
+    pts += _re_exactly_lift()
+    for lm in _near(math.log(LIFT)):
+        pts += [LogPolarComplex(TowerReal(0, lm), a, True) for a in (0.0, -0.0, 1e-9)]
+    # Re z near LIFT - log|lambda| for the large lambdas (sum crossing LIFT)
+    for re in (LIFT - 20.0, LIFT + 10.0, 705.0, 715.0):
+        pts += [LogPolarComplex(TowerReal(0, lm), 0.0, True)
+                for lm in _near(math.log(re), 2)]
+    # Re z below NEG_SENTINEL, and the largest native modulus
+    for lm in (709.7, _EXP_SAFE, math.log(-NEG_SENTINEL)):
+        pts += [LogPolarComplex(TowerReal(0, x), a, t)
+                for x in _near(lm, 2) for a in (math.pi, 3.0, -math.pi / 2) for t in (True, False)]
+    # modulus at ARG_TRUST_LIMIT, with sin(arg) zero and nonzero
+    for lm in _near(math.log(ARG_TRUST_LIMIT)):
+        pts += [LogPolarComplex(TowerReal(0, lm), a, True) for a in (0.0, -0.0, 0.5, math.pi)]
+    return [p for p in pts if p.modulus_float() != math.inf]
+
+
+def test_native_step_matches_the_tower_formula_on_edges():
+    pts = _edge_points()
+    res = [p.modulus_float() * math.cos(p.argument) for p in pts]
+    # Re z and Re z + log|lambda| (log|lambda| = 20 and -10 below)
+    # straddle both ends of the level-0 range, and |z| the trust limit
+    assert min(res) < NEG_SENTINEL
+    assert any(r == 0.0 and math.copysign(1.0, r) < 0 for r in res)
+    assert any(LIFT - 1e-9 < r < LIFT for r in res) and LIFT in res
+    assert any(LIFT <= r < LIFT + 1e-9 for r in res)
+    assert any(r < LIFT <= r + 20.0 for r in res)
+    assert any(r - 10.0 < LIFT <= r for r in res)
+    ms = [p.modulus_float() for p in pts]
+    assert any(ARG_TRUST_LIMIT * (1.0 - 1e-14) < m <= ARG_TRUST_LIMIT for m in ms)
+    assert any(ARG_TRUST_LIMIT < m < ARG_TRUST_LIMIT * (1.0 + 1e-14) for m in ms)
+    for lam in _EDGE_LAMBDAS:
+        for p in pts:
+            assert _bits(step_log_polar(lam, p)) == _bits(_tower_step(lam, p)), (lam, p)
+
+
+@pytest.mark.parametrize("log_lam", [0.0, -0.0, 0.75, 709.0])
+def test_native_step_adds_log_lambda_like_add_float(monkeypatch, log_lam):
+    # log|lambda| of -0.0 or exactly 709 comes from no lambda; substitute it
+    monkeypatch.setattr(dynamics, "_lambda_logs", lambda lam: (log_lam, 0.0))
+    # Re z = 1 + 709 lands exactly on LIFT
+    extra = [LogPolarComplex(TowerReal(0, 0.0), 0.0, True)]
+    for p in _edge_points() + extra:
+        assert _bits(step_log_polar(1.0, p)) == _bits(_tower_step(1.0, p, log_lam))
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=NEG_SENTINEL, max_value=_EXP_SAFE),
+       st.floats(min_value=-math.pi, max_value=math.pi),
+       st.booleans(),
+       st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300,
+                          allow_nan=False, allow_infinity=False))
+def test_native_step_matches_the_tower_formula(lm, arg, trusted, lam):
+    p = LogPolarComplex(TowerReal(0, lm), arg, trusted)
+    assert _bits(step_log_polar(lam, p)) == _bits(_tower_step(lam, p))
+
+
+def test_signed_zero_lambdas_keep_their_own_argument():
+    p = LogPolarComplex.from_complex(0.5 + 0.25j)
+    for lam in (complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-1.0, 0.0)):
+        assert _bits(step_log_polar(lam, p)) == _bits(_tower_step(lam, p))
+        assert eval_map(lam, 0.5j) == complex(lam) * cmath.exp(0.5j)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0j, complex(math.nan, 1.0), math.inf,
+                                 complex(1.0, -math.inf)])
+def test_invalid_lambda_raises_on_every_call(lam):
+    p = LogPolarComplex.from_complex(1.0)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="lambda must be"):
+            step_log_polar(lam, p)
+        with pytest.raises(ValidationError, match="lambda must be"):
+            eval_map(lam, 1.0)
+
+
+@pytest.mark.parametrize("m", [5e-324, 1e-300, 1.0, 1.7e308])
+def test_from_complex_is_the_level_zero_log(m):
+    for z in (m, complex(0.0, -m)):
+        t = LogPolarComplex.from_complex(z).log_modulus
+        ref = TowerReal.from_float(math.log(m))
+        assert (t.level, t.mantissa.hex()) == (ref.level, ref.mantissa.hex())
+        assert t == ref and hash(t) == hash(ref)
 
 
 def test_from_complex_of_zero_uses_sentinel():

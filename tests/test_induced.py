@@ -188,6 +188,42 @@ def test_geometry_validation():
     assert geo.level_of_column(-10 ** 6) == 7
 
 
+def _level_by_scan(geo, r):
+    """Reference: the first level whose band holds column r, or None."""
+    for l in range(geo.l0, geo.l0 + geo.n_levels + 1):
+        if geo.sigma(l + 1) < r + 1 and geo.sigma(l) > r:
+            return l
+    return None
+
+
+@pytest.mark.parametrize("geo", [
+    negative_geometry(0.65, 0.13, 5, 1),
+    negative_geometry(0.65, 0.65, 4, 6),
+    negative_geometry(1.0, 1.0, 3, 1),
+    negative_geometry(1.0, 0.2, 3, 6),
+    negative_geometry(2.0, 0.4, 3, 1),
+    negative_geometry(5.0, 1.0, 2, 1),
+    # band edges on integers, repeated sigmas and a finite deepest floor
+    dataclasses.replace(negative_geometry(1.0, 1.0, 3, 6), m=4,
+                        sigmas=(-4.0, -7.0, -7.0, -9.0, -10.0, -10.0, -13.0, -20.0)),
+], ids=lambda g: f"lam{g.lam.real:g}-l0{g.l0}-n{g.n_levels}-top{g.sigmas[0]:g}")
+def test_level_of_column_bisect_matches_the_scan(geo):
+    finite = [s for s in geo.sigmas if s != -math.inf]
+    deepest = max(math.floor(finite[-1]) - 3, -geo.m - 3000)
+    cols = set(range(-geo.m, deepest - 1, -1))
+    for s in finite:  # columns at and beside every band edge
+        cols.update(c for c in range(math.floor(s) - 2, math.floor(s) + 3)
+                    if c <= -geo.m)
+    assert all(b <= a for a, b in zip(geo.sigmas, geo.sigmas[1:]))
+    for r in sorted(cols, reverse=True):
+        want = _level_by_scan(geo, r)
+        if want is None:
+            with pytest.raises(GeometryError):
+                geo.level_of_column(r)
+        else:
+            assert geo.level_of_column(r) == want, r
+
+
 # ---------------------------------------------------------------------------
 # the induced map
 

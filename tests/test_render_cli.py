@@ -1,5 +1,6 @@
 """Palette rendering and the command-line front end, end to end."""
 
+import dataclasses
 import io
 import json
 import math
@@ -88,6 +89,15 @@ def test_writers_accept_pathlib_paths(tmp_path, name):
     dest = tmp_path / "out"
     write(dest)
     assert dest.read_bytes() == expected
+
+
+@pytest.mark.parametrize("palette", ["gray", "fire"])
+@pytest.mark.parametrize("bad", [-1, 99])
+def test_render_rejects_values_outside_the_palette(palette, bad):
+    field = _small_field()
+    field = dataclasses.replace(field, conservative=(bad,) + field.conservative[1:])
+    with pytest.raises(ValidationError, match="field values must lie in"):
+        render_field(field, io.BytesIO(), palette=palette)
 
 
 def test_render_rejects_unknown_palette():
