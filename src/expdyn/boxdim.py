@@ -61,12 +61,10 @@ def box_count(
     x0 = min(p.real for p in pts)
     y0 = min(p.imag for p in pts)
     ox, oy = anchor_offset
+    offsets = [(p.real - x0, p.imag - y0) for p in pts]
     counts: list[int] = []
     for e in eps:
-        boxes = {
-            (math.floor((p.real - x0) / e - ox), math.floor((p.imag - y0) / e - oy))
-            for p in pts
-        }
+        boxes = {(math.floor(dx / e - ox), math.floor(dy / e - oy)) for dx, dy in offsets}
         counts.append(len(boxes))
 
     xs = [math.log(1.0 / e) for e in eps]

@@ -3,11 +3,16 @@
 Exit codes: 0 success or certificate pass, 2 validation error,
 3 certificate (or supergrowth) not achieved, 4 numeric-range error.
 All JSON reports carry format_version 1 and are byte-deterministic.
+
+The argument parser and its set of value-taking options are built once per
+process, on the first ``main`` call, and reused by every later call; no
+default in the tree is mutable, and each parse makes a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -322,7 +327,9 @@ def _cmd_searchbound(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
+    """The parser and its value-taking options, built on first use."""
     parser = argparse.ArgumentParser(
         prog="expdyn",
         description="Numerical laboratory for the exponential family lambda*e^z.",
@@ -400,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, metavar="PATH")
     p.set_defaults(handler=_cmd_searchbound)
 
-    return parser
+    return parser, frozenset(_value_flags(parser))
 
 
 def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
@@ -416,10 +423,9 @@ def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    parser, flags = _build_parser()
     # argparse reads a spaced value that starts with '-' as an option unless
     # it is a plain number, so "--z -1,0" goes on as "--z=-1,0"
-    flags = _value_flags(parser)
     tokens: list[str] = []
     for tok in sys.argv[1:] if argv is None else argv:
         if tokens and tokens[-1] in flags and re.match(r"-[0-9.]", tok):

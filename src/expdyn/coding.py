@@ -22,6 +22,7 @@ from .dynamics import (
     TAU,
     _require_lambda,
     _require_point,
+    _strip_of_imag,
     step_log_polar,
 )
 
@@ -32,11 +33,6 @@ def strip_index(lam: complex, z: complex) -> int:
     z = _require_point(z)
     arg_lam = math.atan2(lam.imag, lam.real)
     return _strip_of_imag(z.imag, arg_lam)
-
-
-def _strip_of_imag(im: float, arg_lam: float) -> int:
-    # (2k-1) pi - A < im <= (2k+1) pi - A  <=>  k = ceil((im + A)/tau - 1/2)
-    return math.ceil((im + arg_lam) / TAU - 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,20 @@ class LogPolarComplex:
         return math.copysign(v, s)
 
 
+def _log_polar(
+    log_modulus: TowerReal, argument: float, arg_trusted: bool
+) -> LogPolarComplex:
+    """A LogPolarComplex built without the frozen-dataclass ``__init__``,
+    for the native step, whose fields are already in range; it compares,
+    hashes and stays frozen like one built normally.
+    """
+    p = object.__new__(LogPolarComplex)
+    p.__dict__.update(
+        log_modulus=log_modulus, argument=argument, arg_trusted=arg_trusted
+    )
+    return p
+
+
 def eval_map(lam: complex, z: complex) -> complex:
     """One application of z -> lambda * e^z in native arithmetic."""
     log_lam = _lambda_logs(lam)[0]
@@ -164,7 +178,7 @@ def step_log_polar(lam: complex, p: LogPolarComplex) -> LogPolarComplex:
             new_logmod = TowerReal(0, re).add_float(log_lam)
         new_arg = _principal(m * s + arg_lam)
         trusted = p.arg_trusted and (m <= ARG_TRUST_LIMIT or s == 0.0)
-        return LogPolarComplex(new_logmod, new_arg, trusted)
+        return _log_polar(new_logmod, new_arg, trusted)
 
     new_logmod = p.real_part_tower().add_float(log_lam)
     if s == 0.0:
@@ -296,10 +310,19 @@ def inverse_branch(lam: complex, w: complex, k: int) -> complex:
         raise DomainError("0 has no preimage under lambda * e^z")
     base = cmath.log(w) - cmath.log(lam)
     arg_lam = math.atan2(lam.imag, lam.real)
-    lo = (2 * k - 1) * math.pi - arg_lam
-    t = (lo - base.imag) / TAU
-    j = math.floor(t) + 1
-    return complex(base.real, base.imag + TAU * j)
+    im = base.imag + TAU * (k - _strip_of_imag(base.imag, arg_lam))
+    # next to a strip edge the sum can round across the edge: step it back
+    for _ in range(4):
+        s = _strip_of_imag(im, arg_lam)
+        if s == k:
+            break
+        im = math.nextafter(im, math.inf if s < k else -math.inf)
+    return complex(base.real, im)
+
+
+def _strip_of_imag(im: float, arg_lam: float) -> int:
+    # (2k-1) pi - A < im <= (2k+1) pi - A  <=>  k = ceil((im + A)/tau - 1/2)
+    return math.ceil((im + arg_lam) / TAU - 0.5)
 
 
 # ---------------------------------------------------------------------------

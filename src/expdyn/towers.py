@@ -110,8 +110,10 @@ class TowerReal:
     def add_float(self, d: float) -> "TowerReal":
         """Value + d for a native float d.
 
-        At level >= 2 the value exceeds e^710, so any float offset is below
-        one ulp of the representation and the tower is returned unchanged.
+        At level 2 the value is e^w with w = e^mantissa >= LIFT, and d moves
+        w by log1p(d e^-w); that is below half an ulp of w once w passes
+        about 741 (mantissa about 6.61), and at level 3 and above always,
+        so the tower is returned unchanged there.
         """
         if math.isnan(d) or math.isinf(d):
             raise ValidationError("offset must be finite")
@@ -130,6 +132,12 @@ class TowerReal:
                     raise NumericRangeError("tower + offset left the positive range")
                 return TowerReal.from_float(v + d)
             return TowerReal(1, self.mantissa + math.log1p(t))
+        if self.level == 2 and self.mantissa <= _EXP_SAFE:
+            w = math.exp(self.mantissa)
+            # |d| < e^LIFT <= e^w, so the log1p argument lies in (-1, 1)
+            v = w + math.log1p(math.copysign(math.exp(math.log(abs(d)) - w), d))
+            if v != w:
+                return TowerReal(1, v)
         return self
 
     def mul_float(self, c: float) -> "TowerReal":

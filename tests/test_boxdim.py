@@ -54,6 +54,18 @@ def test_anchor_shift_barely_moves_the_slope():
     assert abs(shifted.slope - base.slope) < 0.1
 
 
+def test_box_counts_are_pinned_with_and_without_anchor_offset():
+    pts = [complex(3.7 + i / 997.0, -1.2 + 0.3 * math.sin(0.37 * i)) for i in range(2000)]
+    pinned = {
+        (0.0, 0.0): (125, 362, 1083, 1737, 1862),
+        (0.3, 0.7): (147, 476, 1102, 1874, 1898),
+        (-0.45, 0.25): (147, 457, 1139, 1845, 1885),
+    }
+    for offset, counts in pinned.items():
+        assert box_count(pts, EPS, anchor_offset=offset).counts == counts
+    assert box_count(pts, EPS).slope == 1.1870782814954444
+
+
 def test_box_count_validation():
     seg = [complex(i / 100.0, 0.0) for i in range(100)]
     with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """Orbits, log-polar stepping, derivatives, and the supergrowth check."""
 
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -182,6 +183,24 @@ def test_signed_zero_lambdas_keep_their_own_argument():
         assert eval_map(lam, 0.5j) == complex(lam) * cmath.exp(0.5j)
 
 
+def test_native_step_points_behave_like_normally_built_ones():
+    stepped = [step_log_polar(0.5 + 0.25j, p) for p in _edge_points()]
+    built = [LogPolarComplex(q.log_modulus, q.argument, q.arg_trusted) for q in stepped]
+    for q, b in zip(stepped, built):
+        assert type(q) is LogPolarComplex
+        assert q == b and b == q and hash(q) == hash(b)
+        assert repr(q) == repr(b)
+        assert q != dataclasses.replace(b, arg_trusted=not b.arg_trusted)
+    assert set(stepped) == set(built)
+    q = stepped[0]
+    for field, value in (("log_modulus", TowerReal(0, 1.0)), ("argument", 1.0),
+                         ("arg_trusted", False)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(q, field, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del q.argument
+
+
 @pytest.mark.parametrize("lam", [0.0, 0j, complex(math.nan, 1.0), math.inf,
                                  complex(1.0, -math.inf)])
 def test_invalid_lambda_raises_on_every_call(lam):
@@ -322,6 +341,19 @@ def test_inverse_branch_lands_in_named_strip(re, im, k):
     z = inverse_branch(1.0, w, k)
     assert strip_index(1.0, z) == k
     assert abs(eval_map(1.0, z) - w) <= 1e-9 * max(1.0, abs(w))
+
+
+def test_inverse_branch_next_to_a_strip_edge():
+    # every preimage of these w lies within ulps of a strip edge; the
+    # rounded offset once picked the preimage a period away (strip 4 for
+    # k = 3 at the first w), and the sum could round across the edge
+    for w in (complex(-0.125, -2.220446049250313e-16), complex(-3.0, -1e-300),
+              complex(-0.5, 1e-17), -1.0, complex(-1.553861772869886, 0.0),
+              complex(-1.526, -0.0)):
+        for k in range(-50, 51):
+            z = inverse_branch(1.0, w, k)
+            assert strip_index(1.0, z) == k, (w, k, z)
+            assert abs(eval_map(1.0, z) - w) <= 1e-12 * abs(w)
 
 
 # ---------------------------------------------------------------------------

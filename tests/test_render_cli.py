@@ -1,9 +1,13 @@
 """Palette rendering and the command-line front end, end to end."""
 
+import argparse
 import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -17,6 +21,8 @@ from expdyn import (
     trace_ray,
     write_ray_csv,
 )
+import expdyn
+from expdyn import cli
 from expdyn.cli import main
 from expdyn.invariant_sets import write_field_csv, write_field_pgm
 
@@ -164,6 +170,66 @@ def test_cli_exit_codes_and_first_lines(tmp_path):
         text = out if stream == "out" else err
         assert code == want_code, (argv, code, err or out)
         assert text.splitlines()[0].startswith(first), (argv, text.splitlines()[:1])
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+VALID = ["orbit", "--lambda", "1", "--z", "-1,0.5", "--steps", "4"]
+
+
+def test_calls_after_errors_and_help_match_a_fresh_parser():
+    cli._build_parser.cache_clear()
+    first = run_cli(VALID)
+    assert first[0] == 0
+    for argv, code in ((["orbit", "--lambda", "1", "--z", "0", "--steps", "x"], 2),
+                       (["orbit", "--help"], 0), (["--help"], 0),
+                       (["frobnicate"], 2),
+                       (["orbit", "--lambda", "0", "--z", "1", "--steps", "3"], 2)):
+        cli._build_parser.cache_clear()
+        fresh = run_cli(argv)
+        assert fresh[0] == code and (fresh[1] or fresh[2]), argv
+        assert run_cli(argv) == fresh, argv
+        assert run_cli(VALID) == first, argv
+
+
+def test_parser_is_built_once_across_calls():
+    cli._build_parser.cache_clear()
+    for argv in (VALID, ["frobnicate"], ["--help"], ["orbit"], VALID):
+        run_cli(argv)
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(expdyn.__file__))
+    code = "import expdyn.cli as c; print(c._build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "0\n"
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_every_parser_default_is_immutable():
+    parser, flags = cli._build_parser()
+    assert isinstance(flags, frozenset) and "--lambda" in flags
+    immutable = (type(None), bool, int, float, str, tuple)
+    parsers = list(_parsers(parser))
+    assert len(parsers) == 8
+    for p in parsers:
+        for action in p._actions:
+            assert isinstance(action.default, immutable), (p.prog, action.dest)
+            if not isinstance(action, argparse._SubParsersAction):
+                assert isinstance(action.choices, (type(None), tuple)), (p.prog, action.dest)
+        for name, value in p._defaults.items():
+            assert name == "handler" and value.__module__ == "expdyn.cli", p.prog
 
 
 # ---------------------------------------------------------------------------
