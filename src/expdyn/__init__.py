@@ -74,7 +74,6 @@ from .invariant_sets import (
     write_field_pgm,
 )
 from .induced import (
-    Ball,
     ContractionCertificate,
     CoverLevel,
     CoverRun,
@@ -101,7 +100,6 @@ from .render import render_field
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ball",
     "BoxCountResult",
     "ContractionCertificate",
     "CoverLevel",

@@ -18,6 +18,7 @@ from .induced import (
     ContractionCertificate,
     InducedGeometry,
     certificate_to_json,
+    certified_columns,
     negative_geometry,
     verify_contraction,
 )
@@ -130,55 +131,33 @@ def dimension_bound_search(
     if l0_grid is not None and c is None:
         raise ValidationError("l0 scanning needs the supergrowth constant c")
 
-    best: Optional[ContractionCertificate] = None
     if l0_grid is None:
         ms = sorted(set(int(m) for m in m_grid))
         if any(m < 1 for m in ms):
             raise ValidationError("M values must be >= 1")
-        for m in ms:
-            for d in deltas:
-                if best is not None and 1.0 + d >= 1.0 + best.delta:
-                    break
-                cert = verify_contraction(
-                    lam, spec, d, range(m, m + r_span + 1), m=m,
-                    enumerate_rectangles=False,
-                )
-                if cert.passed:
-                    best = cert
-                    break
-        provenance = {
-            "lambda": [lam.real, lam.imag],
-            "mode": "positive-only",
-            "delta_grid": deltas,
-            "m_grid": ms,
-            "r_span": r_span,
-        }
+        grid = {"mode": "positive-only", "m_grid": ms}
+        candidates = ((m, None) for m in ms)
     else:
         l0s = sorted(set(int(l) for l in l0_grid))
-        for l0 in l0s:
-            geo = _geometry_for(lam, c, l0, r_span)
-            for d in deltas:
-                if best is not None and 1.0 + d >= 1.0 + best.delta:
-                    break
-                m = geo.m
-                cols = list(range(m, m + r_span + 1)) + list(
-                    range(-(m + r_span), -m + 1)
-                )
-                cert = verify_contraction(
-                    lam, spec, d, cols, geometry=geo,
-                    enumerate_rectangles=False,
-                )
-                if cert.passed:
-                    best = cert
-                    break
-        provenance = {
-            "lambda": [lam.real, lam.imag],
-            "mode": "two-sided",
-            "delta_grid": deltas,
-            "l0_grid": l0s,
-            "c": c,
-            "r_span": r_span,
-        }
+        grid = {"mode": "two-sided", "l0_grid": l0s, "c": c}
+        # built on demand, so a GeometryError surfaces at its own l0
+        geometries = (_geometry_for(lam, c, l0, r_span) for l0 in l0s)
+        candidates = ((geo.m, geo) for geo in geometries)
+    provenance = {"lambda": [lam.real, lam.imag], "delta_grid": deltas, **grid,
+                  "r_span": r_span}
+
+    best: Optional[ContractionCertificate] = None
+    for m, geo in candidates:
+        cols = certified_columns(m, m + r_span, two_sided=geo is not None)
+        for d in deltas:
+            if best is not None and 1.0 + d >= 1.0 + best.delta:
+                break
+            cert = verify_contraction(
+                lam, spec, d, cols, m=m, geometry=geo, enumerate_rectangles=False
+            )
+            if cert.passed:
+                best = cert
+                break
 
     if best is None:
         return DimensionReport(boxcount, None, None, provenance, "no certificate in grid")

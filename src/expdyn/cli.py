@@ -33,7 +33,9 @@ from .invariant_sets import (
     write_field_pgm,
 )
 from .induced import (
+    _threshold,
     certificate_to_json,
+    certified_columns,
     cover_iterate,
     negative_geometry,
     verify_contraction,
@@ -256,24 +258,18 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     lam = _parse_complex(args.lam, "--lambda")
     spec = _parse_set(args.set)
     geometry = None
-    m = args.m
     if args.l0 is not None:
         geometry = negative_geometry(lam, args.c, args.l0, args.n_levels)
-        m = geometry.m if m is None else m
-        if args.rmax < m:
-            raise ValidationError("--rmax must be at least the induced M")
-        columns = list(range(m, args.rmax + 1)) + list(range(-args.rmax, -m + 1))
-    else:
-        if m is None:
-            raise ValidationError("positive-only certification needs --m")
-        if args.rmax < m:
-            raise ValidationError("--rmax must be at least --m")
-        columns = range(m, args.rmax + 1)
+    elif args.m is None:
+        raise ValidationError("positive-only certification needs --m")
+    m = _threshold(args.m, geometry)
+    if args.rmax < m:
+        raise ValidationError(f"--rmax must be at least M = {m}")
     cert = verify_contraction(
         lam,
         spec,
         args.delta,
-        columns,
+        certified_columns(m, args.rmax, two_sided=geometry is not None),
         m=m,
         geometry=geometry,
         distortion_allowance=args.distortion,
@@ -383,7 +379,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--distortion", type=float, default=1.2)
     p.add_argument("--rectangles", action="store_true",
-                   help="enumerate rectangles instead of column aggregation")
+                   help="also list each Z_M rectangle with its column's bound")
     p.add_argument("--cover-depth", type=int, default=0,
                    help="also iterate the cover to this depth")
     p.add_argument("--branch-cap", type=int, default=10 ** 5)

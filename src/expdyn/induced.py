@@ -33,9 +33,7 @@ from .errors import (
 )
 from .dynamics import (
     LogPolarComplex,
-    SupergrowthReport,
     TAU,
-    TowerReal,
     _require_lambda,
     _require_point,
     check_supergrowth,
@@ -51,6 +49,8 @@ from .invariant_sets import ThinSetSpec
 # 690-709 depend on this value, so it is not the overflow limit itself.
 _EXP_NATIVE = 690.0
 _HUGE_COLUMN = 1e300
+# points sampled along Re in each rectangle by the Z_M membership test
+_RECT_SAMPLES = 6
 
 
 @dataclass(frozen=True, order=True)
@@ -70,8 +70,16 @@ class ZMFamily:
         return self.per_column_counts.get(r, 0)
 
 
+def certified_columns(m: int, r_max: int, two_sided: bool = True) -> list[int]:
+    """The columns M..r_max, then -r_max..-M when two-sided."""
+    columns = list(range(m, r_max + 1))
+    if two_sided:
+        columns += range(-r_max, -m + 1)
+    return columns
+
+
 def _rectangle_meets(
-    spec: ThinSetSpec, lam: complex, k: int, r: int, m: int, samples: int = 6
+    spec: ThinSetSpec, lam: complex, k: int, r: int, m: int
 ) -> bool:
     """Does R^k_r meet W intersected with {|Re| >= m}?  Sampled, not exact."""
     arg_lam = math.atan2(lam.imag, lam.real)
@@ -82,8 +90,8 @@ def _rectangle_meets(
         x_lo, x_hi = float(r), min(r + 1.0 - 1e-9, float(-m))
         if x_hi < x_lo:
             return False
-    for i in range(samples):
-        x = x_lo + (x_hi - x_lo) * i / (samples - 1)
+    for i in range(_RECT_SAMPLES):
+        x = x_lo + (x_hi - x_lo) * i / (_RECT_SAMPLES - 1)
         if abs(x) < m:
             continue
         for u in (1e-9, 0.25, 0.5, 0.75, 1.0):
@@ -92,29 +100,25 @@ def _rectangle_meets(
     return False
 
 
-def build_zm(
-    spec: ThinSetSpec, lam: complex, m: int, r_max: int, samples: int = 6
-) -> ZMFamily:
+def build_zm(spec: ThinSetSpec, lam: complex, m: int, r_max: int) -> ZMFamily:
     """Enumerate Z_M rectangles with M <= |column| <= r_max.
 
     Membership is tested on a sub-grid of each rectangle; slivers thinner
-    than the sub-grid pitch can be missed (increase ``samples`` if the
-    set is finely striped).
+    than the sub-grid pitch can be missed.
     """
     lam = _require_lambda(lam)
     if m < 1 or r_max <= m:
         raise ValidationError("need 1 <= M < r_max")
     arg_lam = math.atan2(lam.imag, lam.real)
-    columns = list(range(m, r_max + 1)) + list(range(-r_max, -m + 1))
     rects: list[RectangleIndex] = []
     counts: dict[int, int] = {}
-    for r in columns:
+    for r in certified_columns(m, r_max):
         y_max = spec.cone_constant * (abs(r) + 2.0)
         k_lo = _strip_of_imag(-y_max, arg_lam)
         k_hi = _strip_of_imag(y_max, arg_lam)
         n = 0
         for k in range(k_lo, k_hi + 1):
-            if _rectangle_meets(spec, lam, k, r, m, samples):
+            if _rectangle_meets(spec, lam, k, r, m):
                 rects.append(RectangleIndex(k, r))
                 n += 1
         if n:
@@ -219,25 +223,16 @@ def positive_sum(
 
 
 @dataclass(frozen=True)
-class Ball:
-    level: int
-    center: LogPolarComplex
-    log_radius: TowerReal  # log(D |beta_l|)
-
-
-@dataclass(frozen=True)
 class InducedGeometry:
     lam: complex
     c: float
-    d: float  # ball radius factor c / (4 |lambda|)
+    d: float  # ball radius factor c / (4 |lambda|): balls B(beta_l, D |beta_l|)
     l0: int
     n_levels: int
     m: int
     sigmas: tuple[float, ...]  # band boundaries sigma_{l0} .. sigma_{l0+n+1}
-    balls: tuple[Ball, ...]
     alphas: tuple[float, ...]  # alpha_0 .. alpha_{l0+n+1} as floats (inf beyond native)
     log_betas: tuple[float, ...]  # log|beta_l|, index 1..; [0] unused sentinel
-    supergrowth: SupergrowthReport
 
     def sigma(self, l: int) -> float:
         i = l - self.l0
@@ -338,20 +333,15 @@ def negative_geometry(
             f"-M+1 = {-m + 1}; increase l0"
         )
 
-    balls: list[Ball] = []
-    for l in range(l0, l0 + n_levels + 1):
-        p = orbit[l - 1]
-        balls.append(Ball(l, p, p.log_modulus.add_float(log_d)))
-    for b0, b1 in zip(balls, balls[1:]):
-        lhs = b1.center.log_modulus.add_float(math.log1p(-d))
-        rhs = b0.center.log_modulus.add_float(math.log1p(d))
+    # the balls at beta_l and beta_{l+1} (orbit[l - 1] and orbit[l]) are
+    # disjoint when |beta_{l+1}| (1 - D) > |beta_l| (1 + D)
+    for l in range(l0, l0 + n_levels):
+        lhs = orbit[l].log_modulus.add_float(math.log1p(-d))
+        rhs = orbit[l - 1].log_modulus.add_float(math.log1p(d))
         if not lhs > rhs:
-            raise GeometryError(
-                f"balls at levels {b0.level} and {b1.level} are not disjoint"
-            )
+            raise GeometryError(f"balls at levels {l} and {l + 1} are not disjoint")
     return InducedGeometry(
-        lam, c, d, l0, n_levels, m, sigmas, tuple(balls),
-        tuple(alphas), tuple(log_betas), report,
+        lam, c, d, l0, n_levels, m, sigmas, tuple(alphas), tuple(log_betas)
     )
 
 
@@ -445,6 +435,17 @@ def _negative_level_bound(
     return _exp_or_inf(log_bound)
 
 
+def _threshold(m: Optional[int], geometry: Optional[InducedGeometry]) -> int:
+    """M, given directly or by a geometry; when both are given they must agree."""
+    if geometry is not None:
+        if m is not None and m != geometry.m:
+            raise ValidationError("M disagrees with the geometry's threshold")
+        return geometry.m
+    if m is None:
+        raise ValidationError("need M (directly or via a geometry)")
+    return m
+
+
 def verify_contraction(
     lam: complex,
     spec: ThinSetSpec,
@@ -463,12 +464,7 @@ def verify_contraction(
     lam = _require_lambda(lam)
     if not (0.0 < delta < 1.0):
         raise ValidationError("delta must lie in (0, 1)")
-    if geometry is not None:
-        if m is not None and m != geometry.m:
-            raise ValidationError("M disagrees with the geometry's threshold")
-        m = geometry.m
-    if m is None:
-        raise ValidationError("need M (directly or via a geometry)")
+    m = _threshold(m, geometry)
     columns = sorted(set(int(r) for r in r_range))
     if not columns:
         raise ValidationError("empty column range")
@@ -524,6 +520,7 @@ def certificate_to_json(cert: ContractionCertificate) -> str:
         "per_rectangle": [
             {"k": k, "r": r, "bound": b} for k, r, b in cert.per_rectangle
         ],
+        "per_column": [{"r": r, "bound": b} for r, b in cert.per_column],
         "max_sum": cert.max_sum,
         "pass": cert.passed,
         "status": cert.status,
@@ -563,7 +560,6 @@ def cover_iterate(
     branch_cap: int,
     m: Optional[int] = None,
     geometry: Optional[InducedGeometry] = None,
-    start_column: Optional[int] = None,
     distortion_allowance: float = 1.2,
     cell_limit: float = 1e7,
 ) -> CoverRun:
@@ -580,30 +576,24 @@ def cover_iterate(
     generated.  With a geometry, negative mass continues through the
     level bound and re-enters on the positive side at the worst column.
 
-    The n = 0 row is the bare starting rectangle, total (2 pi + 1)^{1+delta};
-    the budget comparison is meaningful from n = 1 on.
+    The n = 0 row is the bare starting rectangle at column M, total
+    (2 pi + 1)^{1+delta}; the budget comparison is meaningful from n = 1 on.
     """
     lam = _require_lambda(lam)
     if not (0.0 < delta < 1.0):
         raise ValidationError("delta must lie in (0, 1)")
     if depth_max < 1 or branch_cap < 1:
         raise ValidationError("need depth_max >= 1 and branch_cap >= 1")
-    if geometry is not None:
-        m = geometry.m
-    if m is None:
-        raise ValidationError("need M (directly or via a geometry)")
+    m = _threshold(m, geometry)
+    if m < 1:
+        raise ValidationError("need M >= 1")
     two_sided = geometry is not None
     sides = 2.0 if two_sided else 1.0
-    start = int(start_column) if start_column is not None else m
-    if -m < start < m:
-        raise ValidationError(f"start column {start} lies inside |Re| < M")
-    if start <= -m and geometry is None:
-        raise ValidationError("negative start column requires a geometry")
 
     base = TAU + 1.0
     scale = base ** (1.0 + delta)
 
-    masses: dict[int, float] = {start: 1.0}
+    masses: dict[int, float] = {m: 1.0}
     tail_mass = 0.0
     tail_col = math.inf
     levels = [CoverLevel(0, scale, base, 1.0, 0.0)]
@@ -680,9 +670,5 @@ def cover_iterate(
         masses, tail_mass, tail_col = new, new_tail, new_tail_col
         total = scale * (math.fsum(masses.values()) + tail_mass)
         levels.append(CoverLevel(n, total, base / 2 ** n, cells, scale * tail_mass))
-        if not masses and tail_mass == 0.0 and n < depth_max:
-            for j in range(n + 1, depth_max + 1):
-                levels.append(CoverLevel(j, 0.0, base / 2 ** j, 0.0, 0.0))
-            break
 
-    return CoverRun(tuple(levels), aborted, start, delta, m, two_sided)
+    return CoverRun(tuple(levels), aborted, m, delta, m, two_sided)

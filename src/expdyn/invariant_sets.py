@@ -235,6 +235,11 @@ class ExitDepthField:
             return self.optimistic
         raise ValidationError("policy must be 'conservative' or 'optimistic'")
 
+    def raster(self, policy: str = "conservative") -> list[tuple[int, ...]]:
+        """Rows in image order: the top row (iy = ny - 1) first, as Netpbm wants."""
+        d, nx = self.data(policy), self.nx
+        return [d[iy * nx:(iy + 1) * nx] for iy in range(self.ny - 1, -1, -1)]
+
     def point(self, ix: int, iy: int) -> complex:
         x0, y0, x1, y1 = self.window
         # same association as the sampler so positions match bit for bit
@@ -537,10 +542,9 @@ def write_field_csv(field: ExitDepthField, dest, policy: str = "conservative") -
 
 
 def field_to_pgm(field: ExitDepthField, policy: str = "conservative") -> bytes:
-    """16-bit binary PGM; first raster row is the window's bottom row."""
-    d = field.data(policy)
+    """16-bit binary PGM; the first raster row is the window's top row."""
     header = f"P5\n{field.nx} {field.ny}\n65535\n".encode("ascii")
-    vals = [min(v, 65535) for v in d]
+    vals = [min(v, 65535) for row in field.raster(policy) for v in row]
     return header + struct.pack(f">{len(vals)}H", *vals)
 
 

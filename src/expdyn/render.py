@@ -2,8 +2,8 @@
 
 Two palettes: "gray" emits binary PGM (P5, 8 bit), "fire" emits binary
 PPM (P6) with a black-red-yellow-white ramp.  Pixels that never exit map
-to the top of the palette.  Rows are written bottom first so the image's
-y axis matches the imaginary axis.
+to the top of the palette.  Rows are written top first, as Netpbm
+rasters run, so Im z grows upward in the image.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ def render_field(
         table = [bytes((round(255 * (v / top)),)) for v in range(top + 1)]
     else:
         table = [bytes(_fire(v / top)) for v in range(top + 1)]
-    nx = field.nx
     buf = io.BytesIO()
     magic = b"P5" if palette == "gray" else b"P6"
-    buf.write(magic + b"\n%d %d\n255\n" % (nx, field.ny))
-    for iy in range(field.ny):
-        buf.write(b"".join(table[v] for v in data[iy * nx:(iy + 1) * nx]))
+    buf.write(magic + b"\n%d %d\n255\n" % (field.nx, field.ny))
+    for row in field.raster(policy):
+        buf.write(b"".join(table[v] for v in row))
     _write_payload(dest, buf.getvalue())

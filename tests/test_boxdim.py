@@ -139,3 +139,24 @@ def test_report_json_shape():
     assert doc["format_version"] == 1
     assert doc["bound_achieved"] == 1.5
     assert list(doc) == sorted(doc)
+
+
+def test_search_provenance_in_both_modes():
+    rep = dimension_bound_search(1.0, STRIP, [0.5, 0.2, 0.2], m_grid=[10, 5, 10],
+                                 r_span=12)
+    assert rep.provenance == {
+        "lambda": [1.0, 0.0],
+        "mode": "positive-only",
+        "delta_grid": [0.2, 0.2, 0.5],  # sorted, duplicates kept
+        "m_grid": [5, 10],
+        "r_span": 12,
+    }
+    rep = dimension_bound_search(1.0, STRIP, [0.5, 0.2], l0_grid=[3, 3], c=1.0)
+    assert rep.provenance == {
+        "lambda": [1.0, 0.0],
+        "mode": "two-sided",
+        "delta_grid": [0.2, 0.5],
+        "l0_grid": [3],
+        "c": 1.0,
+        "r_span": 20,
+    }

@@ -394,3 +394,25 @@ def test_cover_validation():
         cover_iterate(1.0, STRIP, 0.5, 3, 0, m=10)
     with pytest.raises(ValidationError):
         cover_iterate(1.0, STRIP, 0.5, 3, 10 ** 5)
+
+
+def test_cover_rejects_an_m_that_disagrees_with_the_geometry():
+    geo = negative_geometry(1.0, 1.0, 3, 6)
+    with pytest.raises(ValidationError, match="disagrees"):
+        cover_iterate(1.0, STRIP, 0.2, 2, 10 ** 3, m=geo.m + 1, geometry=geo)
+    agreed = cover_iterate(1.0, STRIP, 0.2, 2, 10 ** 3, m=geo.m, geometry=geo)
+    assert agreed == cover_iterate(1.0, STRIP, 0.2, 2, 10 ** 3, geometry=geo)
+    assert agreed.start_column == agreed.m == 16
+
+
+def test_certificate_json_lists_every_column_bound():
+    geo = negative_geometry(0.65, 0.65, 4, 6)
+    for cert in (verify_contraction(1.0, STRIP, 0.5, range(10, 31), m=10,
+                                    enumerate_rectangles=False),
+                 verify_contraction(0.65, STRIP, 0.5, [-20, -12, -7, 7, 8],
+                                    geometry=geo)):
+        doc = json.loads(certificate_to_json(cert))
+        assert doc["format_version"] == 1
+        assert doc["per_column"] == [{"r": r, "bound": b} for r, b in cert.per_column]
+        assert [row["r"] for row in doc["per_column"]] == list(cert.r_range)
+        assert max(row["bound"] for row in doc["per_column"]) == doc["max_sum"]

@@ -190,7 +190,7 @@ def test_field_validation():
 
 def test_field_writers(tmp_path):
     field = sample_lambda_set(1.0, STRIP, (0.0, 0.0, 2.0, 2.0), (2, 2), 3)
-    want_pgm = b"P5\n2 2\n65535\n\x00\x04\x00\x04\x00\x04\x00\x01"
+    want_pgm = b"P5\n2 2\n65535\n\x00\x04\x00\x01\x00\x04\x00\x04"
     want_csv = ("ix,iy,re,im,exit_depth\n"
                 "0,0,0,0,4\n1,0,2,0,4\n0,1,0,2,4\n1,1,2,2,1\n")
     assert field_to_pgm(field) == want_pgm

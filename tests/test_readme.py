@@ -1,0 +1,87 @@
+"""The README's examples print what the README says they print."""
+
+import io
+import json
+import pathlib
+import re
+import shlex
+from contextlib import redirect_stderr, redirect_stdout
+
+from expdyn.cli import main
+
+TEXT = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+    encoding="utf-8")
+
+LAMBDASET = "lambdaset: 4x4 field, depth 3, 9 survivors (conservative), 0 precision caveats"
+COVER = [
+    "cover n=0: total 19.6554 >= budget 7.28319",
+    "cover n=1: total 0.527289 < budget 3.64159",
+    "cover n=2: total 0 < budget 1.8208",
+    "cover n=3: total 0 < budget 0.910398",
+]
+# (the comment beside a print in the Python session, the value it shows);
+# a value ending in "..." is the start of the printed line
+SESSION = [
+    ("# tower level 46", "46"),
+    ("# True", "True"),
+    ("# True 0.0536...", "True 0.0536..."),
+]
+
+
+def _example(name):
+    """argv of the README's `expdyn NAME ...` example, continuations joined."""
+    found = re.search(rf"^expdyn {name} (?:.*\\\n)*.*$", TEXT, re.M)
+    return shlex.split(found.group(0).replace("\\\n", " "))[1:]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_orbit_example_prints_the_documented_header():
+    header = "n,log_level,log_mantissa,argument,re,im,escaped,precision_flag"
+    assert f"`{header}`" in TEXT
+    code, out = _run(_example("orbit"))
+    assert code == 0
+    assert out.splitlines()[0] == header
+
+
+def test_lambdaset_example():
+    assert LAMBDASET in TEXT
+    code, out = _run(_example("lambdaset"))
+    assert code == 0
+    assert out.splitlines() == [LAMBDASET]
+
+
+def test_certify_example():
+    for line in COVER:
+        assert line in TEXT
+    code, out = _run(_example("certify"))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-len(COVER):] == COVER
+    # the certificate fields the README names
+    doc = json.loads("\n".join(lines[:-len(COVER)]))
+    for key in ("per_rectangle", "per_column", "max_sum", "pass"):
+        assert f"`{key}`" in TEXT
+        assert key in doc
+    assert doc["pass"] is True
+
+
+def test_python_session():
+    block = re.search(r"^```python\n(.*?)^```", TEXT, re.M | re.S).group(1)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(SESSION)
+    for line, (comment, shown) in zip(printed, SESSION):
+        assert comment in block
+        assert shown in comment
+        if shown.endswith("..."):
+            assert line.startswith(shown[:-3]), (line, shown)
+        else:
+            assert line == shown

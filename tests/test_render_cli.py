@@ -24,12 +24,12 @@ from expdyn import (
 import expdyn
 from expdyn import cli
 from expdyn.cli import main
-from expdyn.invariant_sets import write_field_csv, write_field_pgm
+from expdyn.invariant_sets import field_to_pgm, write_field_csv, write_field_pgm
 
 STRIP = "strip:0,3.141592653589793"
 
-GRAY = b"P5\n2 2\n255\n\xff\xff\xff@"
-FIRE = b"P6\n2 2\n255\n" + b"\xff\xff\xff" * 3 + b"\xbf\x00\x00"
+GRAY = b"P5\n2 2\n255\n\xff@\xff\xff"
+FIRE = b"P6\n2 2\n255\n" + b"\xff\xff\xff\xbf\x00\x00" + b"\xff\xff\xff" * 2
 
 
 def _small_field():
@@ -69,6 +69,18 @@ def test_render_to_path(tmp_path):
     dest = tmp_path / "field.pgm"
     render_field(_small_field(), str(dest), palette="gray")
     assert dest.read_bytes() == GRAY
+
+
+def test_both_writers_put_the_top_row_first():
+    # Netpbm rasters run top to bottom; the field's data starts at the
+    # bottom row (iy = 0), so the rows go out in reverse
+    field = dataclasses.replace(_small_field(), conservative=(0, 1, 2, 4))
+    assert field.raster() == [(2, 4), (0, 1)]
+    assert field_to_pgm(field) == b"P5\n2 2\n65535\n\x00\x02\x00\x04\x00\x00\x00\x01"
+    buf = io.BytesIO()
+    render_field(field, buf, palette="gray")
+    assert buf.getvalue() == b"P5\n2 2\n255\n" + bytes(
+        round(255 * v / 4) for v in (2, 4, 0, 1))
 
 
 def _ray():
@@ -450,3 +462,15 @@ def test_searchbound_json_documents():
     assert doc["status"] == "no certificate in grid"
     assert doc["bound_achieved"] is None
     assert doc["certificate"] is None
+
+
+@pytest.mark.parametrize("extra", [
+    ["--m", "10", "--rmax", "9"],  # positive-only, M = 10
+    ["--l0", "3", "--c", "1", "--rmax", "15"],  # two-sided, induced M = 16
+    ["--rmax", "30"],  # positive-only without --m
+])
+def test_certify_rejects_a_column_range_without_m(extra):
+    code, out, err = run_cli(["certify", "--lambda", "1", "--set", STRIP,
+                              "--delta", "0.5"] + extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
