@@ -7,6 +7,7 @@ ever labeled a Hausdorff dimension.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from .dynamics import _require_lambda
 from .induced import (
     ContractionCertificate,
     InducedGeometry,
+    _threshold,
     certificate_to_json,
     certified_columns,
     negative_geometry,
@@ -42,15 +44,18 @@ def box_count(
 ) -> BoxCountResult:
     """Occupied epsilon-grid boxes at each scale, with a least-squares slope.
 
-    The grid is anchored at the bounding-box corner of the points;
-    anchor_offset shifts it by the given fraction of each epsilon (used
-    for grid-stability checks).  Scales must be strictly decreasing, at
-    least three of them, spanning at least one decade.  Fewer than 100
-    points clears slope_claim but the slope is still reported.
+    Points must be finite.  The grid is anchored at the bounding-box
+    corner of the points; anchor_offset shifts it by the given fraction of
+    each epsilon (used for grid-stability checks).  Scales must be strictly
+    decreasing, at least three of them, spanning at least one decade.
+    Fewer than 100 points clears slope_claim but the slope is still
+    reported.
     """
     pts = [complex(p) for p in points]
     if not pts:
         raise ValidationError("no points to count")
+    if not all(map(cmath.isfinite, pts)):
+        raise ValidationError("points must be finite")
     eps = [float(e) for e in epsilons]
     if len(eps) < 3:
         raise ValidationError("need at least 3 scales")
@@ -64,9 +69,13 @@ def box_count(
     ox, oy = anchor_offset
     offsets = [(p.real - x0, p.imag - y0) for p in pts]
     counts: list[int] = []
-    for e in eps:
-        boxes = {(math.floor(dx / e - ox), math.floor(dy / e - oy)) for dx, dy in offsets}
-        counts.append(len(boxes))
+    try:
+        for e in eps:
+            boxes = {(math.floor(dx / e - ox), math.floor(dy / e - oy))
+                     for dx, dy in offsets}
+            counts.append(len(boxes))
+    except OverflowError:  # a box index past the float range
+        raise ValidationError(f"points spread too wide for scale {e:g}") from None
 
     xs = [math.log(1.0 / e) for e in eps]
     ys = [math.log(n) for n in counts]
@@ -121,7 +130,7 @@ def dimension_bound_search(
     result ("no certificate in grid"), not an error.
     """
     lam = _require_lambda(lam)
-    deltas = sorted(float(d) for d in delta_grid)
+    deltas = sorted(set(float(d) for d in delta_grid))
     if not deltas:
         raise ValidationError("delta grid must be nonempty")
     if any(not 0.0 < d < 1.0 for d in deltas):
@@ -132,9 +141,7 @@ def dimension_bound_search(
         raise ValidationError("l0 scanning needs the supergrowth constant c")
 
     if l0_grid is None:
-        ms = sorted(set(int(m) for m in m_grid))
-        if any(m < 1 for m in ms):
-            raise ValidationError("M values must be >= 1")
+        ms = sorted(set(_threshold(int(m), None) for m in m_grid))
         grid = {"mode": "positive-only", "m_grid": ms}
         candidates = ((m, None) for m in ms)
     else:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from operator import neg
 from typing import Mapping, Optional, Sequence, Union
@@ -51,6 +52,8 @@ _EXP_NATIVE = 690.0
 _HUGE_COLUMN = 1e300
 # points sampled along Re in each rectangle by the Z_M membership test
 _RECT_SAMPLES = 6
+# cover_iterate gives up (CoverRun.aborted) before a level passes this many cells
+_CELL_LIMIT = 1e7
 
 
 @dataclass(frozen=True, order=True)
@@ -79,10 +82,9 @@ def certified_columns(m: int, r_max: int, two_sided: bool = True) -> list[int]:
 
 
 def _rectangle_meets(
-    spec: ThinSetSpec, lam: complex, k: int, r: int, m: int
+    spec: ThinSetSpec, arg_lam: float, k: int, r: int, m: int
 ) -> bool:
     """Does R^k_r meet W intersected with {|Re| >= m}?  Sampled, not exact."""
-    arg_lam = math.atan2(lam.imag, lam.real)
     lo = (2 * k - 1) * math.pi - arg_lam
     if r >= 0:
         x_lo, x_hi = float(r), r + 1.0 - 1e-9
@@ -100,31 +102,33 @@ def _rectangle_meets(
     return False
 
 
-def build_zm(spec: ThinSetSpec, lam: complex, m: int, r_max: int) -> ZMFamily:
-    """Enumerate Z_M rectangles with M <= |column| <= r_max.
+def _zm_rows(
+    spec: ThinSetSpec, lam: complex, m: int, columns: Sequence[int]
+) -> list[RectangleIndex]:
+    """The Z_M rectangles in the given columns, ordered by (r, k).
 
     Membership is tested on a sub-grid of each rectangle; slivers thinner
     than the sub-grid pitch can be missed.
     """
+    arg_lam = math.atan2(lam.imag, lam.real)
+    rects: list[RectangleIndex] = []
+    for r in columns:
+        y_max = spec.cone_constant * (abs(r) + 2.0)
+        for k in range(_strip_of_imag(-y_max, arg_lam),
+                       _strip_of_imag(y_max, arg_lam) + 1):
+            if _rectangle_meets(spec, arg_lam, k, r, m):
+                rects.append(RectangleIndex(k, r))
+    rects.sort(key=lambda q: (q.r, q.k))
+    return rects
+
+
+def build_zm(spec: ThinSetSpec, lam: complex, m: int, r_max: int) -> ZMFamily:
+    """Enumerate Z_M rectangles with M <= |column| <= r_max."""
     lam = _require_lambda(lam)
     if m < 1 or r_max <= m:
         raise ValidationError("need 1 <= M < r_max")
-    arg_lam = math.atan2(lam.imag, lam.real)
-    rects: list[RectangleIndex] = []
-    counts: dict[int, int] = {}
-    for r in certified_columns(m, r_max):
-        y_max = spec.cone_constant * (abs(r) + 2.0)
-        k_lo = _strip_of_imag(-y_max, arg_lam)
-        k_hi = _strip_of_imag(y_max, arg_lam)
-        n = 0
-        for k in range(k_lo, k_hi + 1):
-            if _rectangle_meets(spec, lam, k, r, m):
-                rects.append(RectangleIndex(k, r))
-                n += 1
-        if n:
-            counts[r] = n
-    rects.sort(key=lambda q: (q.r, q.k))
-    return ZMFamily(m, r_max, tuple(rects), counts)
+    rects = _zm_rows(spec, lam, m, certified_columns(m, r_max))
+    return ZMFamily(m, r_max, tuple(rects), Counter(q.r for q in rects))
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +178,25 @@ def _positive_column_sum(
         return 0.0
     lead = sides * n_sup
 
-    if log_e > _EXP_NATIVE:
-        # all factors at or below E^{-delta} scale; bound with E/2 <= s0
-        p1 = _exp_or_inf(math.log(lead) - delta * log_e)
-        p2a = _exp_or_inf(math.log(lead) - (1.0 + delta) * (log_e - math.log(2.0)))
-        p2b = _exp_or_inf(math.log(lead / delta) - delta * (log_e - math.log(2.0)))
-        return p1 + p2a + p2b
+    if (1.0 + delta) * log_e > _EXP_NATIVE:
+        # The formula below with E factored out, so that E^-(1+delta) cannot
+        # underflow: count <= E (1 - 1/K) + 3, s0 >= E and a tail integral
+        # of at most E^-delta (1 - e^-delta)/delta.  (Reading eE for eE + 1
+        # at the tail's far end drops a relative 1/E, and log E > 345 here.)
+        # lead goes into the exponents, so no factor leaves the normal range
+        # before the result does.  Rounding, for E = e^log_e: each exponent
+        # takes at most four roundings of at most S 2^-53, with
+        # S = |log lead| + (1 + delta) log_e, and its exp moves by the same
+        # relative amount; log, exp, expm1 and the other operations add
+        # under 16 ulps.  A relative pad of (S + 16) 2^-50 covers both at
+        # least twice.  Results below the normal range (2.2e-308) round
+        # coarser, but sit far below any budget.
+        log_lead = math.log(lead)
+        share = max(0.0, 1.0 - 1.0 / spec.cone_constant) - math.expm1(-delta) / delta
+        bound = (share * math.exp(log_lead - delta * log_e)
+                 + 4.0 * math.exp(log_lead - (1.0 + delta) * log_e))
+        size = abs(log_lead) + (1.0 + delta) * log_e
+        return bound * (1.0 + (size + 16.0) * 2.0 ** -50)
 
     e = math.exp(log_e)
     e1 = math.exp(log_e + 1.0)
@@ -212,8 +229,8 @@ def positive_sum(
     r = rect.r if isinstance(rect, RectangleIndex) else int(rect)
     if not (0.0 < delta < 1.0):
         raise ValidationError("delta must lie in (0, 1)")
-    if m < 1 or r < m:
-        raise ValidationError("need column r >= M >= 1")
+    if r < _threshold(m, None):
+        raise ValidationError("need column r >= M")
     return _positive_column_sum(lam, spec, float(r), delta, float(m),
                                 2.0 if both_sides else 1.0)
 
@@ -359,7 +376,7 @@ def induced_apply(
     k = strip_index(lam, z)
     if -geometry.m < r < geometry.m:
         raise DomainError(f"rectangle column {r} lies inside |Re| < M = {geometry.m}")
-    if not _rectangle_meets(spec, lam, k, r, geometry.m):
+    if not _rectangle_meets(spec, math.atan2(lam.imag, lam.real), k, r, geometry.m):
         raise DomainError(f"rectangle (k={k}, r={r}) does not meet the thin set")
     p = LogPolarComplex.from_complex(z)
     if r >= geometry.m:
@@ -436,14 +453,25 @@ def _negative_level_bound(
 
 
 def _threshold(m: Optional[int], geometry: Optional[InducedGeometry]) -> int:
-    """M, given directly or by a geometry; when both are given they must agree."""
+    """M >= 1, given directly or by a geometry; when both are given they must agree."""
     if geometry is not None:
         if m is not None and m != geometry.m:
             raise ValidationError("M disagrees with the geometry's threshold")
-        return geometry.m
+        m = geometry.m
     if m is None:
         raise ValidationError("need M (directly or via a geometry)")
+    if m < 1:
+        raise ValidationError("need M >= 1")
     return m
+
+
+def _require_run_parameters(delta: float, distortion_allowance: float) -> None:
+    """delta in (0, 1); a finite distortion allowance >= 1, since a smaller
+    one would shrink the first-leg bound D/(4 e L) below what it bounds."""
+    if not (0.0 < delta < 1.0):
+        raise ValidationError("delta must lie in (0, 1)")
+    if not 1.0 <= distortion_allowance < math.inf:
+        raise ValidationError("distortion allowance must be finite and >= 1")
 
 
 def verify_contraction(
@@ -462,8 +490,7 @@ def verify_contraction(
     A max in [1/2, 1) is reported as "not achieved", not as an error.
     """
     lam = _require_lambda(lam)
-    if not (0.0 < delta < 1.0):
-        raise ValidationError("delta must lie in (0, 1)")
+    _require_run_parameters(delta, distortion_allowance)
     m = _threshold(m, geometry)
     columns = sorted(set(int(r) for r in r_range))
     if not columns:
@@ -487,13 +514,9 @@ def verify_contraction(
             raise ValidationError(f"column {r} lies inside |Re| < M = {m}")
         per_column.append((r, b))
 
-    rows: list[tuple[int, int, float]] = []
-    if enumerate_rectangles:
-        family = build_zm(spec, lam, m, max(max(abs(r) for r in columns), m + 1))
-        wanted = dict(per_column)
-        for rect in family.rectangles:
-            if rect.r in wanted:
-                rows.append((rect.k, rect.r, wanted[rect.r]))
+    bound = dict(per_column)
+    zm = _zm_rows(spec, lam, m, columns) if enumerate_rectangles else []
+    rows = [(q.k, q.r, bound[q.r]) for q in zm]
 
     max_sum = max(b for _, b in per_column)
     passed = max_sum < 0.5
@@ -561,7 +584,6 @@ def cover_iterate(
     m: Optional[int] = None,
     geometry: Optional[InducedGeometry] = None,
     distortion_allowance: float = 1.2,
-    cell_limit: float = 1e7,
 ) -> CoverRun:
     """Depth-indexed cover totals sum (diam K)^{1+delta} against (2pi+1)/2^n.
 
@@ -580,13 +602,10 @@ def cover_iterate(
     (2 pi + 1)^{1+delta}; the budget comparison is meaningful from n = 1 on.
     """
     lam = _require_lambda(lam)
-    if not (0.0 < delta < 1.0):
-        raise ValidationError("delta must lie in (0, 1)")
+    _require_run_parameters(delta, distortion_allowance)
     if depth_max < 1 or branch_cap < 1:
         raise ValidationError("need depth_max >= 1 and branch_cap >= 1")
     m = _threshold(m, geometry)
-    if m < 1:
-        raise ValidationError("need M >= 1")
     two_sided = geometry is not None
     sides = 2.0 if two_sided else 1.0
 
@@ -642,7 +661,7 @@ def cover_iterate(
             s_stop_full = math.floor(e1) + 2
             s_stop = min(s_stop_full, s_start + branch_cap)
 
-            if cells + (s_stop - s_start) * sides > cell_limit:
+            if cells + (s_stop - s_start) * sides > _CELL_LIMIT:
                 aborted = True
                 break
 

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expdyn import boxdim
 from expdyn import (
     ValidationError,
     box_count,
@@ -78,6 +79,22 @@ def test_box_count_validation():
         box_count(seg, [0.1, 0.05, 0.02])  # spans less than a decade
 
 
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.5), complex(0.5, math.nan),
+                                 complex(math.inf, 0.5), complex(0.5, -math.inf)])
+def test_box_count_rejects_non_finite_points(bad):
+    seg = [complex(i / 100.0, 0.0) for i in range(100)]
+    with pytest.raises(ValidationError, match="points must be finite"):
+        box_count(seg[:50] + [bad] + seg[50:], EPS)
+
+
+
+def test_box_count_rejects_a_spread_past_the_float_range():
+    with pytest.raises(ValidationError, match="spread too wide for scale 0.1"):
+        box_count([complex(1e308, 0.0), complex(-1e308, 0.0), 0j], EPS)
+    with pytest.raises(ValidationError, match="spread too wide for scale 0.01"):
+        box_count([complex(0.0, 1e306), complex(0.0, -1e306), 0j], EPS)
+
+
 @settings(max_examples=30)
 @given(st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
                                    allow_infinity=False),
@@ -147,7 +164,7 @@ def test_search_provenance_in_both_modes():
     assert rep.provenance == {
         "lambda": [1.0, 0.0],
         "mode": "positive-only",
-        "delta_grid": [0.2, 0.2, 0.5],  # sorted, duplicates kept
+        "delta_grid": [0.2, 0.5],  # sorted and deduplicated, like the M grid
         "m_grid": [5, 10],
         "r_span": 12,
     }
@@ -160,3 +177,24 @@ def test_search_provenance_in_both_modes():
         "c": 1.0,
         "r_span": 20,
     }
+
+
+def test_search_verifies_each_grid_point_once(monkeypatch):
+    seen = []
+    verify = boxdim.verify_contraction
+
+    def counted(lam, spec, delta, cols, **kw):
+        seen.append((kw["m"], delta))
+        return verify(lam, spec, delta, cols, **kw)
+
+    monkeypatch.setattr(boxdim, "verify_contraction", counted)
+    rep = dimension_bound_search(1.0, STRIP, [0.5, 0.2, 0.2, 0.5], m_grid=[5, 5])
+    assert rep.provenance["delta_grid"] == [0.2, 0.5]
+    # 0.2 fails at M = 5, so the scan goes on to 0.5, each once
+    assert seen == [(5, 0.2), (5, 0.5)]
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_search_rejects_m_below_one(m):
+    with pytest.raises(ValidationError, match="need M >= 1"):
+        dimension_bound_search(1.0, STRIP, [0.5], m_grid=[10, m])

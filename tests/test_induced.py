@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from expdyn import induced
 from expdyn import (
     DomainError,
     GeometryError,
@@ -139,6 +140,42 @@ def test_positive_sum_validation():
         positive_sum(1.0, STRIP, 3, 0.5, 5)
     with pytest.raises(ValidationError):
         positive_sum(1.0, STRIP, 10, 0.5, 0)
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.1, 0.5, 0.9])
+def test_column_bound_never_rises_with_the_column(delta):
+    # past (1 + delta) log E = 690 the bound is evaluated with E factored
+    # out; it must not jump there (column 691 at delta = 0.01, 461 at 0.5)
+    # nor lose its E^-(1+delta) term to underflow
+    bounds = [positive_sum(1.0, STRIP, r, delta, 300) for r in range(300, 801)]
+    assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
+    assert all(b > 0.0 for b in bounds[:200])
+
+
+def test_column_bound_is_continuous_across_the_switch():
+    b690, b691 = (positive_sum(1.0, STRIP, r, 0.01, 10) for r in (690, 691))
+    assert b691 == pytest.approx(b690 * math.exp(-0.01), rel=1e-4)
+
+
+def _smallest_passing_delta(m):
+    """Bisect the smallest delta whose certificate over M..M+20 passes."""
+    lo, hi = 1e-6, 0.99
+    for _ in range(40):
+        mid = math.sqrt(lo * hi)
+        cert = verify_contraction(1.0, STRIP, mid, range(m, m + 21), m=m,
+                                  enumerate_rectangles=False)
+        lo, hi = (lo, mid) if cert.passed else (mid, hi)
+    return hi
+
+
+def test_smallest_passing_delta_falls_like_one_over_m():
+    # dim <= 1 + delta* at every M, and delta* M stays near 2.89: the
+    # paper's dim <= 1 in numbers
+    ms = [10, 100, 650, 680, 691, 700, 1000, 5000]
+    star = {m: _smallest_passing_delta(m) for m in ms}
+    assert all(star[b] <= star[a] for a, b in zip(ms, ms[1:]))
+    for m in (10, 100, 700, 5000):
+        assert 2.8 <= star[m] * m <= 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +376,58 @@ def test_certificate_validation():
         verify_contraction(1.0, STRIP, 0.5, [20], m=10, geometry=geo)
 
 
+def test_certificate_enumerates_only_its_own_columns(monkeypatch):
+    calls = []
+    meets = induced._rectangle_meets
+
+    def counted(spec, arg_lam, k, r, m):
+        calls.append(r)
+        return meets(spec, arg_lam, k, r, m)
+
+    monkeypatch.setattr(induced, "_rectangle_meets", counted)
+    cert = verify_contraction(1.0, STRIP, 0.5, range(10, 31), m=10)
+    assert len(calls) == 777 and set(calls) == set(range(10, 31))
+    assert cert.per_rectangle == tuple((0, r, cert.column_bound(r))
+                                       for r in range(10, 31))
+    # the rows are the family's rows in the certified columns, both sides;
+    # a rotated lambda puts two rectangles in each column
+    geo = negative_geometry(0.65, 0.65, 4, 6)
+    cols = [-20, -12, -7] + list(range(7, 17))
+    cert = verify_contraction(cmath.rect(0.65, 2.5), STRIP, 0.5, cols,
+                              geometry=dataclasses.replace(
+                                  geo, lam=cmath.rect(0.65, 2.5)))
+    family = build_zm(STRIP, cmath.rect(0.65, 2.5), 7, 20)
+    assert cert.per_rectangle == tuple(
+        (q.k, q.r, cert.column_bound(q.r)) for q in family.rectangles
+        if q.r in cols)
+    assert len(cert.per_rectangle) == 2 * len(cols)
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_m_below_one_is_rejected(m):
+    with pytest.raises(ValidationError, match="need M >= 1"):
+        verify_contraction(1.0, STRIP, 0.5, range(m, 6), m=m,
+                           enumerate_rectangles=False)
+    with pytest.raises(ValidationError, match="need M >= 1"):
+        cover_iterate(1.0, STRIP, 0.5, 2, 10 ** 3, m=m)
+    with pytest.raises(ValidationError, match="need M >= 1"):
+        positive_sum(1.0, STRIP, 5, 0.5, m)
+
+
+@pytest.mark.parametrize("allowance", [0.0, -1.0, math.nan, 0.5, math.inf])
+def test_distortion_allowance_must_be_finite_and_at_least_one(allowance):
+    geo = negative_geometry(1.0, 1.0, 3, 6)
+    for cols, kw in (([10, 11], {"m": 10}), ([16, -16], {"geometry": geo})):
+        with pytest.raises(ValidationError, match="distortion allowance"):
+            verify_contraction(1.0, STRIP, 0.5, cols,
+                               distortion_allowance=allowance, **kw)
+        with pytest.raises(ValidationError, match="distortion allowance"):
+            cover_iterate(1.0, STRIP, 0.5, 2, 10 ** 3,
+                          distortion_allowance=allowance, **kw)
+    assert verify_contraction(1.0, STRIP, 0.5, [16, -16], geometry=geo,
+                              distortion_allowance=1.0).passed
+
+
 def test_certificate_json_is_deterministic():
     cert = verify_contraction(1.0, STRIP, 0.5, range(10, 13), m=10)
     text = certificate_to_json(cert)
@@ -381,10 +470,13 @@ def test_two_sided_cover_run():
         [10.833920188558238, 6.132437790904324, 0.0, 0.0, 0.0]
 
 
-def test_cover_aborts_on_cell_blowup():
-    run = cover_iterate(1.0, STRIP, 0.5, 5, 10 ** 5, m=10, cell_limit=10.0)
+def test_cover_aborts_on_cell_blowup(monkeypatch):
+    monkeypatch.setattr(induced, "_CELL_LIMIT", 10.0)
+    run = cover_iterate(1.0, STRIP, 0.5, 5, 10 ** 5, m=10)
     assert run.aborted
     assert len(run.levels) == 1
+    with pytest.raises(TypeError):
+        cover_iterate(1.0, STRIP, 0.5, 5, 10 ** 5, m=10, cell_limit=10.0)
 
 
 def test_cover_validation():

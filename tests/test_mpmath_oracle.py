@@ -1,5 +1,5 @@
-"""TowerReal at levels 2 and above, and the tower branch of step_log_polar,
-against mpmath.
+"""TowerReal at levels 2 and above, the tower branch of step_log_polar and
+the log-space column bound, against mpmath.
 
 mpmath's exponent range is unbounded, so it holds e^(e^x) for every double
 x and evaluates the towers without the float arithmetic they are built
@@ -14,8 +14,19 @@ from hypothesis import given, settings, strategies as st
 
 mpmath = pytest.importorskip("mpmath")
 
-from expdyn import LogPolarComplex, TowerReal, step_log_polar  # noqa: E402
+from expdyn import (  # noqa: E402
+    LogPolarComplex,
+    TowerReal,
+    cone_band,
+    horizontal_strip,
+    step_log_polar,
+)
 from expdyn.dynamics import _principal  # noqa: E402
+from expdyn.induced import (  # noqa: E402
+    _EXP_NATIVE,
+    _column_terms,
+    _positive_column_sum,
+)
 from expdyn.towers import _LOG_LIFT, LIFT, NEG_SENTINEL  # noqa: E402
 
 PREC = 240  # bits
@@ -118,3 +129,41 @@ def test_tower_step_matches_mpmath(log_modulus, arg, lam):
             assert q.argument == _principal(want) and q.arg_trusted
         else:
             assert not q.arg_trusted
+
+
+STRIP = horizontal_strip(0.0, math.pi)
+
+
+def _native_column_sum(spec, log_e, n_sup, delta, m):
+    """_positive_column_sum's native formula, evaluated exactly for E = e^log_e."""
+    e = mpmath.exp(mpmath.mpf(log_e))
+    d = mpmath.mpf(delta)
+    count = max(0, e - max(m, e / spec.cone_constant - 2) + 1)
+    s0 = max(mpmath.ceil(max(e, m)), 1)
+    tail = s0 ** -(1 + d) + max(0, (s0 ** -d - (mpmath.e * e + 1) ** -d) / d)
+    return 2.0 * n_sup * (count * e ** -(1 + d) + tail)
+
+
+@pytest.mark.parametrize("spec", [
+    STRIP,  # K = pi + 2
+    # K < 1: no count term, and a lead near 1e300
+    cone_band(STRIP.membership, 0.5, lambda r: 2.0 * r, "cone"),
+], ids=["strip", "cone"])
+@pytest.mark.parametrize("delta", [0.01, 0.1, 0.5, 0.9])
+def test_log_space_column_bound_covers_the_native_formula(spec, delta):
+    # past (1 + delta) log E = 690 the bound has E factored out and a pad
+    # for rounding, so it lies at or above the exact native value
+    checked = 0
+    for r in list(range(340, 820, 7)) + [2000, 10 ** 4]:
+        log_e, n_sup = _column_terms(1.0, spec, float(r), 10.0)
+        if (1.0 + delta) * log_e <= _EXP_NATIVE:
+            continue
+        got = _positive_column_sum(1.0, spec, float(r), delta, 10.0)
+        with mpmath.workprec(PREC):
+            want = _native_column_sum(spec, log_e, n_sup, delta, 10)
+            if want < 2.3e-308:  # below the normal range the float rounds coarser
+                continue
+            rel = float(got / want - 1)
+        assert 0.0 <= rel <= 1e-10, (r, got, want)
+        checked += 1
+    assert checked >= 10

@@ -428,6 +428,17 @@ def test_boxdim_json_document_and_determinism(tmp_path):
     assert again == out
 
 
+@pytest.mark.parametrize("row", ["nan,0.5", "0.5,inf", "-inf,0"])
+def test_boxdim_rejects_non_finite_points(tmp_path, row):
+    pts = tmp_path / "pts.csv"
+    _write_points(pts)
+    with open(pts, "a", encoding="ascii") as fh:
+        fh.write(row + "\n")
+    code, out, err = run_cli(["boxdim", "--points", str(pts),
+                              "--scales", "0.5:0.01:2"])
+    assert (code, out, err) == (2, "", "error: points must be finite\n")
+
+
 def test_boxdim_rejects_empty_point_file(tmp_path):
     pts = tmp_path / "empty.csv"
     pts.write_text("re,im\n", encoding="ascii")
@@ -474,3 +485,20 @@ def test_certify_rejects_a_column_range_without_m(extra):
                               "--delta", "0.5"] + extra)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_certify_rejects_m_below_one(m):
+    code, out, err = run_cli(["certify", "--lambda", "1", "--set", STRIP,
+                              "--delta", "0.5", "--m", m, "--rmax", "5"])
+    assert (code, out, err) == (2, "", "error: need M >= 1\n")
+
+
+@pytest.mark.parametrize("sides", [["--m", "10", "--rmax", "20"],
+                                   ["--l0", "3", "--c", "1", "--rmax", "20"]])
+@pytest.mark.parametrize("allowance", ["0", "-1", "nan", "0.5"])
+def test_certify_rejects_a_distortion_allowance_below_one(sides, allowance):
+    code, out, err = run_cli(["certify", "--lambda", "1", "--set", STRIP,
+                              "--delta", "0.5", "--distortion", allowance] + sides)
+    assert (code, out) == (2, "")
+    assert err == "error: distortion allowance must be finite and >= 1\n"
