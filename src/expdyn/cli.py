@@ -257,6 +257,8 @@ def _cmd_lambdaset(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     lam = _parse_complex(args.lam, "--lambda")
     spec = _parse_set(args.set)
+    if args.cover_depth < 0:
+        raise ValidationError("--cover-depth must be >= 0")
     geometry = None
     if args.l0 is not None:
         geometry = negative_geometry(lam, args.c, args.l0, args.n_levels)
@@ -381,7 +383,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
     p.add_argument("--rectangles", action="store_true",
                    help="also list each Z_M rectangle with its column's bound")
     p.add_argument("--cover-depth", type=int, default=0,
-                   help="also iterate the cover to this depth")
+                   help="also iterate the cover to this depth (0: no cover)")
     p.add_argument("--branch-cap", type=int, default=10 ** 5)
     p.add_argument("--json", default=None, metavar="PATH")
     p.set_defaults(handler=_cmd_certify)

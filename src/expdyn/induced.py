@@ -50,6 +50,9 @@ from .invariant_sets import ThinSetSpec
 # 690-709 depend on this value, so it is not the overflow limit itself.
 _EXP_NATIVE = 690.0
 _HUGE_COLUMN = 1e300
+# exp(x) is 0.0 in double precision for every x below this: the smallest
+# subnormal is e^-744.44, and results under half of it (e^-745.13) round to 0
+_EXP_ZERO = -746.0
 # points sampled along Re in each rectangle by the Z_M membership test
 _RECT_SAMPLES = 6
 # cover_iterate gives up (CoverRun.aborted) before a level passes this many cells
@@ -158,6 +161,23 @@ def _tail(s: float, e1: float, delta: float) -> float:
     )
 
 
+def _bound_vanishes(
+    log_e: float, n_sup: float, delta: float, sides: float
+) -> bool:
+    """Is the column bound 0.0 at this column and at every larger one?
+
+    Past log E + 1 >= _EXP_NATIVE, _max_width reads the profile at
+    _HUGE_COLUMN, so lead = sides n_sup is the same at every larger
+    column, while the log branch's larger exponent log(lead) - delta log E
+    falls as the column grows.  Once that exponent is below _EXP_ZERO,
+    _positive_column_sum returns 0.0 without evaluating exp.  (With
+    lead >= 2 and delta < 1 this happens only past log E = 746, inside
+    the log branch, where exp would give 0.0 too.)
+    """
+    return (log_e + 1.0 >= _EXP_NATIVE and n_sup > 0.0
+            and math.log(sides * n_sup) - delta * log_e < _EXP_ZERO)
+
+
 def _positive_column_sum(
     lam: complex,
     spec: ThinSetSpec,
@@ -165,16 +185,18 @@ def _positive_column_sum(
     delta: float,
     m: float,
     sides: float = 2.0,
+    terms: Optional[tuple[float, float]] = None,
 ) -> float:
     """Upper bound for the per-rectangle image sum at positive column r.
 
     Image moduli lie in [E, eE] with E = |lambda| e^r.  Columns with
     lower Re-bound below E contribute at most E^{-(1+delta)} each and
     their count is limited by the cone condition; columns beyond E decay
-    like s^{-(1+delta)} and are absorbed by an integral tail.
+    like s^{-(1+delta)} and are absorbed by an integral tail.  terms is
+    _column_terms(lam, spec, r, m) when the caller already has it.
     """
-    log_e, n_sup = _column_terms(lam, spec, r, m)
-    if n_sup == 0.0:
+    log_e, n_sup = _column_terms(lam, spec, r, m) if terms is None else terms
+    if n_sup == 0.0 or _bound_vanishes(log_e, n_sup, delta, sides):
         return 0.0
     lead = sides * n_sup
 
@@ -600,6 +622,15 @@ def cover_iterate(
 
     The n = 0 row is the bare starting rectangle at column M, total
     (2 pi + 1)^{1+delta}; the budget comparison is meaningful from n = 1 on.
+
+    Columns whose bound is exactly 0.0 add nothing, and two kinds are
+    skipped in runs, so the totals and cell counts are those of a loop
+    over every column.  Negative columns are taken in bands of one level
+    (the level does not increase with the column), with one
+    _negative_level_bound per band, and a band whose bound is 0.0 is
+    skipped.  The positive loop stops at the first column where
+    _bound_vanishes holds, since the bound is then 0.0 there and at every
+    larger column.
     """
     lam = _require_lambda(lam)
     _require_run_parameters(delta, distortion_allowance)
@@ -629,24 +660,35 @@ def cover_iterate(
             new_tail += tail_mass * ps
             new_tail_col = tail_col
 
-        for col in sorted(masses):
-            mass = masses[col]
-            if mass == 0.0:
-                continue
-            if col <= -m:
-                lvl = geometry.level_of_column(col)
-                nb = _negative_level_bound(
-                    lam, spec, geometry, lvl, delta, distortion_allowance
-                )
-                if mass * nb > 0.0:
-                    new[m] = new.get(m, 0.0) + mass * nb
-                    cells += 1.0
-                continue
+        cols = sorted(masses)
+        split = bisect_right(cols, -m)  # cols[:split] are the negative columns
+        i = 0
+        while i < split:
+            # one bound per band of equal levels, deepest column first
+            lvl = geometry.level_of_column(cols[i])
+            end = bisect_right(cols, -lvl, i + 1, split,
+                               key=lambda c: -geometry.level_of_column(c))
+            nb = _negative_level_bound(
+                lam, spec, geometry, lvl, delta, distortion_allowance
+            )
+            if nb != 0.0:
+                for col in cols[i:end]:
+                    w = masses[col] * nb
+                    if w > 0.0:
+                        new[m] = new.get(m, 0.0) + w
+                        cells += 1.0
+            i = end
 
-            ps = _positive_column_sum(lam, spec, float(col), delta, float(m), sides)
+        for col in cols[split:]:
+            log_e, n_sup = _column_terms(lam, spec, col, float(m))
+            if _bound_vanishes(log_e, n_sup, delta, sides):
+                break
+            mass = masses[col]
+            ps = _positive_column_sum(
+                lam, spec, float(col), delta, float(m), sides, (log_e, n_sup)
+            )
             if mass * ps == 0.0:
                 continue
-            log_e, n_sup = _column_terms(lam, spec, col, float(m))
             if log_e > _EXP_NATIVE:
                 # destinations beyond any enumerable column
                 new_tail += mass * ps
@@ -688,6 +730,8 @@ def cover_iterate(
             break
         masses, tail_mass, tail_col = new, new_tail, new_tail_col
         total = scale * (math.fsum(masses.values()) + tail_mass)
-        levels.append(CoverLevel(n, total, base / 2 ** n, cells, scale * tail_mass))
+        levels.append(CoverLevel(
+            n, total, math.ldexp(base, -n), cells, scale * tail_mass
+        ))
 
     return CoverRun(tuple(levels), aborted, m, delta, m, two_sided)

@@ -502,3 +502,27 @@ def test_certify_rejects_a_distortion_allowance_below_one(sides, allowance):
                               "--delta", "0.5", "--distortion", allowance] + sides)
     assert (code, out) == (2, "")
     assert err == "error: distortion allowance must be finite and >= 1\n"
+
+
+@pytest.mark.parametrize("sides", [["--m", "10", "--rmax", "12"],
+                                   ["--l0", "3", "--c", "1", "--rmax", "20"]])
+def test_certify_rejects_a_negative_cover_depth(sides):
+    code, out, err = run_cli(["certify", "--lambda", "1", "--set", STRIP,
+                              "--delta", "0.5", "--cover-depth", "-1"] + sides)
+    assert (code, out, err) == (2, "", "error: --cover-depth must be >= 0\n")
+    code, out, _ = run_cli(["certify", "--lambda", "1", "--set", STRIP,
+                            "--delta", "0.5", "--cover-depth", "0"] + sides)
+    assert code == 0 and "cover n=" not in out
+
+
+@pytest.mark.parametrize("depth", [1024, 1100])
+def test_certify_cover_runs_past_depth_1023(depth):
+    code, out, err = run_cli([
+        "certify", "--lambda=1,0", f"--set={STRIP}", "--delta=0.5", "--m=10",
+        "--rmax=12", f"--cover-depth={depth}", "--branch-cap=5",
+    ])
+    assert code in (0, 3) and err == ""
+    lines = [ln for ln in out.splitlines() if ln.startswith("cover n=")]
+    assert len(lines) == depth + 1
+    assert lines[1023] == "cover n=1023: total 0 < budget 8.10281e-308"
+    assert lines[-1].startswith(f"cover n={depth}: total 0 ")
