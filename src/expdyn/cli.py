@@ -259,6 +259,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     spec = _parse_set(args.set)
     if args.cover_depth < 0:
         raise ValidationError("--cover-depth must be >= 0")
+    if args.cover_depth > 0 and args.branch_cap < 1:
+        raise ValidationError("--branch-cap must be >= 1 when --cover-depth > 0")
     geometry = None
     if args.l0 is not None:
         geometry = negative_geometry(lam, args.c, args.l0, args.n_levels)

@@ -55,6 +55,9 @@ _HUGE_COLUMN = 1e300
 _EXP_ZERO = -746.0
 # points sampled along Re in each rectangle by the Z_M membership test
 _RECT_SAMPLES = 6
+# heights above its lower edge, in units of the strip height 2 pi, at which
+# the Z_M test looks at a strip; both the sampled and the band test use them
+_STRIP_HEIGHTS = (1e-9, 0.25, 0.5, 0.75, 1.0)
 # cover_iterate gives up (CoverRun.aborted) before a level passes this many cells
 _CELL_LIMIT = 1e7
 
@@ -84,11 +87,21 @@ def certified_columns(m: int, r_max: int, two_sided: bool = True) -> list[int]:
     return columns
 
 
+def _strip_bottom(k: int, arg_lam: float) -> float:
+    """Lower edge (2k - 1) pi - Arg lambda of strip k."""
+    return (2 * k - 1) * math.pi - arg_lam
+
+
 def _rectangle_meets(
     spec: ThinSetSpec, arg_lam: float, k: int, r: int, m: int
 ) -> bool:
-    """Does R^k_r meet W intersected with {|Re| >= m}?  Sampled, not exact."""
-    lo = (2 * k - 1) * math.pi - arg_lam
+    """Does R^k_r meet W intersected with {|Re| >= m}?  Sampled, not exact.
+
+    The membership predicate is called on a grid of _RECT_SAMPLES points
+    along Re (those with |Re| >= m) by the _STRIP_HEIGHTS along Im, so a
+    sliver thinner than the grid pitch can be missed.
+    """
+    lo = _strip_bottom(k, arg_lam)
     if r >= 0:
         x_lo, x_hi = float(r), r + 1.0 - 1e-9
     else:
@@ -99,10 +112,18 @@ def _rectangle_meets(
         x = x_lo + (x_hi - x_lo) * i / (_RECT_SAMPLES - 1)
         if abs(x) < m:
             continue
-        for u in (1e-9, 0.25, 0.5, 0.75, 1.0):
+        for u in _STRIP_HEIGHTS:
             if spec.membership(complex(x, lo + TAU * u)):
                 return True
     return False
+
+
+def _band_meets(band: tuple[float, float], arg_lam: float, k: int) -> bool:
+    """_rectangle_meets for a spec whose membership is a <= Im z <= b,
+    in any column with |r| >= m: the same heights, the same comparison."""
+    a, b = band
+    lo = _strip_bottom(k, arg_lam)
+    return any(a <= lo + TAU * u <= b for u in _STRIP_HEIGHTS)
 
 
 def _zm_rows(
@@ -110,17 +131,36 @@ def _zm_rows(
 ) -> list[RectangleIndex]:
     """The Z_M rectangles in the given columns, ordered by (r, k).
 
-    Membership is tested on a sub-grid of each rectangle; slivers thinner
-    than the sub-grid pitch can be missed.
+    Column r is scanned over the strips that reach |Im| <= K(|r| + 2).
+    A spec without an imag_band is tested rectangle by rectangle with
+    _rectangle_meets, which samples the membership predicate.  For a spec
+    with one, membership ignores Re z and the sample at Re z = r always
+    counts when |r| >= m, so each strip's verdict is the same in every
+    such column: it is decided once per call, at the same heights and by
+    the same closed comparison, and the rows are those of the sampled test
+    bit for bit (slivers it misses included).  Columns with |r| < m hold
+    no Z_M rectangle.
     """
     arg_lam = math.atan2(lam.imag, lam.real)
+
+    def strips(r: int) -> range:
+        y_max = spec.cone_constant * (abs(r) + 2.0)
+        return range(_strip_of_imag(-y_max, arg_lam),
+                     _strip_of_imag(y_max, arg_lam) + 1)
+
+    band = spec.imag_band
+    if band is not None:
+        # the widest column's strips hold every other column's
+        widest = strips(max((abs(r) for r in columns), default=0))
+        hits = [k for k in widest if _band_meets(band, arg_lam, k)]
     rects: list[RectangleIndex] = []
     for r in columns:
-        y_max = spec.cone_constant * (abs(r) + 2.0)
-        for k in range(_strip_of_imag(-y_max, arg_lam),
-                       _strip_of_imag(y_max, arg_lam) + 1):
-            if _rectangle_meets(spec, arg_lam, k, r, m):
-                rects.append(RectangleIndex(k, r))
+        ks = strips(r)
+        if band is None:
+            rects += (RectangleIndex(k, r) for k in ks
+                      if _rectangle_meets(spec, arg_lam, k, r, m))
+        elif abs(r) >= m:
+            rects += (RectangleIndex(k, r) for k in hits if k in ks)
     rects.sort(key=lambda q: (q.r, q.k))
     return rects
 
@@ -139,9 +179,16 @@ def build_zm(spec: ThinSetSpec, lam: complex, m: int, r_max: int) -> ZMFamily:
 
 
 def _max_width(spec: ThinSetSpec, lo: float, log_hi: float) -> float:
-    """Widest slice over image columns [lo, e^log_hi]: the profile at the far end."""
+    """Widest slice over image columns [lo, e^log_hi]: the profile at the far end.
+
+    A width that is not >= 0 (negative or NaN) is no bound at all, so it is
+    rejected rather than carried into the column sums.
+    """
     hi = math.exp(log_hi) if log_hi < _EXP_NATIVE else _HUGE_COLUMN
-    return spec.width_profile(max(lo, 1.0, hi))
+    w = spec.width_profile(max(lo, 1.0, hi))
+    if not w >= 0.0:
+        raise ValidationError(f"width profile must be >= 0, got {w!r}")
+    return w
 
 
 def _column_terms(

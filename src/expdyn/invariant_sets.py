@@ -54,6 +54,9 @@ class ThinSetSpec:
     ``classify_log`` optionally decides membership of a log-polar point,
     returning MEMBER, EXIT, or UNDECIDED; without it, points beyond native
     range are undecided.
+    ``imag_band`` (a, b), when set, asserts that membership is exactly
+    ``a <= z.imag <= b``, whatever Re z is; code that enumerates rectangles
+    may then decide a whole strip at once instead of sampling the predicate.
     """
 
     membership: Callable[[complex], bool]
@@ -61,6 +64,7 @@ class ThinSetSpec:
     width_profile: Callable[[float], float]
     descriptor: str
     classify_log: Optional[Callable[[LogPolarComplex], str]] = None
+    imag_band: Optional[tuple[float, float]] = None
 
     def classify(self, p: LogPolarComplex) -> str:
         if self.classify_log is not None:
@@ -97,7 +101,8 @@ class ThinSetSpec:
             # |Im| >= e^709 * |sin arg|, far outside any bounded strip
             return EXIT
 
-        return cls(member, k, lambda r: width, f"strip[{a:g},{b:g}]", classify)
+        return cls(member, k, lambda r: width, f"strip[{a:g},{b:g}]", classify,
+                   (a, b))
 
     @classmethod
     def symmetric_strip(cls, p: float) -> "ThinSetSpec":

@@ -25,6 +25,7 @@ from expdyn import (
     negative_geometry,
     positive_sum,
     step_log_polar,
+    symmetric_strip,
     verify_contraction,
 )
 
@@ -129,6 +130,17 @@ def test_width_profile_is_read_once_at_the_far_column():
     assert [lv.total for lv in ramp_run.levels] == \
         [lv.total for lv in bar_run.levels]
     assert ramp_run.levels[1].total > 0.0
+
+
+@pytest.mark.parametrize("width", [-100.0, math.nan])
+@pytest.mark.parametrize("column", [10, 700])
+def test_a_width_that_is_not_a_bound_is_rejected(width, column):
+    # a negative width made a negative "bound" at column 10 and a bare
+    # math domain error at column 700; a NaN width made a NaN bound
+    bad = cone_band(STRIP.membership, STRIP.cone_constant,
+                    lambda r: width, "bad")
+    with pytest.raises(ValidationError, match="width profile must be >= 0"):
+        positive_sum(1.0, bad, column, 0.5, 10)
 
 
 def test_positive_sum_validation():
@@ -376,6 +388,12 @@ def test_certificate_validation():
         verify_contraction(1.0, STRIP, 0.5, [20], m=10, geometry=geo)
 
 
+def _sampled(spec):
+    """The same set with no imag_band, so Z_M goes through the sampled test."""
+    return cone_band(spec.membership, spec.cone_constant, spec.width_profile,
+                     spec.descriptor)
+
+
 def test_certificate_enumerates_only_its_own_columns(monkeypatch):
     calls = []
     meets = induced._rectangle_meets
@@ -385,10 +403,14 @@ def test_certificate_enumerates_only_its_own_columns(monkeypatch):
         return meets(spec, arg_lam, k, r, m)
 
     monkeypatch.setattr(induced, "_rectangle_meets", counted)
-    cert = verify_contraction(1.0, STRIP, 0.5, range(10, 31), m=10)
+    cert = verify_contraction(1.0, _sampled(STRIP), 0.5, range(10, 31), m=10)
     assert len(calls) == 777 and set(calls) == set(range(10, 31))
     assert cert.per_rectangle == tuple((0, r, cert.column_bound(r))
                                        for r in range(10, 31))
+    # the strip decides its strips once, without the sampled test
+    calls.clear()
+    assert verify_contraction(1.0, STRIP, 0.5, range(10, 31), m=10) == cert
+    assert calls == []
     # the rows are the family's rows in the certified columns, both sides;
     # a rotated lambda puts two rectangles in each column
     geo = negative_geometry(0.65, 0.65, 4, 6)
@@ -401,6 +423,72 @@ def test_certificate_enumerates_only_its_own_columns(monkeypatch):
         (q.k, q.r, cert.column_bound(q.r)) for q in family.rectangles
         if q.r in cols)
     assert len(cert.per_rectangle) == 2 * len(cols)
+
+
+def test_strip_specs_carry_their_band():
+    assert horizontal_strip(-1.0, 2.5).imag_band == (-1.0, 2.5)
+    assert symmetric_strip(0.5).imag_band == (-0.5, 0.5)
+    assert _sampled(STRIP).imag_band is None
+
+
+_ZM_LAMBDAS = [1.0, -1.0, 1 + 0.3j, cmath.rect(0.65, 2.5)]
+
+
+def _edge(lam, k):
+    """The edge (2k + 1) pi - Arg lambda between strips k and k + 1."""
+    return (2 * k + 1) * math.pi - cmath.phase(lam)
+
+
+def _band_cases(lam):
+    e0, e1, em = _edge(lam, 0), _edge(lam, 1), _edge(lam, -1)
+    return [
+        (0.0, math.pi),
+        (-2.0, 5.0),  # negative a
+        (-7.5, -6.0),
+        (0.3, 0.31),  # narrower than pi/2: slivers the samples can miss
+        (1.1, 2.4),
+        (-0.2, 1.3),
+        (3.0, 3.0),
+        (e0, e0),  # on strip edges
+        (e0, e1),
+        (em, e0),
+        (em - 0.1, em + 0.1),
+        (e0 - 1.0, e0),
+        (e0, e0 + 1.0),
+    ]
+
+
+@pytest.mark.parametrize("lam", _ZM_LAMBDAS)
+@pytest.mark.parametrize("m", [1, 5, 10])
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_strip_rows_match_the_sampled_rows(lam, m, two_sided):
+    cols = induced.certified_columns(m, m + 8, two_sided)
+    seen = set()
+    for a, b in _band_cases(lam):
+        strip = horizontal_strip(a, b)
+        rows = induced._zm_rows(strip, lam, m, cols)
+        assert rows == induced._zm_rows(_sampled(strip), lam, m, cols)
+        seen.add(len(rows) // len(cols))
+    # the cases cover missed slivers (0 rows), and one- and two-strip columns
+    assert {0, 1, 2} <= seen
+
+
+def test_strip_rows_follow_each_columns_cone_height():
+    # with cone constant 1, column r scans the strips that reach |Im| <= |r| + 2;
+    # strip 3, (5 pi, 7 pi], holds the band [20, 21] and is reached from |r| = 14
+    far = dataclasses.replace(horizontal_strip(20.0, 21.0), cone_constant=1.0)
+    cols = induced.certified_columns(5, 30)
+    rows = induced._zm_rows(far, 1.0, 5, cols)
+    assert rows == induced._zm_rows(_sampled(far), 1.0, 5, cols)
+    assert {q.r for q in rows} == set(range(-30, -13)) | set(range(14, 31))
+    assert {q.k for q in rows} == {3}
+
+
+def test_strip_rows_skip_columns_inside_m():
+    cols = [-4, -3, 0, 2, 3, 4, 9]
+    assert induced._zm_rows(STRIP, 1.0, 3, cols) == \
+        induced._zm_rows(_sampled(STRIP), 1.0, 3, cols) == \
+        [RectangleIndex(0, r) for r in (-4, -3, 3, 4, 9)]
 
 
 @pytest.mark.parametrize("m", [0, -3])

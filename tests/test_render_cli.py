@@ -515,6 +515,19 @@ def test_certify_rejects_a_negative_cover_depth(sides):
     assert code == 0 and "cover n=" not in out
 
 
+@pytest.mark.parametrize("sides", [["--m", "10", "--rmax", "12"],
+                                   ["--l0", "3", "--c", "1", "--rmax", "20"]])
+def test_certify_rejects_a_branch_cap_below_one_before_printing(sides):
+    argv = ["certify", "--lambda", "1", "--set", STRIP, "--delta", "0.5"] + sides
+    for cap in ("0", "-5"):
+        code, out, err = run_cli(argv + ["--cover-depth", "2", "--branch-cap", cap])
+        assert (code, out) == (2, "")
+        assert err == "error: --branch-cap must be >= 1 when --cover-depth > 0\n"
+    # without a cover the cap is unused
+    code, out, _ = run_cli(argv + ["--branch-cap", "0"])
+    assert code == 0 and out.startswith("{")
+
+
 @pytest.mark.parametrize("depth", [1024, 1100])
 def test_certify_cover_runs_past_depth_1023(depth):
     code, out, err = run_cli([
