@@ -5,12 +5,17 @@ quantities that make the set usable in dimension estimates: a cone
 constant K with |z| < K(|Re z| + 1) on the set, and a width profile w(R)
 bounding the diameter of the slice at |Re z| = R.
 
-Membership along an orbit is checked in log-polar form.  Once a point
-leaves the native float range the strip tests compare in log scale; when
-the sign of Im z becomes numerically undecidable the walk records an
-"undecided" verdict, and the two exit policies split: the conservative
-policy counts it as an exit, the optimistic one keeps iterating.  Both
-exit depths are computed in a single walk.
+Membership along an orbit is checked in one walk that starts in native
+floats.  While |z| is a finite double (log modulus at most _EXP_SAFE)
+and its argument is trusted, the walk carries the log modulus and the
+argument as floats, steps them with step_log_polar's native formula and
+hands each point to the spec as a plain complex.  From the first point
+past the double range (or with an untrusted argument) it goes on in
+log-polar form through step_log_polar, and the strip tests compare in
+log scale.  When the sign of Im z becomes numerically undecidable the
+walk records an "undecided" verdict, and the two exit policies split:
+the conservative policy counts it as an exit, the optimistic one keeps
+iterating.  Both exit depths are computed in the same walk.
 """
 
 from __future__ import annotations
@@ -20,10 +25,13 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import ValidationError
 from .dynamics import (
+    ARG_TRUST_LIMIT,
     LogPolarComplex,
     TowerReal,
+    _lambda_logs,
+    _log_polar,
+    _principal,
     _require_lambda,
     _require_point,
     eval_map,
@@ -31,7 +39,8 @@ from .dynamics import (
     orbit_derivative_log,
     step_log_polar,
 )
-from .errors import NumericRangeError
+from .errors import NumericRangeError, ValidationError
+from .towers import _EXP_SAFE, LIFT, NEG_SENTINEL, _level0
 from . import parallel
 
 MEMBER = "member"
@@ -41,6 +50,10 @@ UNDECIDED = "undecided"
 # |arg| closer than this to 0 or pi leaves the sign of Im z undecidable
 # once the modulus has left the native range
 _ARG_DEAD_ZONE = 1e-12
+
+# width profile of a one-point slice: any positive value bounds its
+# diameter 0, and one this small adds nothing to a column's n_sup
+_POINT_SLICE_WIDTH = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -66,7 +79,21 @@ class ThinSetSpec:
     classify_log: Optional[Callable[[LogPolarComplex], str]] = None
     imag_band: Optional[tuple[float, float]] = None
 
-    def classify(self, p: LogPolarComplex) -> str:
+    def classify(self, p: Union[complex, LogPolarComplex]) -> str:
+        """MEMBER, EXIT or UNDECIDED for one orbit point.
+
+        A ``complex`` stands for a native point whose argument is trusted:
+        a spec with an ``imag_band`` decides it by ``a <= Im z <= b``, any
+        other by ``membership``.  A ``LogPolarComplex`` goes to
+        ``classify_log`` when there is one; otherwise it is decided by
+        ``membership`` when native and is UNDECIDED beyond native range.
+        For a native trusted point both kinds give the same verdict.
+        """
+        if isinstance(p, complex):
+            if self.imag_band is not None:
+                lo, hi = self.imag_band
+                return MEMBER if lo <= p.imag <= hi else EXIT
+            return MEMBER if self.membership(p) else EXIT
         if self.classify_log is not None:
             return self.classify_log(p)
         try:
@@ -81,7 +108,9 @@ class ThinSetSpec:
         if not (a <= b and math.isfinite(a) and math.isfinite(b)):
             raise ValidationError("strip bounds must be finite with a <= b")
         k = max(abs(a), abs(b)) + 2.0
-        width = b - a
+        # a zero-height strip still has one point in every slice, and a
+        # width of 0.0 would declare its slices empty
+        width = b - a if b > a else _POINT_SLICE_WIDTH
 
         def member(z: complex) -> bool:
             return a <= z.imag <= b
@@ -155,12 +184,46 @@ def _membership_walk(
     """(conservative exit, optimistic exit, precision caveat) of z's orbit.
 
     An exit index of None means the orbit stayed in the set to depth n.
+    z must be finite.  While the orbit is native and its argument trusted,
+    it is carried as floats (log modulus x, argument a) and each point is
+    classified as complex(Re z, Im z); from the first point that is not,
+    it goes on as a LogPolarComplex through step_log_polar.  A spec with a
+    classify_log but no imag_band sees LogPolarComplex points throughout.
     """
-    p = LogPolarComplex.from_complex(z)
+    log_lam, arg_lam = _lambda_logs(lam)
+    classify = spec.classify
+    r = abs(z)
+    x = math.log(r) if r != 0.0 else NEG_SENTINEL
+    a = math.atan2(z.imag, z.real) if r != 0.0 else 0.0
+    trusted = True
+    i = 0
+    p: Optional[LogPolarComplex] = None
+    if spec.imag_band is not None or spec.classify_log is None:
+        while trusted and x <= _EXP_SAFE:
+            m = math.exp(x)
+            s = math.sin(a)
+            re = m * math.cos(a)
+            im = m * s
+            if classify(complex(re, im)) == EXIT:
+                return i, i, False
+            i += 1
+            if i >= n:
+                return None, None, False
+            # step_log_polar's native branch, bit for bit
+            x_next = re + log_lam if log_lam != 0.0 else re
+            if not (re < LIFT and NEG_SENTINEL <= x_next < LIFT):
+                p = step_log_polar(lam, _log_polar(_level0(x), a, True))
+                break
+            x = x_next
+            a = _principal(im + arg_lam)
+            trusted = m <= ARG_TRUST_LIMIT or s == 0.0
+    if p is None:
+        p = _log_polar(_level0(x), a, trusted)
+
     cons: Optional[int] = None
     caveat = False
-    for i in range(n):
-        verdict = spec.classify(p)
+    for i in range(i, n):
+        verdict = classify(p)
         if verdict == EXIT:
             return (i if cons is None else cons), i, caveat
         if verdict == UNDECIDED:
@@ -278,6 +341,8 @@ def sample_lambda_set(
     """Exit-depth field of the depth-n forward-invariant approximant."""
     lam = _require_lambda(lam)
     x0, y0, x1, y1 = (float(v) for v in window)
+    if not all(math.isfinite(v) for v in (x0, y0, x1, y1)):
+        raise ValidationError("window must be finite")
     if not (x1 > x0 and y1 > y0):
         raise ValidationError("window must be nondegenerate")
     nx, ny = int(resolution[0]), int(resolution[1])
@@ -288,6 +353,10 @@ def sample_lambda_set(
 
     dx = (x1 - x0) / (nx - 1)
     dy = (y1 - y0) / (ny - 1)
+    # grid coordinates are monotone in the index, so finite end points
+    # make every pixel finite and the walk needs no per-point check
+    if not (math.isfinite(x0 + (nx - 1) * dx) and math.isfinite(y0 + (ny - 1) * dy)):
+        raise ValidationError("window must be finite")
 
     def one_row(iy: int) -> tuple[list[int], list[int], int]:
         y = y0 + iy * dy

@@ -188,6 +188,27 @@ def test_field_validation():
         field.data("bold")
 
 
+@pytest.mark.parametrize("window", [
+    (-1e308, 0.0, 1e308, 1.0),             # dx overflows
+    (0.0, 0.0, math.inf, 1.0),
+    (0.0, math.nan, 1.0, 1.0),
+    (0.0, 0.0, 1.7976931348623157e308, 1.0),  # dx finite, last pixel not
+])
+def test_field_rejects_a_window_that_is_not_finite(window, monkeypatch):
+    def walk(*args):
+        raise AssertionError("a pixel was walked")
+
+    monkeypatch.setattr("expdyn.invariant_sets._membership_walk", walk)
+    with pytest.raises(ValidationError, match="^window must be finite$"):
+        sample_lambda_set(1.0, STRIP, window, (4, 4), 3)
+
+
+def test_zero_height_strip_has_positive_width():
+    point = horizontal_strip(0.0, 0.0)
+    assert point.width_profile(10.0) > 0.0
+    assert horizontal_strip(-1.0, 2.0).width_profile(10.0) == 3.0
+
+
 def test_field_writers(tmp_path):
     field = sample_lambda_set(1.0, STRIP, (0.0, 0.0, 2.0, 2.0), (2, 2), 3)
     want_pgm = b"P5\n2 2\n65535\n\x00\x04\x00\x01\x00\x04\x00\x04"

@@ -1,0 +1,193 @@
+"""The float membership walk against the log-polar loop it replaced.
+
+The oracle below is that loop: every point built with
+``LogPolarComplex.from_complex`` / ``step_log_polar`` and classified as a
+log-polar point.  The walk must give the same (conservative exit,
+optimistic exit, caveat) and classify each examined point exactly once.
+"""
+
+import cmath
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from expdyn import (
+    LogPolarComplex,
+    ThinSetSpec,
+    TowerReal,
+    cone_band,
+    horizontal_strip,
+    step_log_polar,
+    symmetric_strip,
+)
+from expdyn.dynamics import ARG_TRUST_LIMIT
+from expdyn.invariant_sets import EXIT, MEMBER, UNDECIDED, _membership_walk
+
+
+def oracle_walk(lam, spec, z, n):
+    p = LogPolarComplex.from_complex(z)
+    cons = None
+    caveat = False
+    for i in range(n):
+        verdict = spec.classify(p)
+        if verdict == EXIT:
+            return (i if cons is None else cons), i, caveat
+        if verdict == UNDECIDED:
+            caveat = True
+            if cons is None:
+                cons = i
+        if i + 1 < n:
+            p = step_log_polar(lam, p)
+    return cons, None, caveat
+
+
+def _log_edge_classifier(limit):
+    """A classify_log that disagrees with |Im z| <= 2 near the edge."""
+    def classify_log(p):
+        im = p.imag_part_float()
+        if im is None:
+            return UNDECIDED
+        return MEMBER if abs(im) <= limit else EXIT
+    return classify_log
+
+
+SQRT_BAND = cone_band(
+    lambda z: abs(z.imag) <= math.sqrt(abs(z.real) + 1.0),
+    5.0, lambda r: 2.0 * math.sqrt(r + 1.0), "sqrt band")
+EDGE_BAND = cone_band(
+    lambda z: abs(z.imag) <= 2.0, 4.0, lambda r: 4.0, "edge band",
+    _log_edge_classifier(1.9))
+
+SPECS = {
+    "strip": horizontal_strip(0.0, math.pi),
+    "strip-neg": horizontal_strip(-1.0, 0.5),
+    "strip-point": horizontal_strip(0.0, 0.0),
+    "symstrip": symmetric_strip(2.0),
+    "sqrt-band": SQRT_BAND,
+    "edge-band": EDGE_BAND,
+}
+
+# -1-0j has Arg -pi, so its steps reduce onto -pi and fold it to pi
+LAMBDAS = [1.0, -1.0, complex(-1.0, -0.0), 1 + 0.3j, 0.25, cmath.rect(0.25, 0.3), 2.0]
+
+POINTS = [
+    0j,
+    0.5 + 0.2j,
+    -0.3 + 1.5j,
+    complex(0.0, math.pi),
+    0.5 + 3.0j,
+    3.0 + 0.0j,         # real orbit at lambda = 1 leaves the double range
+    40.0 + 1e-20j,      # f(z) = e^40 is past the argument trust bound
+    complex(math.log(1e17), 0.0),
+    complex(-1e17, 1.0),  # native, |z| > ARG_TRUST_LIMIT, sin arg != 0
+    complex(1e17, 0.5),
+    complex(1.795e308, 0.0),   # log modulus in (709.78, 710)
+    complex(709.79, 0.0),      # next log modulus in (709.78, 710)
+    complex(709.9, 1e-300),
+    complex(-1e308, 0.0),      # next log modulus below NEG_SENTINEL
+    complex(-1e308, 0.25),
+    5e-324 + 0j,
+]
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Record the point passed to every ThinSetSpec.classify call."""
+    seen = []
+    orig = ThinSetSpec.classify
+
+    def classify(self, p):
+        seen.append(p)
+        return orig(self, p)
+
+    monkeypatch.setattr(ThinSetSpec, "classify", classify)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_walk_matches_the_log_polar_loop(name, lam, counted):
+    spec = SPECS[name]
+    for z in POINTS:
+        for n in (1, 2, 8, 25):
+            want = oracle_walk(lam, spec, z, n)
+            counted.clear()
+            got = _membership_walk(lam, spec, z, n)
+            assert got == want, (name, lam, z, n)
+            examined = n if got[1] is None else got[1] + 1
+            assert len(counted) == examined, (name, lam, z, n)
+            if name == "edge-band":
+                assert all(isinstance(p, LogPolarComplex) for p in counted)
+
+
+def test_orbit_leaves_the_double_range_mid_walk(counted):
+    # 3 -> e^3 -> e^(e^3) (native) -> e^(e^(e^3)) (tower) ... all real
+    spec = symmetric_strip(1.0)
+    got = _membership_walk(1.0, spec, 3.0 + 0j, 6)
+    walked = list(counted)
+    assert got == oracle_walk(1.0, spec, 3.0 + 0j, 6) == (None, None, False)
+    assert [type(p) for p in walked] == [complex] * 3 + [LogPolarComplex] * 3
+    assert walked[3].log_modulus.level == 1
+
+
+def test_untrusted_native_point_goes_log_polar(counted):
+    # z is native with |z| > ARG_TRUST_LIMIT and sin arg != 0, so f(z),
+    # native too (it underflows to 0), has an untrusted argument: the
+    # strip cannot decide it and the two policies split
+    z = complex(-1e17, 1.0)
+    assert abs(z) > ARG_TRUST_LIMIT
+    spec = symmetric_strip(20.0)
+    got = _membership_walk(1.0, spec, z, 4)
+    walked = list(counted)
+    assert got == oracle_walk(1.0, spec, z, 4) == (1, None, True)
+    assert [type(p) for p in walked] == [complex] + [LogPolarComplex] * 3
+    assert walked[1].modulus_float() == 0.0
+    assert not walked[1].arg_trusted
+
+
+def test_degenerate_log_moduli(counted):
+    spec = symmetric_strip(1.0)
+    # log modulus in (709.78, 710): level 0 but past exp's range
+    z = complex(1.795e308, 0.0)
+    assert 709.78 < math.log(abs(z)) < 710.0
+    assert _membership_walk(1.0, spec, z, 3) == oracle_walk(1.0, spec, z, 3)
+    assert isinstance(counted[-1], LogPolarComplex)
+    # Re z below NEG_SENTINEL: the next point underflows to the sentinel
+    z = complex(-1e308, 0.0)
+    assert _membership_walk(1.0, spec, z, 3) == oracle_walk(1.0, spec, z, 3)
+
+
+def test_edge_band_uses_its_classify_log(counted):
+    # Im z = 1.95 is inside membership but outside classify_log's edge
+    assert EDGE_BAND.membership(0.1 + 1.95j)
+    assert _membership_walk(0.25, EDGE_BAND, 0.1 + 1.95j, 5) == (0, 0, False)
+    assert len(counted) == 1 and isinstance(counted[0], LogPolarComplex)
+
+
+_finite = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_finite, _finite, st.sampled_from(LAMBDAS), st.sampled_from(sorted(SPECS)),
+       st.integers(1, 30))
+def test_walk_matches_on_random_orbits(re, im, lam, name, n):
+    spec = SPECS[name]
+    z = complex(re, im)
+    assert _membership_walk(lam, spec, z, n) == oracle_walk(lam, spec, z, n)
+
+
+_strips = st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 10.0)).map(
+    lambda t: horizontal_strip(t[0], t[0] + t[1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-745.0, 709.78), st.floats(-math.pi, math.pi),
+       st.one_of(_strips, st.just(SQRT_BAND)))
+def test_complex_and_log_polar_points_classify_alike(x, a, spec):
+    if a == -math.pi:
+        a = math.pi
+    m = math.exp(x)
+    z = complex(m * math.cos(a), m * math.sin(a))
+    p = LogPolarComplex(TowerReal(0, x), a, True)
+    assert spec.classify(z) == spec.classify(p)

@@ -373,6 +373,14 @@ def test_lambdaset_writes_pgm_and_csv(tmp_path):
     assert len(lines) == 17
 
 
+@pytest.mark.parametrize("window", ["0,0,inf,1", "-1e308,0,1e308,1", "0,nan,1,1"])
+def test_lambdaset_rejects_a_window_that_is_not_finite(window):
+    code, out, err = run_cli(["lambdaset", "--lambda=1", f"--set={STRIP}",
+                              f"--window={window}", "--res=4,4", "--depth=3"])
+    assert (code, out) == (2, "")
+    assert err == "error: window must be finite\n"
+
+
 # ---------------------------------------------------------------------------
 # certify
 
@@ -526,6 +534,18 @@ def test_certify_rejects_a_branch_cap_below_one_before_printing(sides):
     # without a cover the cap is unused
     code, out, _ = run_cli(argv + ["--branch-cap", "0"])
     assert code == 0 and out.startswith("{")
+
+
+def test_certify_bounds_a_zero_height_strip():
+    # the real axis is forward-invariant at lambda = 1; its rectangles
+    # must carry positive bounds, not the 0.0 of an empty set
+    code, out, err = run_cli(["certify", "--lambda=1,0", "--set=strip:0,0",
+                              "--delta=0.5", "--m=10", "--rmax=12", "--rectangles"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert len(doc["per_rectangle"]) == 3
+    assert doc["max_sum"] > 0.0
+    assert all(row["bound"] > 0.0 for row in doc["per_column"])
 
 
 @pytest.mark.parametrize("depth", [1024, 1100])
