@@ -54,9 +54,11 @@ from .rays import (
     write_ray_csv,
 )
 from .invariant_sets import (
+    ConeBand,
     ExitDepthField,
     ExpansionEstimate,
     MembershipResult,
+    Strip,
     ThinCheckReport,
     ThinSetSpec,
     TrajectoryClass,
@@ -101,6 +103,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoxCountResult",
+    "ConeBand",
     "ContractionCertificate",
     "CoverLevel",
     "CoverRun",
@@ -122,6 +125,7 @@ __all__ = [
     "Ray",
     "RaySample",
     "RectangleIndex",
+    "Strip",
     "SupergrowthReport",
     "ThinCheckReport",
     "ThinSetSpec",

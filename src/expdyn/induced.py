@@ -42,7 +42,7 @@ from .dynamics import (
     step_log_polar,
 )
 from .coding import strip_index, _strip_of_imag
-from .invariant_sets import ThinSetSpec
+from .invariant_sets import Strip, ThinSetSpec
 
 # Exponents below this take the native path.  It sits ~20 below the
 # overflow limit towers._EXP_SAFE so that exp(log_e + 1) and products of
@@ -118,12 +118,11 @@ def _rectangle_meets(
     return False
 
 
-def _band_meets(band: tuple[float, float], arg_lam: float, k: int) -> bool:
-    """_rectangle_meets for a spec whose membership is a <= Im z <= b,
-    in any column with |r| >= m: the same heights, the same comparison."""
-    a, b = band
+def _band_meets(strip: Strip, arg_lam: float, k: int) -> bool:
+    """_rectangle_meets for a strip, in any column with |r| >= m: the same
+    heights, the same closed comparison a <= Im z <= b."""
     lo = _strip_bottom(k, arg_lam)
-    return any(a <= lo + TAU * u <= b for u in _STRIP_HEIGHTS)
+    return any(strip.a <= lo + TAU * u <= strip.b for u in _STRIP_HEIGHTS)
 
 
 def _zm_rows(
@@ -131,32 +130,35 @@ def _zm_rows(
 ) -> list[RectangleIndex]:
     """The Z_M rectangles in the given columns, ordered by (r, k).
 
-    Column r is scanned over the strips that reach |Im| <= K(|r| + 2).
-    A spec without an imag_band is tested rectangle by rectangle with
-    _rectangle_meets, which samples the membership predicate.  For a spec
-    with one, membership ignores Re z and the sample at Re z = r always
-    counts when |r| >= m, so each strip's verdict is the same in every
-    such column: it is decided once per call, at the same heights and by
-    the same closed comparison, and the rows are those of the sampled test
-    bit for bit (slivers it misses included).  Columns with |r| < m hold
-    no Z_M rectangle.
+    Column r is scanned over the strips that reach |Im| <= K(|r| + 2); a
+    scan height that is not finite raises NumericRangeError.  A ConeBand is
+    tested rectangle by rectangle with _rectangle_meets, which samples the
+    membership predicate.  A Strip's membership ignores Re z and the sample
+    at Re z = r always counts when |r| >= m, so each strip index's verdict
+    is the same in every such column: it is decided once per call, at the
+    same heights and by the same closed comparison, and the rows are those
+    of the sampled test bit for bit (slivers it misses included).  Columns
+    with |r| < m hold no Z_M rectangle.
     """
     arg_lam = math.atan2(lam.imag, lam.real)
 
     def strips(r: int) -> range:
         y_max = spec.cone_constant * (abs(r) + 2.0)
+        if not math.isfinite(y_max):
+            raise NumericRangeError(
+                f"Z_M scan height K(|r| + 2) is not finite at column {r}")
         return range(_strip_of_imag(-y_max, arg_lam),
                      _strip_of_imag(y_max, arg_lam) + 1)
 
-    band = spec.imag_band
-    if band is not None:
+    is_strip = isinstance(spec, Strip)
+    if is_strip:
         # the widest column's strips hold every other column's
         widest = strips(max((abs(r) for r in columns), default=0))
-        hits = [k for k in widest if _band_meets(band, arg_lam, k)]
+        hits = [k for k in widest if _band_meets(spec, arg_lam, k)]
     rects: list[RectangleIndex] = []
     for r in columns:
         ks = strips(r)
-        if band is None:
+        if not is_strip:
             rects += (RectangleIndex(k, r) for k in ks
                       if _rectangle_meets(spec, arg_lam, k, r, m))
         elif abs(r) >= m:

@@ -1,21 +1,19 @@
 """Thin sets, membership in the forward-invariant set, and trajectory classes.
 
-A thin-set specification bundles a membership predicate with the two
-quantities that make the set usable in dimension estimates: a cone
+A thin-set spec is plain data: ``Strip(a, b)``, the closed strip
+a <= Im z <= b, or a ``ConeBand`` with its own predicate.  Each gives the
+two quantities that make the set usable in dimension estimates: a cone
 constant K with |z| < K(|Re z| + 1) on the set, and a width profile w(R)
 bounding the diameter of the slice at |Re z| = R.
 
-Membership along an orbit is checked in one walk that starts in native
-floats.  While |z| is a finite double (log modulus at most _EXP_SAFE)
-and its argument is trusted, the walk carries the log modulus and the
-argument as floats, steps them with step_log_polar's native formula and
-hands each point to the spec as a plain complex.  From the first point
-past the double range (or with an untrusted argument) it goes on in
-log-polar form through step_log_polar, and the strip tests compare in
-log scale.  When the sign of Im z becomes numerically undecidable the
-walk records an "undecided" verdict, and the two exit policies split:
-the conservative policy counts it as an exit, the optimistic one keeps
-iterating.  Both exit depths are computed in the same walk.
+Membership along an orbit is checked in one walk.  It classifies z itself
+first and steps from each point's Re and Im in native floats while |z| is
+a finite double with a trusted argument.  From the first point past the
+double range (or with an untrusted argument) it goes on in log-polar form
+through step_log_polar.  When the sign of Im z becomes numerically
+undecidable the walk records an "undecided" verdict, and the two exit
+policies split: the conservative policy counts it as an exit, the
+optimistic one keeps iterating.  Both exit depths come from the same walk.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from .dynamics import (
     _principal,
     _require_lambda,
     _require_point,
-    eval_map,
     iterate_orbit,
     orbit_derivative_log,
     step_log_polar,
@@ -55,107 +52,101 @@ _ARG_DEAD_ZONE = 1e-12
 # diameter 0, and one this small adds nothing to a column's n_sup
 _POINT_SLICE_WIDTH = 2.0 ** -52
 
+# an orbit point as the walk classifies it
+_Point = Union[complex, LogPolarComplex]
 
-@dataclass(frozen=True)
+
 class ThinSetSpec:
-    """Membership predicate plus cone constant and width profile.
+    """Base of the specs: ``membership(z)``, ``cone_constant``,
+    ``width_profile(R)`` and ``descriptor``.
 
     ``width_profile(R)`` must upper-bound the diameter of every slice of
-    the set at 1 <= |Re z| <= R, so it is nondecreasing in R; returning
-    0.0 asserts those slices are empty (use a small positive value for
-    degenerate but nonempty slices).
-    ``classify_log`` optionally decides membership of a log-polar point,
-    returning MEMBER, EXIT, or UNDECIDED; without it, points beyond native
-    range are undecided.
-    ``imag_band`` (a, b), when set, asserts that membership is exactly
-    ``a <= z.imag <= b``, whatever Re z is; code that enumerates rectangles
-    may then decide a whole strip at once instead of sampling the predicate.
+    the set at 1 <= |Re z| <= R, so it is nondecreasing in R; 0.0 asserts
+    those slices are empty.
     """
 
-    membership: Callable[[complex], bool]
-    cone_constant: float
-    width_profile: Callable[[float], float]
-    descriptor: str
-    classify_log: Optional[Callable[[LogPolarComplex], str]] = None
-    imag_band: Optional[tuple[float, float]] = None
-
-    def classify(self, p: Union[complex, LogPolarComplex]) -> str:
-        """MEMBER, EXIT or UNDECIDED for one orbit point.
-
-        A ``complex`` stands for a native point whose argument is trusted:
-        a spec with an ``imag_band`` decides it by ``a <= Im z <= b``, any
-        other by ``membership``.  A ``LogPolarComplex`` goes to
-        ``classify_log`` when there is one; otherwise it is decided by
-        ``membership`` when native and is UNDECIDED beyond native range.
-        For a native trusted point both kinds give the same verdict.
-        """
+    def classify(self, p: _Point) -> str:
+        """MEMBER, EXIT or UNDECIDED: ``membership`` decides a ``complex``
+        (a native point with a trusted argument), ``classify_log`` a
+        ``LogPolarComplex``; both agree on a native trusted point."""
         if isinstance(p, complex):
-            if self.imag_band is not None:
-                lo, hi = self.imag_band
-                return MEMBER if lo <= p.imag <= hi else EXIT
             return MEMBER if self.membership(p) else EXIT
-        if self.classify_log is not None:
-            return self.classify_log(p)
+        return self.classify_log(p)
+
+    def classify_log(self, p: LogPolarComplex) -> str:
+        """``membership`` of a native point; UNDECIDED past native range."""
         try:
             z = p.to_complex()
         except NumericRangeError:
             return UNDECIDED
         return MEMBER if self.membership(z) else EXIT
 
-    @classmethod
-    def horizontal_strip(cls, a: float, b: float) -> "ThinSetSpec":
-        """The strip a <= Im z <= b (closed)."""
-        if not (a <= b and math.isfinite(a) and math.isfinite(b)):
+
+@dataclass(frozen=True)
+class Strip(ThinSetSpec):
+    """The closed horizontal strip a <= Im z <= b."""
+
+    a: float
+    b: float
+
+    def __post_init__(self) -> None:
+        if not (self.a <= self.b and math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValidationError("strip bounds must be finite with a <= b")
-        k = max(abs(a), abs(b)) + 2.0
+
+    @property
+    def cone_constant(self) -> float:
+        return max(abs(self.a), abs(self.b)) + 2.0
+
+    @property
+    def descriptor(self) -> str:
+        return f"strip[{self.a:g},{self.b:g}]"
+
+    def membership(self, z: complex) -> bool:
+        return self.a <= z.imag <= self.b
+
+    def width_profile(self, r: float) -> float:
         # a zero-height strip still has one point in every slice, and a
         # width of 0.0 would declare its slices empty
-        width = b - a if b > a else _POINT_SLICE_WIDTH
+        return self.b - self.a if self.b > self.a else _POINT_SLICE_WIDTH
 
-        def member(z: complex) -> bool:
-            return a <= z.imag <= b
-
-        def classify(p: LogPolarComplex) -> str:
-            if not p.arg_trusted:
-                return UNDECIDED
-            s = math.sin(p.argument)
-            m = p.modulus_float()
-            if m != math.inf:
-                im = m * s
-                return MEMBER if a <= im <= b else EXIT
-            if s == 0.0:
-                return MEMBER if a <= 0.0 <= b else EXIT
-            if min(abs(p.argument), math.pi - abs(p.argument)) <= _ARG_DEAD_ZONE:
-                return UNDECIDED
-            # |Im| >= e^709 * |sin arg|, far outside any bounded strip
-            return EXIT
-
-        return cls(member, k, lambda r: width, f"strip[{a:g},{b:g}]", classify,
-                   (a, b))
-
-    @classmethod
-    def symmetric_strip(cls, p: float) -> "ThinSetSpec":
-        if not (p > 0 and math.isfinite(p)):
-            raise ValidationError("strip half-height must be positive and finite")
-        return cls.horizontal_strip(-p, p)
-
-    @classmethod
-    def cone_band(
-        cls,
-        membership: Callable[[complex], bool],
-        cone_constant: float,
-        width_profile: Callable[[float], float],
-        descriptor: str,
-        classify_log: Optional[Callable[[LogPolarComplex], str]] = None,
-    ) -> "ThinSetSpec":
-        if not (cone_constant > 0):
-            raise ValidationError("cone constant must be positive")
-        return cls(membership, cone_constant, width_profile, descriptor, classify_log)
+    def classify_log(self, p: LogPolarComplex) -> str:
+        if not p.arg_trusted:
+            return UNDECIDED
+        s = math.sin(p.argument)
+        m = p.modulus_float()
+        if m != math.inf:
+            return MEMBER if self.a <= m * s <= self.b else EXIT
+        if s == 0.0:
+            return MEMBER if self.a <= 0.0 <= self.b else EXIT
+        if min(abs(p.argument), math.pi - abs(p.argument)) <= _ARG_DEAD_ZONE:
+            return UNDECIDED
+        # |Im| >= e^709 * |sin arg|, far outside any bounded strip
+        return EXIT
 
 
-horizontal_strip = ThinSetSpec.horizontal_strip
-symmetric_strip = ThinSetSpec.symmetric_strip
-cone_band = ThinSetSpec.cone_band
+def symmetric_strip(h: float) -> Strip:
+    """The strip -h <= Im z <= h."""
+    if not (h > 0 and math.isfinite(h)):
+        raise ValidationError("strip half-height must be positive and finite")
+    return Strip(-h, h)
+
+
+@dataclass(frozen=True)
+class ConeBand(ThinSetSpec):
+    """A set given by its own membership predicate and width profile."""
+
+    membership: Callable[[complex], bool]
+    cone_constant: float
+    width_profile: Callable[[float], float]
+    descriptor: str
+
+    def __post_init__(self) -> None:
+        if not (0 < self.cone_constant < math.inf):
+            raise ValidationError("cone constant must be positive and finite")
+
+
+horizontal_strip = Strip
+cone_band = ConeBand
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +155,9 @@ cone_band = ThinSetSpec.cone_band
 
 @dataclass(frozen=True)
 class MembershipResult:
+    """``exit_point`` is the orbit point classified at ``exit_index``, or
+    None for a member or a point past the double range."""
+
     is_member: bool
     depth: int
     exit_index: Optional[int]
@@ -179,70 +173,60 @@ class MembershipResult:
 
 
 def _membership_walk(
-    lam: complex, spec: ThinSetSpec, z: complex, n: int
-) -> tuple[Optional[int], Optional[int], bool]:
-    """(conservative exit, optimistic exit, precision caveat) of z's orbit.
+    lam: complex, spec: ThinSetSpec, z: complex, n: int,
+    lam_logs: tuple[float, float],
+) -> tuple[Optional[int], Optional[int], bool, Optional[_Point], Optional[_Point]]:
+    """(conservative exit, optimistic exit, precision caveat, and the points
+    classified at those two exits) of z's orbit; lam_logs is _lambda_logs(lam).
 
-    An exit index of None means the orbit stayed in the set to depth n.
-    z must be finite.  While the orbit is native and its argument trusted,
-    it is carried as floats (log modulus x, argument a) and each point is
-    classified as complex(Re z, Im z); from the first point that is not,
-    it goes on as a LogPolarComplex through step_log_polar.  A spec with a
-    classify_log but no imag_band sees LogPolarComplex points throughout.
+    An exit of None means the orbit stayed in the set to depth n.  z must
+    be finite and is point 0.  While the orbit is native with a trusted
+    argument, each point is a complex, stepped from its Re and Im by
+    step_log_polar's native formula; from the first point that is not, it
+    goes on as a LogPolarComplex through step_log_polar.
     """
-    log_lam, arg_lam = _lambda_logs(lam)
+    log_lam, arg_lam = lam_logs
     classify = spec.classify
-    r = abs(z)
-    x = math.log(r) if r != 0.0 else NEG_SENTINEL
-    a = math.atan2(z.imag, z.real) if r != 0.0 else 0.0
-    trusted = True
-    i = 0
-    p: Optional[LogPolarComplex] = None
-    if spec.imag_band is not None or spec.classify_log is None:
-        while trusted and x <= _EXP_SAFE:
-            m = math.exp(x)
-            s = math.sin(a)
-            re = m * math.cos(a)
-            im = m * s
-            if classify(complex(re, im)) == EXIT:
-                return i, i, False
-            i += 1
-            if i >= n:
-                return None, None, False
-            # step_log_polar's native branch, bit for bit
-            x_next = re + log_lam if log_lam != 0.0 else re
-            if not (re < LIFT and NEG_SENTINEL <= x_next < LIFT):
-                p = step_log_polar(lam, _log_polar(_level0(x), a, True))
-                break
-            x = x_next
-            a = _principal(im + arg_lam)
-            trusted = m <= ARG_TRUST_LIMIT or s == 0.0
-    if p is None:
-        p = _log_polar(_level0(x), a, trusted)
+    if classify(z) == EXIT:
+        return 0, 0, False, z, z
+    re, im = z.real, z.imag
+    trusted = abs(z) <= ARG_TRUST_LIMIT or math.sin(math.atan2(im, re)) == 0.0
+    i = 1
+    while i < n:
+        # step_log_polar's native branch, bit for bit, from (re, im)
+        x = re + log_lam if log_lam != 0.0 else re
+        a = _principal(im + arg_lam)
+        if not (re < LIFT and NEG_SENTINEL <= x < LIFT):
+            p = _log_polar(TowerReal(0, re).add_float(log_lam), a, trusted)
+            break
+        if not trusted or x > _EXP_SAFE:
+            p = _log_polar(_level0(x), a, trusted)
+            break
+        m = math.exp(x)
+        s = math.sin(a)
+        re = m * math.cos(a)
+        im = m * s
+        z = complex(re, im)
+        if classify(z) == EXIT:
+            return i, i, False, z, z
+        trusted = m <= ARG_TRUST_LIMIT or s == 0.0
+        i += 1
+    else:
+        return None, None, False, None, None
 
-    cons: Optional[int] = None
+    cons = cons_point = None
     caveat = False
     for i in range(i, n):
         verdict = classify(p)
+        if verdict != MEMBER and cons is None:
+            cons, cons_point = i, p
         if verdict == EXIT:
-            return (i if cons is None else cons), i, caveat
+            return cons, i, caveat, cons_point, p
         if verdict == UNDECIDED:
             caveat = True
-            if cons is None:
-                cons = i
         if i + 1 < n:
             p = step_log_polar(lam, p)
-    return cons, None, caveat
-
-
-def _native_point(lam: complex, z: complex, k: int) -> Optional[complex]:
-    """f^k(z) in native arithmetic, or None once a step leaves its range."""
-    try:
-        for _ in range(k):
-            z = eval_map(lam, z)
-    except NumericRangeError:
-        return None
-    return z
+    return cons, None, caveat, cons_point, None
 
 
 def lambda_membership(
@@ -265,9 +249,11 @@ def lambda_membership(
         raise ValidationError("membership depth must be >= 1")
     if policy not in ("conservative", "optimistic"):
         raise ValidationError("policy must be 'conservative' or 'optimistic'")
-    cons, opt, caveat = _membership_walk(lam, spec, z, n)
-    ex = cons if policy == "conservative" else opt
-    pt = None if ex is None else _native_point(lam, z, ex)
+    cons, opt, caveat, cons_pt, opt_pt = _membership_walk(
+        lam, spec, z, n, _lambda_logs(lam))
+    ex, pt = (cons, cons_pt) if policy == "conservative" else (opt, opt_pt)
+    if isinstance(pt, LogPolarComplex):
+        pt = None if pt.modulus_float() == math.inf else pt.to_complex()
     return MembershipResult(ex is None, n, ex, pt, caveat, policy)
 
 
@@ -358,13 +344,16 @@ def sample_lambda_set(
     if not (math.isfinite(x0 + (nx - 1) * dx) and math.isfinite(y0 + (ny - 1) * dy)):
         raise ValidationError("window must be finite")
 
+    lam_logs = _lambda_logs(lam)
+
     def one_row(iy: int) -> tuple[list[int], list[int], int]:
         y = y0 + iy * dy
         cons_row: list[int] = []
         opt_row: list[int] = []
         caveats = 0
         for ix in range(nx):
-            c, o, caveat = _membership_walk(lam, spec, complex(x0 + ix * dx, y), n)
+            c, o, caveat, _, _ = _membership_walk(
+                lam, spec, complex(x0 + ix * dx, y), n, lam_logs)
             cons_row.append(n + 1 if c is None else c)
             opt_row.append(n + 1 if o is None else o)
             if caveat:

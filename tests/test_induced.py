@@ -14,6 +14,7 @@ from expdyn import (
     GeometryError,
     LogPolarComplex,
     RectangleIndex,
+    Strip,
     ValidationError,
     build_zm,
     certificate_to_json,
@@ -389,7 +390,7 @@ def test_certificate_validation():
 
 
 def _sampled(spec):
-    """The same set with no imag_band, so Z_M goes through the sampled test."""
+    """The same set as a cone band, so Z_M goes through the sampled test."""
     return cone_band(spec.membership, spec.cone_constant, spec.width_profile,
                      spec.descriptor)
 
@@ -426,9 +427,11 @@ def test_certificate_enumerates_only_its_own_columns(monkeypatch):
 
 
 def test_strip_specs_carry_their_band():
-    assert horizontal_strip(-1.0, 2.5).imag_band == (-1.0, 2.5)
-    assert symmetric_strip(0.5).imag_band == (-0.5, 0.5)
-    assert _sampled(STRIP).imag_band is None
+    strip = horizontal_strip(-1.0, 2.5)
+    assert (strip.a, strip.b) == (-1.0, 2.5)
+    assert symmetric_strip(0.5) == Strip(-0.5, 0.5)
+    assert isinstance(STRIP, Strip)
+    assert not isinstance(_sampled(STRIP), Strip)
 
 
 _ZM_LAMBDAS = [1.0, -1.0, 1 + 0.3j, cmath.rect(0.65, 2.5)]
@@ -476,10 +479,11 @@ def test_strip_rows_match_the_sampled_rows(lam, m, two_sided):
 def test_strip_rows_follow_each_columns_cone_height():
     # with cone constant 1, column r scans the strips that reach |Im| <= |r| + 2;
     # strip 3, (5 pi, 7 pi], holds the band [20, 21] and is reached from |r| = 14
-    far = dataclasses.replace(horizontal_strip(20.0, 21.0), cone_constant=1.0)
+    # (a strip derives its own cone constant, so this one is a cone band)
+    strip = horizontal_strip(20.0, 21.0)
+    far = cone_band(strip.membership, 1.0, strip.width_profile, strip.descriptor)
     cols = induced.certified_columns(5, 30)
     rows = induced._zm_rows(far, 1.0, 5, cols)
-    assert rows == induced._zm_rows(_sampled(far), 1.0, 5, cols)
     assert {q.r for q in rows} == set(range(-30, -13)) | set(range(14, 31))
     assert {q.k for q in rows} == {3}
 

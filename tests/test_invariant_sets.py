@@ -2,15 +2,21 @@
 
 import cmath
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from expdyn import (
+    ConeBand,
     LogPolarComplex,
+    NumericRangeError,
+    Strip,
     ThinSetSpec,
     TowerReal,
     ValidationError,
+    build_zm,
+    certificate_to_json,
     classify_trajectory,
     cone_band,
     horizontal_strip,
@@ -19,6 +25,7 @@ from expdyn import (
     sample_lambda_set,
     symmetric_strip,
     thin_check,
+    verify_contraction,
 )
 from expdyn.invariant_sets import (
     EXIT,
@@ -54,6 +61,53 @@ def test_spec_validation():
         symmetric_strip(0.0)
     with pytest.raises(ValidationError):
         cone_band(lambda z: True, 0.0, lambda r: 1.0, "bad")
+
+
+@pytest.mark.parametrize("k", [math.inf, math.nan, -math.inf])
+def test_cone_band_rejects_a_cone_constant_that_is_not_finite(k):
+    with pytest.raises(ValidationError, match="cone constant must be positive"):
+        cone_band(STRIP.membership, k, lambda r: 1.0, "bad")
+
+
+def test_a_cone_height_past_the_double_range_is_a_range_error():
+    # K(|r| + 2) overflows at column 12: a range error, not an OverflowError
+    for spec in (horizontal_strip(0.0, 1e308),
+                 cone_band(STRIP.membership, 1e308, lambda r: 1.0, "tall")):
+        with pytest.raises(NumericRangeError, match="scan height"):
+            build_zm(spec, 1.0, 10, 12)
+    # without the rectangles nothing scans the strips
+    cert = verify_contraction(1.0, horizontal_strip(0.0, 1e308), 0.5, [10, 11],
+                              m=10, enumerate_rectangles=False)
+    assert not cert.passed
+
+
+def test_specs_are_two_kinds_on_one_base():
+    assert isinstance(STRIP, Strip) and isinstance(STRIP, ThinSetSpec)
+    band = cone_band(STRIP.membership, 1.0, lambda r: 1.0, "band")
+    assert isinstance(band, ConeBand) and isinstance(band, ThinSetSpec)
+    assert horizontal_strip is Strip and cone_band is ConeBand
+    assert symmetric_strip(2.0) == Strip(-2.0, 2.0)
+    # classify is written once, on the base
+    assert "classify" not in vars(Strip) and "classify" not in vars(ConeBand)
+
+
+def test_strips_are_plain_data():
+    s = Strip(-1.0, 2.5)
+    assert s == Strip(-1.0, 2.5) and s != Strip(-1.0, 2.0)
+    assert hash(s) == hash(Strip(-1.0, 2.5))
+    assert repr(s) == "Strip(a=-1.0, b=2.5)"
+    assert (s.a, s.b) == (-1.0, 2.5)
+    assert s.descriptor == "strip[-1,2.5]"
+    copy = pickle.loads(pickle.dumps(STRIP))
+    assert copy == STRIP and copy is not STRIP
+    assert (copy.cone_constant, copy.descriptor) == \
+        (STRIP.cone_constant, STRIP.descriptor)
+
+    def certificate(spec):
+        return certificate_to_json(
+            verify_contraction(1.0, spec, 0.5, range(10, 16), m=10))
+
+    assert certificate(copy) == certificate(STRIP)
 
 
 def test_strip_classification_beyond_native_range():
@@ -119,12 +173,27 @@ def test_undecided_exit_keeps_its_native_point():
 
 
 def test_exit_point_past_the_exp_range_is_none():
-    # f(z) = 0.2 e^z is finite but e^z overflows: the exit is still
-    # reported, without a native point
-    r = lambda_membership(0.2, symmetric_strip(20.0), complex(709.9, 1e-300), 3,
+    # f(z) = e^z has log modulus 709.9, past the double range: the exit is
+    # still reported, without a native point
+    r = lambda_membership(1.0, symmetric_strip(20.0), complex(709.9, 0.5), 3,
                           policy="conservative")
     assert r.status == "exit-at 1"
     assert r.exit_point is None
+    # f(z) = 0.2 e^z is a double although e^z is not: the exit point is the
+    # point the walk classified
+    r = lambda_membership(0.2, symmetric_strip(20.0), complex(709.9, 1e-300), 3,
+                          policy="conservative")
+    assert r.status == "exit-at 1"
+    assert r.exit_point == complex(4.042804112238944e+307, 40428041.12238944)
+
+
+def test_pixels_on_a_strip_edge_are_members_at_step_0():
+    # Im z = pi is the strip's closed top edge, so z itself is a member;
+    # a log/exp round trip of z would land just above it for many of them
+    for k in range(2000):
+        z = complex(0.05 + 0.03 * k, math.pi)
+        assert lambda_membership(1.0, STRIP, z, 1).is_member, z
+        assert lambda_membership(1.0, STRIP, z, 3).exit_index != 0, z
 
 
 def test_membership_validation():
@@ -294,7 +363,7 @@ def test_strip_passes_thin_check():
 
 
 def test_sqrt_band_has_half_exponent():
-    band = ThinSetSpec(
+    band = cone_band(
         membership=lambda z: 0.0 <= z.imag <= math.sqrt(abs(z.real) + 1.0),
         cone_constant=STRIP.cone_constant,
         width_profile=lambda r: math.sqrt(r + 1.0),
@@ -308,7 +377,7 @@ def test_sqrt_band_has_half_exponent():
 
 
 def test_vertical_bar_fails_the_cone_condition():
-    vert = ThinSetSpec(
+    vert = cone_band(
         membership=lambda z: abs(z.real) <= 0.5,
         cone_constant=STRIP.cone_constant,
         width_profile=lambda r: 60.0,

@@ -548,6 +548,16 @@ def test_certify_bounds_a_zero_height_strip():
     assert all(row["bound"] > 0.0 for row in doc["per_column"])
 
 
+def test_certify_reports_a_cone_height_past_the_double_range():
+    # K(|r| + 2) = 1e308 * 14 overflows while Z_M is scanned: exit 4 before
+    # anything is printed, not an OverflowError traceback
+    code, out, err = run_cli(["certify", "--lambda", "1,0", "--set", "strip:0,1e308",
+                              "--delta", "0.5", "--m", "10", "--rmax", "12",
+                              "--rectangles"])
+    assert (code, out) == (4, "")
+    assert err.startswith("numeric range: Z_M scan height")
+
+
 @pytest.mark.parametrize("depth", [1024, 1100])
 def test_certify_cover_runs_past_depth_1023(depth):
     code, out, err = run_cli([
