@@ -20,6 +20,7 @@ from .errors import UntrustedArgumentError, ValidationError
 from .dynamics import (
     LogPolarComplex,
     TAU,
+    _lambda_logs,
     _require_lambda,
     _require_point,
     _strip_of_imag,
@@ -31,8 +32,7 @@ def strip_index(lam: complex, z: complex) -> int:
     """Index k of the horizontal strip containing z, upper edge inclusive."""
     lam = _require_lambda(lam)
     z = _require_point(z)
-    arg_lam = math.atan2(lam.imag, lam.real)
-    return _strip_of_imag(z.imag, arg_lam)
+    return _strip_of_imag(z.imag, _lambda_logs(lam)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +204,7 @@ def itinerary(lam: complex, z: complex, n: int) -> ExternalAddress:
     lam = _require_lambda(lam)
     if n < 1:
         raise ValidationError("itinerary length must be >= 1")
-    arg_lam = math.atan2(lam.imag, lam.real)
-    log_lam = math.log(abs(lam))
+    log_lam, arg_lam = _lambda_logs(lam)
     p = LogPolarComplex.from_complex(z)
     # absolute errors of the log modulus and the argument of the point
     d_log = _ROUND * (1.0 + abs(p.log_modulus.mantissa))

@@ -12,15 +12,9 @@ Arguments are native floats.  Once |z_n| exceeds 2 pi / ulp the reduction
 of Im z_n modulo 2 pi carries no information; from that step on arguments
 are marked untrusted (they are still propagated deterministically).
 
-step_log_polar has one native branch and one tower branch.  While |z_n|
-is a finite double (log modulus at tower level 0 and at most _EXP_SAFE),
-Re z_n, Im z_n and the new log modulus are float arithmetic, and the
-result is built as a level-0 tower directly when it is canonical there
-(NEG_SENTINEL <= value < LIFT); it gives the bits of the tower formula
-real_part_tower().add_float(log|lambda|).  Towers take over for a new log
-modulus outside that range (TowerReal normalisation) and for a point
-whose modulus exceeds the double range (the tower branch).  log|lambda|
-and Arg lambda are computed once per lambda value (_lambda_logs).
+step_log_polar applies that recursion to every point through the tower
+formula real_part_tower().add_float(log|lambda|); log|lambda| and Arg
+lambda are computed once per lambda value (_lambda_logs).
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from .errors import (
     NumericRangeError,
     ValidationError,
 )
-from .towers import _EXP_SAFE, LIFT, NEG_SENTINEL, TowerReal, ZERO, _level0
+from .towers import _EXP_SAFE, NEG_SENTINEL, TowerReal, ZERO
 
 TAU = 2.0 * math.pi
 # |z| beyond which Im z mod 2pi is below one ulp of Im z
@@ -92,9 +86,8 @@ class LogPolarComplex:
         z = _require_point(z)
         m = abs(z)
         if m == 0.0:
-            return cls(_level0(NEG_SENTINEL), 0.0, True)
-        # the log of a finite nonzero double lies in [-745, 710)
-        return cls(_level0(math.log(m)), math.atan2(z.imag, z.real), True)
+            return cls(TowerReal(0, NEG_SENTINEL), 0.0, True)
+        return cls(TowerReal(0, math.log(m)), math.atan2(z.imag, z.real), True)
 
     def modulus_float(self) -> float:
         """Native modulus, or inf when it exceeds the float range."""
@@ -136,20 +129,6 @@ class LogPolarComplex:
         return math.copysign(v, s)
 
 
-def _log_polar(
-    log_modulus: TowerReal, argument: float, arg_trusted: bool
-) -> LogPolarComplex:
-    """A LogPolarComplex built without the frozen-dataclass ``__init__``,
-    for the native step, whose fields are already in range; it compares,
-    hashes and stays frozen like one built normally.
-    """
-    p = object.__new__(LogPolarComplex)
-    p.__dict__.update(
-        log_modulus=log_modulus, argument=argument, arg_trusted=arg_trusted
-    )
-    return p
-
-
 def eval_map(lam: complex, z: complex) -> complex:
     """One application of z -> lambda * e^z in native arithmetic."""
     log_lam = _lambda_logs(lam)[0]
@@ -162,37 +141,24 @@ def eval_map(lam: complex, z: complex) -> complex:
 
 
 def step_log_polar(lam: complex, p: LogPolarComplex) -> LogPolarComplex:
-    """One exact map step in log-polar form."""
+    """One exact map step in log-polar form.
+
+    The new log modulus is Re z + log|lambda| and the new argument is
+    Im z + Arg lambda reduced to (-pi, pi].  The argument stays trusted
+    while |z| <= ARG_TRUST_LIMIT or z points exactly along the real axis.
+    """
     log_lam, arg_lam = _lambda_logs(lam)
     m = p.modulus_float()
     s = math.sin(p.argument)
-    if m != math.inf:
-        # native branch: the same bits as real_part_tower().add_float(log_lam).
-        # re < NEG_SENTINEL needs no test of its own: |log_lam| < 745 is
-        # below half its ulp, so x == re and the test on x sends it on.
-        re = m * math.cos(p.argument)
-        x = re + log_lam if log_lam != 0.0 else re
-        if re < LIFT and NEG_SENTINEL <= x < LIFT:
-            new_logmod = _level0(x)
-        else:
-            new_logmod = TowerReal(0, re).add_float(log_lam)
-        new_arg = _principal(m * s + arg_lam)
-        trusted = p.arg_trusted and (m <= ARG_TRUST_LIMIT or s == 0.0)
-        return _log_polar(new_logmod, new_arg, trusted)
-
-    new_logmod = p.real_part_tower().add_float(log_lam)
-    if s == 0.0:
-        # exactly real direction: Im z is exactly zero at any modulus
+    if m == math.inf and s == 0.0:
+        # exactly real direction past the double range: Im z is an exact
+        # zero, and Arg lambda alone keeps the sign of a zero argument
         new_arg = _principal(arg_lam)
-        trusted = p.arg_trusted
     else:
         im = p.imag_part_float()
-        if im is None:
-            new_arg = 0.0
-        else:
-            new_arg = _principal(im + arg_lam)
-        trusted = False
-    return LogPolarComplex(new_logmod, new_arg, trusted)
+        new_arg = 0.0 if im is None else _principal(im + arg_lam)
+    trusted = p.arg_trusted and (m <= ARG_TRUST_LIMIT or s == 0.0)
+    return LogPolarComplex(p.real_part_tower().add_float(log_lam), new_arg, trusted)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +275,7 @@ def inverse_branch(lam: complex, w: complex, k: int) -> complex:
     if w == 0:
         raise DomainError("0 has no preimage under lambda * e^z")
     base = cmath.log(w) - cmath.log(lam)
-    arg_lam = math.atan2(lam.imag, lam.real)
+    arg_lam = _lambda_logs(lam)[1]
     im = base.imag + TAU * (k - _strip_of_imag(base.imag, arg_lam))
     # next to a strip edge the sum can round across the edge: step it back
     for _ in range(4):

@@ -35,6 +35,7 @@ from .errors import (
 from .dynamics import (
     LogPolarComplex,
     TAU,
+    _lambda_logs,
     _require_lambda,
     _require_point,
     check_supergrowth,
@@ -58,7 +59,8 @@ _RECT_SAMPLES = 6
 # heights above its lower edge, in units of the strip height 2 pi, at which
 # the Z_M test looks at a strip; both the sampled and the band test use them
 _STRIP_HEIGHTS = (1e-9, 0.25, 0.5, 0.75, 1.0)
-# cover_iterate gives up (CoverRun.aborted) before a level passes this many cells
+# cover_iterate gives up (CoverRun.aborted) before a level passes this many
+# cells, and _zm_rows refuses to scan more strip indices than this
 _CELL_LIMIT = 1e7
 
 
@@ -131,16 +133,17 @@ def _zm_rows(
     """The Z_M rectangles in the given columns, ordered by (r, k).
 
     Column r is scanned over the strips that reach |Im| <= K(|r| + 2); a
-    scan height that is not finite raises NumericRangeError.  A ConeBand is
-    tested rectangle by rectangle with _rectangle_meets, which samples the
-    membership predicate.  A Strip's membership ignores Re z and the sample
-    at Re z = r always counts when |r| >= m, so each strip index's verdict
-    is the same in every such column: it is decided once per call, at the
-    same heights and by the same closed comparison, and the rows are those
-    of the sampled test bit for bit (slivers it misses included).  Columns
-    with |r| < m hold no Z_M rectangle.
+    scan height that is not finite, or more than _CELL_LIMIT strip indices
+    over all columns, raises NumericRangeError before any is scanned.  A
+    ConeBand is tested rectangle by rectangle with _rectangle_meets, which
+    samples the membership predicate.  A Strip's membership ignores Re z
+    and the sample at Re z = r always counts when |r| >= m, so each strip
+    index's verdict is the same in every such column: it is decided once
+    per call, at the same heights and by the same closed comparison, and
+    the rows are those of the sampled test bit for bit (slivers it misses
+    included).  Columns with |r| < m hold no Z_M rectangle.
     """
-    arg_lam = math.atan2(lam.imag, lam.real)
+    arg_lam = _lambda_logs(lam)[1]
 
     def strips(r: int) -> range:
         y_max = spec.cone_constant * (abs(r) + 2.0)
@@ -150,14 +153,17 @@ def _zm_rows(
         return range(_strip_of_imag(-y_max, arg_lam),
                      _strip_of_imag(y_max, arg_lam) + 1)
 
+    scans = [(r, strips(r)) for r in columns]
+    if sum(ks.stop - ks.start for _, ks in scans) > _CELL_LIMIT:
+        raise NumericRangeError(
+            f"Z_M enumeration would scan more than {_CELL_LIMIT:g} strip indices")
     is_strip = isinstance(spec, Strip)
     if is_strip:
         # the widest column's strips hold every other column's
         widest = strips(max((abs(r) for r in columns), default=0))
         hits = [k for k in widest if _band_meets(spec, arg_lam, k)]
     rects: list[RectangleIndex] = []
-    for r in columns:
-        ks = strips(r)
+    for r, ks in scans:
         if not is_strip:
             rects += (RectangleIndex(k, r) for k in ks
                       if _rectangle_meets(spec, arg_lam, k, r, m))
@@ -198,7 +204,7 @@ def _column_terms(
 ) -> tuple[float, float]:
     """(log E, n_sup) at positive column r: E = |lambda| e^r, and n_sup
     bounds the rectangles per image column (0.0 when the slices are empty)."""
-    log_e = math.log(abs(lam)) + r
+    log_e = _lambda_logs(lam)[0] + r
     w_max = _max_width(spec, m, log_e + 1.0)
     return log_e, (0.0 if w_max == 0.0 else w_max / TAU + 2.0)
 
@@ -405,7 +411,7 @@ def negative_geometry(
 
     d = c / (4.0 * abs(lam))
     log_d = math.log(d)
-    log_lam = math.log(abs(lam))
+    log_lam = _lambda_logs(lam)[0]
     const = -math.log(4.0) - 1.0 + log_d
 
     def sigma(l: int) -> float:
@@ -447,7 +453,7 @@ def induced_apply(
     k = strip_index(lam, z)
     if -geometry.m < r < geometry.m:
         raise DomainError(f"rectangle column {r} lies inside |Re| < M = {geometry.m}")
-    if not _rectangle_meets(spec, math.atan2(lam.imag, lam.real), k, r, geometry.m):
+    if not _rectangle_meets(spec, _lambda_logs(lam)[1], k, r, geometry.m):
         raise DomainError(f"rectangle (k={k}, r={r}) does not meet the thin set")
     p = LogPolarComplex.from_complex(z)
     if r >= geometry.m:
@@ -603,6 +609,8 @@ def verify_contraction(
 
 
 def certificate_to_json(cert: ContractionCertificate) -> str:
+    """The certificate as a JSON document; a bound that is not finite has
+    no JSON number, so it raises NumericRangeError."""
     doc = {
         "format_version": 1,
         "lambda": [cert.lam.real, cert.lam.imag],
@@ -620,7 +628,10 @@ def certificate_to_json(cert: ContractionCertificate) -> str:
         "status": cert.status,
         "distortion_allowance": cert.distortion_allowance,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericRangeError("a certificate bound is not finite") from None
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .dynamics import (
     LogPolarComplex,
     TowerReal,
     _lambda_logs,
-    _log_polar,
     _principal,
     _require_lambda,
     _require_point,
@@ -37,7 +36,7 @@ from .dynamics import (
     step_log_polar,
 )
 from .errors import NumericRangeError, ValidationError
-from .towers import _EXP_SAFE, LIFT, NEG_SENTINEL, _level0
+from .towers import _EXP_SAFE, LIFT, NEG_SENTINEL
 from . import parallel
 
 MEMBER = "member"
@@ -181,9 +180,11 @@ def _membership_walk(
 
     An exit of None means the orbit stayed in the set to depth n.  z must
     be finite and is point 0.  While the orbit is native with a trusted
-    argument, each point is a complex, stepped from its Re and Im by
-    step_log_polar's native formula; from the first point that is not, it
-    goes on as a LogPolarComplex through step_log_polar.
+    argument, each point is a complex, and the log-polar recursion of
+    step_log_polar is evaluated in floats from its Re and Im, with the
+    same bits.  From the first point that is past the double range or has
+    an untrusted argument, the orbit goes on as a LogPolarComplex through
+    step_log_polar.
     """
     log_lam, arg_lam = lam_logs
     classify = spec.classify
@@ -193,14 +194,11 @@ def _membership_walk(
     trusted = abs(z) <= ARG_TRUST_LIMIT or math.sin(math.atan2(im, re)) == 0.0
     i = 1
     while i < n:
-        # step_log_polar's native branch, bit for bit, from (re, im)
-        x = re + log_lam if log_lam != 0.0 else re
+        # the next point's log modulus and argument
+        x = re + log_lam
         a = _principal(im + arg_lam)
-        if not (re < LIFT and NEG_SENTINEL <= x < LIFT):
-            p = _log_polar(TowerReal(0, re).add_float(log_lam), a, trusted)
-            break
-        if not trusted or x > _EXP_SAFE:
-            p = _log_polar(_level0(x), a, trusted)
+        if not (trusted and re < LIFT and NEG_SENTINEL <= x <= _EXP_SAFE):
+            p = LogPolarComplex(TowerReal(0, re).add_float(log_lam), a, trusted)
             break
         m = math.exp(x)
         s = math.sin(a)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import NonConvergenceError, NumericRangeError, ValidationError
-from .dynamics import TAU, _require_lambda, eval_map, inverse_branch
+from .dynamics import TAU, _lambda_logs, _require_lambda, eval_map, inverse_branch
 from .coding import ExternalAddress, strip_index
 from .invariant_sets import _write_payload
 
@@ -57,8 +57,7 @@ def _trace_single(
 ) -> tuple[complex, int]:
     """One pullback trace; returns (point, effective depth used)."""
     lam_abs = abs(lam)
-    log_lam = math.log(lam_abs)
-    arg_lam = math.atan2(lam.imag, lam.real)
+    log_lam, arg_lam = _lambda_logs(lam)
 
     chain = [float(t)]
     while len(chain) <= depth:
@@ -133,7 +132,7 @@ def trace_ray(
 def ray_asymptote(lam: complex, s: ExternalAddress) -> float:
     """Limit of Im along the ray: 2 pi s_0 - Arg lambda."""
     lam = _require_lambda(lam)
-    return TAU * s.entry(0) - math.atan2(lam.imag, lam.real)
+    return TAU * s.entry(0) - _lambda_logs(lam)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -162,16 +162,4 @@ class TowerReal:
         return f"TowerReal(level={self.level}, mantissa={self.mantissa!r})"
 
 
-def _level0(x: float) -> TowerReal:
-    """The level-0 tower of x, for x already canonical at level 0
-    (NEG_SENTINEL <= x < LIFT, so finite); skips ``_normalize``.
-
-    Hot paths use it where the range is known; anything else goes through
-    ``TowerReal(0, x)``, which normalises.
-    """
-    t = object.__new__(TowerReal)
-    t.__dict__.update(level=0, mantissa=x)
-    return t
-
-
 ZERO = TowerReal(0, 0.0)

@@ -268,6 +268,21 @@ def test_orbit_of_i_pi_trusted_escape():
     assert orb.points[7].native is None
 
 
+def test_every_orbit_point_is_a_normalised_tower(monkeypatch):
+    calls = []
+    post_init = TowerReal.__post_init__
+
+    def counted(self):
+        calls.append(self.level)
+        post_init(self)
+
+    monkeypatch.setattr(TowerReal, "__post_init__", counted)
+    orb = iterate_orbit(0.25, 0.1, 10)
+    # each of the 11 points' log modulus goes through the constructor
+    assert len(orb.points) == 11
+    assert len(calls) >= 11
+
+
 def test_orbit_natives_match_direct_iteration():
     lam, z = 0.6 + 0.2j, 0.1 + 0.3j
     orb = iterate_orbit(lam, z, 6)

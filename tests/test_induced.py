@@ -13,6 +13,7 @@ from expdyn import (
     DomainError,
     GeometryError,
     LogPolarComplex,
+    NumericRangeError,
     RectangleIndex,
     Strip,
     ValidationError,
@@ -530,6 +531,50 @@ def test_certificate_json_is_deterministic():
     assert doc["pass"] is True
     assert doc["max_sum"] == cert.max_sum
     assert list(doc) == sorted(doc)
+
+
+def test_certificate_json_refuses_a_bound_that_is_not_finite():
+    cert = verify_contraction(1.0, horizontal_strip(0.0, 1e308), 0.5, [10, 11, 12],
+                              m=10, enumerate_rectangles=False)
+    assert cert.max_sum == math.inf
+    with pytest.raises(NumericRangeError, match="not finite"):
+        certificate_to_json(cert)
+
+
+def _no_scan(*args):
+    raise AssertionError("a strip index was scanned")
+
+
+@pytest.mark.parametrize("spec", [
+    horizontal_strip(-1e307, 1e307),
+    cone_band(STRIP.membership, 1e300, STRIP.width_profile, "huge cone"),
+], ids=["strip", "cone-band"])
+def test_zm_enumeration_refuses_a_scan_past_the_cell_limit(monkeypatch, spec):
+    # finite scan heights, but about 1e306 strip indices per column: the
+    # enumeration raises before it tests a single one
+    monkeypatch.setattr(induced, "_band_meets", _no_scan)
+    monkeypatch.setattr(induced, "_rectangle_meets", _no_scan)
+    with pytest.raises(NumericRangeError, match="strip indices"):
+        induced._zm_rows(spec, 1.0, 10, induced.certified_columns(10, 12))
+    with pytest.raises(NumericRangeError, match="strip indices"):
+        build_zm(spec, 1.0, 10, 12)
+
+
+def test_zm_cell_limit_counts_the_strip_indices_of_every_column(monkeypatch):
+    cols = induced.certified_columns(10, 12)
+    rows = induced._zm_rows(STRIP, 1.0, 10, cols)
+    # strip indices 0 and -1 at each column reach |Im| <= K(|r| + 2) < 3 pi
+    assert rows == [RectangleIndex(0, r) for r in (-12, -11, -10, 10, 11, 12)]
+    scanned = 0
+    for r in cols:
+        y_max = STRIP.cone_constant * (abs(r) + 2.0)
+        scanned += (induced._strip_of_imag(y_max, 0.0)
+                    - induced._strip_of_imag(-y_max, 0.0) + 1)
+    monkeypatch.setattr(induced, "_CELL_LIMIT", float(scanned))
+    assert induced._zm_rows(STRIP, 1.0, 10, cols) == rows
+    monkeypatch.setattr(induced, "_CELL_LIMIT", float(scanned - 1))
+    with pytest.raises(NumericRangeError, match="strip indices"):
+        induced._zm_rows(STRIP, 1.0, 10, cols)
 
 
 # ---------------------------------------------------------------------------

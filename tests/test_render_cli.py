@@ -272,6 +272,15 @@ def test_orbit_csv_file_and_summary(tmp_path):
     assert dest.read_bytes() == first
 
 
+def test_orbit_past_the_double_range_keeps_a_negative_zero_argument():
+    # Arg(1 - 0i) = -0.0 becomes the argument once the modulus is a tower
+    code, out, err = run_cli(["orbit", "--lambda=1,-0", "--z=1,0", "--steps=6"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[5] == "4,1,15.154262241479262,0,,,0,1"
+    assert lines[-1] == "6,3,15.154262241479262,-0,,,1,1"
+
+
 # ---------------------------------------------------------------------------
 # supergrowth
 
@@ -556,6 +565,27 @@ def test_certify_reports_a_cone_height_past_the_double_range():
                               "--rectangles"])
     assert (code, out) == (4, "")
     assert err.startswith("numeric range: Z_M scan height")
+
+
+def test_certify_with_a_bound_past_the_double_range_prints_no_json(tmp_path):
+    # every column bound overflows: JSON has no number for it, so the run is
+    # a range error (exit 4) with nothing on stdout and no file written
+    argv = ["certify", "--lambda", "1,0", "--set", "strip:0,1e308",
+            "--delta", "0.5", "--m", "10", "--rmax", "12"]
+    assert run_cli(argv) == (4, "", "numeric range: a certificate bound is not finite\n")
+    dest = tmp_path / "cert.json"
+    assert run_cli(argv + ["--json", str(dest)])[:2] == (4, "")
+    assert not dest.exists()
+
+
+def test_certify_refuses_an_endless_zm_enumeration():
+    # a finite scan height K(|r| + 2) = 1.4e308 holds about 4.5e307 strip
+    # indices at column 12; the count is refused before any is scanned
+    code, out, err = run_cli(["certify", "--lambda", "1,0", "--set",
+                              "strip:-1e307,1e307", "--delta", "0.5", "--m", "10",
+                              "--rmax", "12", "--rectangles"])
+    assert (code, out) == (4, "")
+    assert err.startswith("numeric range: Z_M enumeration would scan more than")
 
 
 @pytest.mark.parametrize("depth", [1024, 1100])
