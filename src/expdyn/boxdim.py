@@ -18,8 +18,8 @@ from .dynamics import _require_lambda
 from .induced import (
     ContractionCertificate,
     InducedGeometry,
+    _certificate_doc,
     _threshold,
-    certificate_to_json,
     certified_columns,
     negative_geometry,
     verify_contraction,
@@ -178,7 +178,7 @@ def report_to_json(report: DimensionReport) -> str:
         "bound_achieved": report.bound_achieved,
         "provenance": report.provenance,
         "certificate": (
-            json.loads(certificate_to_json(report.certificate))
+            _certificate_doc(report.certificate)
             if report.certificate is not None
             else None
         ),

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import operator
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import NumericRangeError, ValidationError
 from .dynamics import check_supergrowth, iterate_orbit
@@ -46,6 +48,9 @@ from .boxdim import box_count, dimension_bound_search, report_to_json
 # ---------------------------------------------------------------------------
 # flag value parsers (plain functions, not argparse types, so that failures
 # surface as ValidationError -> exit 2)
+
+# most values that a T0:T1:STEP or E0:E1:FACTOR range may expand to
+_RANGE_LIMIT = 10_000
 
 
 def _parse_complex(text: str, flag: str) -> complex:
@@ -108,6 +113,15 @@ def _parse_res(text: str) -> tuple[int, int]:
     return vals[0], vals[1]
 
 
+def _bounded(values: Iterator[float], flag: str) -> list[float]:
+    """The values of a range flag, refused once there are more than
+    _RANGE_LIMIT of them (a tiny STEP or a FACTOR near 1 would run on)."""
+    out = list(itertools.islice(values, _RANGE_LIMIT + 1))
+    if len(out) > _RANGE_LIMIT:
+        raise ValidationError(f"{flag} expands to more than {_RANGE_LIMIT} values")
+    return out
+
+
 def _parse_trange(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -120,10 +134,8 @@ def _parse_trange(text: str) -> list[float]:
         raise ValidationError(f"--t needs finite numbers, got {text!r}")
     if step <= 0 or t1 < t0:
         raise ValidationError("--t needs STEP > 0 and T1 >= T0")
-    out = []
-    while (t := t0 + len(out) * step) <= t1 + 1e-9:
-        out.append(t)
-    return out
+    ts = (t0 + n * step for n in itertools.count())
+    return _bounded(itertools.takewhile(lambda t: t <= t1 + 1e-9, ts), "--t")
 
 
 def _parse_scales(text: str) -> list[float]:
@@ -134,12 +146,13 @@ def _parse_scales(text: str) -> list[float]:
         e0, e1, factor = (float(v) for v in parts)
     except ValueError:
         raise ValidationError(f"--scales expects numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (e0, e1, factor)):
+        raise ValidationError(f"--scales needs finite numbers, got {text!r}")
     if not (e0 > e1 > 0.0) or factor <= 1.0:
         raise ValidationError("--scales needs E0 > E1 > 0 and FACTOR > 1")
-    eps = [e0]
-    while eps[-1] / factor >= e1 * (1.0 - 1e-12):
-        eps.append(eps[-1] / factor)
-    return eps
+    eps = itertools.accumulate(itertools.repeat(factor), operator.truediv, initial=e0)
+    return _bounded(itertools.takewhile(lambda e: e >= e1 * (1.0 - 1e-12), eps),
+                    "--scales")
 
 
 def _emit(text: str, path: Optional[str]) -> None:

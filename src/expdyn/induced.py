@@ -23,7 +23,9 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from operator import neg
+from functools import partial, reduce
+from itertools import chain, repeat
+from operator import add, lt, mul, neg
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -608,10 +610,12 @@ def verify_contraction(
     )
 
 
-def certificate_to_json(cert: ContractionCertificate) -> str:
-    """The certificate as a JSON document; a bound that is not finite has
-    no JSON number, so it raises NumericRangeError."""
-    doc = {
+def _certificate_doc(cert: ContractionCertificate) -> dict:
+    """The certificate's JSON fields; a bound that is not finite has no JSON
+    number, so it raises NumericRangeError."""
+    if not all(math.isfinite(b) for _, b in cert.per_column):
+        raise NumericRangeError("a certificate bound is not finite")
+    return {
         "format_version": 1,
         "lambda": [cert.lam.real, cert.lam.imag],
         "c": cert.c,
@@ -628,10 +632,11 @@ def certificate_to_json(cert: ContractionCertificate) -> str:
         "status": cert.status,
         "distortion_allowance": cert.distortion_allowance,
     }
-    try:
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        raise NumericRangeError("a certificate bound is not finite") from None
+
+
+def certificate_to_json(cert: ContractionCertificate) -> str:
+    """The certificate as a JSON document (see _certificate_doc)."""
+    return json.dumps(_certificate_doc(cert), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +660,44 @@ class CoverRun:
     delta: float
     m: int
     two_sided: bool
+
+
+def _window_weights(
+    k: float, e: float, s_start: int, s_stop: int, power: float
+) -> list[float]:
+    """k t^power at the image columns s_start <= s < s_stop, with t = E up
+    to column floor(E) and t = s past it, less the zeros that end the list.
+
+    The weights fall as s grows, so weights that underflow to 0.0 come
+    last; an empty list means that every weight is 0.0.
+    """
+    s_outer = min(max(math.floor(e) + 1, s_start), s_stop)
+    weights = [k * e ** power] * (s_outer - s_start)
+    weights += map(mul, repeat(k),
+                   map(pow, map(float, range(s_outer, s_stop)), repeat(power)))
+    if not any(weights):
+        return []
+    while weights[-1] == 0.0:
+        weights.pop()
+    return weights
+
+
+def _deposit(runs: list, start: int, weights: list[float]) -> None:
+    """Add weights[i] to the mass at column start + i.
+
+    The window joins the last run when it starts inside the run or right
+    after it, and opens a new run otherwise; weights is not kept.  Windows
+    come in with nondecreasing starts, so no earlier run can meet them.
+    """
+    if runs:
+        lo, vals = runs[-1]
+        shared = lo + len(vals) - start  # columns the run already holds
+        if shared >= 0:
+            at = start - lo
+            vals[at:at + len(weights)] = map(add, vals[at:at + len(weights)], weights)
+            vals += weights[shared:]
+            return
+    runs.append((start, weights[:]))
 
 
 def cover_iterate(
@@ -683,14 +726,28 @@ def cover_iterate(
     The n = 0 row is the bare starting rectangle at column M, total
     (2 pi + 1)^{1+delta}; the budget comparison is meaningful from n = 1 on.
 
+    The masses of a level are runs (lo, values) of consecutive columns,
+    one list of runs per side: values[i] is the mass at column lo + i, or
+    at -(lo + i) - 1 on the negative side.  A positive source column's
+    image window [s_start, s_stop) is one list of weights
+    (mass n_sup) term, built by map, with its underflowed tail (weights
+    fall as s grows) cut off; it is added to the last run by one slice
+    assignment, or opens a new run, so the columns between windows that
+    branch_cap leaves empty are never stored.  This gives the bits of a
+    per-column dict: every weight is the same product, each column adds
+    its weights in source-column order (a new column holds w = 0.0 + w),
+    cells count the nonzero weights on each side, and fsum does not
+    depend on order.  A column that only zero weights reached holds 0.0
+    and, like a column missing from the dict, is skipped.
+
     Columns whose bound is exactly 0.0 add nothing, and two kinds are
     skipped in runs, so the totals and cell counts are those of a loop
-    over every column.  Negative columns are taken in bands of one level
-    (the level does not increase with the column), with one
-    _negative_level_bound per band, and a band whose bound is 0.0 is
-    skipped.  The positive loop stops at the first column where
-    _bound_vanishes holds, since the bound is then 0.0 there and at every
-    larger column.
+    over every column.  Negative columns are taken deepest first in bands
+    of one level (the level does not increase with the column), found by
+    bisection inside each run, with one _negative_level_bound per level,
+    and a band whose bound is 0.0 is skipped.  The positive loop stops at
+    the first column where _bound_vanishes holds, since the bound is then
+    0.0 there and at every larger column.
     """
     lam = _require_lambda(lam)
     _require_run_parameters(delta, distortion_allowance)
@@ -699,18 +756,21 @@ def cover_iterate(
     m = _threshold(m, geometry)
     two_sided = geometry is not None
     sides = 2.0 if two_sided else 1.0
+    power = -(1.0 + delta)
 
     base = TAU + 1.0
     scale = base ** (1.0 + delta)
 
-    masses: dict[int, float] = {m: 1.0}
+    positive: list[tuple[int, list[float]]] = [(m, [1.0])]
+    negative: list[tuple[int, list[float]]] = []
     tail_mass = 0.0
     tail_col = math.inf
     levels = [CoverLevel(0, scale, base, 1.0, 0.0)]
     aborted = False
 
     for n in range(1, depth_max + 1):
-        new: dict[int, float] = {}
+        new_positive: list[tuple[int, list[float]]] = []
+        new_negative: list[tuple[int, list[float]]] = []
         new_tail = 0.0
         new_tail_col = math.inf
         cells = 0.0
@@ -720,30 +780,39 @@ def cover_iterate(
             new_tail += tail_mass * ps
             new_tail_col = tail_col
 
-        cols = sorted(masses)
-        split = bisect_right(cols, -m)  # cols[:split] are the negative columns
-        i = 0
-        while i < split:
-            # one bound per band of equal levels, deepest column first
-            lvl = geometry.level_of_column(cols[i])
-            end = bisect_right(cols, -lvl, i + 1, split,
-                               key=lambda c: -geometry.level_of_column(c))
-            nb = _negative_level_bound(
-                lam, spec, geometry, lvl, delta, distortion_allowance
-            )
-            if nb != 0.0:
-                for col in cols[i:end]:
-                    w = masses[col] * nb
-                    if w > 0.0:
-                        new[m] = new.get(m, 0.0) + w
-                        cells += 1.0
-            i = end
+        # negative columns, deepest first, in bands of one level: values
+        # vals[i:j] of a run; every weight mass * nb > 0 is a cell on
+        # column M, where the weights add up in this order
+        to_m: list[float] = []
+        bound_level = None
+        for lo, vals in reversed(negative):
+            def level(i: int) -> int:
+                return geometry.level_of_column(-(lo + i) - 1)
 
-        for col in cols[split:]:
+            j = len(vals)
+            while j > 0:
+                lvl = level(j - 1)
+                i = bisect_left(range(j - 1), lvl, key=level)
+                if lvl != bound_level:
+                    bound_level = lvl
+                    nb = _negative_level_bound(
+                        lam, spec, geometry, lvl, delta, distortion_allowance
+                    )
+                if nb != 0.0:
+                    weights = map(mul, reversed(vals[i:j]), repeat(nb))
+                    to_m += filter(partial(lt, 0.0), weights)
+                j = i
+        if to_m:
+            cells += len(to_m)
+            new_positive.append((m, [reduce(add, to_m, 0.0)]))
+
+        sources = chain.from_iterable(enumerate(vals, lo) for lo, vals in positive)
+        for col, mass in sources:
+            if mass == 0.0:  # no nonzero weight reached this column
+                continue
             log_e, n_sup = _column_terms(lam, spec, col, float(m))
             if _bound_vanishes(log_e, n_sup, delta, sides):
                 break
-            mass = masses[col]
             ps = _positive_column_sum(
                 lam, spec, float(col), delta, float(m), sides, (log_e, n_sup)
             )
@@ -767,17 +836,12 @@ def cover_iterate(
                 aborted = True
                 break
 
-            inner_term = e ** -(1.0 + delta)
-            for s in range(s_start, s_stop):
-                term = inner_term if s <= e else float(s) ** -(1.0 + delta)
-                w = mass * n_sup * term
-                if w == 0.0:
-                    continue
-                new[s] = new.get(s, 0.0) + w
+            weights = _window_weights(mass * n_sup, e, s_start, s_stop, power)
+            if weights:
+                cells += sides * (len(weights) - weights.count(0.0))
+                _deposit(new_positive, s_start, weights)
                 if two_sided:
-                    ns = -s - 1
-                    new[ns] = new.get(ns, 0.0) + w
-                cells += sides
+                    _deposit(new_negative, s_start, weights)
 
             if s_stop < s_stop_full:
                 s_cut = float(s_stop)
@@ -788,8 +852,10 @@ def cover_iterate(
 
         if aborted:
             break
-        masses, tail_mass, tail_col = new, new_tail, new_tail_col
-        total = scale * (math.fsum(masses.values()) + tail_mass)
+        positive, negative = new_positive, new_negative
+        tail_mass, tail_col = new_tail, new_tail_col
+        mass_sum = math.fsum(chain.from_iterable(v for _, v in positive + negative))
+        total = scale * (mass_sum + tail_mass)
         levels.append(CoverLevel(
             n, total, math.ldexp(base, -n), cells, scale * tail_mass
         ))

@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from expdyn import boxdim
 from expdyn import (
+    NumericRangeError,
     ValidationError,
     box_count,
+    certificate_to_json,
     dimension_bound_search,
     horizontal_strip,
     report_to_json,
+    verify_contraction,
 )
 
 STRIP = horizontal_strip(0.0, math.pi)
@@ -156,6 +159,27 @@ def test_report_json_shape():
     assert doc["format_version"] == 1
     assert doc["bound_achieved"] == 1.5
     assert list(doc) == sorted(doc)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"m_grid": [10, 12]},
+    {"l0_grid": [3], "c": 1.0},
+])
+def test_report_json_holds_the_certificate_document(kwargs):
+    rep = dimension_bound_search(1.0, STRIP, [0.5, 0.2], **kwargs)
+    text = report_to_json(rep)
+    # the same bytes as a report that parses the certificate writer's output
+    doc = json.loads(text)
+    doc["certificate"] = json.loads(certificate_to_json(rep.certificate))
+    assert json.dumps(doc, indent=2, sort_keys=True) == text
+
+
+def test_report_json_refuses_a_certificate_bound_that_is_not_finite():
+    cert = verify_contraction(1.0, horizontal_strip(0.0, 1e308), 0.5, [10, 11, 12],
+                              m=10, enumerate_rectangles=False)
+    rep = boxdim.DimensionReport(None, cert, 1.5, {}, "ok")
+    with pytest.raises(NumericRangeError, match="not finite"):
+        report_to_json(rep)
 
 
 def test_search_provenance_in_both_modes():

@@ -1,12 +1,15 @@
-"""Iterated covers: columns whose bound is exactly 0.0 are skipped in runs.
+"""Iterated covers: masses in runs of columns, zero bounds skipped.
 
-`cover_iterate` takes negative columns in bands of one level and stops
-its positive loop at the first column where `_bound_vanishes` holds.
-These tests pin totals and cell counts taken from the loop that
-evaluated every column, and compare against a copy of that loop.
+`cover_iterate` keeps each level's masses as runs of consecutive columns,
+takes negative columns in bands of one level and stops its positive loop
+at the first column where `_bound_vanishes` holds.  These tests pin
+totals and cell counts taken from the loop that evaluated every column,
+and compare against a copy of that loop, which keeps one dict of masses.
 """
 
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -216,6 +219,170 @@ def test_a_column_below_the_computed_bands_still_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# masses as runs of columns
+
+
+def _runs(columns):
+    """Maximal runs [lo, hi) of consecutive columns."""
+    runs = []
+    for c in sorted(columns):
+        if runs and runs[-1][1] == c:
+            runs[-1][1] = c + 1
+        else:
+            runs.append([c, c + 1])
+    return runs
+
+
+def _window(lam, spec, col, m, cap):
+    """[s_start, s_stop) of the image window of positive column col."""
+    log_e = induced._column_terms(lam, spec, col, float(m))[0]
+    e = math.exp(log_e)
+    s_start = max(math.ceil(max(float(m), e / spec.cone_constant - 2.0)), m)
+    return s_start, min(math.floor(math.exp(log_e + 1.0)) + 2, s_start + cap)
+
+
+def _record_sources(monkeypatch):
+    """The positive source columns cover_iterate evaluates, in order."""
+    seen = []
+    column_sum = induced._positive_column_sum
+
+    def recording(lam, spec, r, delta, m, sides=2.0, terms=None):
+        if terms is not None:  # the loop over the mass columns
+            seen.append(r)
+        return column_sum(lam, spec, r, delta, m, sides, terms)
+
+    monkeypatch.setattr(induced, "_positive_column_sum", recording)
+    return seen
+
+
+def _source_columns(lam, spec, delta, m, sides, sources):
+    """The positive columns of each depth's masses, up to the cut."""
+    want = []
+    for masses in sources:
+        for c in sorted(c for c in masses if c > 0):
+            terms = induced._column_terms(lam, spec, c, float(m))
+            if induced._bound_vanishes(*terms, delta, sides):
+                break
+            want.append(float(c))
+    return want
+
+
+def test_deposits_match_a_dict_of_masses():
+    rng = random.Random(5)
+    for _ in range(200):
+        runs, masses, start, windows = [], {}, 0, []
+        for _ in range(rng.randrange(1, 12)):
+            # starts never decrease; a window may start inside the last
+            # run, right after it or past it, and end anywhere after it
+            start += rng.choice([0, 0, 1, 2, 3, 7, 40])
+            weights = [rng.uniform(0.0, 1.0) * 10.0 ** rng.randrange(-20, 3)
+                       for _ in range(rng.randrange(1, 30))]
+            windows.append((weights, list(weights)))
+            induced._deposit(runs, start, weights)
+            for s, w in enumerate(weights, start):
+                masses[s] = masses.get(s, 0.0) + w
+        # the runs do not share a list with any window
+        assert all(weights == kept for weights, kept in windows)
+        got = {lo + i: v for lo, vals in runs for i, v in enumerate(vals)}
+        assert got == masses
+        assert [[lo, lo + len(vals)] for lo, vals in runs] == _runs(masses)
+
+
+def test_window_weights_are_the_per_column_products():
+    rng = random.Random(11)
+    partial = 0
+    for _ in range(300):
+        e = math.exp(rng.uniform(0.0, 12.0))
+        power = -(1.0 + rng.uniform(0.01, 0.99))
+        # every other k puts the first weights a few steps above the
+        # smallest subnormal, so that the window ends in underflows
+        k = rng.uniform(1.0, 4.0) * 10.0 ** -rng.randrange(0, 300)
+        if rng.random() < 0.5:
+            k = rng.uniform(1.0, 8.0) * 5e-324 * e ** -power
+        s_start = max(math.ceil(e / rng.uniform(1.0, 6.0) - 2.0), 1)
+        s_stop = min(math.floor(e * math.e) + 2, s_start + rng.randrange(1, 400))
+        want = [k * (e ** power if s <= e else float(s) ** power)
+                for s in range(s_start, s_stop)]
+        got = induced._window_weights(k, e, s_start, s_stop, power)
+        assert got == want[:len(got)]
+        assert not any(want[len(got):])
+        assert not got or got[-1] != 0.0
+        partial += 0 < len(got) < len(want)
+    assert partial >= 3
+
+
+def test_overlapping_windows_match_the_per_column_loop(monkeypatch):
+    delta, m, cap = 0.5, 3, 40
+    want, sources = _reference_rows(monkeypatch, 1.0, STRIP, delta, 3, cap, m=m)
+    # several native source columns at depth 2 whose windows overlap
+    windows = [_window(1.0, STRIP, c, m, cap) for c in sorted(sources[1])]
+    assert len(windows) > 10
+    assert sum(b[0] < a[1] for a, b in zip(windows, windows[1:])) >= 2
+    seen = _record_sources(monkeypatch)
+    assert _rows(cover_iterate(1.0, STRIP, delta, 3, cap, m=m)) == want
+    assert seen == _source_columns(1.0, STRIP, delta, m, 1.0, sources)
+
+
+def test_windows_split_by_the_branch_cap_match_the_per_column_loop(monkeypatch):
+    delta, m, cap = 0.5, 3, 5
+    want, sources = _reference_rows(monkeypatch, 1.0, STRIP, delta, 4, cap, m=m)
+    # the cap leaves columns between windows that hold no mass
+    assert [len(_runs(masses)) for masses in sources] == [1, 1, 5, 25]
+    seen = _record_sources(monkeypatch)
+    assert _rows(cover_iterate(1.0, STRIP, delta, 4, cap, m=m)) == want
+    assert seen == _source_columns(1.0, STRIP, delta, m, 1.0, sources)
+    assert len(seen) > 30
+
+
+def test_a_level_band_across_negative_runs_takes_one_bound(monkeypatch):
+    geo = negative_geometry(0.65, 0.65, 4, 6)
+    calls = []
+
+    def level_bound(lam, spec, geometry, l, delta, distortion_allowance):
+        calls.append(l)
+        return 1e-3 * (l - geometry.l0 + 1) ** 2
+
+    monkeypatch.setattr(induced, "_negative_level_bound", level_bound)
+    want, sources = _reference_rows(monkeypatch, 0.65, STRIP, 0.5, 3, 40, geometry=geo)
+    negative = [[c for c in masses if c < 0] for masses in sources]
+    # depth 3 draws on 40 negative runs, all in the band of level 7
+    assert len(_runs(negative[2])) == 40
+    assert {geo.level_of_column(c) for c in negative[2]} == {7}
+    calls.clear()
+    assert _rows(cover_iterate(0.65, STRIP, 0.5, 3, 40, geometry=geo)) == want
+    assert calls == [6, 7]
+    assert want[2][1] > 0.0
+
+
+@pytest.mark.parametrize("lam, kwargs", [
+    (1.0, {"m": 5}),
+    (0.65, {"geometry": negative_geometry(0.65, 0.65, 4, 6)}),
+])
+def test_the_cell_limit_stops_at_the_same_depth(monkeypatch, lam, kwargs):
+    want, _ = _reference_rows(monkeypatch, lam, STRIP, 0.5, 3, 300, **kwargs)
+    limit = 1000.0
+    depth = next(n for n, row in enumerate(want, 1) if row[1] > limit)
+    assert depth == 2
+    monkeypatch.setattr(induced, "_CELL_LIMIT", limit)
+    run = cover_iterate(lam, STRIP, 0.5, 3, 300, **kwargs)
+    assert run.aborted
+    assert [(lv.total, lv.cells, lv.tail_mass) for lv in run.levels[1:]] == want[:depth - 1]
+
+
+def test_a_window_far_from_m_stores_only_its_own_columns():
+    # the depth-1 window starts near e^15 / K = 6.4e5; storing every column
+    # from M on would take megabytes
+    tracemalloc.start()
+    try:
+        run = cover_iterate(1.0, STRIP, 0.5, 2, 1000, m=15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.levels[1].cells == 1000.0
+    assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
 # the cut after the last nonzero positive column
 
 
@@ -261,15 +428,7 @@ def test_the_positive_loop_stops_at_the_cut(monkeypatch):
     cut = _first_cut(1.0, STRIP, delta, m, 1.0)
     want, sources = _reference_rows(monkeypatch, 1.0, STRIP, delta, 2, 20, m=m)
     assert min(sources[1]) < cut <= max(sources[1])
-    seen = []
-    column_sum = induced._positive_column_sum
-
-    def recording(lam, spec, r, delta, m, sides=2.0, terms=None):
-        if terms is not None:  # the loop over the mass columns
-            seen.append(r)
-        return column_sum(lam, spec, r, delta, m, sides, terms)
-
-    monkeypatch.setattr(induced, "_positive_column_sum", recording)
+    seen = _record_sources(monkeypatch)
     assert _rows(cover_iterate(1.0, STRIP, delta, 2, 20, m=m)) == want
     assert seen == [float(c) for masses in sources for c in sorted(masses) if c < cut]
 

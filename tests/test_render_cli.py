@@ -341,6 +341,37 @@ def test_ray_t_range_does_not_drift():
     assert rows[-1].split(",")[0] == "2"
 
 
+@pytest.mark.parametrize("scales", ["inf:0.01:2", "0.5:0.01:inf", "nan:0.01:2"])
+def test_boxdim_scales_reject_non_finite_values(tmp_path, scales):
+    pts = tmp_path / "pts.csv"
+    _write_points(pts)
+    code, out, err = run_cli(["boxdim", f"--points={pts}", f"--scales={scales}"])
+    assert (code, out) == (2, "")
+    assert err == f"error: --scales needs finite numbers, got {scales!r}\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # a FACTOR this near 1 would give about 4.6e8 scales
+    (["boxdim", "--points={pts}", "--scales=0.5:0.005:1.00000001"], "--scales"),
+    (["ray", "--lambda=1", "--address=0", "--t=0:1e12:1"], "--t"),
+    (["ray", "--lambda=1", "--address=0", "--t=1:1.5:1e-15"], "--t"),
+])
+def test_range_flags_stop_past_the_expansion_limit(tmp_path, argv, flag):
+    pts = tmp_path / "pts.csv"
+    _write_points(pts)
+    argv = [a.replace("{pts}", str(pts)) for a in argv]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} expands to more than {cli._RANGE_LIMIT} values\n"
+
+
+def test_range_flags_expand_up_to_the_limit():
+    assert len(cli._parse_trange(f"1:{cli._RANGE_LIMIT}:1")) == cli._RANGE_LIMIT
+    with pytest.raises(ValidationError, match="expands to more than"):
+        cli._parse_trange(f"1:{cli._RANGE_LIMIT + 1}:1")
+    assert cli._parse_scales("0.5:0.01:2") == [0.5 / 2 ** j for j in range(6)]
+
+
 def test_ray_t_range_rejects_non_finite_bounds():
     for t in ("1:inf:1", "-inf:1:1", "1:2:nan"):
         code, _, err = run_cli(["ray", "--lambda=1", "--address=0", f"--t={t}"])
