@@ -8,7 +8,6 @@ ever labeled a Hausdorff dimension.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,6 +21,7 @@ from .induced import (
     _threshold,
     certified_columns,
     negative_geometry,
+    report_json,
     verify_contraction,
 )
 from .invariant_sets import ThinSetSpec, _lsq_fit
@@ -195,4 +195,4 @@ def report_to_json(report: DimensionReport) -> str:
             else None
         ),
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return report_json(doc)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success or certificate pass, 2 validation error,
-3 certificate (or supergrowth) not achieved, 4 numeric-range error.
+Exit codes: 0 success or certificate pass, 2 validation error or a file
+that cannot be read or written, 3 certificate (or supergrowth) not
+achieved, 4 numeric-range error.
 All JSON reports carry format_version 1 and are byte-deterministic.
 
 The argument parser and its set of value-taking options are built once per
@@ -12,9 +13,9 @@ default in the tree is mutable, and each parse makes a fresh namespace.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
-import json
 import math
 import operator
 import re
@@ -35,11 +36,13 @@ from .invariant_sets import (
     write_field_pgm,
 )
 from .induced import (
+    _RANGE_LIMIT,
     _threshold,
     certificate_to_json,
     certified_columns,
     cover_iterate,
     negative_geometry,
+    report_json,
     verify_contraction,
 )
 from .boxdim import box_count, dimension_bound_search, report_to_json
@@ -48,10 +51,6 @@ from .boxdim import box_count, dimension_bound_search, report_to_json
 # ---------------------------------------------------------------------------
 # flag value parsers (plain functions, not argparse types, so that failures
 # surface as ValidationError -> exit 2)
-
-# most values that a T0:T1:STEP or E0:E1:FACTOR range may expand to
-_RANGE_LIMIT = 10_000
-
 
 def _parse_complex(text: str, flag: str) -> complex:
     parts = text.split(",")
@@ -155,17 +154,29 @@ def _parse_scales(text: str) -> list[float]:
                     "--scales")
 
 
+@contextlib.contextmanager
+def _file_errors(path: str, verb: str) -> Iterator[None]:
+    """A file the command cannot open, read, decode or write, as a
+    ValidationError (exit 2)."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot {verb} {path}: {reason}") from None
+
+
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        _write_payload(path, text)
+        with _file_errors(path, "write"):
+            _write_payload(path, text)
 
 
 def _read_points(path: str) -> list[complex]:
     """Point list from a CSV of re,im rows; non-numeric lines are skipped."""
     pts: list[complex] = []
-    with open(path, "r", encoding="ascii") as fh:
+    with _file_errors(path, "read"), open(path, "r", encoding="ascii") as fh:
         for line in fh:
             parts = line.strip().split(",")
             if not parts or parts[0] == "":
@@ -229,7 +240,7 @@ def _cmd_supergrowth(args: argparse.Namespace) -> int:
             for a in rep.alphas
         ],
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True), args.json)
+    _emit(report_json(doc), args.json)
     return 0 if rep.holds else 3
 
 
@@ -241,7 +252,8 @@ def _cmd_ray(args: argparse.Namespace) -> int:
     if args.csv is None:
         write_ray_csv(ray, sys.stdout)
     else:
-        write_ray_csv(ray, args.csv)
+        with _file_errors(args.csv, "write"):
+            write_ray_csv(ray, args.csv)
         print(
             f"ray {address.describe()}: {len(ray.samples)} samples, "
             f"max residual {ray.residual:.3g}"
@@ -256,9 +268,11 @@ def _cmd_lambdaset(args: argparse.Namespace) -> int:
     res = _parse_res(args.res)
     field = sample_lambda_set(lam, spec, window, res, args.depth)
     if args.pgm is not None:
-        write_field_pgm(field, args.pgm, policy=args.policy)
+        with _file_errors(args.pgm, "write"):
+            write_field_pgm(field, args.pgm, policy=args.policy)
     if args.csv is not None:
-        write_field_csv(field, args.csv, policy=args.policy)
+        with _file_errors(args.csv, "write"):
+            write_field_csv(field, args.csv, policy=args.policy)
     print(
         f"lambdaset: {field.nx}x{field.ny} field, depth {field.depth}, "
         f"{field.survivor_count(args.policy)} survivors ({args.policy}), "
@@ -320,7 +334,7 @@ def _cmd_boxdim(args: argparse.Namespace) -> int:
         "slope_claim": result.slope_claim,
         "n_points": result.n_points,
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True), args.json)
+    _emit(report_json(doc), args.json)
     return 0
 
 

@@ -23,8 +23,9 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import chain, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import add, lt, mul, neg
 from typing import Mapping, Optional, Sequence, Union
 
@@ -61,6 +62,9 @@ _RECT_SAMPLES = 6
 # heights above its lower edge, in units of the strip height 2 pi, at which
 # the Z_M test looks at a strip; both the sampled and the band test use them
 _STRIP_HEIGHTS = (1e-9, 0.25, 0.5, 0.75, 1.0)
+# most values a range may expand to: the columns of a certificate, and the
+# values of a T0:T1:STEP or E0:E1:FACTOR command-line range
+_RANGE_LIMIT = 10_000
 # cover_iterate gives up (CoverRun.aborted) before a level passes this many
 # cells, and _zm_rows refuses to scan more strip indices than this
 _CELL_LIMIT = 1e7
@@ -84,7 +88,14 @@ class ZMFamily:
 
 
 def certified_columns(m: int, r_max: int, two_sided: bool = True) -> list[int]:
-    """The columns M..r_max, then -r_max..-M when two-sided."""
+    """The columns M..r_max, then -r_max..-M when two-sided; more than
+    _RANGE_LIMIT columns are refused before any is listed."""
+    count = (r_max - m + 1) * (2 if two_sided else 1)
+    if count > _RANGE_LIMIT:
+        raise ValidationError(
+            f"the column range {m}..{r_max} holds {count} columns, "
+            f"more than {_RANGE_LIMIT}"
+        )
     columns = list(range(m, r_max + 1))
     if two_sided:
         columns += range(-r_max, -m + 1)
@@ -636,7 +647,71 @@ def _certificate_doc(cert: ContractionCertificate) -> dict:
 
 def certificate_to_json(cert: ContractionCertificate) -> str:
     """The certificate as a JSON document (see _certificate_doc)."""
-    return json.dumps(_certificate_doc(cert), indent=2, sort_keys=True)
+    return report_json(_certificate_doc(cert))
+
+
+def report_json(doc) -> str:
+    """doc exactly as json.dumps(doc, indent=2, sort_keys=True) writes it:
+    ASCII, sorted keys, a 2-space indent.  Every dict key must be a str.
+
+    json.dumps runs its pure-Python encoder whenever indent is set.  Here
+    the C encoder writes each container of scalars, and each list of such
+    dicts, in one call: its item separator carries the line break and
+    indent.  Only the other containers that hold containers are joined in
+    Python.
+    """
+    if c_make_encoder is None:  # an interpreter without the _json accelerator
+        return json.dumps(doc, indent=2, sort_keys=True)
+    return _report_value(doc, 0)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@cache
+def _flat_encoder(depth: int):
+    """The C encoder for a value whose items sit at indent level depth."""
+    return c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        ": ", ",\n" + "  " * depth, True, False, True,
+    )
+
+
+def _holds_container(values) -> bool:
+    return any(map(isinstance, values, repeat(_CONTAINERS)))
+
+
+def _report_value(obj, depth: int) -> str:
+    """obj, written at indent level depth, as report_json writes it."""
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        return "".join(_flat_encoder(depth)(obj, 0))
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth
+    if not _holds_container(values):
+        text = "".join(_flat_encoder(depth + 1)(obj, 0))
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if isinstance(obj, dict):
+        parts = [encode_basestring_ascii(k) + ": " + _report_value(obj[k], depth + 1)
+                 for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+    if (all(map(isinstance, obj, repeat(dict))) and all(obj)
+            and not _holds_container(chain.from_iterable(map(dict.values, obj)))):
+        # nonempty dicts of scalars, written with the dicts' separator; no
+        # scalar ends in "}", so each "}" before a separator ends a dict
+        text = "".join(_flat_encoder(depth + 2)(obj, 0))
+        head = "{\n" + "  " * (depth + 2)
+        tail = "\n" + "  " * (depth + 1) + "}"
+        body = text[2:-2].replace("}" + ",\n" + "  " * (depth + 2) + "{",
+                                  tail + "," + inner + head)
+        return "[" + inner + head + body + tail + outer + "]"
+    parts = [_report_value(v, depth + 1) for v in obj]
+    return "[" + inner + ("," + inner).join(parts) + outer + "]"
 
 
 # ---------------------------------------------------------------------------

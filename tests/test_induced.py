@@ -477,6 +477,16 @@ def test_strip_rows_match_the_sampled_rows(lam, m, two_sided):
     assert {0, 1, 2} <= seen
 
 
+def test_column_ranges_stop_at_the_range_limit():
+    limit = induced._RANGE_LIMIT
+    assert len(induced.certified_columns(10, 10 + limit - 1, False)) == limit
+    assert len(induced.certified_columns(10, 10 + limit // 2 - 1)) == limit
+    for two_sided, r_max in ((False, 10 + limit), (True, 10 + limit // 2),
+                             (True, 10 ** 8)):
+        with pytest.raises(ValidationError, match=f"more than {limit}"):
+            induced.certified_columns(10, r_max, two_sided)
+
+
 def test_strip_rows_follow_each_columns_cone_height():
     # with cone constant 1, column r scans the strips that reach |Im| <= |r| + 2;
     # strip 3, (5 pi, 7 pi], holds the band [20, 21] and is reached from |r| = 14

@@ -372,6 +372,50 @@ def test_range_flags_expand_up_to_the_limit():
     assert cli._parse_scales("0.5:0.01:2") == [0.5 / 2 ** j for j in range(6)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--lambda=1,0", f"--set={STRIP}", "--delta=0.5", "--m=10",
+     "--rmax=100000000"],
+    ["searchbound", "--lambda=1,0", f"--set={STRIP}", "--delta-grid=0.5",
+     "--m-grid=10", "--r-span=100000000"],
+    ["searchbound", "--lambda=1,0", f"--set={STRIP}", "--delta-grid=0.5",
+     "--l0-grid=3", "--c=1", "--r-span=100000000"],
+])
+def test_column_ranges_past_the_limit_are_refused(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the column range ")
+    assert err.endswith(f" columns, more than {cli._RANGE_LIMIT}\n")
+
+
+def test_points_file_that_does_not_exist_exits_2(tmp_path):
+    missing = tmp_path / "missing.csv"
+    code, out, err = run_cli(["boxdim", f"--points={missing}", "--scales=1:0.01:2"])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
+
+
+def test_points_file_with_a_non_ascii_byte_exits_2(tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_bytes(b"0,0\n1,0\n\xc3\xa9,2\n")
+    code, out, err = run_cli(["boxdim", f"--points={pts}", "--scales=1:0.01:2"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {pts}: 'ascii' codec can't decode")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["supergrowth", "--lambda=1,0", "--c=1", "--steps=5", "--json={out}"],
+    ["orbit", "--lambda=1,0", "--z=0", "--steps=3", "--csv={out}"],
+    ["lambdaset", "--lambda=1,0", f"--set={STRIP}", "--window=0,0,1,1",
+     "--res=2,2", "--depth=2", "--pgm={out}"],
+])
+def test_output_into_a_missing_directory_exits_2(tmp_path, argv):
+    target = tmp_path / "no-such-dir" / "out"
+    code, out, err = run_cli([a.replace("{out}", str(target)) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_ray_t_range_rejects_non_finite_bounds():
     for t in ("1:inf:1", "-inf:1:1", "1:2:nan"):
         code, _, err = run_cli(["ray", "--lambda=1", "--address=0", f"--t={t}"])
