@@ -27,6 +27,7 @@ from .dynamics import check_supergrowth, iterate_orbit
 from .coding import parse_address
 from .rays import trace_ray, write_ray_csv
 from .invariant_sets import (
+    _RANGE_LIMIT,
     ThinSetSpec,
     _write_payload,
     horizontal_strip,
@@ -36,7 +37,6 @@ from .invariant_sets import (
     write_field_pgm,
 )
 from .induced import (
-    _RANGE_LIMIT,
     _threshold,
     certificate_to_json,
     certified_columns,

@@ -46,7 +46,7 @@ from .dynamics import (
     step_log_polar,
 )
 from .coding import strip_index, _strip_of_imag
-from .invariant_sets import Strip, ThinSetSpec
+from .invariant_sets import _RANGE_LIMIT, Strip, ThinSetSpec
 
 # Exponents below this take the native path.  It sits ~20 below the
 # overflow limit towers._EXP_SAFE so that exp(log_e + 1) and products of
@@ -62,9 +62,6 @@ _RECT_SAMPLES = 6
 # heights above its lower edge, in units of the strip height 2 pi, at which
 # the Z_M test looks at a strip; both the sampled and the band test use them
 _STRIP_HEIGHTS = (1e-9, 0.25, 0.5, 0.75, 1.0)
-# most values a range may expand to: the columns of a certificate, and the
-# values of a T0:T1:STEP or E0:E1:FACTOR command-line range
-_RANGE_LIMIT = 10_000
 # cover_iterate gives up (CoverRun.aborted) before a level passes this many
 # cells, and _zm_rows refuses to scan more strip indices than this
 _CELL_LIMIT = 1e7

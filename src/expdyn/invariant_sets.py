@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain, repeat, starmap
 from typing import Callable, Optional, Sequence, Union
 
 from .dynamics import (
@@ -46,6 +47,10 @@ UNDECIDED = "undecided"
 # |arg| closer than this to 0 or pi leaves the sign of Im z undecidable
 # once the modulus has left the native range
 _ARG_DEAD_ZONE = 1e-12
+
+# most values a range may expand to: the pixels of a field side, the columns
+# of a certificate, and the values of a T0:T1:STEP or E0:E1:FACTOR range
+_RANGE_LIMIT = 10_000
 
 # width profile of a one-point slice: any positive value bounds its
 # diameter 0, and one this small adds nothing to a column's n_sup
@@ -172,46 +177,59 @@ class MembershipResult:
 
 
 def _membership_walk(
-    lam: complex, spec: ThinSetSpec, z: complex, n: int,
+    lam: complex, spec: ThinSetSpec, xs: Sequence[float], y: float, n: int,
     lam_logs: tuple[float, float],
-) -> tuple[Optional[int], Optional[int], bool, Optional[_Point], Optional[_Point]]:
+) -> list[tuple[Optional[int], Optional[int], bool, Optional[_Point], Optional[_Point]]]:
     """(conservative exit, optimistic exit, precision caveat, and the points
-    classified at those two exits) of z's orbit; lam_logs is _lambda_logs(lam).
+    classified at those two exits) of the orbit of each finite complex(x, y),
+    x in xs; lam_logs is _lambda_logs(lam).
 
-    An exit of None means the orbit stayed in the set to depth n.  z must
-    be finite and is point 0.  While the orbit is native with a trusted
-    argument, each point is a complex, and the log-polar recursion of
-    step_log_polar is evaluated in floats from its Re and Im, with the
-    same bits.  From the first point that is past the double range or has
-    an untrusted argument, the orbit goes on as a LogPolarComplex through
-    step_log_polar.
+    An exit of None means the orbit stayed in the set to depth n.  The
+    pixel itself is point 0, and step 1's argument is the same for the
+    whole row.  While an orbit is native with a trusted argument, each
+    point is a complex, and the log-polar recursion of step_log_polar is
+    evaluated in floats from its Re and Im, with the same bits.  From the
+    first point past the double range or with an untrusted argument, the
+    orbit goes on as a LogPolarComplex through step_log_polar.
     """
     log_lam, arg_lam = lam_logs
     classify = spec.classify
-    if classify(z) == EXIT:
-        return 0, 0, False, z, z
-    re, im = z.real, z.imag
-    trusted = abs(z) <= ARG_TRUST_LIMIT or math.sin(math.atan2(im, re)) == 0.0
-    i = 1
-    while i < n:
-        # the next point's log modulus and argument
-        x = re + log_lam
-        a = _principal(im + arg_lam)
-        if not (trusted and re < LIFT and NEG_SENTINEL <= x <= _EXP_SAFE):
-            p = LogPolarComplex(TowerReal(0, re).add_float(log_lam), a, trusted)
-            break
-        m = math.exp(x)
-        s = math.sin(a)
-        re = m * math.cos(a)
-        im = m * s
-        z = complex(re, im)
+    a1 = _principal(y + arg_lam)
+    s1, c1 = math.sin(a1), math.cos(a1)
+    out = []
+    for re in xs:
+        z = complex(re, y)
         if classify(z) == EXIT:
-            return i, i, False, z, z
-        trusted = m <= ARG_TRUST_LIMIT or s == 0.0
-        i += 1
-    else:
-        return None, None, False, None, None
+            out.append((0, 0, False, z, z))
+            continue
+        trusted = abs(z) <= ARG_TRUST_LIMIT or math.sin(math.atan2(y, re)) == 0.0
+        a, s, c = a1, s1, c1
+        for i in range(1, n):
+            # the next point has log modulus x and argument a
+            x = re + log_lam
+            if not (trusted and re < LIFT and NEG_SENTINEL <= x <= _EXP_SAFE):
+                p = LogPolarComplex(TowerReal(0, re).add_float(log_lam), a, trusted)
+                out.append(_log_polar_walk(lam, classify, p, i, n))
+                break
+            m = math.exp(x)
+            re = m * c
+            im = m * s
+            z = complex(re, im)
+            if classify(z) == EXIT:
+                out.append((i, i, False, z, z))
+                break
+            trusted = m <= ARG_TRUST_LIMIT or s == 0.0
+            a = _principal(im + arg_lam)
+            s, c = math.sin(a), math.cos(a)
+        else:
+            out.append((None, None, False, None, None))
+    return out
 
+
+def _log_polar_walk(
+    lam: complex, classify: Callable[[_Point], str], p: LogPolarComplex, i: int, n: int,
+) -> tuple[Optional[int], Optional[int], bool, Optional[_Point], Optional[_Point]]:
+    """_membership_walk's result for an orbit whose point i is p."""
     cons = cons_point = None
     caveat = False
     for i in range(i, n):
@@ -248,7 +266,7 @@ def lambda_membership(
     if policy not in ("conservative", "optimistic"):
         raise ValidationError("policy must be 'conservative' or 'optimistic'")
     cons, opt, caveat, cons_pt, opt_pt = _membership_walk(
-        lam, spec, z, n, _lambda_logs(lam))
+        lam, spec, (z.real,), z.imag, n, _lambda_logs(lam))[0]
     ex, pt = (cons, cons_pt) if policy == "conservative" else (opt, opt_pt)
     if isinstance(pt, LogPolarComplex):
         pt = None if pt.modulus_float() == math.inf else pt.to_complex()
@@ -288,8 +306,11 @@ class ExitDepthField:
         raise ValidationError("policy must be 'conservative' or 'optimistic'")
 
     def raster(self, policy: str = "conservative") -> list[tuple[int, ...]]:
-        """Rows in image order: the top row (iy = ny - 1) first, as Netpbm wants."""
+        """Rows in image order: the top row (iy = ny - 1) first, as Netpbm
+        wants; values outside 0..depth+1 are refused."""
         d, nx = self.data(policy), self.nx
+        if d and not (min(d) >= 0 and max(d) <= self.depth + 1):
+            raise ValidationError(f"field values must lie in 0..{self.depth + 1}")
         return [d[iy * nx:(iy + 1) * nx] for iy in range(self.ny - 1, -1, -1)]
 
     def point(self, ix: int, iy: int) -> complex:
@@ -303,16 +324,11 @@ class ExitDepthField:
         return self.data(policy)[iy * self.nx + ix]
 
     def survivor_points(self, policy: str = "conservative") -> list[complex]:
-        d = self.data(policy)
-        out = []
-        for iy in range(self.ny):
-            for ix in range(self.nx):
-                if d[iy * self.nx + ix] == self.depth + 1:
-                    out.append(self.point(ix, iy))
-        return out
+        d, nx, top = self.data(policy), self.nx, self.depth + 1
+        return [self.point(i % nx, i // nx) for i, v in enumerate(d) if v == top]
 
     def survivor_count(self, policy: str = "conservative") -> int:
-        return sum(1 for v in self.data(policy) if v == self.depth + 1)
+        return self.data(policy).count(self.depth + 1)
 
 
 def sample_lambda_set(
@@ -330,8 +346,8 @@ def sample_lambda_set(
     if not (x1 > x0 and y1 > y0):
         raise ValidationError("window must be nondegenerate")
     nx, ny = int(resolution[0]), int(resolution[1])
-    if nx < 2 or ny < 2:
-        raise ValidationError("resolution must be at least 2x2")
+    if not (2 <= nx <= _RANGE_LIMIT and 2 <= ny <= _RANGE_LIMIT):
+        raise ValidationError(f"resolution must be 2 to {_RANGE_LIMIT} pixels per side")
     if n < 1:
         raise ValidationError("depth must be >= 1")
 
@@ -343,32 +359,21 @@ def sample_lambda_set(
         raise ValidationError("window must be finite")
 
     lam_logs = _lambda_logs(lam)
+    xs = [x0 + ix * dx for ix in range(nx)]
 
     def one_row(iy: int) -> tuple[list[int], list[int], int]:
-        y = y0 + iy * dy
-        cons_row: list[int] = []
-        opt_row: list[int] = []
-        caveats = 0
-        for ix in range(nx):
-            c, o, caveat, _, _ = _membership_walk(
-                lam, spec, complex(x0 + ix * dx, y), n, lam_logs)
+        cons_row, opt_row, caveats = [], [], 0
+        walked = _membership_walk(lam, spec, xs, y0 + iy * dy, n, lam_logs)
+        for c, o, caveat, _, _ in walked:
             cons_row.append(n + 1 if c is None else c)
             opt_row.append(n + 1 if o is None else o)
-            if caveat:
-                caveats += 1
+            caveats += caveat
         return cons_row, opt_row, caveats
 
-    rows = parallel.ordered_map(one_row, range(ny))
-    cons: list[int] = []
-    opt: list[int] = []
-    total_caveats = 0
-    for cons_row, opt_row, caveats in rows:
-        cons.extend(cons_row)
-        opt.extend(opt_row)
-        total_caveats += caveats
+    cons, opt, caveats = zip(*parallel.ordered_map(one_row, range(ny)))
     return ExitDepthField(
         lam, spec.descriptor, (x0, y0, x1, y1), nx, ny, n,
-        tuple(cons), tuple(opt), total_caveats,
+        tuple(chain.from_iterable(cons)), tuple(chain.from_iterable(opt)), sum(caveats),
     )
 
 
@@ -605,8 +610,11 @@ def write_field_csv(field: ExitDepthField, dest, policy: str = "conservative") -
 def field_to_pgm(field: ExitDepthField, policy: str = "conservative") -> bytes:
     """16-bit binary PGM; the first raster row is the window's top row."""
     header = f"P5\n{field.nx} {field.ny}\n65535\n".encode("ascii")
-    vals = [min(v, 65535) for row in field.raster(policy) for v in row]
-    return header + struct.pack(f">{len(vals)}H", *vals)
+    rows = field.raster(policy)
+    if field.depth >= 65535:
+        # survivors (and, past depth 65535, late exits) saturate at 65535
+        rows = [map(min, row, repeat(65535)) for row in rows]
+    return header + b"".join(starmap(struct.Struct(f">{field.nx}H").pack, rows))
 
 
 def write_field_pgm(field: ExitDepthField, dest, policy: str = "conservative") -> None:

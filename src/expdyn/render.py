@@ -8,7 +8,6 @@ rasters run, so Im z grows upward in the image.
 
 from __future__ import annotations
 
-import io
 from os import PathLike
 from typing import BinaryIO, Union
 
@@ -31,18 +30,12 @@ def render_field(
 ) -> None:
     if palette not in ("gray", "fire"):
         raise ValidationError(f"unknown palette {palette!r}")
-    data = field.data(policy)
     top = field.depth + 1
-    if data and not (min(data) >= 0 and max(data) <= top):
-        raise ValidationError(f"field values must lie in 0..{top}")
     # pixel bytes of each value 0..top (exits and the survivor value)
     if palette == "gray":
         table = [bytes((round(255 * (v / top)),)) for v in range(top + 1)]
     else:
         table = [bytes(_fire(v / top)) for v in range(top + 1)]
-    buf = io.BytesIO()
     magic = b"P5" if palette == "gray" else b"P6"
-    buf.write(magic + b"\n%d %d\n255\n" % (field.nx, field.ny))
-    for row in field.raster(policy):
-        buf.write(b"".join(table[v] for v in row))
-    _write_payload(dest, buf.getvalue())
+    rows = [b"".join(map(table.__getitem__, row)) for row in field.raster(policy)]
+    _write_payload(dest, magic + b"\n%d %d\n255\n" % (field.nx, field.ny) + b"".join(rows))

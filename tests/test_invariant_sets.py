@@ -31,6 +31,7 @@ from expdyn.invariant_sets import (
     EXIT,
     MEMBER,
     UNDECIDED,
+    _RANGE_LIMIT,
     field_to_csv,
     field_to_pgm,
     write_field_csv,
@@ -270,6 +271,27 @@ def test_field_rejects_a_window_that_is_not_finite(window, monkeypatch):
     monkeypatch.setattr("expdyn.invariant_sets._membership_walk", walk)
     with pytest.raises(ValidationError, match="^window must be finite$"):
         sample_lambda_set(1.0, STRIP, window, (4, 4), 3)
+
+
+@pytest.mark.parametrize("res", [(10_001, 2), (2, 10_001), (10 ** 8, 10 ** 8)])
+def test_field_refuses_a_side_past_the_range_limit(res, monkeypatch):
+    def walk(*args):
+        raise AssertionError("a pixel was walked")
+
+    monkeypatch.setattr("expdyn.invariant_sets._membership_walk", walk)
+    with pytest.raises(ValidationError, match="^resolution must be 2 to 10000 pixels"):
+        sample_lambda_set(1.0, STRIP, (0.0, 0.0, 1.0, 1.0), res, 1)
+
+
+def test_field_sides_reach_the_range_limit():
+    field = sample_lambda_set(1.0, STRIP, (0.0, 0.0, 1.0, 1.0), (_RANGE_LIMIT, 2), 1)
+    assert len(field.conservative) == 2 * _RANGE_LIMIT
+    assert field.survivor_count() == 2 * _RANGE_LIMIT
+
+
+def test_the_range_limit_is_defined_once():
+    from expdyn import cli, induced
+    assert induced._RANGE_LIMIT is cli._RANGE_LIMIT is _RANGE_LIMIT == 10_000
 
 
 def test_zero_height_strip_has_positive_width():

@@ -55,7 +55,7 @@ def oracle_walk(lam, spec, z, n):
 
 
 def walk(lam, spec, z, n):
-    return _membership_walk(lam, spec, z, n, _lambda_logs(lam))
+    return _membership_walk(lam, spec, [z.real], z.imag, n, _lambda_logs(lam))[0]
 
 
 def _as_complex(p):
@@ -134,7 +134,7 @@ def test_walk_matches_the_log_polar_loop(name, lam, counted):
             assert settled(got) == settled(want), (name, lam, z, n)
             examined = n if got[1] is None else got[1] + 1
             assert len(counted) == examined, (name, lam, z, n)
-            assert counted[0] is z
+            assert repr(counted[0]) == repr(z)  # z itself, signed zeros included
 
 
 def test_orbit_leaves_the_double_range_mid_walk(counted):
@@ -201,3 +201,87 @@ def test_complex_and_log_polar_points_classify_alike(x, a, spec):
     z = complex(m * math.cos(a), m * math.sin(a))
     p = LogPolarComplex(TowerReal(0, x), a, True)
     assert spec.classify(z) == spec.classify(p)
+
+
+# ---------------------------------------------------------------------------
+# row walks: one call walks every pixel of a row, which shares Im z
+
+ROW_LAMBDAS = [1.0, complex(1.0, -0.0), -1.0, complex(-1.0, -0.0), 0.25, 1 + 0.3j]
+# Re z for exits at step 0 or 1, native survivors, orbits that leave the
+# double range (3 at lambda = 1, 709.79, 1.795e308), points past
+# ARG_TRUST_LIMIT (+-1e17) and a next log modulus below NEG_SENTINEL
+ROW_XS = [0.0, -0.0, 0.5, -0.3, -3.0, 3.0, 40.0, 709.79, 1e17, -1e17,
+          1.795e308, -1e308, 5e-324]
+# the real axis both ways round, the edges of the strips in SPECS, and
+# rows inside and outside them; no |Im z| is in (0, 1e-15), where the
+# oracle's cmath.phase raises for Re z near 1.8e308 (its value underflows)
+ROW_YS = [0.0, -0.0, math.pi, -math.pi, 0.5, -1.0, 2.0, -2.0, 1e-15, 1.5, 3.0]
+_row_y = _finite.filter(lambda y: y == 0.0 or abs(y) >= 1e-15)
+
+
+def walk_row(lam, spec, xs, y, n):
+    """The row walk's results, and the points it classified, in order."""
+    with pytest.MonkeyPatch.context() as mp:
+        seen = []
+        orig = ThinSetSpec.classify
+
+        def classify(self, p):
+            seen.append(p)
+            return orig(self, p)
+
+        mp.setattr(ThinSetSpec, "classify", classify)
+        got = _membership_walk(lam, spec, xs, y, n, _lambda_logs(lam))
+    return got, seen
+
+
+def check_row(lam, spec, xs, y, n):
+    """A row walk equals the oracle point by point, and classifies each
+    examined point once, each orbit starting at its pixel."""
+    got, seen = walk_row(lam, spec, xs, y, n)
+    assert len(got) == len(xs)
+    start = 0
+    for x, result in zip(xs, got):
+        z = complex(x, y)
+        assert settled(result) == settled(oracle_walk(lam, spec, z, n)), (lam, z, n)
+        assert repr(seen[start]) == repr(z)
+        start += n if result[1] is None else result[1] + 1
+    assert start == len(seen)
+    return got, seen
+
+
+@pytest.mark.parametrize("lam", ROW_LAMBDAS)
+def test_row_walks_match_the_oracle(lam):
+    exits, handed_over = set(), False
+    for name in sorted(SPECS):
+        for y in ROW_YS:
+            for n in (1, 2, 8, 25):
+                got, seen = check_row(lam, SPECS[name], ROW_XS, y, n)
+                exits |= {result[1] for result in got}
+                handed_over |= any(isinstance(p, LogPolarComplex) for p in seen)
+    # the rows hold exits at steps 0 and 1, survivors and tower hand-overs
+    assert {0, 1, None} <= exits
+    assert handed_over
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(ROW_XS), _finite), min_size=1, max_size=8),
+       st.one_of(st.sampled_from(ROW_YS), _row_y), st.sampled_from(ROW_LAMBDAS),
+       st.sampled_from(sorted(SPECS)), st.integers(1, 20))
+def test_random_row_walks_match_the_oracle(xs, y, lam, name, n):
+    check_row(lam, SPECS[name], xs, y, n)
+
+
+def test_a_row_computes_its_first_argument_once(monkeypatch):
+    calls = []
+
+    def principal(theta):
+        calls.append(theta)
+        return _principal(theta)
+
+    monkeypatch.setattr("expdyn.invariant_sets._principal", principal)
+    # every pixel passes step 0 and exits at step 1, so only the row's own
+    # first argument is reduced
+    got = _membership_walk(1.0, symmetric_strip(1.0), [0.5, 1.0, 2.0], 0.9, 8,
+                           _lambda_logs(1.0))
+    assert [result[1] for result in got] == [1, 1, 1]
+    assert calls == [0.9]

@@ -6,11 +6,13 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expdyn import (
     ExternalAddress,
@@ -24,7 +26,14 @@ from expdyn import (
 import expdyn
 from expdyn import cli
 from expdyn.cli import main
-from expdyn.invariant_sets import field_to_pgm, write_field_csv, write_field_pgm
+from expdyn.invariant_sets import (
+    ExitDepthField,
+    _RANGE_LIMIT,
+    field_to_pgm,
+    write_field_csv,
+    write_field_pgm,
+)
+from expdyn.render import _fire
 
 STRIP = "strip:0,3.141592653589793"
 
@@ -118,9 +127,89 @@ def test_render_rejects_values_outside_the_palette(palette, bad):
         render_field(field, io.BytesIO(), palette=palette)
 
 
+@pytest.mark.parametrize("bad", [-1, 5, 99999])
+def test_field_pgm_rejects_values_outside_the_field(bad):
+    # depth 3: exits are 0..2 and survivors 4, so 5 and up cannot occur
+    field = _small_field()
+    field = dataclasses.replace(field, conservative=(bad,) + field.conservative[1:])
+    with pytest.raises(ValidationError, match=r"field values must lie in 0\.\.4"):
+        field_to_pgm(field)
+
+
 def test_render_rejects_unknown_palette():
     with pytest.raises(ValidationError, match="unknown palette 'neon'"):
         render_field(_small_field(), io.BytesIO(), palette="neon")
+
+
+# ---------------------------------------------------------------------------
+# the raster writers against the per-value writers they replaced
+
+
+def pgm_by_struct(field, policy):
+    """field_to_pgm as one struct.pack of every clamped value."""
+    header = f"P5\n{field.nx} {field.ny}\n65535\n".encode("ascii")
+    vals = [min(v, 65535) for row in field.raster(policy) for v in row]
+    return header + struct.pack(f">{len(vals)}H", *vals)
+
+
+def render_by_generator(field, palette, policy):
+    """render_field with each row joined from a generator."""
+    top = field.depth + 1
+    if palette == "gray":
+        table = [bytes((round(255 * (v / top)),)) for v in range(top + 1)]
+    else:
+        table = [bytes(_fire(v / top)) for v in range(top + 1)]
+    buf = io.BytesIO()
+    magic = b"P5" if palette == "gray" else b"P6"
+    buf.write(magic + b"\n%d %d\n255\n" % (field.nx, field.ny))
+    for row in field.raster(policy):
+        buf.write(b"".join(table[v] for v in row))
+    return buf.getvalue()
+
+
+def _field(depth, nx, ny, cons, opt):
+    return ExitDepthField(1.0, "strip[0,1]", (0.0, 0.0, 1.0, 1.0), nx, ny, depth,
+                          tuple(cons), tuple(opt), 0)
+
+
+@st.composite
+def fields(draw, depths):
+    depth = draw(depths)
+    nx, ny = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    values = st.lists(st.integers(0, depth + 1), min_size=nx * ny, max_size=nx * ny)
+    return _field(depth, nx, ny, draw(values), draw(values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields(st.one_of(st.integers(1, 40), st.sampled_from([65534, 65535, 70000]))))
+def test_field_pgm_matches_the_struct_writer(field):
+    for policy in ("conservative", "optimistic"):
+        assert field_to_pgm(field, policy) == pgm_by_struct(field, policy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields(st.integers(1, 300)), st.sampled_from(["gray", "fire"]))
+def test_render_matches_the_generator_writer(field, palette):
+    for policy in ("conservative", "optimistic"):
+        buf = io.BytesIO()
+        render_field(field, buf, palette=palette, policy=policy)
+        assert buf.getvalue() == render_by_generator(field, palette, policy)
+
+
+def test_deep_field_pgms_saturate_at_65535():
+    # depth 65535: the survivor value 65536 writes 65535, the last exit
+    # index 65534 keeps its own value
+    field = _field(65535, 2, 2, (0, 65534, 65536, 65536), (1, 2, 3, 65536))
+    assert field_to_pgm(field) == b"P5\n2 2\n65535\n" + struct.pack(
+        ">4H", 65535, 65535, 0, 65534)
+    assert field_to_pgm(field, "optimistic") == b"P5\n2 2\n65535\n" + struct.pack(
+        ">4H", 3, 65535, 1, 2)
+    # depth 70000: exits at 65535 and later write 65535, as survivors do
+    field = _field(70000, 3, 2, (65534, 65535, 69999, 70001, 0, 7),
+                   (70001,) * 6)
+    assert field_to_pgm(field) == b"P5\n3 2\n65535\n" + struct.pack(
+        ">6H", 65535, 0, 7, 65534, 65535, 65535)
+    assert field_to_pgm(field, "optimistic") == b"P5\n3 2\n65535\n" + b"\xff" * 12
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +544,14 @@ def test_lambdaset_writes_pgm_and_csv(tmp_path):
     lines = csv.read_text(encoding="ascii").splitlines()
     assert lines[0] == "ix,iy,re,im,exit_depth"
     assert len(lines) == 17
+
+
+@pytest.mark.parametrize("res", ["100000000,100000000", "100000,2", "2,10001"])
+def test_lambdaset_refuses_a_side_past_the_range_limit(res):
+    code, out, err = run_cli(["lambdaset", "--lambda=1,0", "--set=strip:0,1",
+                              "--window=0,0,1,1", f"--res={res}", "--depth=1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: resolution must be 2 to {_RANGE_LIMIT} pixels per side\n"
 
 
 @pytest.mark.parametrize("window", ["0,0,inf,1", "-1e308,0,1e308,1", "0,nan,1,1"])
