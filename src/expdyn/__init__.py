@@ -4,9 +4,9 @@ Submodules:
   towers          iterated-exponential real arithmetic
   dynamics        orbits, log-polar iteration, supergrowth checks
   coding          strip partition, external addresses, itineraries
-  rays            dynamic-ray tracing by pullback, landing probes
+  rays            dynamic-ray tracing by pullback
   invariant_sets  forward-invariant sets in a thin set W, exit-depth fields
-  induced         induced map, contraction certificates, iterated covers
+  induced         contraction certificates, iterated covers
   boxdim          box counting and the certified dimension-bound search
   render          image output for exit-depth fields
   cli             command-line front end
@@ -39,16 +39,12 @@ from .coding import (
     ExternalAddress,
     itinerary,
     parse_address,
-    rempe_address,
     shift,
     strip_index,
 )
 from .rays import (
-    LandingProbe,
     Ray,
     RaySample,
-    landing_probe,
-    ray_asymptote,
     ray_to_csv,
     trace_ray,
     write_ray_csv,
@@ -56,22 +52,16 @@ from .rays import (
 from .invariant_sets import (
     ConeBand,
     ExitDepthField,
-    ExpansionEstimate,
     MembershipResult,
     Strip,
-    ThinCheckReport,
     ThinSetSpec,
-    TrajectoryClass,
-    classify_trajectory,
     cone_band,
     field_to_csv,
     field_to_pgm,
     horizontal_strip,
     lambda_membership,
-    measure_expansion,
     sample_lambda_set,
     symmetric_strip,
-    thin_check,
     write_field_csv,
     write_field_pgm,
 )
@@ -85,7 +75,6 @@ from .induced import (
     build_zm,
     certificate_to_json,
     cover_iterate,
-    induced_apply,
     negative_geometry,
     positive_sum,
     verify_contraction,
@@ -110,12 +99,10 @@ __all__ = [
     "DimensionReport",
     "DomainError",
     "ExitDepthField",
-    "ExpansionEstimate",
     "ExpdynError",
     "ExternalAddress",
     "GeometryError",
     "InducedGeometry",
-    "LandingProbe",
     "LogPolarComplex",
     "MembershipResult",
     "NonConvergenceError",
@@ -127,10 +114,8 @@ __all__ = [
     "RectangleIndex",
     "Strip",
     "SupergrowthReport",
-    "ThinCheckReport",
     "ThinSetSpec",
     "TowerReal",
-    "TrajectoryClass",
     "UntrustedArgumentError",
     "ValidationError",
     "ZMFamily",
@@ -138,7 +123,6 @@ __all__ = [
     "build_zm",
     "certificate_to_json",
     "check_supergrowth",
-    "classify_trajectory",
     "cone_band",
     "cover_iterate",
     "dimension_bound_search",
@@ -146,20 +130,15 @@ __all__ = [
     "field_to_csv",
     "field_to_pgm",
     "horizontal_strip",
-    "induced_apply",
     "inverse_branch",
     "itinerary",
     "iterate_orbit",
     "lambda_membership",
-    "landing_probe",
-    "measure_expansion",
     "negative_geometry",
     "orbit_derivative_log",
     "parse_address",
     "positive_sum",
-    "ray_asymptote",
     "ray_to_csv",
-    "rempe_address",
     "render_field",
     "report_to_json",
     "sample_lambda_set",
@@ -168,7 +147,6 @@ __all__ = [
     "step_log_polar",
     "strip_index",
     "symmetric_strip",
-    "thin_check",
     "trace_ray",
     "verify_contraction",
     "write_field_csv",

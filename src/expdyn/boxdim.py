@@ -24,7 +24,7 @@ from .induced import (
     report_json,
     verify_contraction,
 )
-from .invariant_sets import ThinSetSpec, _lsq_fit
+from .invariant_sets import ThinSetSpec
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,22 @@ class BoxCountResult:
     r2: float
     slope_claim: bool  # False when too few points for the slope to mean much
     n_points: int
+
+
+def _lsq_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Least-squares slope of ys against xs, and the fit's r^2.
+
+    math.fsum rounds correctly, so the bits do not depend on how an
+    interpreter's builtin sum adds floats (3.12 made it compensated).
+    """
+    mx = math.fsum(xs) / len(xs)
+    my = math.fsum(ys) / len(ys)
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    ss_tot = math.fsum((y - my) ** 2 for y in ys)
+    ss_res = math.fsum((y - (my + slope * (x - mx))) ** 2 for x, y in zip(xs, ys))
+    return slope, 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
 def box_count(

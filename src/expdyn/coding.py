@@ -237,32 +237,3 @@ def itinerary(lam: complex, z: complex, n: int) -> ExternalAddress:
             d_arg = err_im + _ROUND * (abs_im + abs(arg_lam))
             p = step_log_polar(lam, p)
     return ExternalAddress.from_entries(out)
-
-
-# ---------------------------------------------------------------------------
-# Rempe block addresses
-
-
-def rempe_address(r: ExternalAddress, blocks) -> ExternalAddress:
-    """Interleave prefixes of r with separator entries.
-
-    Emits T, r_0..r_{b_1 - 1}, T', r_0..r_{b_2 - 1}, T'', ... where each
-    separator equals 2 plus the largest r entry consumed so far; the
-    leading one, before anything is consumed, uses the address bound.
-    """
-    blocks = tuple(int(b) for b in blocks)
-    if not blocks or any(b < 1 for b in blocks):
-        raise ValidationError("blocks must be a nonempty list of integers >= 1")
-    need = max(blocks)
-    # fail early if r is too short
-    r.prefix(need)
-
-    out: list[int] = [2 + r.bound]
-    seen: Optional[int] = None
-    for b in blocks:
-        for i in range(b):
-            v = r.entry(i)
-            out.append(v)
-            seen = v if seen is None else max(seen, v)
-        out.append(2 + seen)
-    return ExternalAddress.from_entries(out)

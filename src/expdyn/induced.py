@@ -29,23 +29,15 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import add, lt, mul, neg
 from typing import Mapping, Optional, Sequence, Union
 
-from .errors import (
-    DomainError,
-    GeometryError,
-    NumericRangeError,
-    ValidationError,
-)
+from .errors import GeometryError, NumericRangeError, ValidationError
 from .dynamics import (
-    LogPolarComplex,
     TAU,
     _lambda_logs,
     _require_lambda,
-    _require_point,
     check_supergrowth,
     singular_orbit,
-    step_log_polar,
 )
-from .coding import strip_index, _strip_of_imag
+from .coding import _strip_of_imag
 from .invariant_sets import _RANGE_LIMIT, Strip, ThinSetSpec
 
 # Exponents below this take the native path.  It sits ~20 below the
@@ -447,31 +439,6 @@ def negative_geometry(
     return InducedGeometry(
         lam, c, d, l0, n_levels, m, sigmas, tuple(alphas), tuple(log_betas)
     )
-
-
-# ---------------------------------------------------------------------------
-# the induced map
-
-
-def induced_apply(
-    geometry: InducedGeometry, spec: ThinSetSpec, z: complex
-) -> tuple[LogPolarComplex, int]:
-    """Apply the induced map: f on columns >= M, f^{l+2} on level-l columns."""
-    lam = geometry.lam
-    z = _require_point(z)
-    r = math.floor(z.real)
-    k = strip_index(lam, z)
-    if -geometry.m < r < geometry.m:
-        raise DomainError(f"rectangle column {r} lies inside |Re| < M = {geometry.m}")
-    if not _rectangle_meets(spec, _lambda_logs(lam)[1], k, r, geometry.m):
-        raise DomainError(f"rectangle (k={k}, r={r}) does not meet the thin set")
-    p = LogPolarComplex.from_complex(z)
-    if r >= geometry.m:
-        return step_log_polar(lam, p), 1
-    l = geometry.level_of_column(r)
-    for _ in range(l + 2):
-        p = step_log_polar(lam, p)
-    return p, l + 2
 
 
 # ---------------------------------------------------------------------------

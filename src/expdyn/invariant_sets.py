@@ -1,4 +1,4 @@
-"""Thin sets, membership in the forward-invariant set, and trajectory classes.
+"""Thin sets, membership in the forward-invariant set, and exit-depth fields.
 
 A thin-set spec is plain data: ``Strip(a, b)``, the closed strip
 a <= Im z <= b, or a ``ConeBand`` with its own predicate.  Each gives the
@@ -32,8 +32,6 @@ from .dynamics import (
     _principal,
     _require_lambda,
     _require_point,
-    iterate_orbit,
-    orbit_derivative_log,
     step_log_polar,
 )
 from .errors import NumericRangeError, ValidationError
@@ -374,203 +372,6 @@ def sample_lambda_set(
     return ExitDepthField(
         lam, spec.descriptor, (x0, y0, x1, y1), nx, ny, n,
         tuple(chain.from_iterable(cons)), tuple(chain.from_iterable(opt)), sum(caveats),
-    )
-
-
-# ---------------------------------------------------------------------------
-# trajectory classification and expansion
-
-
-@dataclass(frozen=True)
-class TrajectoryClass:
-    status: str  # "bounded-within-R" | "escaping" | "undecided"
-    evidence: Optional[int]
-    r_bound: float
-    escape_log_modulus: float
-    steps: int
-
-
-def classify_trajectory(
-    lam: complex,
-    z: complex,
-    n: int,
-    r_bound: float = 1e3,
-    escape_log_modulus: float = 1e8,
-) -> TrajectoryClass:
-    """Bounded / escaping / undecided over a finite horizon.
-
-    Escaping requires the log modulus to cross escape_log_modulus;
-    bounded requires every iterate to stay in the closed ball of radius
-    r_bound.  Evidence is the first index that settles the class (the
-    horizon itself for bounded).
-    """
-    lam = _require_lambda(lam)
-    if n < 1:
-        raise ValidationError("need at least one step")
-    if not (r_bound > 0) or math.log(r_bound) >= escape_log_modulus:
-        raise ValidationError("thresholds must satisfy log(r_bound) < escape_log_modulus")
-    orbit = iterate_orbit(lam, z, n, escape_log_modulus=escape_log_modulus)
-    if orbit.escaped_at is not None:
-        return TrajectoryClass(
-            "escaping", orbit.escaped_at, r_bound, escape_log_modulus, n
-        )
-    log_r = TowerReal.from_float(math.log(r_bound))
-    for pt in orbit.points:
-        if pt.point.log_modulus > log_r:
-            return TrajectoryClass(
-                "undecided", pt.index, r_bound, escape_log_modulus, n
-            )
-    return TrajectoryClass("bounded-within-R", n, r_bound, escape_log_modulus, n)
-
-
-@dataclass(frozen=True)
-class ExpansionEstimate:
-    status: str  # "ok" | "no surviving samples"
-    gamma_hat: Optional[float]
-    c_hat: Optional[float]
-    surviving: int
-    dropped: int
-
-
-def measure_expansion(
-    lam: complex, r_bound: float, sample_points: Sequence[complex], n: int
-) -> ExpansionEstimate:
-    """Fit |(f^j)'(z)| >= c gamma^j over samples that stay in B(0, r_bound).
-
-    gamma is the exponential of the smallest per-sample least-squares
-    slope of log |(f^j)'| against j; c is then the exact lower envelope,
-    so the inequality holds at every sampled (z, j) by construction.
-    """
-    lam = _require_lambda(lam)
-    if n < 2:
-        raise ValidationError("need n >= 2 to fit a growth rate")
-    survivors: list[complex] = []
-    dropped = 0
-    for z in sample_points:
-        cls = classify_trajectory(lam, z, n, r_bound=r_bound)
-        if cls.status == "bounded-within-R":
-            survivors.append(complex(z))
-        else:
-            dropped += 1
-    if not survivors:
-        return ExpansionEstimate("no surviving samples", None, None, 0, dropped)
-
-    js = list(range(1, n + 1))
-    slopes: list[float] = []
-    series: list[list[float]] = []
-    kept: list[complex] = []
-    for z in survivors:
-        try:
-            logs = [orbit_derivative_log(lam, z, j) for j in js]
-        except NumericRangeError:
-            dropped += 1
-            continue
-        series.append(logs)
-        slopes.append(_lsq_fit(js, logs)[0])
-        kept.append(z)
-    if not slopes:
-        return ExpansionEstimate("no surviving samples", None, None, 0, dropped)
-    log_gamma = min(slopes)
-    log_c = min(l - j * log_gamma for logs in series for j, l in zip(js, logs))
-    return ExpansionEstimate(
-        "ok", math.exp(log_gamma), math.exp(log_c), len(kept), dropped
-    )
-
-
-def _lsq_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """Least-squares slope of ys against xs, and the fit's r^2."""
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    ss_tot = sum((y - my) ** 2 for y in ys)
-    ss_res = sum((y - (my + slope * (x - mx))) ** 2 for x, y in zip(xs, ys))
-    return slope, 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-
-
-# ---------------------------------------------------------------------------
-# thin-set check
-
-
-@dataclass(frozen=True)
-class ThinCheckReport:
-    cone_ok: bool
-    width_ok: bool
-    thinness_exponent: Optional[float]
-    empty_slices: tuple[float, ...]
-    cone_violation: Optional[complex]
-    measured_widths: tuple[tuple[float, float], ...]  # (R, measured w)
-
-
-def thin_check(
-    spec: ThinSetSpec, r_values: Sequence[float], samples_per_slice: int = 512
-) -> ThinCheckReport:
-    """Sample slices at Re = +-R and test the cone and width conditions.
-
-    The vertical slice Re = 0 is also sampled (cone test only) so that
-    sets living on the imaginary axis cannot dodge the cone condition.
-    The thinness exponent is the least-squares slope of log_+ w(R)
-    against log R over nonempty slices; thin sets trend to 0.
-    """
-    rs = [float(r) for r in r_values]
-    if not rs or any(r < 1 for r in rs):
-        raise ValidationError("slice positions must be >= 1")
-    if any(b <= a for a, b in zip(rs, rs[1:])):
-        raise ValidationError("slice positions must be increasing")
-    if samples_per_slice < 2:
-        raise ValidationError("need at least 2 samples per slice")
-
-    k = spec.cone_constant
-    cone_ok = True
-    violation: Optional[complex] = None
-    empty: list[float] = []
-    widths: list[tuple[float, float]] = []
-
-    def slice_members(x: float, half_height: float) -> list[float]:
-        step = 2 * half_height / (samples_per_slice - 1)
-        out = []
-        for i in range(samples_per_slice):
-            y = -half_height + i * step
-            if spec.membership(complex(x, y)):
-                out.append(y)
-        return out
-
-    for r in rs:
-        h = k * (r + 1.0)
-        side_widths: list[float] = []
-        any_member = False
-        for x in (r, -r):
-            ys = slice_members(x, h)
-            if not ys:
-                continue
-            any_member = True
-            side_widths.append(max(ys) - min(ys))
-            for y in ys:
-                z = complex(x, y)
-                if abs(z) / (abs(x) + 1.0) >= k:
-                    cone_ok = False
-                    violation = violation or z
-        if not any_member:
-            empty.append(r)
-        else:
-            widths.append((r, max(side_widths)))
-
-    # axis slice: cone condition only
-    for y in slice_members(0.0, k * (rs[-1] + 1.0)):
-        z = complex(0.0, y)
-        if abs(z) >= k:
-            cone_ok = False
-            violation = violation or z
-
-    width_ok = all(w <= spec.width_profile(r) * (1 + 1e-9) for r, w in widths)
-    exponent: Optional[float] = None
-    if len(widths) >= 2:
-        xs = [math.log(r) for r, _ in widths]
-        ys = [math.log(w) if w > 1.0 else 0.0 for _, w in widths]
-        exponent = _lsq_fit(xs, ys)[0]
-    return ThinCheckReport(
-        cone_ok, width_ok, exponent, tuple(empty), violation, tuple(widths)
     )
 
 

@@ -12,14 +12,14 @@ makes the pullback forget the seed error; convergence is confirmed by
 re-tracing five levels deeper and comparing.
 
 For chains that never escape (attracting real dynamics, small t) the full
-depth budget is used; that regime is exactly where landing_probe operates.
+depth budget is used.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import NonConvergenceError, NumericRangeError, ValidationError
 from .dynamics import TAU, _lambda_logs, _require_lambda, eval_map, inverse_branch
@@ -127,88 +127,6 @@ def trace_ray(
         samples.append(RaySample(t, z, j, residual, t < LOW_CONFIDENCE_T))
     worst = max(s.residual for s in samples)
     return Ray(s, tuple(samples), depth, worst, tol)
-
-
-def ray_asymptote(lam: complex, s: ExternalAddress) -> float:
-    """Limit of Im along the ray: 2 pi s_0 - Arg lambda."""
-    lam = _require_lambda(lam)
-    return TAU * s.entry(0) - _lambda_logs(lam)[1]
-
-
-# ---------------------------------------------------------------------------
-# landing heuristics
-
-
-@dataclass(frozen=True)
-class LandingProbe:
-    status: str  # "apparently-landing" | "apparently-accumulating" | "undecided"
-    endpoints: tuple[complex, ...]
-    limit: Optional[complex]
-    spread: float
-
-
-_SPREAD_ACCUMULATING = 0.5
-_SPREAD_COLLAPSED = 1e-9
-_CAUCHY_FACTOR = 2.0
-_CAUCHY_GAPS = 5
-
-
-def landing_probe(
-    lam: complex,
-    s: ExternalAddress,
-    t_min_sequence: Sequence[float],
-    depth: int = 40,
-    tol: float = 1e-10,
-) -> LandingProbe:
-    """Heuristic small-t endpoint classification; never a proof.
-
-    Traces the ray at each parameter of the decreasing sequence and looks
-    at the endpoints: a spread above 0.5 reads as accumulation, endpoints
-    collapsed below 1e-9 read as landing, and so do endpoint gaps that
-    halve five times in a row after normalizing by the parameter gaps
-    (raw endpoint gaps would echo the caller's parameter spacing and
-    misread any geometric t sequence as convergence).  Anything else is
-    undecided.
-    """
-    lam = _require_lambda(lam)
-    ts = [float(t) for t in t_min_sequence]
-    if not ts:
-        raise ValidationError("need at least one probe parameter")
-    if any(t <= 0.0 for t in ts):
-        raise ValidationError("probe parameters must be positive")
-    if any(b >= a for a, b in zip(ts, ts[1:])):
-        raise ValidationError("probe parameters must be strictly decreasing")
-
-    pts: list[complex] = []
-    for t in ts:
-        z, _ = _trace_single(lam, s, t, depth)
-        z5, _ = _trace_single(lam, s, t, depth + 5)
-        if not abs(z - z5) < tol:
-            raise NonConvergenceError(
-                f"probe pullback at t={t:g} did not converge (moved {abs(z - z5):.3e})"
-            )
-        pts.append(z5)
-
-    window = pts[-5:]
-    spread = max(
-        (abs(a - b) for i, a in enumerate(window) for b in window[i + 1 :]),
-        default=0.0,
-    )
-    if len(pts) < 2:
-        return LandingProbe("undecided", tuple(pts), None, spread)
-    if spread > _SPREAD_ACCUMULATING:
-        return LandingProbe("apparently-accumulating", tuple(pts), None, spread)
-    if spread < _SPREAD_COLLAPSED:
-        return LandingProbe("apparently-landing", tuple(pts), pts[-1], spread)
-    gaps = [
-        abs(z1 - z0) / (t0 - t1)
-        for z0, z1, t0, t1 in zip(pts, pts[1:], ts, ts[1:])
-    ]
-    if len(gaps) >= _CAUCHY_GAPS:
-        tail = gaps[-_CAUCHY_GAPS:]
-        if all(g1 <= g0 / _CAUCHY_FACTOR for g0, g1 in zip(tail, tail[1:])):
-            return LandingProbe("apparently-landing", tuple(pts), pts[-1], spread)
-    return LandingProbe("undecided", tuple(pts), None, spread)
 
 
 # ---------------------------------------------------------------------------

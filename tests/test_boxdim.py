@@ -51,6 +51,17 @@ def test_single_point_has_slope_zero():
     assert not res.slope_claim  # too few points to claim anything
 
 
+def test_least_squares_fit_has_the_same_bits_on_every_interpreter():
+    # builtin sum of ten 0.1s is 0.9999999999999999 before Python 3.12 and
+    # 1.0 from 3.12 on; correctly rounded sums give 1.0 on both, so flat
+    # data fits exactly, and box-count data keeps its last bits
+    xs = [float(i) for i in range(10)]
+    assert boxdim._lsq_fit(xs, [0.1] * 10) == (0.0, 1.0)
+    logs = [math.log(1 / e) for e in (0.1, 0.05, 0.02, 0.01)]
+    counts = [math.log(n) for n in (7, 15, 41, 77)]
+    assert boxdim._lsq_fit(logs, counts) == (1.0490469928686925, 0.9983792565983856)
+
+
 def test_anchor_shift_barely_moves_the_slope():
     seg = [complex(i / 1000.0, 0.0) for i in range(1000)]
     base = box_count(seg, EPS)

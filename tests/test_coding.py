@@ -13,7 +13,6 @@ from expdyn import (
     eval_map,
     itinerary,
     parse_address,
-    rempe_address,
     shift,
     strip_index,
 )
@@ -173,29 +172,3 @@ def test_itinerary_is_shift_compatible(re, im):
         assume(False)
     assert a.entries[1:] == b.entries
 
-
-# ---------------------------------------------------------------------------
-# target addresses with separating blocks
-
-def test_rempe_address_examples():
-    zero = ExternalAddress.constant(0)
-    assert rempe_address(zero, (3, 2)).entries == (2, 0, 0, 0, 2, 0, 0, 2)
-    assert rempe_address(ExternalAddress.constant(3), (1,)).entries == (5, 3, 5)
-    assert rempe_address(zero, (1,)).entries == (2, 0, 2)
-
-
-@given(st.lists(st.integers(min_value=-4, max_value=4), min_size=5, max_size=8),
-       st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4))
-def test_rempe_address_is_bounded_by_source_bound(entries, blocks):
-    # the source must reach at least max(blocks) entries
-    r = ExternalAddress.from_entries(entries)
-    out = rempe_address(r, blocks)
-    assert out.bound <= 2 + r.bound
-    assert not out.is_infinite
-
-
-def test_rempe_address_validation():
-    with pytest.raises(ValidationError):
-        rempe_address(ExternalAddress.constant(0), ())
-    with pytest.raises(ValidationError):
-        rempe_address(ExternalAddress.constant(0), (0,))

@@ -10,9 +10,7 @@ import pytest
 
 from expdyn import induced
 from expdyn import (
-    DomainError,
     GeometryError,
-    LogPolarComplex,
     NumericRangeError,
     RectangleIndex,
     Strip,
@@ -23,10 +21,8 @@ from expdyn import (
     cover_iterate,
     eval_map,
     horizontal_strip,
-    induced_apply,
     negative_geometry,
     positive_sum,
-    step_log_polar,
     symmetric_strip,
     verify_contraction,
 )
@@ -106,8 +102,8 @@ def test_positive_sum_upper_bounds_a_sampled_branch_sum():
             continue
         d = abs(w)  # |f'(z)| = |f(z)| for this family
         cells[(k, s)] = min(cells.get((k, s), math.inf), d)
-    mc = sum(v ** -(1 + delta) for v in cells.values())
-    assert mc == 0.19146296760432926
+    mc = math.fsum(v ** -(1 + delta) for v in cells.values())
+    assert mc == 0.19146296760432924
     assert mc <= bound
 
 
@@ -273,38 +269,6 @@ def test_level_of_column_bisect_matches_the_scan(geo):
                 geo.level_of_column(r)
         else:
             assert geo.level_of_column(r) == want, r
-
-
-# ---------------------------------------------------------------------------
-# the induced map
-
-def test_induced_map_is_f_on_the_positive_part():
-    geo = dataclasses.replace(negative_geometry(1.0, 1.0, 3, 6), m=5)
-    p, steps = induced_apply(geo, STRIP, 6.0)
-    assert steps == 1
-    assert (p.log_modulus.level, p.log_modulus.mantissa) == (0, 6.0)
-    assert p.argument == 0.0
-
-
-def test_induced_map_iterates_levels_on_the_negative_part():
-    geo = negative_geometry(0.65, 0.65, 4, 6)
-    q, steps = induced_apply(geo, STRIP, -16.5)
-    assert steps == geo.level_of_column(-17) + 2 == 8
-    assert (q.log_modulus.level, q.log_modulus.mantissa) == (1, 324.4709638537972)
-    # composition consistency: the induced step is exactly f^steps
-    p = LogPolarComplex.from_complex(-16.5 + 0.0j)
-    for _ in range(steps):
-        p = step_log_polar(0.65, p)
-    assert p == q
-
-
-def test_induced_map_rejects_the_gap_and_missed_rectangles():
-    geo = negative_geometry(0.65, 0.65, 4, 6)
-    with pytest.raises(DomainError,
-                       match=r"rectangle column 0 lies inside \|Re\| < M = 7"):
-        induced_apply(geo, STRIP, 0.0)
-    with pytest.raises(DomainError, match="does not meet the thin set"):
-        induced_apply(geo, STRIP, complex(8.0, 40.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Thin-set specs, orbit membership under both policies, fields, thinness."""
+"""Thin-set specs, orbit membership under both policies, and fields."""
 
-import cmath
 import math
 import pickle
 
@@ -17,14 +16,11 @@ from expdyn import (
     ValidationError,
     build_zm,
     certificate_to_json,
-    classify_trajectory,
     cone_band,
     horizontal_strip,
     lambda_membership,
-    measure_expansion,
     sample_lambda_set,
     symmetric_strip,
-    thin_check,
     verify_contraction,
 )
 from expdyn.invariant_sets import (
@@ -313,109 +309,3 @@ def test_field_writers(tmp_path):
     assert pgm.read_bytes() == want_pgm
     assert csv.read_text() == want_csv
 
-
-# ---------------------------------------------------------------------------
-# trajectory classes
-
-def test_trajectory_classification_fixtures():
-    t = classify_trajectory(1.0, 0.0, 3)
-    assert (t.status, t.evidence) == ("bounded-within-R", 3)
-    t = classify_trajectory(1.0, 0.0, 4)
-    assert (t.status, t.evidence) == ("undecided", 4)
-    t = classify_trajectory(1.0, 1.0, 6)
-    assert (t.status, t.evidence) == ("escaping", 5)
-    t = classify_trajectory(0.2, 0.0, 40)
-    assert (t.status, t.evidence) == ("bounded-within-R", 40)
-
-
-def test_attracting_fixed_point_stays_bounded():
-    x = 0.0
-    for _ in range(200):
-        x = 0.2 * math.exp(x)
-    assert x == 0.25917110181907377
-    t = classify_trajectory(0.2, x, 40)
-    assert t.status == "bounded-within-R"
-
-
-# ---------------------------------------------------------------------------
-# expansion estimates
-
-def test_expansion_at_repelling_fixed_point():
-    # fixed point of e^z in the first strip: |f'| = |z*| at every step
-    z = 0.3 + 1.3j
-    for _ in range(60):
-        z = z - (cmath.exp(z) - z) / (cmath.exp(z) - 1)
-    est = measure_expansion(1.0, 4.0, [z], 6)
-    assert est.status == "ok"
-    assert est.gamma_hat == 1.3745570107437075
-    assert est.c_hat == 0.9999999999999998
-    assert (est.surviving, est.dropped) == (1, 0)
-    assert est.gamma_hat == pytest.approx(abs(z), rel=1e-12)
-
-
-def test_expansion_on_attracting_orbit_contracts():
-    samples = [0.0, 0.1, 0.2 + 0.1j, 0.3, 0.5j, 1.0]
-    est = measure_expansion(0.2, 10.0, samples, 20)
-    assert est.status == "ok"
-    assert est.gamma_hat == 0.25862575426955003
-    assert est.c_hat == 0.6963016342505238
-    assert (est.surviving, est.dropped) == (6, 0)
-    assert est.gamma_hat < 1.0  # contraction, not expansion
-
-
-def test_expansion_with_no_survivors():
-    est = measure_expansion(1.0, 0.5, [5.0], 4)
-    assert est.status == "no surviving samples"
-    assert est.gamma_hat is None
-    assert (est.surviving, est.dropped) == (0, 1)
-
-
-# ---------------------------------------------------------------------------
-# thinness checks
-
-def test_strip_passes_thin_check():
-    rep = thin_check(STRIP, [1.0, 2.0, 4.0, 8.0, 16.0], samples_per_slice=4096)
-    assert rep.cone_ok and rep.width_ok
-    assert rep.empty_slices == ()
-    assert rep.cone_violation is None
-    # constant width means exponent ~ 0
-    assert rep.thinness_exponent == -0.002780271947995247
-    assert abs(rep.thinness_exponent) < 0.05
-    assert len(rep.measured_widths) == 5
-
-
-def test_sqrt_band_has_half_exponent():
-    band = cone_band(
-        membership=lambda z: 0.0 <= z.imag <= math.sqrt(abs(z.real) + 1.0),
-        cone_constant=STRIP.cone_constant,
-        width_profile=lambda r: math.sqrt(r + 1.0),
-        descriptor="sqrt band",
-    )
-    rep = thin_check(band, [float(2 ** k) for k in range(7)],
-                     samples_per_slice=2048)
-    assert rep.cone_ok and rep.width_ok
-    assert rep.thinness_exponent == 0.4186729557593942
-    assert abs(rep.thinness_exponent - 0.5) < 0.09
-
-
-def test_vertical_bar_fails_the_cone_condition():
-    vert = cone_band(
-        membership=lambda z: abs(z.real) <= 0.5,
-        cone_constant=STRIP.cone_constant,
-        width_profile=lambda r: 60.0,
-        descriptor="vertical bar",
-    )
-    rep = thin_check(vert, [2.0, 4.0], samples_per_slice=64)
-    assert not rep.cone_ok
-    assert rep.cone_violation == complex(0.0, -25.707963267948966)
-    assert rep.empty_slices == (2.0, 4.0)
-    assert rep.thinness_exponent is None
-
-
-def test_thin_check_validation():
-    with pytest.raises(ValidationError):
-        thin_check(STRIP, [])
-    with pytest.raises(ValidationError):
-        thin_check(STRIP, [0.5])
-    with pytest.raises(ValidationError):
-        thin_check(STRIP, [2.0, 1.0])

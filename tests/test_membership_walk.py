@@ -30,7 +30,7 @@ def first_step(lam, z):
     """f(z) in log-polar form, from Re z and Im z themselves."""
     log_lam = math.log(abs(lam))
     arg_lam = math.atan2(lam.imag, lam.real)
-    trusted = abs(z) <= ARG_TRUST_LIMIT or math.sin(cmath.phase(z)) == 0.0
+    trusted = abs(z) <= ARG_TRUST_LIMIT or math.sin(math.atan2(z.imag, z.real)) == 0.0
     return LogPolarComplex(TowerReal(0, z.real).add_float(log_lam),
                            _principal(z.imag + arg_lam), trusted)
 
@@ -212,11 +212,12 @@ ROW_LAMBDAS = [1.0, complex(1.0, -0.0), -1.0, complex(-1.0, -0.0), 0.25, 1 + 0.3
 # ARG_TRUST_LIMIT (+-1e17) and a next log modulus below NEG_SENTINEL
 ROW_XS = [0.0, -0.0, 0.5, -0.3, -3.0, 3.0, 40.0, 709.79, 1e17, -1e17,
           1.795e308, -1e308, 5e-324]
-# the real axis both ways round, the edges of the strips in SPECS, and
-# rows inside and outside them; no |Im z| is in (0, 1e-15), where the
-# oracle's cmath.phase raises for Re z near 1.8e308 (its value underflows)
-ROW_YS = [0.0, -0.0, math.pi, -math.pi, 0.5, -1.0, 2.0, -2.0, 1e-15, 1.5, 3.0]
-_row_y = _finite.filter(lambda y: y == 0.0 or abs(y) >= 1e-15)
+# the real axis both ways round, the edges of the strips in SPECS, rows
+# inside and outside them, and tiny |Im z|, whose argument underflows to 0
+# for Re z near 1.8e308
+ROW_YS = [0.0, -0.0, math.pi, -math.pi, 0.5, -1.0, 2.0, -2.0, 1e-15, 1.5, 3.0,
+          1e-20, -1e-300, 5e-324]
+_row_y = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def walk_row(lam, spec, xs, y, n):

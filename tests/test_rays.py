@@ -1,4 +1,4 @@
-"""Ray tracing by pullback, landing probes, and CSV output."""
+"""Ray tracing by pullback and CSV output."""
 
 import io
 import math
@@ -11,8 +11,6 @@ from expdyn import (
     NonConvergenceError,
     ValidationError,
     eval_map,
-    landing_probe,
-    ray_asymptote,
     ray_to_csv,
     trace_ray,
     write_ray_csv,
@@ -47,14 +45,6 @@ def test_real_ray_escapes_monotonically():
     assert all(b > a for a, b in zip(res, res[1:]))
 
 
-def test_ray_asymptote_formula():
-    assert ray_asymptote(1.0, ExternalAddress((1,), ("constant", 0))) == 2 * math.pi
-    lam = 0.3 + 0.4j
-    s = ExternalAddress.constant(2)
-    assert ray_asymptote(lam, s) == pytest.approx(
-        4 * math.pi - math.atan2(lam.imag, lam.real))
-
-
 def test_traced_imaginary_part_approaches_asymptote():
     s = ExternalAddress((1,), ("constant", 0))
     ray = trace_ray(1.0, s, [50.0], depth=20)
@@ -86,10 +76,6 @@ def test_attracting_lambda_rays_are_rejected_honestly():
     # rejects the sample rather than report a bogus ray point
     with pytest.raises(NonConvergenceError, match="leaves strip 0"):
         trace_ray(0.2, ZERO, [2.0], depth=70)
-    # the landing probe is the tool for attracting parameters; it traces
-    # without the forward-coding gate and classifies heuristically
-    probe = landing_probe(0.2, ZERO, [1.0 / 2 ** k for k in range(8)], depth=70)
-    assert probe.status == "apparently-landing"
 
 
 def test_pullback_contracts_geometrically_for_attracting_lambda():
@@ -114,39 +100,6 @@ def test_trace_validation():
         trace_ray(1.0, ZERO, [2.0], depth=0)
     with pytest.raises(ValidationError):
         trace_ray(1.0, ZERO, [2.0], tol=0.0)
-
-
-# ---------------------------------------------------------------------------
-# landing probes
-
-def test_probe_detects_landing_for_attracting_lambda():
-    ts = [1.0 / 2 ** k for k in range(8)]
-    probe = landing_probe(0.2, ZERO, ts, depth=70)
-    assert probe.status == "apparently-landing"
-    assert probe.limit == complex(2.5426413577735265, 2.8384922777791143e-19)
-    assert probe.spread == 0.0
-    assert len(probe.endpoints) == 8
-
-
-def test_probe_stays_undecided_on_the_escaping_real_ray():
-    ts = [2.0 / 2 ** k for k in range(10)]
-    probe = landing_probe(1.0, ZERO, ts, depth=40)
-    assert probe.status == "undecided"
-    assert probe.limit is None
-    assert probe.spread == 0.05859375
-
-
-def test_probe_single_parameter_is_undecided():
-    assert landing_probe(1.0, ZERO, [1.5], depth=30).status == "undecided"
-
-
-def test_probe_validation():
-    with pytest.raises(ValidationError):
-        landing_probe(1.0, ZERO, [])
-    with pytest.raises(ValidationError):
-        landing_probe(1.0, ZERO, [1.0, 2.0])  # must decrease
-    with pytest.raises(ValidationError):
-        landing_probe(1.0, ZERO, [1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------

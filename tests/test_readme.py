@@ -1,5 +1,8 @@
 """The README's examples print what the README says they print."""
 
+import builtins
+import importlib
+import inspect
 import io
 import json
 import pathlib
@@ -85,3 +88,36 @@ def test_python_session():
             assert line.startswith(shown[:-3]), (line, shown)
         else:
             assert line == shown
+
+
+def _stale_library_names(text):
+    """Names in the library table's `expdyn.X` rows that are neither an
+    attribute of module expdyn.X, nor of one of its public classes (fields
+    included), nor a builtin; only identifiers and call names are read."""
+    rows = re.findall(r"^\| `(expdyn\.\w+)`\s*\|(.*)\|$", text, re.M)
+    assert len(rows) == 8, rows
+    stale = []
+    for module_name, cells in rows:
+        module = importlib.import_module(module_name)
+        owners = [module, builtins] + [
+            cls for name, cls in vars(module).items()
+            if inspect.isclass(cls) and not name.startswith("_")]
+        for span in re.findall(r"`([^`]*)`", cells):
+            name = re.fullmatch(r"([A-Za-z_]\w*)(?:\(.*\))?", span)
+            if name and not any(
+                    hasattr(o, name.group(1))
+                    or name.group(1) in getattr(o, "__dataclass_fields__", {})
+                    for o in owners):
+                stale.append(f"{module_name}.{name.group(1)}")
+    return stale
+
+
+def test_library_table_names_only_what_the_package_has():
+    assert _stale_library_names(TEXT) == []
+
+
+def test_library_table_check_catches_a_stale_name():
+    planted = TEXT.replace("| `trace_ray`, CSV export |",
+                           "| `trace_ray`, `landing_probe(t)`, CSV export |")
+    assert planted != TEXT
+    assert _stale_library_names(planted) == ["expdyn.rays.landing_probe"]
