@@ -39,7 +39,6 @@ from .coding import (
     ExternalAddress,
     itinerary,
     parse_address,
-    shift,
     strip_index,
 )
 from .rays import (
@@ -142,7 +141,6 @@ __all__ = [
     "render_field",
     "report_to_json",
     "sample_lambda_set",
-    "shift",
     "singular_orbit",
     "step_log_polar",
     "strip_index",

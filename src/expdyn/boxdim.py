@@ -53,17 +53,12 @@ def _lsq_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     return slope, 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
-def box_count(
-    points: Sequence[complex],
-    epsilons: Sequence[float],
-    anchor_offset: tuple[float, float] = (0.0, 0.0),
-) -> BoxCountResult:
+def box_count(points: Sequence[complex], epsilons: Sequence[float]) -> BoxCountResult:
     """Occupied epsilon-grid boxes at each scale, with a least-squares slope.
 
     Points must be finite.  The grid is anchored at the bounding-box
-    corner of the points; anchor_offset shifts it by the given fraction of
-    each epsilon (used for grid-stability checks).  Scales must be strictly
-    decreasing, at least three of them, spanning at least one decade.
+    corner of the points.  Scales must be strictly decreasing, at least
+    three of them, spanning at least one decade.
     Fewer than 100 points clears slope_claim but the slope is still
     reported.
     """
@@ -82,13 +77,11 @@ def box_count(
 
     x0 = min(p.real for p in pts)
     y0 = min(p.imag for p in pts)
-    ox, oy = anchor_offset
     offsets = [(p.real - x0, p.imag - y0) for p in pts]
     counts: list[int] = []
     try:
         for e in eps:
-            boxes = {(math.floor(dx / e - ox), math.floor(dy / e - oy))
-                     for dx, dy in offsets}
+            boxes = {(math.floor(dx / e), math.floor(dy / e)) for dx, dy in offsets}
             counts.append(len(boxes))
     except OverflowError:  # a box index past the float range
         raise ValidationError(f"points spread too wide for scale {e:g}") from None
@@ -107,7 +100,6 @@ def box_count(
 
 @dataclass(frozen=True)
 class DimensionReport:
-    boxcount: Optional[BoxCountResult]
     certificate: Optional[ContractionCertificate]
     bound_achieved: Optional[float]  # 1 + delta of the best passing certificate
     provenance: dict
@@ -136,7 +128,6 @@ def dimension_bound_search(
     l0_grid: Optional[Sequence[int]] = None,
     c: Optional[float] = None,
     r_span: int = 20,
-    boxcount: Optional[BoxCountResult] = None,
 ) -> DimensionReport:
     """Scan the grids and return the smallest passing 1 + delta.
 
@@ -183,8 +174,8 @@ def dimension_bound_search(
                 break
 
     if best is None:
-        return DimensionReport(boxcount, None, None, provenance, "no certificate in grid")
-    return DimensionReport(boxcount, best, 1.0 + best.delta, provenance, "ok")
+        return DimensionReport(None, None, provenance, "no certificate in grid")
+    return DimensionReport(best, 1.0 + best.delta, provenance, "ok")
 
 
 def report_to_json(report: DimensionReport) -> str:
@@ -198,17 +189,7 @@ def report_to_json(report: DimensionReport) -> str:
             if report.certificate is not None
             else None
         ),
-        "boxcount": (
-            {
-                "epsilons": list(report.boxcount.epsilons),
-                "counts": list(report.boxcount.counts),
-                "slope": report.boxcount.slope,
-                "r2": report.boxcount.r2,
-                "slope_claim": report.boxcount.slope_claim,
-                "n_points": report.boxcount.n_points,
-            }
-            if report.boxcount is not None
-            else None
-        ),
+        # a key of format_version 1; box counts are the boxdim command's report
+        "boxcount": None,
     }
     return report_json(doc)

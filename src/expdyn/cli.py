@@ -23,11 +23,10 @@ import sys
 from typing import Iterator, Optional, Sequence
 
 from .errors import NumericRangeError, ValidationError
-from .dynamics import check_supergrowth, iterate_orbit
+from .dynamics import _RANGE_LIMIT, check_supergrowth, iterate_orbit
 from .coding import parse_address
 from .rays import trace_ray, write_ray_csv
 from .invariant_sets import (
-    _RANGE_LIMIT,
     ThinSetSpec,
     _write_payload,
     horizontal_strip,
@@ -235,7 +234,7 @@ def _cmd_supergrowth(args: argparse.Namespace) -> int:
             {
                 "level": a.level,
                 "mantissa": a.mantissa,
-                "value": a.to_float() if a.is_native() else None,
+                "value": None if (v := a.to_float()) == math.inf else v,
             }
             for a in rep.alphas
         ],
@@ -286,6 +285,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     spec = _parse_set(args.set)
     if args.cover_depth < 0:
         raise ValidationError("--cover-depth must be >= 0")
+    if args.cover_depth > _RANGE_LIMIT:
+        # refused here too, before the certificate is written
+        raise ValidationError(f"--cover-depth must be at most {_RANGE_LIMIT}")
     if args.cover_depth > 0 and args.branch_cap < 1:
         raise ValidationError("--branch-cap must be >= 1 when --cover-depth > 0")
     geometry = None

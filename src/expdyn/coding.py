@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import UntrustedArgumentError, ValidationError
@@ -23,6 +23,7 @@ from .dynamics import (
     _lambda_logs,
     _require_lambda,
     _require_point,
+    _strip_coordinate,
     _strip_of_imag,
     step_log_polar,
 )
@@ -52,7 +53,6 @@ class ExternalAddress:
 
     entries: tuple[int, ...] = ()
     tail: Optional[tuple] = None
-    bound: int = field(init=False)
 
     def __post_init__(self):
         if self.tail is not None:
@@ -66,13 +66,6 @@ class ExternalAddress:
                     raise ValidationError("periodic tail needs a nonempty integer pattern")
             else:
                 raise ValidationError(f"unknown tail rule {kind!r}")
-        vals = [abs(v) for v in self.entries]
-        if self.tail is not None:
-            if self.tail[0] == "constant":
-                vals.append(abs(self.tail[1]))
-            else:
-                vals.extend(abs(v) for v in self.tail[1])
-        object.__setattr__(self, "bound", max(vals, default=0))
 
     # -- constructors
 
@@ -90,15 +83,6 @@ class ExternalAddress:
 
     # -- access
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.tail is not None
-
-    def __len__(self) -> int:
-        if self.is_infinite:
-            raise ValidationError("address is infinite; use prefix(n)")
-        return len(self.entries)
-
     def entry(self, n: int) -> int:
         if n < 0:
             raise ValidationError("address index must be >= 0")
@@ -112,9 +96,6 @@ class ExternalAddress:
             return self.tail[1]
         pat = self.tail[1]
         return pat[(n - len(self.entries)) % len(pat)]
-
-    def prefix(self, n: int) -> tuple[int, ...]:
-        return tuple(self.entry(i) for i in range(n))
 
     def shift(self) -> "ExternalAddress":
         """Drop the first entry."""
@@ -136,10 +117,6 @@ class ExternalAddress:
         else:
             tail = ",".join(str(v) for v in self.tail[1]) + ",..."
         return f"({head},{tail})" if head else f"({tail})"
-
-
-def shift(s: ExternalAddress) -> ExternalAddress:
-    return s.shift()
 
 
 def parse_address(text: str) -> ExternalAddress:
@@ -226,7 +203,7 @@ def itinerary(lam: complex, z: complex, n: int) -> ExternalAddress:
                 f"imaginary part not representable at orbit step {i}"
             )
         # edges of the strips sit at integer u
-        u = (im + arg_lam) / TAU - 0.5
+        u = _strip_coordinate(im, arg_lam)
         if err_im > TAU * abs(u - round(u)):
             raise UntrustedArgumentError(
                 f"strip of the orbit point undecided at orbit step {i}"

@@ -36,6 +36,17 @@ TAU = 2.0 * math.pi
 # |z| beyond which Im z mod 2pi is below one ulp of Im z
 ARG_TRUST_LIMIT = TAU / 2.220446049250313e-16
 
+# most values a count or range may expand to: the points of an orbit, the
+# levels of a geometry, a ray's or a cover's depth, the pixels of a field
+# side, the columns of a certificate, and the values of a T0:T1:STEP or
+# E0:E1:FACTOR range
+_RANGE_LIMIT = 10_000
+
+# iterate_orbit marks a point escaped past this log modulus, and flags
+# precision loss once prod |f'| along the orbit passes e^_LOG_DERIVATIVE_FLAG
+_ESCAPE_LOG_MODULUS = TowerReal.from_float(1e8)
+_LOG_DERIVATIVE_FLAG = math.log(1e15)
+
 
 def _require_lambda(lam: complex) -> complex:
     lam = complex(lam)
@@ -65,6 +76,11 @@ def _require_point(z: complex) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValidationError("point must be finite")
     return z
+
+
+def _require_count(n: int, what: str) -> None:
+    if n > _RANGE_LIMIT:
+        raise ValidationError(f"{what} must be at most {_RANGE_LIMIT}")
 
 
 def _principal(theta: float) -> float:
@@ -176,32 +192,22 @@ class OrbitPoint:
 
 @dataclass(frozen=True)
 class OrbitResult:
-    lam: complex
     points: tuple[OrbitPoint, ...]
     escaped_at: Optional[int]
-    precision_loss_at: Optional[int]
 
 
-def iterate_orbit(
-    lam: complex,
-    z0: complex,
-    n: int,
-    escape_log_modulus: float = 1e8,
-    derivative_flag_threshold: float = 1e15,
-) -> OrbitResult:
+def iterate_orbit(lam: complex, z0: complex, n: int) -> OrbitResult:
     """Orbit z0, f(z0), ..., f^n(z0) in log-polar form with per-step status.
 
-    ``escaped`` marks the first index whose log modulus exceeds
-    ``escape_log_modulus``; ``precision_flag`` is set once the accumulated
-    derivative bound prod |f'| along the orbit exceeds
-    ``derivative_flag_threshold`` (native re/im values past that point
-    carry amplified rounding error).
+    ``escaped`` marks each index whose log modulus exceeds 1e8;
+    ``precision_flag`` is set once the accumulated derivative bound
+    prod |f'| along the orbit exceeds 1e15 (native re/im values past that
+    point carry amplified rounding error).  n is at most _RANGE_LIMIT.
     """
     lam = _require_lambda(lam)
     if n < 0:
         raise ValidationError("orbit length must be non-negative")
-    escape = TowerReal.from_float(escape_log_modulus)
-    log_flag = math.log(derivative_flag_threshold)
+    _require_count(n, "orbit length")
 
     cur = LogPolarComplex.from_complex(z0)
     native: Optional[complex] = complex(z0)
@@ -211,7 +217,7 @@ def iterate_orbit(
     deriv_log_sum = 0.0
 
     for i in range(n + 1):
-        esc = cur.log_modulus > escape
+        esc = cur.log_modulus > _ESCAPE_LOG_MODULUS
         if esc and escaped_at is None:
             escaped_at = i
         flag = precision_at is not None
@@ -227,17 +233,18 @@ def iterate_orbit(
         # |f'| at the previous point equals |f| at this one
         lm = cur.log_modulus
         deriv_log_sum += lm.mantissa if lm.level == 0 else math.inf
-        if precision_at is None and deriv_log_sum > log_flag:
+        if precision_at is None and deriv_log_sum > _LOG_DERIVATIVE_FLAG:
             precision_at = i + 1
-    return OrbitResult(lam, tuple(pts), escaped_at, precision_at)
+    return OrbitResult(tuple(pts), escaped_at)
 
 
 def singular_orbit(lam: complex, n: int) -> tuple[LogPolarComplex, ...]:
     """beta_1 .. beta_n, the forward orbit of 0 (beta_1 = lambda), exactly
-    in log-polar form."""
+    in log-polar form; n is at most _RANGE_LIMIT."""
     lam = _require_lambda(lam)
     if n < 1:
         raise ValidationError("need at least one orbit point")
+    _require_count(n, "singular orbit length")
     out = [LogPolarComplex.from_complex(lam)]
     for _ in range(n - 1):
         out.append(step_log_polar(lam, out[-1]))
@@ -286,9 +293,20 @@ def inverse_branch(lam: complex, w: complex, k: int) -> complex:
     return complex(base.real, im)
 
 
+def _strip_coordinate(im: float, arg_lam: float) -> float:
+    """(im + A)/tau - 1/2 with A = Arg lambda: strip edges sit at its
+    integers, and strip k holds the coordinates in (k - 1, k]."""
+    return (im + arg_lam) / TAU - 0.5
+
+
 def _strip_of_imag(im: float, arg_lam: float) -> int:
     # (2k-1) pi - A < im <= (2k+1) pi - A  <=>  k = ceil((im + A)/tau - 1/2)
-    return math.ceil((im + arg_lam) / TAU - 0.5)
+    return math.ceil(_strip_coordinate(im, arg_lam))
+
+
+def _strip_bottom(k: int, arg_lam: float) -> float:
+    """Lower edge (2k - 1) pi - Arg lambda of strip k."""
+    return (2 * k - 1) * math.pi - arg_lam
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +315,7 @@ def _strip_of_imag(im: float, arg_lam: float) -> int:
 
 @dataclass(frozen=True)
 class SupergrowthReport:
-    lam: complex
     c: float
-    n_min: int
     n_checked: int
     holds: bool
     first_failure_index: Optional[int]
@@ -329,9 +345,7 @@ def _largest_growth_root(c: float) -> Optional[float]:
     return 0.5 * (lo + hi)
 
 
-def check_supergrowth(
-    lam: complex, c: float, n: int, n_min: int = 1
-) -> SupergrowthReport:
+def check_supergrowth(lam: complex, c: float, n: int) -> SupergrowthReport:
     """Check alpha_{k+1} >= c * e^{alpha_k} along the singular orbit.
 
     ``holds`` additionally requires the growth to be self-sustaining at the
@@ -343,8 +357,8 @@ def check_supergrowth(
     lam = _require_lambda(lam)
     if not (c > 0.0 and math.isfinite(c)):
         raise ValidationError("c must be a positive real")
-    if n < 2 or n_min < 1 or n_min >= n:
-        raise ValidationError("need 1 <= n_min < n and n >= 2")
+    if n < 2:
+        raise ValidationError("need n >= 2")
 
     orbit = singular_orbit(lam, n)
     alphas = tuple(p.real_part_tower() for p in orbit)  # alphas[i] = alpha_{i+1}
@@ -353,7 +367,7 @@ def check_supergrowth(
     ratios: list[Optional[float]] = []
     first_fail: Optional[int] = None
     log_margins: list[float] = []
-    for k in range(n_min, n):
+    for k in range(1, n):
         a_prev = alphas[k - 1]
         a_next = alphas[k]
         if not a_next > ZERO:
@@ -397,9 +411,7 @@ def check_supergrowth(
 
     tail_ratio = _tail_ratio(alphas)
     return SupergrowthReport(
-        lam=lam,
         c=c,
-        n_min=n_min,
         n_checked=n,
         holds=holds,
         first_failure_index=first_fail,

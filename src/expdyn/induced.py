@@ -24,21 +24,24 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import add, lt, mul, neg
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import GeometryError, NumericRangeError, ValidationError
 from .dynamics import (
+    _RANGE_LIMIT,
     TAU,
     _lambda_logs,
+    _require_count,
     _require_lambda,
+    _strip_bottom,
+    _strip_of_imag,
     check_supergrowth,
     singular_orbit,
 )
-from .coding import _strip_of_imag
-from .invariant_sets import _RANGE_LIMIT, Strip, ThinSetSpec
+from .invariant_sets import Strip, ThinSetSpec
 
 # Exponents below this take the native path.  It sits ~20 below the
 # overflow limit towers._EXP_SAFE so that exp(log_e + 1) and products of
@@ -89,11 +92,6 @@ def certified_columns(m: int, r_max: int, two_sided: bool = True) -> list[int]:
     if two_sided:
         columns += range(-r_max, -m + 1)
     return columns
-
-
-def _strip_bottom(k: int, arg_lam: float) -> float:
-    """Lower edge (2k - 1) pi - Arg lambda of strip k."""
-    return (2 * k - 1) * math.pi - arg_lam
 
 
 def _rectangle_meets(
@@ -330,12 +328,6 @@ class InducedGeometry:
     alphas: tuple[float, ...]  # alpha_0 .. alpha_{l0+n+1} as floats (inf beyond native)
     log_betas: tuple[float, ...]  # log|beta_l|, index 1..; [0] unused sentinel
 
-    def sigma(self, l: int) -> float:
-        i = l - self.l0
-        if not 0 <= i < len(self.sigmas):
-            raise ValidationError(f"sigma_{l} outside the computed range")
-        return self.sigmas[i]
-
     def level_of_column(self, r: int) -> int:
         """Band level of the column [r, r+1); ties go to the smaller level.
 
@@ -355,16 +347,10 @@ class InducedGeometry:
             f"column {r} below the deepest computed band; increase n_levels"
         )
 
-    def alpha_float(self, l: int) -> float:
-        return self.alphas[l]
-
-    def log_beta_float(self, l: int) -> float:
-        return self.log_betas[l]
-
     def r_prime_min(self, l: int) -> float:
         """Smallest positive column the level-l continuation can reach."""
-        a = self.alpha_float(l)
-        lb = self.log_beta_float(l)
+        a = self.alphas[l]
+        lb = self.log_betas[l]
         radius = math.exp(math.log(self.d) + lb) if lb < _EXP_NATIVE else math.inf
         if a == math.inf or radius == math.inf:
             return math.inf
@@ -416,13 +402,10 @@ def negative_geometry(
     log_lam = _lambda_logs(lam)[0]
     const = -math.log(4.0) - 1.0 + log_d
 
-    def sigma(l: int) -> float:
-        total = 0.0
-        for i in range(0, l - 1):
-            total += alphas[i]
-        return const - total - l * log_lam
-
-    sigmas = tuple(sigma(l) for l in range(l0, l0 + n_levels + 2))
+    # partial[j] = alpha_0 + ... + alpha_{j-1}, added left to right
+    partial = list(accumulate(alphas, initial=0.0))
+    sigmas = tuple(const - partial[l - 1] - l * log_lam
+                   for l in range(l0, l0 + n_levels + 2))
     if not sigmas[1] >= -m + 1:
         raise GeometryError(
             f"band top sigma_{l0 + 1} = {sigmas[1]:.4g} does not reach "
@@ -490,7 +473,7 @@ def _negative_level_bound(
     ps = _positive_column_sum(lam, spec, r_min, delta, float(geometry.m))
     if ps == 0.0:
         return 0.0
-    lb = geometry.log_beta_float(l)
+    lb = geometry.log_betas[l]
     log_height = math.log(d) + lb + math.log(2.0 / TAU)
     if log_height < _EXP_NATIVE:
         n_height = math.exp(log_height) + 2.0
@@ -695,8 +678,6 @@ class CoverLevel:
 class CoverRun:
     levels: tuple[CoverLevel, ...]
     aborted: bool
-    start_column: int
-    delta: float
     m: int
     two_sided: bool
 
@@ -792,6 +773,7 @@ def cover_iterate(
     _require_run_parameters(delta, distortion_allowance)
     if depth_max < 1 or branch_cap < 1:
         raise ValidationError("need depth_max >= 1 and branch_cap >= 1")
+    _require_count(depth_max, "cover depth")
     m = _threshold(m, geometry)
     two_sided = geometry is not None
     sides = 2.0 if two_sided else 1.0
@@ -899,4 +881,4 @@ def cover_iterate(
             n, total, math.ldexp(base, -n), cells, scale * tail_mass
         ))
 
-    return CoverRun(tuple(levels), aborted, m, delta, m, two_sided)
+    return CoverRun(tuple(levels), aborted, m, two_sided)

@@ -25,6 +25,7 @@ from itertools import chain, repeat, starmap
 from typing import Callable, Optional, Sequence, Union
 
 from .dynamics import (
+    _RANGE_LIMIT,
     ARG_TRUST_LIMIT,
     LogPolarComplex,
     TowerReal,
@@ -45,10 +46,6 @@ UNDECIDED = "undecided"
 # |arg| closer than this to 0 or pi leaves the sign of Im z undecidable
 # once the modulus has left the native range
 _ARG_DEAD_ZONE = 1e-12
-
-# most values a range may expand to: the pixels of a field side, the columns
-# of a certificate, and the values of a T0:T1:STEP or E0:E1:FACTOR range
-_RANGE_LIMIT = 10_000
 
 # width profile of a one-point slice: any positive value bounds its
 # diameter 0, and one this small adds nothing to a column's n_sup
@@ -165,7 +162,6 @@ class MembershipResult:
     exit_index: Optional[int]
     exit_point: Optional[complex]
     precision_caveat: bool
-    policy: str
 
     @property
     def status(self) -> str:
@@ -268,7 +264,7 @@ def lambda_membership(
     ex, pt = (cons, cons_pt) if policy == "conservative" else (opt, opt_pt)
     if isinstance(pt, LogPolarComplex):
         pt = None if pt.modulus_float() == math.inf else pt.to_complex()
-    return MembershipResult(ex is None, n, ex, pt, caveat, policy)
+    return MembershipResult(ex is None, n, ex, pt, caveat)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +282,6 @@ class ExitDepthField:
     store the exit index, always < n.
     """
 
-    lam: complex
-    descriptor: str
     window: tuple[float, float, float, float]
     nx: int
     ny: int
@@ -317,9 +311,6 @@ class ExitDepthField:
         dx = (x1 - x0) / (self.nx - 1)
         dy = (y1 - y0) / (self.ny - 1)
         return complex(x0 + ix * dx, y0 + iy * dy)
-
-    def value_at(self, ix: int, iy: int, policy: str = "conservative") -> int:
-        return self.data(policy)[iy * self.nx + ix]
 
     def survivor_points(self, policy: str = "conservative") -> list[complex]:
         d, nx, top = self.data(policy), self.nx, self.depth + 1
@@ -370,7 +361,7 @@ def sample_lambda_set(
 
     cons, opt, caveats = zip(*parallel.ordered_map(one_row, range(ny)))
     return ExitDepthField(
-        lam, spec.descriptor, (x0, y0, x1, y1), nx, ny, n,
+        (x0, y0, x1, y1), nx, ny, n,
         tuple(chain.from_iterable(cons)), tuple(chain.from_iterable(opt)), sum(caveats),
     )
 

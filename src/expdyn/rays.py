@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NonConvergenceError, NumericRangeError, ValidationError
-from .dynamics import TAU, _lambda_logs, _require_lambda, eval_map, inverse_branch
+from .dynamics import TAU, _lambda_logs, _require_count, _require_lambda, eval_map, inverse_branch
 from .coding import ExternalAddress, strip_index
 from .invariant_sets import _write_payload
 
@@ -31,7 +31,6 @@ _LOG_CAP = math.log(ESCAPE_CAP)
 # forward coding re-check is meaningless once arg reduction loses ulps
 _CODING_MODULUS_LIMIT = 1e15
 _CODING_STEPS_MAX = 60
-LOW_CONFIDENCE_T = 2.0
 
 
 @dataclass(frozen=True)
@@ -40,16 +39,13 @@ class RaySample:
     point: complex
     depth: int
     residual: float
-    low_confidence: bool
 
 
 @dataclass(frozen=True)
 class Ray:
     address: ExternalAddress
     samples: tuple[RaySample, ...]
-    depth: int
     residual: float
-    tol: float
 
 
 def _trace_single(
@@ -98,16 +94,20 @@ def trace_ray(
 
     Each sample is accepted only if re-tracing five levels deeper moves it
     by less than tol, and its forward itinerary matches the address prefix
-    as far as native iteration can check.
+    as far as native iteration can check.  depth is at most _RANGE_LIMIT,
+    and the parameters must be finite.
     """
     lam = _require_lambda(lam)
     if depth < 1:
         raise ValidationError("depth must be >= 1")
+    _require_count(depth, "ray depth")
     if not (tol > 0.0):
         raise ValidationError("tol must be positive")
     ts = sorted(float(t) for t in t_values)
     if not ts:
         raise ValidationError("need at least one t value")
+    if not all(map(math.isfinite, ts)):
+        raise ValidationError("ray parameters must be finite")
     if any(t < 1.0 for t in ts):
         raise ValidationError("ray parameters must be >= 1")
     if any(b >= a for a, b in zip(ts[1:], ts)):
@@ -124,9 +124,9 @@ def trace_ray(
                 f"{depth} and {depth + 5} (tol {tol:g})"
             )
         _check_coding(lam, z, s, j)
-        samples.append(RaySample(t, z, j, residual, t < LOW_CONFIDENCE_T))
+        samples.append(RaySample(t, z, j, residual))
     worst = max(s.residual for s in samples)
-    return Ray(s, tuple(samples), depth, worst, tol)
+    return Ray(s, tuple(samples), worst)
 
 
 # ---------------------------------------------------------------------------

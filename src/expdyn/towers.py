@@ -90,9 +90,6 @@ class TowerReal:
             level -= 1
         return x
 
-    def is_native(self) -> bool:
-        return self.to_float() != math.inf
-
     # ---- arithmetic ----------------------------------------------------
 
     def exp(self) -> "TowerReal":
@@ -139,22 +136,6 @@ class TowerReal:
             if v != w:
                 return TowerReal(1, v)
         return self
-
-    def mul_float(self, c: float) -> "TowerReal":
-        """Value * c for a native float c > 0."""
-        if not c > 0.0 or math.isinf(c):
-            raise ValidationError("factor must be a finite positive float")
-        if c == 1.0:
-            return self
-        if self.level == 0:
-            prod = self.mantissa * c
-            if abs(prod) != math.inf:
-                return TowerReal(0, prod)
-            if self.mantissa < 0.0:
-                return TowerReal(0, NEG_SENTINEL)
-            return TowerReal(1, math.log(self.mantissa) + math.log(c))
-        # multiply by shifting the log one level down
-        return self.log().add_float(math.log(c)).exp()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.level == 0:

@@ -62,23 +62,14 @@ def test_least_squares_fit_has_the_same_bits_on_every_interpreter():
     assert boxdim._lsq_fit(logs, counts) == (1.0490469928686925, 0.9983792565983856)
 
 
-def test_anchor_shift_barely_moves_the_slope():
-    seg = [complex(i / 1000.0, 0.0) for i in range(1000)]
-    base = box_count(seg, EPS)
-    shifted = box_count(seg, EPS, anchor_offset=(0.3, 0.7))
-    assert abs(shifted.slope - base.slope) < 0.1
-
-
 def test_box_counts_are_pinned_with_and_without_anchor_offset():
+    # the grid is anchored at the points' bounding-box corner, always
     pts = [complex(3.7 + i / 997.0, -1.2 + 0.3 * math.sin(0.37 * i)) for i in range(2000)]
-    pinned = {
-        (0.0, 0.0): (125, 362, 1083, 1737, 1862),
-        (0.3, 0.7): (147, 476, 1102, 1874, 1898),
-        (-0.45, 0.25): (147, 457, 1139, 1845, 1885),
-    }
-    for offset, counts in pinned.items():
-        assert box_count(pts, EPS, anchor_offset=offset).counts == counts
-    assert box_count(pts, EPS).slope == 1.1870782814954444
+    res = box_count(pts, EPS)
+    assert res.counts == (125, 362, 1083, 1737, 1862)
+    assert res.slope == 1.1870782814954444
+    with pytest.raises(TypeError, match="anchor_offset"):
+        box_count(pts, EPS, anchor_offset=(0.3, 0.7))
 
 
 def test_box_count_validation():
@@ -114,9 +105,18 @@ def test_box_count_rejects_a_spread_past_the_float_range():
                                    allow_infinity=False),
                 min_size=1, max_size=60))
 def test_counts_never_decrease_as_scale_shrinks(points):
-    res = box_count(points, [1.0, 0.5, 0.25, 0.1, 0.05])
+    # halving the scale divides offsets by 2^k exactly, so each finer box
+    # lies in one coarser box and no count can fall
+    res = box_count(points, [1.0, 0.5, 0.25, 0.125, 0.0625])
     assert all(b >= a for a, b in zip(res.counts, res.counts[1:]))
     assert res.counts[0] >= 1
+
+
+def test_counts_can_fall_between_scales_whose_grids_are_not_nested():
+    # boxes of 0.1 do not refine boxes of 0.25: the 0.25 grid splits these
+    # three points into 3 boxes and the finer 0.1 grid into 2
+    res = box_count([0j, 0.0625j, -1.21875j], [1.0, 0.5, 0.25, 0.1, 0.05])
+    assert res.counts == (2, 2, 3, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +160,8 @@ def test_search_validation():
         dimension_bound_search(1.0, STRIP, [], m_grid=[5])
     with pytest.raises(ValidationError):
         dimension_bound_search(1.0, STRIP, [0.5])  # no grids at all
+    with pytest.raises(TypeError, match="boxcount"):
+        dimension_bound_search(1.0, STRIP, [0.5], m_grid=[5], boxcount=None)
 
 
 def test_report_json_shape():
@@ -188,7 +190,7 @@ def test_report_json_holds_the_certificate_document(kwargs):
 def test_report_json_refuses_a_certificate_bound_that_is_not_finite():
     cert = verify_contraction(1.0, horizontal_strip(0.0, 1e308), 0.5, [10, 11, 12],
                               m=10, enumerate_rectangles=False)
-    rep = boxdim.DimensionReport(None, cert, 1.5, {}, "ok")
+    rep = boxdim.DimensionReport(cert, 1.5, {}, "ok")
     with pytest.raises(NumericRangeError, match="not finite"):
         report_to_json(rep)
 

@@ -13,7 +13,6 @@ from expdyn import (
     eval_map,
     itinerary,
     parse_address,
-    shift,
     strip_index,
 )
 
@@ -46,25 +45,15 @@ def test_strip_index_full_period_moves_index_by_one(re, im):
 
 def test_address_constructors_and_entries():
     fin = ExternalAddress.from_entries([1, -2, 3])
-    assert fin.entries == (1, -2, 3)
-    assert not fin.is_infinite
-    assert len(fin) == 3
-    assert fin.prefix(2) == (1, -2)
+    assert (fin.entries, fin.tail) == ((1, -2, 3), None)
+    with pytest.raises(ValidationError, match="only 3 entries"):
+        fin.entry(3)
 
     const = ExternalAddress.constant(2)
-    assert const.is_infinite
     assert [const.entry(i) for i in range(4)] == [2, 2, 2, 2]
 
     per = ExternalAddress.periodic([3, 0])
     assert [per.entry(i) for i in range(5)] == [3, 0, 3, 0, 3]
-    with pytest.raises(ValidationError):
-        len(per)
-
-
-def test_address_bound_is_max_abs_entry():
-    assert ExternalAddress.from_entries([1, -4, 2]).bound == 4
-    assert ExternalAddress.constant(-3).bound == 3
-    assert ExternalAddress((5,), ("periodic", (1, -2))).bound == 5
 
 
 def test_shift_drops_the_first_entry():
@@ -72,7 +61,6 @@ def test_shift_drops_the_first_entry():
     assert s.shift().entries == (2,)
     assert s.shift().shift().entries == ()
     assert s.shift().shift().entry(7) == 0
-    assert shift(s) == s.shift()
     c = ExternalAddress.constant(4)
     assert c.shift() == c
     p = ExternalAddress.periodic([1, 2, 3])

@@ -254,7 +254,6 @@ def test_real_part_of_huge_left_half_point_clamps():
 def test_orbit_of_i_pi_trusted_escape():
     orb = iterate_orbit(1.0, complex(0.0, math.pi), 8)
     assert orb.escaped_at == 7
-    assert orb.precision_loss_at == 6
     # sin(float pi) = 1.22e-16 pushes the orbit off the real line and it
     # escapes through the huge sixth iterate; every step stays trusted
     natives = [p.native for p in orb.points[:7]]
@@ -298,6 +297,21 @@ def test_orbit_validation():
         iterate_orbit(1.0, 0.0, -1)
     with pytest.raises(ValidationError):
         iterate_orbit(0.0, 0.0, 3)
+    for kwarg in ("escape_log_modulus", "derivative_flag_threshold"):
+        with pytest.raises(TypeError, match=kwarg):
+            iterate_orbit(1.0, 0.0, 3, **{kwarg: 1.0})
+
+
+def test_orbit_lengths_past_the_range_limit_are_refused():
+    assert len(iterate_orbit(0.25, 0.1, dynamics._RANGE_LIMIT).points) == 10_001
+    with pytest.raises(ValidationError, match="orbit length must be at most 10000"):
+        iterate_orbit(0.25, 0.1, dynamics._RANGE_LIMIT + 1)
+    assert len(singular_orbit(0.25, dynamics._RANGE_LIMIT)) == 10_000
+    for call in (lambda n: singular_orbit(0.25, n),
+                 lambda n: check_supergrowth(0.25, 0.1, n)):
+        with pytest.raises(ValidationError,
+                           match="singular orbit length must be at most 10000"):
+            call(dynamics._RANGE_LIMIT + 1)
 
 
 def test_singular_orbit_starts_at_lambda():
@@ -432,5 +446,7 @@ def test_supergrowth_validation():
         check_supergrowth(1.0, 0.0, 10)
     with pytest.raises(ValidationError):
         check_supergrowth(1.0, 1.0, 0)
-    with pytest.raises(ValidationError):
-        check_supergrowth(1.0, 1.0, 3, n_min=5)
+    with pytest.raises(ValidationError, match="need n >= 2"):
+        check_supergrowth(1.0, 1.0, 1)
+    with pytest.raises(TypeError, match="n_min"):
+        check_supergrowth(1.0, 1.0, 3, n_min=1)

@@ -206,15 +206,30 @@ def test_geometry_for_supergrowing_real_lambda():
     assert geo.sigmas[5] == -math.inf
     assert [geo.level_of_column(r) for r in (-7, -9, -12, -20, -300)] == \
         [5, 5, 5, 6, 6]
-    assert geo.log_beta_float(6) == 324.47080018300846
+    assert geo.log_betas[6] == 324.47080018300846
     assert geo.r_prime_min(5) == 243
+
+
+def _sigma(geo, l):
+    return geo.sigmas[l - geo.l0]
+
+
+def test_sigmas_are_the_documented_sums_bit_for_bit():
+    # sigma_l = log D - log 4 - 1 - (alpha_{l-2} + ... + alpha_0) - l log|lambda|
+    geo = negative_geometry(0.65, 0.65, 4, 6)
+    const = -math.log(4.0) - 1.0 + math.log(geo.d)
+    for l in range(geo.l0, geo.l0 + geo.n_levels + 2):
+        total = 0.0
+        for a in geo.alphas[:l - 1]:
+            total += a
+        assert _sigma(geo, l) == const - total - l * math.log(0.65)
 
 
 def test_geometry_level_ties_go_to_the_smaller_level():
     geo = negative_geometry(0.65, 0.65, 4, 6)
     for r in range(-30, -geo.m + 1):
         l = geo.level_of_column(r)
-        assert geo.sigma(l + 1) < r + 1 and geo.sigma(l) > r
+        assert _sigma(geo, l + 1) < r + 1 and _sigma(geo, l) > r
 
 
 def test_geometry_validation():
@@ -225,9 +240,10 @@ def test_geometry_validation():
     with pytest.raises(GeometryError):
         # attracting parameter: supergrowth fails outright
         negative_geometry(0.2, 0.1, 3, 4)
+    with pytest.raises(ValidationError, match="singular orbit length"):
+        # the bands need the singular orbit to level l0 + n_levels + 1
+        negative_geometry(0.65, 0.65, 4, induced._RANGE_LIMIT - 4)
     geo = negative_geometry(0.65, 0.65, 4, 6)
-    with pytest.raises(ValidationError):
-        geo.sigma(3)
     with pytest.raises(ValidationError):
         geo.level_of_column(0)
     # the deepest computed band has an infinite floor, so far-out columns
@@ -238,7 +254,7 @@ def test_geometry_validation():
 def _level_by_scan(geo, r):
     """Reference: the first level whose band holds column r, or None."""
     for l in range(geo.l0, geo.l0 + geo.n_levels + 1):
-        if geo.sigma(l + 1) < r + 1 and geo.sigma(l) > r:
+        if _sigma(geo, l + 1) < r + 1 and _sigma(geo, l) > r:
             return l
     return None
 
@@ -557,7 +573,7 @@ def test_zm_cell_limit_counts_the_strip_indices_of_every_column(monkeypatch):
 def test_one_sided_cover_run():
     run = cover_iterate(1.0, STRIP, 0.5, 5, 10 ** 5, m=10)
     assert not run.aborted
-    assert run.start_column == 10
+    assert run.m == 10
     assert not run.two_sided
     totals = [lv.total for lv in run.levels]
     assert totals == [19.655406945087897, 0.5272892162643755, 0.0, 0.0, 0.0, 0.0]
@@ -597,6 +613,8 @@ def test_cover_validation():
         cover_iterate(1.0, STRIP, 0.5, 3, 0, m=10)
     with pytest.raises(ValidationError):
         cover_iterate(1.0, STRIP, 0.5, 3, 10 ** 5)
+    with pytest.raises(ValidationError, match="cover depth must be at most 10000"):
+        cover_iterate(1.0, STRIP, 0.5, induced._RANGE_LIMIT + 1, 10 ** 5, m=10)
 
 
 def test_cover_rejects_an_m_that_disagrees_with_the_geometry():
@@ -605,7 +623,7 @@ def test_cover_rejects_an_m_that_disagrees_with_the_geometry():
         cover_iterate(1.0, STRIP, 0.2, 2, 10 ** 3, m=geo.m + 1, geometry=geo)
     agreed = cover_iterate(1.0, STRIP, 0.2, 2, 10 ** 3, m=geo.m, geometry=geo)
     assert agreed == cover_iterate(1.0, STRIP, 0.2, 2, 10 ** 3, geometry=geo)
-    assert agreed.start_column == agreed.m == 16
+    assert agreed.m == 16
 
 
 def test_certificate_json_lists_every_column_bound():

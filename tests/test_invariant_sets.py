@@ -226,7 +226,6 @@ def test_small_field_values_and_grid():
     assert field.caveat_count == 0
     assert field.point(0, 0) == 0.0 + 0.0j
     assert field.point(1, 1) == 2.0 + 2.0j
-    assert field.value_at(1, 1) == 1
     assert field.survivor_count() == 3
     assert field.survivor_points() == [0.0 + 0.0j, 2.0 + 0.0j, 0.0 + 2.0j]
 
@@ -239,7 +238,7 @@ def test_field_matches_pointwise_membership():
                 r = lambda_membership(1.0, STRIP, field.point(ix, iy), 4,
                                       policy=policy)
                 want = 5 if r.is_member else r.exit_index
-                assert field.value_at(ix, iy, policy) == want
+                assert field.data(policy)[iy * 5 + ix] == want
 
 
 def test_field_validation():
@@ -286,8 +285,9 @@ def test_field_sides_reach_the_range_limit():
 
 
 def test_the_range_limit_is_defined_once():
-    from expdyn import cli, induced
-    assert induced._RANGE_LIMIT is cli._RANGE_LIMIT is _RANGE_LIMIT == 10_000
+    from expdyn import cli, dynamics, induced
+    assert (dynamics._RANGE_LIMIT is induced._RANGE_LIMIT is cli._RANGE_LIMIT
+            is _RANGE_LIMIT == 10_000)
 
 
 def test_zero_height_strip_has_positive_width():

@@ -15,6 +15,7 @@ from expdyn import (
     trace_ray,
     write_ray_csv,
 )
+from expdyn.dynamics import _RANGE_LIMIT
 from expdyn.rays import _trace_single
 
 ZERO = ExternalAddress.constant(0)
@@ -31,7 +32,6 @@ def test_zero_address_ray_is_the_real_line():
     # the parameter chain t -> e^t caps quickly, so the effective depth
     # is reached after two legs regardless of the requested depth
     assert [s.depth for s in ray.samples] == [2, 2]
-    assert ray.depth == 10
 
 
 def test_zero_ray_imaginary_part_vanishes_along_samples():
@@ -100,6 +100,18 @@ def test_trace_validation():
         trace_ray(1.0, ZERO, [2.0], depth=0)
     with pytest.raises(ValidationError):
         trace_ray(1.0, ZERO, [2.0], tol=0.0)
+
+
+def test_trace_depth_past_the_range_limit_is_refused():
+    assert trace_ray(1.0, ZERO, [2.0], depth=_RANGE_LIMIT).samples[0].depth == 2
+    with pytest.raises(ValidationError, match="ray depth must be at most 10000"):
+        trace_ray(1.0, ZERO, [2.0], depth=_RANGE_LIMIT + 1)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_trace_refuses_a_parameter_that_is_not_finite(t):
+    with pytest.raises(ValidationError, match="ray parameters must be finite"):
+        trace_ray(1.0, ZERO, [2.0, t])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pathlib
 import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 
 from expdyn.cli import main
 
@@ -93,7 +94,8 @@ def test_python_session():
 def _stale_library_names(text):
     """Names in the library table's `expdyn.X` rows that are neither an
     attribute of module expdyn.X, nor of one of its public classes (fields
-    included), nor a builtin; only identifiers and call names are read."""
+    included), nor a builtin; only identifiers and call names are read, and
+    a span of identifiers joined by slashes (`exp/log`) names each one."""
     rows = re.findall(r"^\| `(expdyn\.\w+)`\s*\|(.*)\|$", text, re.M)
     assert len(rows) == 8, rows
     stale = []
@@ -102,7 +104,10 @@ def _stale_library_names(text):
         owners = [module, builtins] + [
             cls for name, cls in vars(module).items()
             if inspect.isclass(cls) and not name.startswith("_")]
-        for span in re.findall(r"`([^`]*)`", cells):
+        spans = re.findall(r"`([^`]*)`", cells)
+        for span in chain.from_iterable(
+                s.split("/") if re.fullmatch(r"\w+(?:/\w+)+", s) else (s,)
+                for s in spans):
             name = re.fullmatch(r"([A-Za-z_]\w*)(?:\(.*\))?", span)
             if name and not any(
                     hasattr(o, name.group(1))
@@ -119,5 +124,8 @@ def test_library_table_names_only_what_the_package_has():
 def test_library_table_check_catches_a_stale_name():
     planted = TEXT.replace("| `trace_ray`, CSV export |",
                            "| `trace_ray`, `landing_probe(t)`, CSV export |")
-    assert planted != TEXT
-    assert _stale_library_names(planted) == ["expdyn.rays.landing_probe"]
+    planted = planted.replace("`exp/log/add_float`", "`exp/log/add_float/mul_float`")
+    assert planted.count("landing_probe") == TEXT.count("landing_probe") + 1
+    assert planted.count("mul_float") == TEXT.count("mul_float") + 1
+    assert _stale_library_names(planted) == [
+        "expdyn.towers.mul_float", "expdyn.rays.landing_probe"]

@@ -168,7 +168,7 @@ def render_by_generator(field, palette, policy):
 
 
 def _field(depth, nx, ny, cons, opt):
-    return ExitDepthField(1.0, "strip[0,1]", (0.0, 0.0, 1.0, 1.0), nx, ny, depth,
+    return ExitDepthField((0.0, 0.0, 1.0, 1.0), nx, ny, depth,
                           tuple(cons), tuple(opt), 0)
 
 
@@ -474,6 +474,24 @@ def test_column_ranges_past_the_limit_are_refused(argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: the column range ")
     assert err.endswith(f" columns, more than {cli._RANGE_LIMIT}\n")
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["orbit", "--lambda=1,0", "--z=0,0", "--steps=10001"], "orbit length"),
+    (["supergrowth", "--lambda=1,0", "--c=0.1", "--steps=10001"],
+     "singular orbit length"),
+    (["certify", "--lambda=1,0", f"--set={STRIP}", "--delta=0.5", "--l0=3", "--c=1",
+      "--n-levels=9997", "--rmax=30"], "singular orbit length"),
+    (["certify", "--lambda=1,0", f"--set={STRIP}", "--delta=0.5", "--l0=9994", "--c=1",
+      "--rmax=30"], "singular orbit length"),
+    (["certify", "--lambda=1,0", f"--set={STRIP}", "--delta=0.5", "--m=10",
+      "--rmax=20", "--cover-depth=10001"], "--cover-depth"),
+    (["ray", "--lambda=1", "--address=0", "--t=2:3:1", "--depth=10001"], "ray depth"),
+])
+def test_counts_past_the_range_limit_exit_2_before_any_output(argv, refusal):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {refusal} must be at most {cli._RANGE_LIMIT}\n"
 
 
 def test_points_file_that_does_not_exist_exits_2(tmp_path):

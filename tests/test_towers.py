@@ -64,8 +64,7 @@ def test_to_float_on_native_range():
 def test_to_float_overflow_is_inf():
     assert TowerReal(1, 709.9).to_float() == math.inf
     assert TowerReal(2, 7.0).to_float() == math.inf
-    assert not TowerReal(2, 7.0).is_native()
-    assert TowerReal.from_float(1.0).is_native()
+    assert TowerReal.from_float(1.0).to_float() == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -128,38 +127,6 @@ def test_add_float_is_noop_at_level_two():
 def test_add_float_validation():
     with pytest.raises(ValidationError):
         TowerReal.from_float(1.0).add_float(math.inf)
-
-
-# ---------------------------------------------------------------------------
-# mul_float
-
-def test_mul_float_native():
-    assert TowerReal.from_float(6.0).mul_float(2.0).mantissa == 12.0
-
-
-def test_mul_float_lifts_on_native_overflow():
-    t = TowerReal(0, 1e200).mul_float(1e200)
-    assert t == TowerReal(1, 2.0 * math.log(1e200))
-
-
-def test_mul_float_negative_overflow_clamps():
-    assert TowerReal(0, -1e308).mul_float(1e10).mantissa == NEG_SENTINEL
-
-
-def test_mul_float_high_level_shifts_log():
-    t = TowerReal(2, 8.0)
-    got = t.mul_float(10.0)
-    want = t.log().add_float(math.log(10.0)).exp()
-    assert got == want
-
-
-def test_mul_float_validation():
-    with pytest.raises(ValidationError):
-        TowerReal.from_float(2.0).mul_float(0.0)
-    with pytest.raises(ValidationError):
-        TowerReal.from_float(2.0).mul_float(-3.0)
-    with pytest.raises(ValidationError):
-        TowerReal.from_float(2.0).mul_float(math.inf)
 
 
 # ---------------------------------------------------------------------------
