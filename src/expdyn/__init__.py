@@ -3,7 +3,7 @@
 Submodules:
   towers          iterated-exponential real arithmetic
   dynamics        orbits, log-polar iteration, supergrowth checks
-  coding          strip partition, external addresses, itineraries
+  coding          strip partition, external addresses
   rays            dynamic-ray tracing by pullback
   invariant_sets  forward-invariant sets in a thin set W, exit-depth fields
   induced         contraction certificates, iterated covers
@@ -18,7 +18,6 @@ from .errors import (
     GeometryError,
     NonConvergenceError,
     NumericRangeError,
-    UntrustedArgumentError,
     ValidationError,
 )
 from .towers import TowerReal
@@ -37,7 +36,6 @@ from .dynamics import (
 )
 from .coding import (
     ExternalAddress,
-    itinerary,
     parse_address,
     strip_index,
 )
@@ -54,7 +52,6 @@ from .invariant_sets import (
     MembershipResult,
     Strip,
     ThinSetSpec,
-    cone_band,
     field_to_csv,
     field_to_pgm,
     horizontal_strip,
@@ -115,14 +112,12 @@ __all__ = [
     "SupergrowthReport",
     "ThinSetSpec",
     "TowerReal",
-    "UntrustedArgumentError",
     "ValidationError",
     "ZMFamily",
     "box_count",
     "build_zm",
     "certificate_to_json",
     "check_supergrowth",
-    "cone_band",
     "cover_iterate",
     "dimension_bound_search",
     "eval_map",
@@ -130,7 +125,6 @@ __all__ = [
     "field_to_pgm",
     "horizontal_strip",
     "inverse_branch",
-    "itinerary",
     "iterate_orbit",
     "lambda_membership",
     "negative_geometry",

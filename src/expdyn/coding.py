@@ -1,4 +1,4 @@
-"""Strip partition, itineraries, and external addresses.
+"""Strip partition and external addresses.
 
 The plane splits into horizontal strips
 
@@ -11,22 +11,11 @@ recording the strip of each iterate, rays carry one by construction.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import UntrustedArgumentError, ValidationError
-from .dynamics import (
-    LogPolarComplex,
-    TAU,
-    _lambda_logs,
-    _require_lambda,
-    _require_point,
-    _strip_coordinate,
-    _strip_of_imag,
-    step_log_polar,
-)
+from .errors import ValidationError
+from .dynamics import _lambda_logs, _require_lambda, _require_point, _strip_of_imag
 
 
 def strip_index(lam: complex, z: complex) -> int:
@@ -155,62 +144,3 @@ def parse_address(text: str) -> ExternalAddress:
     except ValueError:
         raise ValidationError(f"cannot parse address literal {text!r}") from None
 
-
-# ---------------------------------------------------------------------------
-# itineraries
-
-
-# rounding allowance per step, relative, in the itinerary error bounds
-_ROUND = 8 * sys.float_info.epsilon
-
-
-def _times(a: float, b: float) -> float:
-    """a * b with 0 * inf = 0: an exact zero error stays exact."""
-    return 0.0 if a == 0.0 or b == 0.0 else a * b
-
-
-def itinerary(lam: complex, z: complex, n: int) -> ExternalAddress:
-    """Strip indices of z, f(z), ..., f^{n-1}(z) as a finite address.
-
-    z is taken as known to its last bits.  First-order bounds on the
-    errors of Re and Im follow the orbit (f' = f: an error in Re scales
-    the next point, an error in Im turns it), and a point whose Im error
-    passes the nearest strip edge raises UntrustedArgumentError instead
-    of reporting a guessed index.
-    """
-    lam = _require_lambda(lam)
-    if n < 1:
-        raise ValidationError("itinerary length must be >= 1")
-    log_lam, arg_lam = _lambda_logs(lam)
-    p = LogPolarComplex.from_complex(z)
-    # absolute errors of the log modulus and the argument of the point
-    d_log = _ROUND * (1.0 + abs(p.log_modulus.mantissa))
-    d_arg = _ROUND * abs(p.argument)
-    out: list[int] = []
-    for i in range(n):
-        if not p.arg_trusted:
-            raise UntrustedArgumentError(
-                f"argument precision exhausted at orbit step {i}"
-            )
-        m = p.modulus_float()
-        abs_re = _times(m, abs(math.cos(p.argument)))
-        abs_im = _times(m, abs(math.sin(p.argument)))
-        err_re = _times(abs_re, d_log) + _times(abs_im, d_arg)
-        err_im = _times(abs_im, d_log) + _times(abs_re, d_arg)
-        im = p.imag_part_float()
-        if im is None:
-            raise UntrustedArgumentError(
-                f"imaginary part not representable at orbit step {i}"
-            )
-        # edges of the strips sit at integer u
-        u = _strip_coordinate(im, arg_lam)
-        if err_im > TAU * abs(u - round(u)):
-            raise UntrustedArgumentError(
-                f"strip of the orbit point undecided at orbit step {i}"
-            )
-        out.append(math.ceil(u))
-        if i + 1 < n:
-            d_log = err_re + _ROUND * (abs_re + abs(log_lam))
-            d_arg = err_im + _ROUND * (abs_im + abs(arg_lam))
-            p = step_log_polar(lam, p)
-    return ExternalAddress.from_entries(out)

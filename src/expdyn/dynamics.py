@@ -293,15 +293,9 @@ def inverse_branch(lam: complex, w: complex, k: int) -> complex:
     return complex(base.real, im)
 
 
-def _strip_coordinate(im: float, arg_lam: float) -> float:
-    """(im + A)/tau - 1/2 with A = Arg lambda: strip edges sit at its
-    integers, and strip k holds the coordinates in (k - 1, k]."""
-    return (im + arg_lam) / TAU - 0.5
-
-
 def _strip_of_imag(im: float, arg_lam: float) -> int:
     # (2k-1) pi - A < im <= (2k+1) pi - A  <=>  k = ceil((im + A)/tau - 1/2)
-    return math.ceil(_strip_coordinate(im, arg_lam))
+    return math.ceil((im + arg_lam) / TAU - 0.5)
 
 
 def _strip_bottom(k: int, arg_lam: float) -> float:

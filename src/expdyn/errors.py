@@ -3,8 +3,7 @@
 The split mirrors the command-line exit codes: validation problems are the
 caller's fault (bad arguments, malformed literals, preconditions), numeric
 range problems mean the requested computation left the representable range
-(native exponent budget, tower levels where a native float is required,
-argument precision exhausted).
+(native exponent budget, tower levels where a native float is required).
 """
 
 
@@ -22,10 +21,6 @@ class DomainError(ValidationError):
 
 class NumericRangeError(ExpdynError):
     """Result or intermediate left the representable numeric range."""
-
-
-class UntrustedArgumentError(NumericRangeError):
-    """Angular precision was exhausted before the requested depth."""
 
 
 class NonConvergenceError(NumericRangeError):

@@ -56,8 +56,8 @@ _Point = Union[complex, LogPolarComplex]
 
 
 class ThinSetSpec:
-    """Base of the specs: ``membership(z)``, ``cone_constant``,
-    ``width_profile(R)`` and ``descriptor``.
+    """Base of the specs: ``membership(z)``, ``cone_constant`` and
+    ``width_profile(R)``.
 
     ``width_profile(R)`` must upper-bound the diameter of every slice of
     the set at 1 <= |Re z| <= R, so it is nondecreasing in R; 0.0 asserts
@@ -96,10 +96,6 @@ class Strip(ThinSetSpec):
     def cone_constant(self) -> float:
         return max(abs(self.a), abs(self.b)) + 2.0
 
-    @property
-    def descriptor(self) -> str:
-        return f"strip[{self.a:g},{self.b:g}]"
-
     def membership(self, z: complex) -> bool:
         return self.a <= z.imag <= self.b
 
@@ -137,7 +133,6 @@ class ConeBand(ThinSetSpec):
     membership: Callable[[complex], bool]
     cone_constant: float
     width_profile: Callable[[float], float]
-    descriptor: str
 
     def __post_init__(self) -> None:
         if not (0 < self.cone_constant < math.inf):
@@ -145,7 +140,6 @@ class ConeBand(ThinSetSpec):
 
 
 horizontal_strip = Strip
-cone_band = ConeBand
 
 
 # ---------------------------------------------------------------------------
@@ -154,31 +148,22 @@ cone_band = ConeBand
 
 @dataclass(frozen=True)
 class MembershipResult:
-    """``exit_point`` is the orbit point classified at ``exit_index``, or
-    None for a member or a point past the double range."""
+    """``exit_index`` is None for a member; ``precision_caveat`` says an
+    undecided verdict was counted as inside."""
 
     is_member: bool
-    depth: int
     exit_index: Optional[int]
-    exit_point: Optional[complex]
     precision_caveat: bool
-
-    @property
-    def status(self) -> str:
-        if self.is_member:
-            return f"member-to-depth {self.depth}"
-        return f"exit-at {self.exit_index}"
 
 
 def _membership_walk(
     lam: complex, spec: ThinSetSpec, xs: Sequence[float], y: float, n: int,
     lam_logs: tuple[float, float],
-) -> list[tuple[Optional[int], Optional[int], bool, Optional[_Point], Optional[_Point]]]:
-    """(conservative exit, optimistic exit, precision caveat, and the points
-    classified at those two exits) of the orbit of each finite complex(x, y),
-    x in xs; lam_logs is _lambda_logs(lam).
+) -> list[tuple[int, int, bool]]:
+    """(conservative exit, optimistic exit, precision caveat) of the orbit
+    of each finite complex(x, y), x in xs; lam_logs is _lambda_logs(lam).
 
-    An exit of None means the orbit stayed in the set to depth n.  The
+    An exit of n + 1 means the orbit stayed in the set to depth n.  The
     pixel itself is point 0, and step 1's argument is the same for the
     whole row.  While an orbit is native with a trusted argument, each
     point is a complex, and the log-polar recursion of step_log_polar is
@@ -194,7 +179,7 @@ def _membership_walk(
     for re in xs:
         z = complex(re, y)
         if classify(z) == EXIT:
-            out.append((0, 0, False, z, z))
+            out.append((0, 0, False))
             continue
         trusted = abs(z) <= ARG_TRUST_LIMIT or math.sin(math.atan2(y, re)) == 0.0
         a, s, c = a1, s1, c1
@@ -210,33 +195,32 @@ def _membership_walk(
             im = m * s
             z = complex(re, im)
             if classify(z) == EXIT:
-                out.append((i, i, False, z, z))
+                out.append((i, i, False))
                 break
             trusted = m <= ARG_TRUST_LIMIT or s == 0.0
             a = _principal(im + arg_lam)
             s, c = math.sin(a), math.cos(a)
         else:
-            out.append((None, None, False, None, None))
+            out.append((n + 1, n + 1, False))
     return out
 
 
 def _log_polar_walk(
     lam: complex, classify: Callable[[_Point], str], p: LogPolarComplex, i: int, n: int,
-) -> tuple[Optional[int], Optional[int], bool, Optional[_Point], Optional[_Point]]:
+) -> tuple[int, int, bool]:
     """_membership_walk's result for an orbit whose point i is p."""
-    cons = cons_point = None
-    caveat = False
+    cons, caveat = n + 1, False
     for i in range(i, n):
         verdict = classify(p)
-        if verdict != MEMBER and cons is None:
-            cons, cons_point = i, p
+        if verdict != MEMBER and cons > n:
+            cons = i
         if verdict == EXIT:
-            return cons, i, caveat, cons_point, p
+            return cons, i, caveat
         if verdict == UNDECIDED:
             caveat = True
         if i + 1 < n:
             p = step_log_polar(lam, p)
-    return cons, None, caveat, cons_point, None
+    return cons, n + 1, caveat
 
 
 def lambda_membership(
@@ -259,12 +243,10 @@ def lambda_membership(
         raise ValidationError("membership depth must be >= 1")
     if policy not in ("conservative", "optimistic"):
         raise ValidationError("policy must be 'conservative' or 'optimistic'")
-    cons, opt, caveat, cons_pt, opt_pt = _membership_walk(
+    cons, opt, caveat = _membership_walk(
         lam, spec, (z.real,), z.imag, n, _lambda_logs(lam))[0]
-    ex, pt = (cons, cons_pt) if policy == "conservative" else (opt, opt_pt)
-    if isinstance(pt, LogPolarComplex):
-        pt = None if pt.modulus_float() == math.inf else pt.to_complex()
-    return MembershipResult(ex is None, n, ex, pt, caveat)
+    ex = cons if policy == "conservative" else opt
+    return MembershipResult(ex > n, None if ex > n else ex, caveat)
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +332,15 @@ def sample_lambda_set(
     lam_logs = _lambda_logs(lam)
     xs = [x0 + ix * dx for ix in range(nx)]
 
-    def one_row(iy: int) -> tuple[list[int], list[int], int]:
-        cons_row, opt_row, caveats = [], [], 0
+    def one_row(iy: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        # transposed per row, so only one row's result tuples are alive
         walked = _membership_walk(lam, spec, xs, y0 + iy * dy, n, lam_logs)
-        for c, o, caveat, _, _ in walked:
-            cons_row.append(n + 1 if c is None else c)
-            opt_row.append(n + 1 if o is None else o)
-            caveats += caveat
-        return cons_row, opt_row, caveats
+        cons, opt, caveats = zip(*walked)
+        return cons, opt, sum(caveats)
 
     cons, opt, caveats = zip(*parallel.ordered_map(one_row, range(ny)))
-    return ExitDepthField(
-        (x0, y0, x1, y1), nx, ny, n,
-        tuple(chain.from_iterable(cons)), tuple(chain.from_iterable(opt)), sum(caveats),
-    )
+    cons, opt = (tuple(chain.from_iterable(rows)) for rows in (cons, opt))
+    return ExitDepthField((x0, y0, x1, y1), nx, ny, n, cons, opt, sum(caveats))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ class RaySample:
 
 @dataclass(frozen=True)
 class Ray:
-    address: ExternalAddress
     samples: tuple[RaySample, ...]
     residual: float
 
@@ -95,14 +94,14 @@ def trace_ray(
     Each sample is accepted only if re-tracing five levels deeper moves it
     by less than tol, and its forward itinerary matches the address prefix
     as far as native iteration can check.  depth is at most _RANGE_LIMIT,
-    and the parameters must be finite.
+    tol and the parameters must be finite.
     """
     lam = _require_lambda(lam)
     if depth < 1:
         raise ValidationError("depth must be >= 1")
     _require_count(depth, "ray depth")
-    if not (tol > 0.0):
-        raise ValidationError("tol must be positive")
+    if not (0.0 < tol < math.inf):
+        raise ValidationError("tol must be positive and finite")
     ts = sorted(float(t) for t in t_values)
     if not ts:
         raise ValidationError("need at least one t value")
@@ -125,8 +124,7 @@ def trace_ray(
             )
         _check_coding(lam, z, s, j)
         samples.append(RaySample(t, z, j, residual))
-    worst = max(s.residual for s in samples)
-    return Ray(s, tuple(samples), worst)
+    return Ray(tuple(samples), max(s.residual for s in samples))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,13 @@
-"""External addresses, strip indices, itineraries, and address transport."""
+"""External addresses, strip indices and address shifts."""
 
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from expdyn import (
     ExternalAddress,
-    NumericRangeError,
-    UntrustedArgumentError,
     ValidationError,
-    eval_map,
-    itinerary,
     parse_address,
     strip_index,
 )
@@ -104,59 +100,4 @@ def test_parse_rejects_garbage():
 def test_parse_round_trips_finite_lists(entries):
     text = ",".join(str(e) for e in entries)
     assert parse_address(text) == ExternalAddress.from_entries(entries)
-
-
-# ---------------------------------------------------------------------------
-# itineraries
-
-def test_itinerary_of_real_orbit_is_all_zeros():
-    assert itinerary(1.0, 1.0, 3).entries == (0, 0, 0)
-    assert itinerary(1.0, 0.5 + 3.0j, 5).entries == (0, 0, 0, 0, 0)
-
-
-def test_itinerary_matches_native_strips():
-    lam, z = 1.0, 0.4 + 1.2j
-    it = itinerary(lam, z, 4)
-    w = z
-    for n in range(4):
-        assert it.entry(n) == strip_index(lam, w)
-        w = eval_map(lam, w)
-
-
-def test_itinerary_raises_once_argument_trust_dies():
-    # |f(z)| = e^40 > 2/ulp, and sin(arg) != 0 kills the argument there
-    with pytest.raises(UntrustedArgumentError,
-                       match="argument precision exhausted at orbit step 2"):
-        itinerary(1.0, 40.0 + 1e-20j, 4)
-
-
-def test_itinerary_raises_once_rounding_can_cross_a_strip_edge():
-    # |f^3(z)| ~ 3e29: its Im carries an error far wider than a strip, and
-    # the two ways of reaching f^3 used to report different huge indices
-    z = complex(1.484375, 0.125)
-    assert itinerary(1.0, z, 3).entries == (0, 0, 7)
-    for start, n in ((z, 4), (eval_map(1.0, z), 3)):
-        with pytest.raises(UntrustedArgumentError,
-                           match="strip of the orbit point undecided at orbit step"):
-            itinerary(1.0, start, n)
-
-
-@settings(max_examples=40)
-@given(st.floats(min_value=-1.5, max_value=1.5, allow_nan=False),
-       st.floats(min_value=-1.2, max_value=1.2, allow_nan=False))
-def test_itinerary_is_shift_compatible(re, im):
-    lam, z, n = 1.0, complex(re, im), 3
-    w = z
-    # stay clear of strip boundaries so both runs decide identically, and
-    # reject orbits that leave the native range or exhaust argument trust
-    try:
-        for _ in range(n + 1):
-            assume(min(abs(w.imag - (2 * k + 1) * math.pi)
-                       for k in range(-3, 3)) > 1e-6)
-            w = eval_map(lam, w)
-        a = itinerary(lam, z, n + 1)
-        b = itinerary(lam, eval_map(lam, z), n)
-    except (NumericRangeError, UntrustedArgumentError):
-        assume(False)
-    assert a.entries[1:] == b.entries
 

@@ -14,8 +14,8 @@ import tracemalloc
 import pytest
 
 from expdyn import (
+    ConeBand,
     GeometryError,
-    cone_band,
     cover_iterate,
     horizontal_strip,
     induced,
@@ -25,13 +25,13 @@ from expdyn import (
 STRIP = horizontal_strip(0.0, math.pi)
 # the width grows with log R through 460..700, so _max_width changes from
 # column to column up to log E + 1 = _EXP_NATIVE and is constant after it
-LOG_RAMP = cone_band(
+LOG_RAMP = ConeBand(
     STRIP.membership, STRIP.cone_constant,
-    lambda r: 1.0 + min(max(math.log(r) - 460.0, 0.0), 240.0), "log-ramp",
+    lambda r: 1.0 + min(max(math.log(r) - 460.0, 0.0), 240.0),
 )
 # a cone constant this large starts every image window at column M, so the
 # negative columns -M-1, -M-2, ... cross several level bands
-WIDE_CONE = cone_band(STRIP.membership, 1e12, lambda r: math.pi, "wide-cone")
+WIDE_CONE = ConeBand(STRIP.membership, 1e12, lambda r: math.pi)
 GEOMETRIES = ((1.0, 1.0, 3), (2.0, 1.0, 2), (0.65, 0.65, 4), (0.9, 0.5, 3))
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from expdyn import induced
 from expdyn import (
+    ConeBand,
     GeometryError,
     NumericRangeError,
     RectangleIndex,
@@ -17,7 +18,6 @@ from expdyn import (
     ValidationError,
     build_zm,
     certificate_to_json,
-    cone_band,
     cover_iterate,
     eval_map,
     horizontal_strip,
@@ -116,8 +116,8 @@ def test_width_profile_is_read_once_at_the_far_column():
         calls.append(r)
         return min(r, 50.0)
 
-    ramp = cone_band(STRIP.membership, STRIP.cone_constant, ramp_profile, "ramp")
-    bar = cone_band(STRIP.membership, STRIP.cone_constant, lambda r: 50.0, "bar")
+    ramp = ConeBand(STRIP.membership, STRIP.cone_constant, ramp_profile)
+    bar = ConeBand(STRIP.membership, STRIP.cone_constant, lambda r: 50.0)
     for r in (10, 11, 30, 700):
         calls.clear()
         assert positive_sum(1.0, ramp, r, 0.5, 10) == \
@@ -135,8 +135,7 @@ def test_width_profile_is_read_once_at_the_far_column():
 def test_a_width_that_is_not_a_bound_is_rejected(width, column):
     # a negative width made a negative "bound" at column 10 and a bare
     # math domain error at column 700; a NaN width made a NaN bound
-    bad = cone_band(STRIP.membership, STRIP.cone_constant,
-                    lambda r: width, "bad")
+    bad = ConeBand(STRIP.membership, STRIP.cone_constant, lambda r: width)
     with pytest.raises(ValidationError, match="width profile must be >= 0"):
         positive_sum(1.0, bad, column, 0.5, 10)
 
@@ -372,8 +371,7 @@ def test_certificate_validation():
 
 def _sampled(spec):
     """The same set as a cone band, so Z_M goes through the sampled test."""
-    return cone_band(spec.membership, spec.cone_constant, spec.width_profile,
-                     spec.descriptor)
+    return ConeBand(spec.membership, spec.cone_constant, spec.width_profile)
 
 
 def test_certificate_enumerates_only_its_own_columns(monkeypatch):
@@ -472,7 +470,7 @@ def test_strip_rows_follow_each_columns_cone_height():
     # strip 3, (5 pi, 7 pi], holds the band [20, 21] and is reached from |r| = 14
     # (a strip derives its own cone constant, so this one is a cone band)
     strip = horizontal_strip(20.0, 21.0)
-    far = cone_band(strip.membership, 1.0, strip.width_profile, strip.descriptor)
+    far = ConeBand(strip.membership, 1.0, strip.width_profile)
     cols = induced.certified_columns(5, 30)
     rows = induced._zm_rows(far, 1.0, 5, cols)
     assert {q.r for q in rows} == set(range(-30, -13)) | set(range(14, 31))
@@ -537,7 +535,7 @@ def _no_scan(*args):
 
 @pytest.mark.parametrize("spec", [
     horizontal_strip(-1e307, 1e307),
-    cone_band(STRIP.membership, 1e300, STRIP.width_profile, "huge cone"),
+    ConeBand(STRIP.membership, 1e300, STRIP.width_profile),
 ], ids=["strip", "cone-band"])
 def test_zm_enumeration_refuses_a_scan_past_the_cell_limit(monkeypatch, spec):
     # finite scan heights, but about 1e306 strip indices per column: the

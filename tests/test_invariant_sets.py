@@ -16,7 +16,6 @@ from expdyn import (
     ValidationError,
     build_zm,
     certificate_to_json,
-    cone_band,
     horizontal_strip,
     lambda_membership,
     sample_lambda_set,
@@ -41,7 +40,6 @@ STRIP = horizontal_strip(0.0, math.pi)
 # specs
 
 def test_strip_spec_basics():
-    assert STRIP.descriptor == "strip[0,3.14159]"
     assert STRIP.cone_constant == math.pi + 2.0
     assert STRIP.width_profile(7.0) == math.pi
     assert STRIP.membership(1.0 + 1.0j)
@@ -57,19 +55,24 @@ def test_spec_validation():
     with pytest.raises(ValidationError):
         symmetric_strip(0.0)
     with pytest.raises(ValidationError):
-        cone_band(lambda z: True, 0.0, lambda r: 1.0, "bad")
+        ConeBand(lambda z: True, 0.0, lambda r: 1.0)
+
+
+def test_cone_band_takes_no_descriptor():
+    with pytest.raises(TypeError):
+        ConeBand(STRIP.membership, 1.0, lambda r: 1.0, "band")
 
 
 @pytest.mark.parametrize("k", [math.inf, math.nan, -math.inf])
 def test_cone_band_rejects_a_cone_constant_that_is_not_finite(k):
     with pytest.raises(ValidationError, match="cone constant must be positive"):
-        cone_band(STRIP.membership, k, lambda r: 1.0, "bad")
+        ConeBand(STRIP.membership, k, lambda r: 1.0)
 
 
 def test_a_cone_height_past_the_double_range_is_a_range_error():
     # K(|r| + 2) overflows at column 12: a range error, not an OverflowError
     for spec in (horizontal_strip(0.0, 1e308),
-                 cone_band(STRIP.membership, 1e308, lambda r: 1.0, "tall")):
+                 ConeBand(STRIP.membership, 1e308, lambda r: 1.0)):
         with pytest.raises(NumericRangeError, match="scan height"):
             build_zm(spec, 1.0, 10, 12)
     # without the rectangles nothing scans the strips
@@ -80,9 +83,9 @@ def test_a_cone_height_past_the_double_range_is_a_range_error():
 
 def test_specs_are_two_kinds_on_one_base():
     assert isinstance(STRIP, Strip) and isinstance(STRIP, ThinSetSpec)
-    band = cone_band(STRIP.membership, 1.0, lambda r: 1.0, "band")
+    band = ConeBand(STRIP.membership, 1.0, lambda r: 1.0)
     assert isinstance(band, ConeBand) and isinstance(band, ThinSetSpec)
-    assert horizontal_strip is Strip and cone_band is ConeBand
+    assert horizontal_strip is Strip
     assert symmetric_strip(2.0) == Strip(-2.0, 2.0)
     # classify is written once, on the base
     assert "classify" not in vars(Strip) and "classify" not in vars(ConeBand)
@@ -94,11 +97,9 @@ def test_strips_are_plain_data():
     assert hash(s) == hash(Strip(-1.0, 2.5))
     assert repr(s) == "Strip(a=-1.0, b=2.5)"
     assert (s.a, s.b) == (-1.0, 2.5)
-    assert s.descriptor == "strip[-1,2.5]"
     copy = pickle.loads(pickle.dumps(STRIP))
     assert copy == STRIP and copy is not STRIP
-    assert (copy.cone_constant, copy.descriptor) == \
-        (STRIP.cone_constant, STRIP.descriptor)
+    assert copy.cone_constant == STRIP.cone_constant
 
     def certificate(spec):
         return certificate_to_json(
@@ -125,16 +126,14 @@ def test_i_pi_orbit_exits_at_six():
     # the argument is still fully trusted
     for policy in ("conservative", "optimistic"):
         r = lambda_membership(1.0, STRIP, complex(0.0, math.pi), 50, policy=policy)
-        assert r.status == "exit-at 6"
-        assert r.exit_point == complex(1.4348893269328528e+30, 2.7498897110938428e+16)
+        assert r.exit_index == 6
         assert not r.precision_caveat
         assert not r.is_member
 
 
 def test_exit_with_native_point():
     r = lambda_membership(1.0, STRIP, 0.5 + 3.0j, 10, policy="conservative")
-    assert r.status == "exit-at 5"
-    assert r.exit_point == complex(27.829056381633837, 5.132217469949684)
+    assert (r.is_member, r.exit_index) == (False, 5)
     assert not r.precision_caveat
 
 
@@ -145,43 +144,37 @@ def test_policies_split_when_trust_dies():
     z = 40.0 + 1e-20j
     cons = lambda_membership(1.0, STRIP, z, 8, policy="conservative")
     opt = lambda_membership(1.0, STRIP, z, 8, policy="optimistic")
-    assert cons.status == "exit-at 2"
-    assert cons.exit_point is None  # the native value overflowed before
+    assert (cons.is_member, cons.exit_index) == (False, 2)
     assert cons.precision_caveat
-    assert opt.status == "member-to-depth 8"
-    assert opt.is_member and opt.precision_caveat
+    assert (opt.is_member, opt.exit_index) == (True, None)
+    assert opt.precision_caveat
 
 
 def test_undecided_exit_keeps_its_native_point():
     # f(z) = -1e17 is past the argument trust bound, so step 2 is
     # undecided while f^2(z) = -e^(-1e17) is still native (it underflows
-    # to -0): the conservative exit point is that value, not None
+    # to -0): the conservative policy exits there, the optimistic one
+    # keeps the point to the full depth
     spec = symmetric_strip(20.0)
     z = complex(math.log(1e17), 0.0)
     cons = lambda_membership(-1.0, spec, z, 8, policy="conservative")
     opt = lambda_membership(-1.0, spec, z, 8, policy="optimistic")
-    assert cons.status == "exit-at 2"
-    assert cons.exit_point == 0j
-    assert math.copysign(1.0, cons.exit_point.real) == -1.0
+    assert (cons.is_member, cons.exit_index) == (False, 2)
     assert cons.precision_caveat
-    assert opt.status == "member-to-depth 8"
-    assert opt.exit_point is None
+    assert (opt.is_member, opt.exit_index) == (True, None)
     assert opt.precision_caveat
 
 
 def test_exit_point_past_the_exp_range_is_none():
     # f(z) = e^z has log modulus 709.9, past the double range: the exit is
-    # still reported, without a native point
+    # still reported, decided in log-polar form
     r = lambda_membership(1.0, symmetric_strip(20.0), complex(709.9, 0.5), 3,
                           policy="conservative")
-    assert r.status == "exit-at 1"
-    assert r.exit_point is None
-    # f(z) = 0.2 e^z is a double although e^z is not: the exit point is the
-    # point the walk classified
+    assert (r.is_member, r.exit_index) == (False, 1)
+    # f(z) = 0.2 e^z is a double although e^z is not
     r = lambda_membership(0.2, symmetric_strip(20.0), complex(709.9, 1e-300), 3,
                           policy="conservative")
-    assert r.status == "exit-at 1"
-    assert r.exit_point == complex(4.042804112238944e+307, 40428041.12238944)
+    assert (r.is_member, r.exit_index) == (False, 1)
 
 
 def test_pixels_on_a_strip_edge_are_members_at_step_0():

@@ -3,8 +3,8 @@
 The oracle below classifies z itself as point 0, takes step 1 from z's own
 coordinates (no log/exp round trip) and then builds every point with
 ``step_log_polar``, classifying each as a log-polar point.  The walk must
-give the same (conservative exit, optimistic exit, caveat), the same exit
-points, and classify each examined point exactly once.
+give the same (conservative exit, optimistic exit, caveat), with n + 1 for
+"member to depth n", and classify each examined point exactly once.
 """
 
 import cmath
@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from expdyn import (
     LogPolarComplex,
     ThinSetSpec,
+    ConeBand,
     TowerReal,
-    cone_band,
     horizontal_strip,
     step_log_polar,
     symmetric_strip,
@@ -37,44 +37,34 @@ def first_step(lam, z):
 
 def oracle_walk(lam, spec, z, n):
     p = complex(z)
-    cons = cons_point = None
+    cons = n + 1
     caveat = False
     for i in range(n):
         verdict = spec.classify(p)
         if verdict == EXIT:
-            if cons is None:
-                return i, i, caveat, p, p
-            return cons, i, caveat, cons_point, p
+            return min(cons, i), i, caveat
         if verdict == UNDECIDED:
             caveat = True
-            if cons is None:
-                cons, cons_point = i, p
+            cons = min(cons, i)
         if i + 1 < n:
             p = first_step(lam, z) if i == 0 else step_log_polar(lam, p)
-    return cons, None, caveat, cons_point, None
+    return cons, n + 1, caveat
 
 
 def walk(lam, spec, z, n):
     return _membership_walk(lam, spec, [z.real], z.imag, n, _lambda_logs(lam))[0]
 
 
-def _as_complex(p):
-    if isinstance(p, LogPolarComplex):
-        return None if p.modulus_float() == math.inf else p.to_complex()
-    return p
+def examined(result, n):
+    """Points the walk classifies for an orbit with this result."""
+    return n if result[1] > n else result[1] + 1
 
 
-def settled(result):
-    """A walk result with its exit points as complex numbers (or None)."""
-    return result[:3] + tuple(_as_complex(p) for p in result[3:])
-
-
-SQRT_BAND = cone_band(
+SQRT_BAND = ConeBand(
     lambda z: abs(z.imag) <= math.sqrt(abs(z.real) + 1.0),
-    5.0, lambda r: 2.0 * math.sqrt(r + 1.0), "sqrt band")
+    5.0, lambda r: 2.0 * math.sqrt(r + 1.0))
 # a band with a closed edge, as a cone band: undecided past the double range
-EDGE_BAND = cone_band(lambda z: abs(z.imag) <= 2.0, 4.0, lambda r: 4.0,
-                      "edge band")
+EDGE_BAND = ConeBand(lambda z: abs(z.imag) <= 2.0, 4.0, lambda r: 4.0)
 
 SPECS = {
     "strip": horizontal_strip(0.0, math.pi),
@@ -131,9 +121,8 @@ def test_walk_matches_the_log_polar_loop(name, lam, counted):
             want = oracle_walk(lam, spec, z, n)
             counted.clear()
             got = walk(lam, spec, z, n)
-            assert settled(got) == settled(want), (name, lam, z, n)
-            examined = n if got[1] is None else got[1] + 1
-            assert len(counted) == examined, (name, lam, z, n)
+            assert got == want, (name, lam, z, n)
+            assert len(counted) == examined(got, n), (name, lam, z, n)
             assert repr(counted[0]) == repr(z)  # z itself, signed zeros included
 
 
@@ -142,7 +131,7 @@ def test_orbit_leaves_the_double_range_mid_walk(counted):
     spec = symmetric_strip(1.0)
     got = walk(1.0, spec, 3.0 + 0j, 6)
     walked = list(counted)
-    assert got[:3] == oracle_walk(1.0, spec, 3.0 + 0j, 6)[:3] == (None, None, False)
+    assert got == oracle_walk(1.0, spec, 3.0 + 0j, 6) == (7, 7, False)
     assert [type(p) for p in walked] == [complex] * 3 + [LogPolarComplex] * 3
     assert walked[3].log_modulus.level == 1
 
@@ -156,8 +145,7 @@ def test_untrusted_native_point_goes_log_polar(counted):
     spec = symmetric_strip(20.0)
     got = walk(1.0, spec, z, 4)
     walked = list(counted)
-    assert settled(got) == settled(oracle_walk(1.0, spec, z, 4))
-    assert got[:3] == (1, None, True)
+    assert got == oracle_walk(1.0, spec, z, 4) == (1, 5, True)
     assert [type(p) for p in walked] == [complex] + [LogPolarComplex] * 3
     assert walked[1].modulus_float() == 0.0
     assert not walked[1].arg_trusted
@@ -168,11 +156,11 @@ def test_degenerate_log_moduli(counted):
     # log modulus in (709.78, 710): level 0 but past exp's range
     z = complex(1.795e308, 0.0)
     assert 709.78 < math.log(abs(z)) < 710.0
-    assert settled(walk(1.0, spec, z, 3)) == settled(oracle_walk(1.0, spec, z, 3))
+    assert walk(1.0, spec, z, 3) == oracle_walk(1.0, spec, z, 3)
     assert isinstance(counted[-1], LogPolarComplex)
     # Re z below NEG_SENTINEL: the next point underflows to the sentinel
     z = complex(-1e308, 0.0)
-    assert settled(walk(1.0, spec, z, 3)) == settled(oracle_walk(1.0, spec, z, 3))
+    assert walk(1.0, spec, z, 3) == oracle_walk(1.0, spec, z, 3)
 
 
 _finite = st.floats(-50.0, 50.0, allow_nan=False)
@@ -184,7 +172,7 @@ _finite = st.floats(-50.0, 50.0, allow_nan=False)
 def test_walk_matches_on_random_orbits(re, im, lam, name, n):
     spec = SPECS[name]
     z = complex(re, im)
-    assert settled(walk(lam, spec, z, n)) == settled(oracle_walk(lam, spec, z, n))
+    assert walk(lam, spec, z, n) == oracle_walk(lam, spec, z, n)
 
 
 _strips = st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 10.0)).map(
@@ -243,9 +231,9 @@ def check_row(lam, spec, xs, y, n):
     start = 0
     for x, result in zip(xs, got):
         z = complex(x, y)
-        assert settled(result) == settled(oracle_walk(lam, spec, z, n)), (lam, z, n)
+        assert result == oracle_walk(lam, spec, z, n), (lam, z, n)
         assert repr(seen[start]) == repr(z)
-        start += n if result[1] is None else result[1] + 1
+        start += examined(result, n)
     assert start == len(seen)
     return got, seen
 
@@ -257,10 +245,10 @@ def test_row_walks_match_the_oracle(lam):
         for y in ROW_YS:
             for n in (1, 2, 8, 25):
                 got, seen = check_row(lam, SPECS[name], ROW_XS, y, n)
-                exits |= {result[1] for result in got}
+                exits |= {"member" if result[1] > n else result[1] for result in got}
                 handed_over |= any(isinstance(p, LogPolarComplex) for p in seen)
     # the rows hold exits at steps 0 and 1, survivors and tower hand-overs
-    assert {0, 1, None} <= exits
+    assert {0, 1, "member"} <= exits
     assert handed_over
 
 

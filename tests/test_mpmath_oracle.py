@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 mpmath = pytest.importorskip("mpmath")
 
 from expdyn import (  # noqa: E402
+    ConeBand,
     LogPolarComplex,
     TowerReal,
-    cone_band,
     horizontal_strip,
     step_log_polar,
 )
@@ -147,7 +147,7 @@ def _native_column_sum(spec, log_e, n_sup, delta, m):
 @pytest.mark.parametrize("spec", [
     STRIP,  # K = pi + 2
     # K < 1: no count term, and a lead near 1e300
-    cone_band(STRIP.membership, 0.5, lambda r: 2.0 * r, "cone"),
+    ConeBand(STRIP.membership, 0.5, lambda r: 2.0 * r),
 ], ids=["strip", "cone"])
 @pytest.mark.parametrize("delta", [0.01, 0.1, 0.5, 0.9])
 def test_log_space_column_bound_covers_the_native_formula(spec, delta):

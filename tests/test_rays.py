@@ -108,6 +108,12 @@ def test_trace_depth_past_the_range_limit_is_refused():
         trace_ray(1.0, ZERO, [2.0], depth=_RANGE_LIMIT + 1)
 
 
+def test_trace_refuses_a_tol_that_is_not_finite():
+    # an infinite tol would accept every pullback, converged or not
+    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+        trace_ray(0.2, ExternalAddress.constant(1), [2.0, 3.0], depth=1, tol=math.inf)
+
+
 @pytest.mark.parametrize("t", [math.inf, math.nan])
 def test_trace_refuses_a_parameter_that_is_not_finite(t):
     with pytest.raises(ValidationError, match="ray parameters must be finite"):

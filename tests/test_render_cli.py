@@ -196,6 +196,24 @@ def test_render_matches_the_generator_writer(field, palette):
         assert buf.getvalue() == render_by_generator(field, palette, policy)
 
 
+def test_render_builds_entries_only_for_the_values_the_raster_holds(monkeypatch):
+    calls = []
+
+    def fire(t):
+        calls.append(t)
+        return _fire(t)
+
+    monkeypatch.setattr("expdyn.render._fire", fire)
+    depth = 10 ** 6
+    top = depth + 1
+    field = _field(depth, 2, 2, (0, 5, top, top), (top,) * 4)
+    buf = io.BytesIO()
+    render_field(field, buf, palette="fire")
+    assert sorted(calls) == [0.0, 5 / top, 1.0]
+    shade = [bytes(_fire(v / top)) for v in (top, top, 0, 5)]
+    assert buf.getvalue() == b"P6\n2 2\n255\n" + b"".join(shade)
+
+
 def test_deep_field_pgms_saturate_at_65535():
     # depth 65535: the survivor value 65536 writes 65535, the last exit
     # index 65534 keeps its own value
@@ -417,6 +435,13 @@ def test_ray_csv_file_and_summary(tmp_path):
     assert lines[0] == "t,re,im,depth,residual"
     assert lines[1] == "2,2,0,2,0"
     assert len(lines) == 4
+
+
+def test_ray_refuses_an_infinite_tol_before_any_output():
+    code, out, err = run_cli(["ray", "--lambda", "0.2,0", "--address", "1...const",
+                              "--t", "2:3:1", "--depth", "1", "--tol", "inf"])
+    assert (code, out) == (2, "")
+    assert err == "error: tol must be positive and finite\n"
 
 
 def test_ray_t_range_does_not_drift():
