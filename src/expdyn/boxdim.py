@@ -7,7 +7,6 @@ ever labeled a Hausdorff dimension.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -57,40 +56,54 @@ def box_count(points: Sequence[complex], epsilons: Sequence[float]) -> BoxCountR
     """Occupied epsilon-grid boxes at each scale, with a least-squares slope.
 
     Points must be finite.  The grid is anchored at the bounding-box
-    corner of the points.  Scales must be strictly decreasing, at least
-    three of them, spanning at least one decade.
+    corner of the points.  Scales must be finite and strictly
+    decreasing, at least three of them, spanning at least one decade.
     Fewer than 100 points clears slope_claim but the slope is still
     reported.
     """
     pts = [complex(p) for p in points]
-    if not pts:
+    return _box_count([p.real for p in pts], [p.imag for p in pts], epsilons)
+
+
+def _box_count(
+    xs: Sequence[float], ys: Sequence[float], epsilons: Sequence[float]
+) -> BoxCountResult:
+    """box_count on the points' coordinate columns."""
+    if not xs:
         raise ValidationError("no points to count")
-    if not all(map(cmath.isfinite, pts)):
+    if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
         raise ValidationError("points must be finite")
     eps = [float(e) for e in epsilons]
     if len(eps) < 3:
         raise ValidationError("need at least 3 scales")
+    if not all(map(math.isfinite, eps)):
+        raise ValidationError("scales must be finite")
     if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValidationError("scales must be positive and strictly decreasing")
     if eps[0] / eps[-1] < 10.0:
         raise ValidationError("scales must span at least one decade")
 
-    x0 = min(p.real for p in pts)
-    y0 = min(p.imag for p in pts)
-    offsets = [(p.real - x0, p.imag - y0) for p in pts]
+    x0 = min(xs)
+    y0 = min(ys)
+    top = max(ys) - y0
+    floor = math.floor
     counts: list[int] = []
     try:
         for e in eps:
-            boxes = {(math.floor(dx / e), math.floor(dy / e)) for dx, dy in offsets}
-            counts.append(len(boxes))
+            # subtraction, division and floor are monotone, so
+            # 0 <= floor((y - y0) / e) < k and each integer key names one
+            # box; ints, unlike tuples, are not tracked by the garbage
+            # collector
+            k = floor(top / e) + 1
+            counts.append(len({floor((x - x0) / e) * k + floor((y - y0) / e)
+                               for x, y in zip(xs, ys)}))
     except OverflowError:  # a box index past the float range
         raise ValidationError(f"points spread too wide for scale {e:g}") from None
 
-    xs = [math.log(1.0 / e) for e in eps]
-    ys = [math.log(n) for n in counts]
-    slope, r2 = _lsq_fit(xs, ys)
+    logs = [math.log(1.0 / e) for e in eps]
+    slope, r2 = _lsq_fit(logs, [math.log(n) for n in counts])
     return BoxCountResult(
-        tuple(eps), tuple(counts), slope, r2, len(pts) >= 100, len(pts)
+        tuple(eps), tuple(counts), slope, r2, len(xs) >= 100, len(xs)
     )
 
 

@@ -20,7 +20,7 @@ import math
 import operator
 import re
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NumericRangeError, ValidationError
 from .dynamics import _RANGE_LIMIT, check_supergrowth, iterate_orbit
@@ -44,7 +44,7 @@ from .induced import (
     report_json,
     verify_contraction,
 )
-from .boxdim import box_count, dimension_bound_search, report_to_json
+from .boxdim import _box_count, dimension_bound_search, report_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +172,64 @@ def _emit(text: str, path: Optional[str]) -> None:
             _write_payload(path, text)
 
 
-def _read_points(path: str) -> list[complex]:
-    """Point list from a CSV of re,im rows; non-numeric lines are skipped."""
-    pts: list[complex] = []
+def _parse_rows(rows: Iterable[str]) -> tuple[list[float], list[float]]:
+    """Columns (re, im) of the CSV rows that parse, one row at a time.
+
+    A row is skipped unless its first cell is a number and its second is
+    a number or absent (im = 0); cells past the second are ignored.
+    """
+    xs: list[float] = []
+    ys: list[float] = []
+    for row in rows:
+        parts = row.strip().split(",")
+        if parts[0] == "":
+            continue
+        try:
+            re = float(parts[0])
+            im = float(parts[1]) if len(parts) > 1 else 0.0
+        except ValueError:
+            continue
+        xs.append(re)
+        ys.append(im)
+    return xs, ys
+
+
+def _read_points(path: str) -> tuple[list[float], list[float]]:
+    """Columns (re, im) from a CSV of re,im rows; rows that do not parse,
+    a header among them, are skipped.
+
+    When every row after the first holds exactly one comma, those rows are
+    parsed in bulk, one float() per cell.  float() accepts no whitespace
+    that str.strip() keeps, so a bulk parse that succeeds returns what
+    _parse_rows would; a cell that is not a number sends all rows through
+    _parse_rows.
+    """
     with _file_errors(path, "read"), open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts[0] == "":
-                continue
-            try:
-                re = float(parts[0])
-                im = float(parts[1]) if len(parts) > 1 else 0.0
-            except ValueError:
-                continue
-            pts.append(complex(re, im))
-    if not pts:
+        rows = fh.read().split("\n")  # text mode has turned CR and CRLF into LF
+    if rows[-1] == "":
+        rows.pop()
+    head = rows[:1]
+    del rows[:1]
+    if set(map(str.count, rows, itertools.repeat(","))) == {1}:
+        # the rows and the joined text go before the floats are built,
+        # so that fewer strings are alive at once
+        body = ",".join(rows)
+        del rows
+        cells = body.split(",")
+        del body
+        try:
+            xs, ys = _parse_rows(head)
+            xs += map(float, cells[0::2])
+            ys += map(float, cells[1::2])
+        except ValueError:
+            # each row was its two cells around one comma
+            rows = map(",".join, zip(cells[0::2], cells[1::2]))
+            xs, ys = _parse_rows(itertools.chain(head, rows))
+    else:
+        xs, ys = _parse_rows(head + rows)
+    if not xs:
         raise ValidationError(f"no points parsed from {path}")
-    return pts
+    return xs, ys
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +365,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_boxdim(args: argparse.Namespace) -> int:
-    pts = _read_points(args.points)
+    xs, ys = _read_points(args.points)
     eps = _parse_scales(args.scales)
-    result = box_count(pts, eps)
+    result = _box_count(xs, ys, eps)
     doc = {
         "format_version": 1,
         "epsilons": list(result.epsilons),

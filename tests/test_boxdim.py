@@ -82,6 +82,9 @@ def test_box_count_validation():
         box_count(seg, [0.1, 0.2, 0.01])  # not decreasing
     with pytest.raises(ValidationError):
         box_count(seg, [0.1, 0.05, 0.02])  # spans less than a decade
+    for eps in ([1.0, math.nan, 0.01], [1.0, 0.1, math.nan], [math.inf, 1.0, 0.01]):
+        with pytest.raises(ValidationError, match="scales must be finite"):
+            box_count(seg, eps)
 
 
 @pytest.mark.parametrize("bad", [complex(math.nan, 0.5), complex(0.5, math.nan),
@@ -110,6 +113,38 @@ def test_counts_never_decrease_as_scale_shrinks(points):
     res = box_count(points, [1.0, 0.5, 0.25, 0.125, 0.0625])
     assert all(b >= a for a, b in zip(res.counts, res.counts[1:]))
     assert res.counts[0] >= 1
+
+
+def _tuple_key_counts(points, eps):
+    """Box counts keyed by (column, row) tuples, and the scale at which a
+    box index first leaves the float range (None if none does)."""
+    x0 = min(p.real for p in points)
+    y0 = min(p.imag for p in points)
+    counts = []
+    for e in eps:
+        try:
+            counts.append(len({(math.floor((p.real - x0) / e), math.floor((p.imag - y0) / e))
+                               for p in points}))
+        except OverflowError:
+            return counts, e
+    return counts, None
+
+
+_COORDS = st.floats(-1.0, 1.0) | st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.builds(complex, _COORDS, _COORDS), min_size=1, max_size=40),
+       st.sampled_from([[1.0, 0.25, 0.1, 0.03, 0.01], [1.0, 1e-3, 1e-6, 1e-9, 1e-12]]))
+def test_integer_keys_count_what_tuple_keys_count(points, eps):
+    # spreads near 1e300 make keys far past 64 bits, and past 1e308 / e a
+    # box index leaves the float range
+    counts, overflow_at = _tuple_key_counts(points, eps)
+    if overflow_at is not None:
+        with pytest.raises(ValidationError, match=f"spread too wide for scale {overflow_at:g}$"):
+            box_count(points, eps)
+    else:
+        assert box_count(points, eps).counts == tuple(counts)
 
 
 def test_counts_can_fall_between_scales_whose_grids_are_not_nested():

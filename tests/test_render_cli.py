@@ -535,6 +535,17 @@ def test_points_file_with_a_non_ascii_byte_exits_2(tmp_path):
     assert err.count("\n") == 1
 
 
+def test_a_non_ascii_byte_is_reported_at_its_offset_in_the_file(tmp_path):
+    # the file is decoded in one piece, so a bad byte past the first 8 KiB
+    # is not reported at its offset within a read chunk
+    pts = tmp_path / "pts.csv"
+    good = b"re,im\n" + b"0.5,0.25\n" * 3000
+    pts.write_bytes(good + b"\xff,2\n")
+    code, out, err = run_cli(["boxdim", f"--points={pts}", "--scales=1:0.01:2"])
+    assert (code, out) == (2, "")
+    assert f"can't decode byte 0xff in position {len(good)}:" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["supergrowth", "--lambda=1,0", "--c=1", "--steps=5", "--json={out}"],
     ["orbit", "--lambda=1,0", "--z=0", "--steps=3", "--csv={out}"],
@@ -678,6 +689,62 @@ def test_boxdim_rejects_empty_point_file(tmp_path):
                             "--scales", "0.5:0.01:2"])
     assert code == 2
     assert err.startswith("error: no points parsed from")
+
+
+def _per_line_points(path):
+    """Reference reader: one line at a time, as text mode splits them."""
+    xs, ys = [], []
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            parts = line.strip().split(",")
+            if parts[0] == "":
+                continue
+            try:
+                re = float(parts[0])
+                im = float(parts[1]) if len(parts) > 1 else 0.0
+            except ValueError:
+                continue
+            xs.append(re)
+            ys.append(im)
+    return xs, ys
+
+
+# cells padded with whitespace that float() and str.strip() both drop, and
+# with "\x1c", which only str.strip() drops
+_PAD = st.sampled_from(["", " ", "\t", "  ", "\x0b", "\x1c"])
+_NUMBER = (st.floats().map(repr) | st.integers(-10**20, 10**20).map(str)
+           | st.sampled_from(["inf", "-Infinity", "nan", "1e400", "1_000", ".5"]))
+_NUMBER_CELL = st.tuples(_PAD, _NUMBER, _PAD).map("".join)
+_CELL = st.tuples(_PAD, st.sampled_from(["", "re", "im", "x", "1.2.3"]), _PAD).map("".join)
+_ROW = st.lists(_NUMBER_CELL | _CELL, min_size=1, max_size=3).map(",".join)
+
+
+@st.composite
+def _point_texts(draw):
+    """CSV texts: a header or first point, then mostly two-number rows (the
+    bulk path), with stray rows of any shape mixed in (the per-line path)."""
+    head = draw(st.sampled_from(["re,im", "", "x", "0.5,-2", "7"]) | _ROW)
+    rows = draw(st.lists(st.tuples(_NUMBER_CELL, _NUMBER_CELL).map(",".join), max_size=12))
+    for at, row in draw(st.lists(st.tuples(st.integers(0, 12), _ROW), max_size=2)):
+        rows.insert(at, row)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join([head] + rows) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=200)
+@given(_point_texts())
+def test_read_points_returns_what_a_per_line_reader_returns(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("pts") / "pts.csv"
+    path.write_bytes(text.encode("ascii"))
+    xs, ys = _per_line_points(path)
+    if not xs:
+        with pytest.raises(ValidationError, match="^no points parsed from "):
+            cli._read_points(str(path))
+        return
+    got = cli._read_points(str(path))
+    # float.hex tells nan, inf and -0.0 apart and makes nan equal to itself
+    assert [list(map(float.hex, col)) for col in got] == [
+        list(map(float.hex, xs)), list(map(float.hex, ys))]
 
 
 # ---------------------------------------------------------------------------
