@@ -8,8 +8,7 @@ ever labeled a Hausdorff dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import GeometryError, ValidationError
 from .dynamics import _require_lambda
@@ -26,8 +25,7 @@ from .induced import (
 from .invariant_sets import ThinSetSpec
 
 
-@dataclass(frozen=True)
-class BoxCountResult:
+class BoxCountResult(NamedTuple):
     epsilons: tuple[float, ...]
     counts: tuple[int, ...]
     slope: float
@@ -111,8 +109,7 @@ def _box_count(
 # certified bound search
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     certificate: Optional[ContractionCertificate]
     bound_achieved: Optional[float]  # 1 + delta of the best passing certificate
     provenance: dict

@@ -132,8 +132,11 @@ def _parse_trange(text: str) -> list[float]:
         raise ValidationError(f"--t needs finite numbers, got {text!r}")
     if step <= 0 or t1 < t0:
         raise ValidationError("--t needs STEP > 0 and T1 >= T0")
+    # T1 is inclusive: a sample past it by a billionth of STEP, or by the
+    # rounding of t0 + n * STEP, still counts as T1; none lies further out
+    end = t1 + max(1e-9 * step, 4 * math.ulp(max(abs(t0), abs(t1))))
     ts = (t0 + n * step for n in itertools.count())
-    return _bounded(itertools.takewhile(lambda t: t <= t1 + 1e-9, ts), "--t")
+    return _bounded(itertools.takewhile(lambda t: t <= end, ts), "--t")
 
 
 def _parse_scales(text: str) -> list[float]:

@@ -11,11 +11,11 @@ recording the strip of each iterate, rays carry one by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ValidationError
 from .dynamics import _lambda_logs, _require_lambda, _require_point, _strip_of_imag
+from .towers import _Frozen, _set
 
 
 def strip_index(lam: complex, z: complex) -> int:
@@ -29,8 +29,7 @@ def strip_index(lam: complex, z: complex) -> int:
 # external addresses
 
 
-@dataclass(frozen=True)
-class ExternalAddress:
+class ExternalAddress(_Frozen):
     """Bounded integer sequence, stored as a finite prefix plus an optional
     deterministic tail rule.
 
@@ -40,21 +39,22 @@ class ExternalAddress:
     first element.
     """
 
-    entries: tuple[int, ...] = ()
-    tail: Optional[tuple] = None
+    __slots__ = ("entries", "tail")
 
-    def __post_init__(self):
-        if self.tail is not None:
-            kind = self.tail[0]
+    def __init__(self, entries: tuple[int, ...] = (), tail: Optional[tuple] = None) -> None:
+        if tail is not None:
+            kind = tail[0]
             if kind == "constant":
-                if not isinstance(self.tail[1], int):
+                if not isinstance(tail[1], int):
                     raise ValidationError("constant tail value must be an integer")
             elif kind == "periodic":
-                pat = self.tail[1]
+                pat = tail[1]
                 if not pat or not all(isinstance(v, int) for v in pat):
                     raise ValidationError("periodic tail needs a nonempty integer pattern")
             else:
                 raise ValidationError(f"unknown tail rule {kind!r}")
+        _set(self, "entries", entries)
+        _set(self, "tail", tail)
 
     # -- constructors
 

@@ -21,16 +21,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DomainError,
     NumericRangeError,
     ValidationError,
 )
-from .towers import _EXP_SAFE, NEG_SENTINEL, TowerReal, ZERO
+from .towers import _EXP_SAFE, NEG_SENTINEL, TowerReal, ZERO, _Frozen, _set
 
 TAU = 2.0 * math.pi
 # |z| beyond which Im z mod 2pi is below one ulp of Im z
@@ -89,13 +88,17 @@ def _principal(theta: float) -> float:
     return math.pi if r == -math.pi else r
 
 
-@dataclass(frozen=True)
-class LogPolarComplex:
+class LogPolarComplex(_Frozen):
     """Point stored as (log modulus, argument in (-pi, pi], trust flag)."""
 
-    log_modulus: TowerReal
-    argument: float
-    arg_trusted: bool = True
+    __slots__ = ("log_modulus", "argument", "arg_trusted")
+
+    def __init__(
+        self, log_modulus: TowerReal, argument: float, arg_trusted: bool = True
+    ) -> None:
+        _set(self, "log_modulus", log_modulus)
+        _set(self, "argument", argument)
+        _set(self, "arg_trusted", arg_trusted)
 
     @classmethod
     def from_complex(cls, z: complex) -> "LogPolarComplex":
@@ -181,8 +184,7 @@ def step_log_polar(lam: complex, p: LogPolarComplex) -> LogPolarComplex:
 # orbits
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
+class OrbitPoint(NamedTuple):
     index: int
     point: LogPolarComplex
     native: Optional[complex]
@@ -190,8 +192,7 @@ class OrbitPoint:
     precision_flag: bool
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(NamedTuple):
     points: tuple[OrbitPoint, ...]
     escaped_at: Optional[int]
 
@@ -307,8 +308,7 @@ def _strip_bottom(k: int, arg_lam: float) -> float:
 # super-growth of the singular orbit
 
 
-@dataclass(frozen=True)
-class SupergrowthReport:
+class SupergrowthReport(NamedTuple):
     c: float
     n_checked: int
     holds: bool

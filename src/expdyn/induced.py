@@ -22,12 +22,11 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import accumulate, chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import add, lt, mul, neg
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import GeometryError, NumericRangeError, ValidationError
 from .dynamics import (
@@ -62,14 +61,12 @@ _STRIP_HEIGHTS = (1e-9, 0.25, 0.5, 0.75, 1.0)
 _CELL_LIMIT = 1e7
 
 
-@dataclass(frozen=True, order=True)
-class RectangleIndex:
+class RectangleIndex(NamedTuple):
     k: int  # strip
     r: int  # column; rectangle is {r <= Re z < r+1} within strip k
 
 
-@dataclass(frozen=True)
-class ZMFamily:
+class ZMFamily(NamedTuple):
     m: int
     r_max: int
     rectangles: tuple[RectangleIndex, ...]
@@ -316,8 +313,7 @@ def positive_sum(
 # negative-side geometry
 
 
-@dataclass(frozen=True)
-class InducedGeometry:
+class InducedGeometry(NamedTuple):
     lam: complex
     c: float
     d: float  # ball radius factor c / (4 |lambda|): balls B(beta_l, D |beta_l|)
@@ -428,8 +424,7 @@ def negative_geometry(
 # contraction certificates
 
 
-@dataclass(frozen=True)
-class ContractionCertificate:
+class ContractionCertificate(NamedTuple):
     lam: complex
     c: Optional[float]
     delta: float
@@ -665,8 +660,7 @@ def _report_value(obj, depth: int) -> str:
 # iterated covers
 
 
-@dataclass(frozen=True)
-class CoverLevel:
+class CoverLevel(NamedTuple):
     n: int
     total: float
     budget: float
@@ -674,8 +668,7 @@ class CoverLevel:
     tail_mass: float
 
 
-@dataclass(frozen=True)
-class CoverRun:
+class CoverRun(NamedTuple):
     levels: tuple[CoverLevel, ...]
     aborted: bool
     m: int

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from itertools import chain, repeat, starmap
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .dynamics import (
     _RANGE_LIMIT,
@@ -36,7 +35,7 @@ from .dynamics import (
     step_log_polar,
 )
 from .errors import NumericRangeError, ValidationError
-from .towers import _EXP_SAFE, LIFT, NEG_SENTINEL
+from .towers import _EXP_SAFE, LIFT, NEG_SENTINEL, _Frozen, _set
 from . import parallel
 
 MEMBER = "member"
@@ -64,6 +63,8 @@ class ThinSetSpec:
     those slices are empty.
     """
 
+    __slots__ = ()
+
     def classify(self, p: _Point) -> str:
         """MEMBER, EXIT or UNDECIDED: ``membership`` decides a ``complex``
         (a native point with a trusted argument), ``classify_log`` a
@@ -81,16 +82,16 @@ class ThinSetSpec:
         return MEMBER if self.membership(z) else EXIT
 
 
-@dataclass(frozen=True)
-class Strip(ThinSetSpec):
+class Strip(ThinSetSpec, _Frozen):
     """The closed horizontal strip a <= Im z <= b."""
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if not (self.a <= self.b and math.isfinite(self.a) and math.isfinite(self.b)):
+    def __init__(self, a: float, b: float) -> None:
+        if not (a <= b and math.isfinite(a) and math.isfinite(b)):
             raise ValidationError("strip bounds must be finite with a <= b")
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     @property
     def cone_constant(self) -> float:
@@ -126,17 +127,22 @@ def symmetric_strip(h: float) -> Strip:
     return Strip(-h, h)
 
 
-@dataclass(frozen=True)
-class ConeBand(ThinSetSpec):
+class ConeBand(ThinSetSpec, _Frozen):
     """A set given by its own membership predicate and width profile."""
 
-    membership: Callable[[complex], bool]
-    cone_constant: float
-    width_profile: Callable[[float], float]
+    __slots__ = ("membership", "cone_constant", "width_profile")
 
-    def __post_init__(self) -> None:
-        if not (0 < self.cone_constant < math.inf):
+    def __init__(
+        self,
+        membership: Callable[[complex], bool],
+        cone_constant: float,
+        width_profile: Callable[[float], float],
+    ) -> None:
+        if not (0 < cone_constant < math.inf):
             raise ValidationError("cone constant must be positive and finite")
+        _set(self, "membership", membership)
+        _set(self, "cone_constant", cone_constant)
+        _set(self, "width_profile", width_profile)
 
 
 horizontal_strip = Strip
@@ -146,8 +152,7 @@ horizontal_strip = Strip
 # membership along orbits
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     """``exit_index`` is None for a member; ``precision_caveat`` says an
     undecided verdict was counted as inside."""
 
@@ -253,8 +258,7 @@ def lambda_membership(
 # grid sampling
 
 
-@dataclass(frozen=True)
-class ExitDepthField:
+class ExitDepthField(NamedTuple):
     """Per-pixel exit depths over a window, both policies.
 
     Pixels sit on the inclusive corner grid: pixel (ix, iy) is at

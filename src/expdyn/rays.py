@@ -18,8 +18,7 @@ depth budget is used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NonConvergenceError, NumericRangeError, ValidationError
 from .dynamics import TAU, _lambda_logs, _require_count, _require_lambda, eval_map, inverse_branch
@@ -33,16 +32,14 @@ _CODING_MODULUS_LIMIT = 1e15
 _CODING_STEPS_MAX = 60
 
 
-@dataclass(frozen=True)
-class RaySample:
+class RaySample(NamedTuple):
     t: float
     point: complex
     depth: int
     residual: float
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(NamedTuple):
     samples: tuple[RaySample, ...]
     residual: float
 

@@ -25,7 +25,7 @@ one ulp of anything downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import DomainError, NumericRangeError, ValidationError
 
@@ -54,23 +54,92 @@ def _normalize(level: int, mantissa: float) -> tuple[int, float]:
     return level, mantissa
 
 
-@dataclass(frozen=True, order=True)
-class TowerReal:
-    """exp applied ``level`` times to ``mantissa``; total order; exp/log lifts.
+_set = object.__setattr__
 
-    The canonical form makes level ranges disjoint, so the generated
-    field-wise order on (level, mantissa) is the value order.
+
+class _Frozen:
+    """Base of the immutable values with fields stored in ``__slots__``.
+
+    A subclass lists its fields, in order, as its ``__slots__`` and sets
+    them once in ``__init__`` through ``object.__setattr__``.  Values of
+    one class are equal, and hash alike, when their fields are; repr,
+    pickling, copying and ``_replace`` go through the fields too.
     """
 
-    level: int
-    mantissa: float
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # the field values as a tuple: every subclass has two fields or more
+        cls._values = property(attrgetter(*cls.__slots__))
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, built by the constructor."""
+        return type(self)(**dict(zip(self.__slots__, self._values), **changes))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class TowerReal(_Frozen):
+    """exp applied ``level`` times to ``mantissa``; total order; exp/log lifts.
+
+    The canonical form makes level ranges disjoint, so the order on
+    (level, mantissa) is the value order.
+    """
+
+    __slots__ = ("level", "mantissa")
+
+    def __init__(self, level: int, mantissa: float) -> None:
+        _set(self, "level", level)
+        _set(self, "mantissa", mantissa)
+        # every construction, unpickling and _replace included, runs this once
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.level < 0:
             raise ValidationError("tower level must be non-negative")
         lvl, man = _normalize(self.level, self.mantissa)
-        object.__setattr__(self, "level", lvl)
-        object.__setattr__(self, "mantissa", man)
+        _set(self, "level", lvl)
+        _set(self, "mantissa", man)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.level, self.mantissa) < (other.level, other.mantissa)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.level, self.mantissa) <= (other.level, other.mantissa)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.level, self.mantissa) > (other.level, other.mantissa)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.level, self.mantissa) >= (other.level, other.mantissa)
+        return NotImplemented
 
     # ---- constructors -------------------------------------------------
 

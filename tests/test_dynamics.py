@@ -1,7 +1,6 @@
 """Orbits, log-polar stepping, derivatives, and the supergrowth check."""
 
 import cmath
-import dataclasses
 import math
 
 import pytest
@@ -190,14 +189,14 @@ def test_native_step_points_behave_like_normally_built_ones():
         assert type(q) is LogPolarComplex
         assert q == b and b == q and hash(q) == hash(b)
         assert repr(q) == repr(b)
-        assert q != dataclasses.replace(b, arg_trusted=not b.arg_trusted)
+        assert q != b._replace(arg_trusted=not b.arg_trusted)
     assert set(stepped) == set(built)
     q = stepped[0]
     for field, value in (("log_modulus", TowerReal(0, 1.0)), ("argument", 1.0),
                          ("arg_trusted", False)):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(q, field, value)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         del q.argument
 
 

@@ -1,7 +1,6 @@
 """Rectangle families, column sums, negative-side geometry, certificates."""
 
 import cmath
-import dataclasses
 import json
 import math
 import random
@@ -266,8 +265,8 @@ def _level_by_scan(geo, r):
     negative_geometry(2.0, 0.4, 3, 1),
     negative_geometry(5.0, 1.0, 2, 1),
     # band edges on integers, repeated sigmas and a finite deepest floor
-    dataclasses.replace(negative_geometry(1.0, 1.0, 3, 6), m=4,
-                        sigmas=(-4.0, -7.0, -7.0, -9.0, -10.0, -10.0, -13.0, -20.0)),
+    negative_geometry(1.0, 1.0, 3, 6)._replace(
+        m=4, sigmas=(-4.0, -7.0, -7.0, -9.0, -10.0, -10.0, -13.0, -20.0)),
 ], ids=lambda g: f"lam{g.lam.real:g}-l0{g.l0}-n{g.n_levels}-top{g.sigmas[0]:g}")
 def test_level_of_column_bisect_matches_the_scan(geo):
     finite = [s for s in geo.sigmas if s != -math.inf]
@@ -396,8 +395,7 @@ def test_certificate_enumerates_only_its_own_columns(monkeypatch):
     geo = negative_geometry(0.65, 0.65, 4, 6)
     cols = [-20, -12, -7] + list(range(7, 17))
     cert = verify_contraction(cmath.rect(0.65, 2.5), STRIP, 0.5, cols,
-                              geometry=dataclasses.replace(
-                                  geo, lam=cmath.rect(0.65, 2.5)))
+                              geometry=geo._replace(lam=cmath.rect(0.65, 2.5)))
     family = build_zm(STRIP, cmath.rect(0.65, 2.5), 7, 20)
     assert cert.per_rectangle == tuple(
         (q.k, q.r, cert.column_bound(q.r)) for q in family.rectangles

@@ -93,9 +93,10 @@ def test_python_session():
 
 def _stale_library_names(text):
     """Names in the library table's `expdyn.X` rows that are neither an
-    attribute of module expdyn.X, nor of one of its public classes (fields
-    included), nor a builtin; only identifiers and call names are read, and
-    a span of identifiers joined by slashes (`exp/log`) names each one."""
+    attribute of module expdyn.X, nor of one of its public classes (a
+    record's fields are attributes of its class), nor a builtin; only
+    identifiers and call names are read, and a span of identifiers joined
+    by slashes (`exp/log`) names each one."""
     rows = re.findall(r"^\| `(expdyn\.\w+)`\s*\|(.*)\|$", text, re.M)
     assert len(rows) == 8, rows
     stale = []
@@ -109,10 +110,7 @@ def _stale_library_names(text):
                 s.split("/") if re.fullmatch(r"\w+(?:/\w+)+", s) else (s,)
                 for s in spans):
             name = re.fullmatch(r"([A-Za-z_]\w*)(?:\(.*\))?", span)
-            if name and not any(
-                    hasattr(o, name.group(1))
-                    or name.group(1) in getattr(o, "__dataclass_fields__", {})
-                    for o in owners):
+            if name and not any(hasattr(o, name.group(1)) for o in owners):
                 stale.append(f"{module_name}.{name.group(1)}")
     return stale
 

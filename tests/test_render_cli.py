@@ -1,7 +1,6 @@
 """Palette rendering and the command-line front end, end to end."""
 
 import argparse
-import dataclasses
 import io
 import json
 import math
@@ -83,7 +82,7 @@ def test_render_to_path(tmp_path):
 def test_both_writers_put_the_top_row_first():
     # Netpbm rasters run top to bottom; the field's data starts at the
     # bottom row (iy = 0), so the rows go out in reverse
-    field = dataclasses.replace(_small_field(), conservative=(0, 1, 2, 4))
+    field = _small_field()._replace(conservative=(0, 1, 2, 4))
     assert field.raster() == [(2, 4), (0, 1)]
     assert field_to_pgm(field) == b"P5\n2 2\n65535\n\x00\x02\x00\x04\x00\x00\x00\x01"
     buf = io.BytesIO()
@@ -122,7 +121,7 @@ def test_writers_accept_pathlib_paths(tmp_path, name):
 @pytest.mark.parametrize("bad", [-1, 99])
 def test_render_rejects_values_outside_the_palette(palette, bad):
     field = _small_field()
-    field = dataclasses.replace(field, conservative=(bad,) + field.conservative[1:])
+    field = field._replace(conservative=(bad,) + field.conservative[1:])
     with pytest.raises(ValidationError, match="field values must lie in"):
         render_field(field, io.BytesIO(), palette=palette)
 
@@ -131,7 +130,7 @@ def test_render_rejects_values_outside_the_palette(palette, bad):
 def test_field_pgm_rejects_values_outside_the_field(bad):
     # depth 3: exits are 0..2 and survivors 4, so 5 and up cannot occur
     field = _small_field()
-    field = dataclasses.replace(field, conservative=(bad,) + field.conservative[1:])
+    field = field._replace(conservative=(bad,) + field.conservative[1:])
     with pytest.raises(ValidationError, match=r"field values must lie in 0\.\.4"):
         field_to_pgm(field)
 
@@ -484,6 +483,24 @@ def test_range_flags_expand_up_to_the_limit():
     with pytest.raises(ValidationError, match="expands to more than"):
         cli._parse_trange(f"1:{cli._RANGE_LIMIT + 1}:1")
     assert cli._parse_scales("0.5:0.01:2") == [0.5 / 2 ** j for j in range(6)]
+
+
+@pytest.mark.parametrize("text, count", [
+    ("1:1.0000000005:1e-10", 6),  # an absolute slack of 1e-9 took 16
+    ("0:0.3:0.1", 4),  # the last sample rounds to 0.30000000000000004
+    ("0.1:0.7:0.2", 4),
+    ("-1:0:0.1", 11),
+    ("2:4:1", 3),
+    ("2:3.5:1", 2),
+    ("1e6:1000001:0.001", 1001),
+])
+def test_t_range_ends_at_t1_inclusive(text, count):
+    t0, t1, step = map(float, text.split(":"))
+    ts = cli._parse_trange(text)
+    assert len(ts) == count
+    assert ts == [t0 + n * step for n in range(count)]
+    # T1 itself is reached up to rounding; nothing lies further out
+    assert abs(ts[-1] - t1) <= 4 * math.ulp(max(abs(t0), abs(t1))) or t1 - ts[-1] >= step / 2
 
 
 @pytest.mark.parametrize("argv", [
