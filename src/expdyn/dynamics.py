@@ -67,7 +67,18 @@ def _lambda_logs(lam: complex) -> tuple[float, float]:
 @lru_cache(maxsize=256)
 def _lambda_logs_of(lam: complex, imag_sign: float) -> tuple[float, float]:
     lam = _require_lambda(lam)
-    return math.log(abs(lam)), math.atan2(lam.imag, lam.real)
+    return _log_abs(lam), math.atan2(lam.imag, lam.real)
+
+
+def _log_abs(z: complex) -> float:
+    """log|z| of a finite nonzero z.  Where |z| passes DBL_MAX, abs(z)
+    overflows, and the log is taken of |z / 2| instead; every other z
+    gets math.log(abs(z)) bit for bit."""
+    try:
+        m = abs(z)
+    except OverflowError:
+        return math.log(abs(complex(z.real / 2, z.imag / 2))) + math.log(2.0)
+    return math.log(m)
 
 
 def _require_point(z: complex) -> complex:
@@ -103,10 +114,9 @@ class LogPolarComplex(_Frozen):
     @classmethod
     def from_complex(cls, z: complex) -> "LogPolarComplex":
         z = _require_point(z)
-        m = abs(z)
-        if m == 0.0:
+        if z == 0:
             return cls(TowerReal(0, NEG_SENTINEL), 0.0, True)
-        return cls(TowerReal(0, math.log(m)), math.atan2(z.imag, z.real), True)
+        return cls(TowerReal(0, _log_abs(z)), math.atan2(z.imag, z.real), True)
 
     def modulus_float(self) -> float:
         """Native modulus, or inf when it exceeds the float range."""

@@ -4,11 +4,14 @@ The oracle below classifies z itself as point 0, takes step 1 from z's own
 coordinates (no log/exp round trip) and then builds every point with
 ``step_log_polar``, classifying each as a log-polar point.  The walk must
 give the same (conservative exit, optimistic exit, caveat), with n + 1 for
-"member to depth n", and classify each examined point exactly once.
+"member to depth n".  It classifies each examined point of a walked orbit
+exactly once, and no point of a strip row's pixels that it resolves in
+runs.
 """
 
 import cmath
 import math
+from itertools import accumulate, takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,14 +26,24 @@ from expdyn import (
     symmetric_strip,
 )
 from expdyn.dynamics import ARG_TRUST_LIMIT, _lambda_logs, _principal
-from expdyn.invariant_sets import EXIT, UNDECIDED, _membership_walk
+from expdyn.invariant_sets import (
+    _EXP_NORMAL,
+    _RUN_MIN_SPACING,
+    EXIT,
+    UNDECIDED,
+    Strip,
+    _membership_walk,
+)
+from expdyn.towers import _EXP_SAFE, LIFT
 
 
 def first_step(lam, z):
     """f(z) in log-polar form, from Re z and Im z themselves."""
     log_lam = math.log(abs(lam))
     arg_lam = math.atan2(lam.imag, lam.real)
-    trusted = abs(z) <= ARG_TRUST_LIMIT or math.sin(math.atan2(z.imag, z.real)) == 0.0
+    # |Re z| and |Im z| first: abs(z) overflows past DBL_MAX
+    near = max(abs(z.real), abs(z.imag)) <= ARG_TRUST_LIMIT and abs(z) <= ARG_TRUST_LIMIT
+    trusted = near or math.sin(math.atan2(z.imag, z.real)) == 0.0
     return LogPolarComplex(TowerReal(0, z.real).add_float(log_lam),
                            _principal(z.imag + arg_lam), trusted)
 
@@ -70,6 +83,8 @@ SPECS = {
     "strip": horizontal_strip(0.0, math.pi),
     "strip-neg": horizontal_strip(-1.0, 0.5),
     "strip-point": horizontal_strip(0.0, 0.0),
+    # holds points past DBL_MAX in modulus
+    "strip-wide": horizontal_strip(-1.79e308, 1.79e308),
     "symstrip": symmetric_strip(2.0),
     "sqrt-band": SQRT_BAND,
     "edge-band": EDGE_BAND,
@@ -95,6 +110,7 @@ POINTS = [
     complex(-1e308, 0.0),      # next log modulus below NEG_SENTINEL
     complex(-1e308, 0.25),
     5e-324 + 0j,
+    complex(1.7e308, 1.7e308),  # |z| past DBL_MAX, where abs(z) overflows
 ]
 
 
@@ -192,14 +208,17 @@ def test_complex_and_log_polar_points_classify_alike(x, a, spec):
 
 
 # ---------------------------------------------------------------------------
-# row walks: one call walks every pixel of a row, which shares Im z
+# row walks: one call walks every pixel of a row, which shares Im z.  Rows
+# ascend, as a field's do.
 
 ROW_LAMBDAS = [1.0, complex(1.0, -0.0), -1.0, complex(-1.0, -0.0), 0.25, 1 + 0.3j]
 # Re z for exits at step 0 or 1, native survivors, orbits that leave the
-# double range (3 at lambda = 1, 709.79, 1.795e308), points past
-# ARG_TRUST_LIMIT (+-1e17) and a next log modulus below NEG_SENTINEL
-ROW_XS = [0.0, -0.0, 0.5, -0.3, -3.0, 3.0, 40.0, 709.79, 1e17, -1e17,
-          1.795e308, -1e308, 5e-324]
+# double range (3 at lambda = 1, 709.79, 1.795e308), Re z past LIFT with a
+# native next point at |lambda| < 1 (710.5), points past ARG_TRUST_LIMIT
+# (+-1e17) and a next log modulus below NEG_SENTINEL
+ROW_XS = [-1e308, -1e17, -3.0, -0.3, 0.0, 0.5, 3.0, 40.0, 709.79, 710.5, 1e17, 1.795e308]
+# signed zeros and the least subnormal, closer than _RUN_MIN_SPACING
+CLOSE_XS = [-0.0, 0.0, 5e-324]
 # the real axis both ways round, the edges of the strips in SPECS, rows
 # inside and outside them, and tiny |Im z|, whose argument underflows to 0
 # for Re z near 1.8e308
@@ -223,41 +242,118 @@ def walk_row(lam, spec, xs, y, n):
     return got, seen
 
 
+def step1_exits_in_runs(lam, spec, xs, y, n, got):
+    """Pixels of a strip row of two or more that its runs settle without
+    classifying: all of them when point 0 is outside or n == 1; else, with
+    |y| <= ARG_TRUST_LIMIT / 2, the step-1 exits with Re z < LIFT and a
+    step-1 log modulus in [_EXP_NORMAL, _EXP_SAFE]."""
+    if not isinstance(spec, Strip) or len(xs) < 2:
+        return set()
+    if not spec.a <= y <= spec.b or n == 1:
+        return set(range(len(xs)))
+    if abs(y) > ARG_TRUST_LIMIT / 2:
+        return set()
+    log_lam = _lambda_logs(lam)[0]
+    return {i for i, x in enumerate(xs)
+            if got[i] == (1, 1, False) and x < LIFT and _EXP_NORMAL <= x + log_lam <= _EXP_SAFE}
+
+
 def check_row(lam, spec, xs, y, n):
-    """A row walk equals the oracle point by point, and classifies each
-    examined point once, each orbit starting at its pixel."""
+    """A row walk equals the oracle point by point.  It classifies no
+    point of a pixel that its runs settle, and each examined point of
+    every other pixel once, each orbit starting at its pixel.  A row with
+    pixels closer than _RUN_MIN_SPACING may instead be walked pixel by
+    pixel.  Returns the results, the classified points and the pixels
+    settled in runs."""
     got, seen = walk_row(lam, spec, xs, y, n)
     assert len(got) == len(xs)
-    start = 0
     for x, result in zip(xs, got):
-        z = complex(x, y)
-        assert result == oracle_walk(lam, spec, z, n), (lam, z, n)
-        assert repr(seen[start]) == repr(z)
-        start += examined(result, n)
+        assert result == oracle_walk(lam, spec, complex(x, y), n), (lam, x, y, n)
+    runs = step1_exits_in_runs(lam, spec, xs, y, n, got)
+    if len(seen) != sum(examined(result, n) for i, result in enumerate(got) if i not in runs):
+        assert min(b - a for a, b in zip(xs, xs[1:])) < _RUN_MIN_SPACING
+        runs = set()
+    start = 0
+    for i, (x, result) in enumerate(zip(xs, got)):
+        if i not in runs:
+            assert repr(seen[start]) == repr(complex(x, y))
+            start += examined(result, n)
     assert start == len(seen)
-    return got, seen
+    return got, seen, runs
 
 
 @pytest.mark.parametrize("lam", ROW_LAMBDAS)
 def test_row_walks_match_the_oracle(lam):
-    exits, handed_over = set(), False
+    exits, handed_over, in_runs = set(), False, 0
     for name in sorted(SPECS):
         for y in ROW_YS:
             for n in (1, 2, 8, 25):
-                got, seen = check_row(lam, SPECS[name], ROW_XS, y, n)
-                exits |= {"member" if result[1] > n else result[1] for result in got}
-                handed_over |= any(isinstance(p, LogPolarComplex) for p in seen)
-    # the rows hold exits at steps 0 and 1, survivors and tower hand-overs
+                for xs in (ROW_XS, CLOSE_XS):
+                    got, seen, runs = check_row(lam, SPECS[name], xs, y, n)
+                    exits |= {"member" if result[1] > n else result[1] for result in got}
+                    handed_over |= any(isinstance(p, LogPolarComplex) for p in seen)
+                    in_runs += len(runs)
+    # the rows hold exits at steps 0 and 1, survivors, tower hand-overs and
+    # pixels resolved in runs
     assert {0, 1, "member"} <= exits
     assert handed_over
+    assert in_runs
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(st.sampled_from(ROW_XS), _finite), min_size=1, max_size=8),
+@given(st.lists(st.one_of(st.sampled_from(ROW_XS + CLOSE_XS), _finite), min_size=1,
+                max_size=8),
        st.one_of(st.sampled_from(ROW_YS), _row_y), st.sampled_from(ROW_LAMBDAS),
        st.sampled_from(sorted(SPECS)), st.integers(1, 20))
 def test_random_row_walks_match_the_oracle(xs, y, lam, name, n):
-    check_row(lam, SPECS[name], xs, y, n)
+    check_row(lam, SPECS[name], sorted(xs), y, n)
+
+
+def test_a_run_of_close_pixels_is_walked_pixel_by_pixel():
+    # Im f(z) = e^x sin 0.9 > 1: every pixel leaves the strip at step 1, in
+    # one run; below _RUN_MIN_SPACING apart its pixels are walked instead
+    spec, close = symmetric_strip(1.0), [1.0, 1.0 + 2.0 ** -45, 1.0 + 2.0 ** -44]
+    for xs, walked in (([1.0, 1.5, 2.0], 0), (close, 3)):
+        got, seen, runs = check_row(1.0, spec, xs, 0.9, 8)
+        assert got == [(1, 1, False)] * 3
+        assert len(runs) == 3 - walked
+        assert len(seen) == 2 * walked
+
+
+@pytest.mark.parametrize("lam, spec, y", [
+    (1.0, horizontal_strip(1.0, 2.0), math.pi / 2),
+    (1.0, horizontal_strip(-2.0, -1.0), -math.pi / 2),
+    (1j, horizontal_strip(-1.0, 1.0), 0.0),
+    (-1j, horizontal_strip(-1.0, 1.0), 0.0),
+])
+def test_step1_points_on_the_strip_edges_stay_inside(lam, spec, y):
+    # y + Arg lambda = +-pi/2, so Im f(z) = +-e^x exactly, and the pixel at
+    # x = 0 lands on an edge of the strip: inside, so outside the runs
+    got, _, runs = check_row(lam, spec, [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0], y, 4)
+    assert got[2][1] > 1
+    assert runs == {i for i, result in enumerate(got) if result[1] == 1}
+    assert len(runs) >= 3
+
+
+def test_pixels_past_lift_are_walked():
+    # at |lambda| < 1, Re z = 710.5 >= LIFT has a native next point, but the
+    # walk lifts it to a tower, so it is walked outside the runs
+    got, _, runs = check_row(0.25, horizontal_strip(0.0, math.pi), [700.0, 709.0, 710.5],
+                             1.0, 4)
+    assert got == [(1, 1, False)] * 3
+    assert runs == {0, 1}
+
+
+def test_rows_past_the_trust_bound_of_the_runs_are_walked():
+    # |y| <= ARG_TRUST_LIMIT / 2 keeps every pixel of the runs trusted; past
+    # it the row is walked, and past ARG_TRUST_LIMIT step 1 is undecided
+    spec, xs = symmetric_strip(1e17), [40.0, 50.0, 60.0]
+    for y, walked, want in ((math.nextafter(ARG_TRUST_LIMIT / 2, 0.0), 0, (1, 1, False)),
+                            (math.nextafter(ARG_TRUST_LIMIT / 2, math.inf), 3, (1, 1, False)),
+                            (1e17, 3, (1, 9, True))):
+        got, _, runs = check_row(1.0, spec, xs, y, 8)
+        assert got == [want] * 3
+        assert len(runs) == 3 - walked
 
 
 def test_a_row_computes_its_first_argument_once(monkeypatch):
@@ -268,9 +364,61 @@ def test_a_row_computes_its_first_argument_once(monkeypatch):
         return _principal(theta)
 
     monkeypatch.setattr("expdyn.invariant_sets._principal", principal)
-    # every pixel passes step 0 and exits at step 1, so only the row's own
-    # first argument is reduced
-    got = _membership_walk(1.0, symmetric_strip(1.0), [0.5, 1.0, 2.0], 0.9, 8,
+    # Im f(z) = e^x sin 0.9 leaves the strip for x > 0.24: the last three
+    # pixels are a run that reduces no argument, and the first two survive
+    # step 1 and reduce only their step-2 arguments after the row's own
+    got = _membership_walk(1.0, symmetric_strip(1.0), [-1.0, 0.0, 0.5, 1.0, 2.0], 0.9, 2,
                            _lambda_logs(1.0))
-    assert [result[1] for result in got] == [1, 1, 1]
-    assert calls == [0.9]
+    assert got == [(3, 3, False)] * 2 + [(1, 1, False)] * 3
+    assert calls == [0.9] + [math.exp(x) * math.sin(0.9) for x in (-1.0, 0.0)]
+
+
+# ---------------------------------------------------------------------------
+# strip rows resolved in runs, against the per-pixel oracle
+
+# 1j and the strip [-2, -1] hold y = -Arg lambda = -pi/2, where step 1's
+# argument is exactly 0 and every native step-1 point is on the real axis
+RUN_LAMBDAS = ROW_LAMBDAS + [1j, 2.0, -0.3 + 0.2j, cmath.rect(0.25, 2.5), 1e-300, -1e300j]
+RUN_STRIPS = [horizontal_strip(0.0, math.pi), horizontal_strip(-1.0, 0.5),
+              horizontal_strip(0.0, 0.0), horizontal_strip(-2.0, -1.0), symmetric_strip(2.0),
+              symmetric_strip(1e17)]
+# spacings: repeated, below and at _RUN_MIN_SPACING, fine and coarse
+# steps, and steps that carry a row across +-ARG_TRUST_LIMIT
+_gaps = st.one_of(st.sampled_from([0.0, 2.0 ** -44, _RUN_MIN_SPACING, 1e16]),
+                  st.floats(_RUN_MIN_SPACING, 20.0))
+
+
+@st.composite
+def strip_rows(draw):
+    lam = draw(st.sampled_from(RUN_LAMBDAS))
+    spec = draw(st.one_of(st.sampled_from(RUN_STRIPS), _strips))
+    log_lam, arg_lam = _lambda_logs(lam)
+    edge = draw(st.sampled_from([spec.a, spec.b]))
+    y = draw(st.one_of(
+        # on an edge and just outside it
+        st.sampled_from([edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]),
+        # y + Arg lambda a multiple of pi: s1 is 0 or within rounding of it
+        st.integers(-2, 2).map(lambda k: k * math.pi - arg_lam),
+        # at the trust bound of a row's runs
+        st.sampled_from([ARG_TRUST_LIMIT / 2, math.nextafter(ARG_TRUST_LIMIT / 2, math.inf),
+                         -ARG_TRUST_LIMIT / 2]),
+        st.floats(spec.a - 1.0, spec.b + 1.0),
+    ))
+    # rows that start before and cross _EXP_NORMAL - log|lambda|,
+    # _EXP_SAFE - log|lambda|, LIFT and +-ARG_TRUST_LIMIT
+    x0 = draw(st.one_of(
+        st.sampled_from([_EXP_NORMAL - log_lam, _EXP_SAFE - log_lam, LIFT]).flatmap(
+            lambda c: st.floats(c - 40.0, c + 1.0)),
+        st.sampled_from([-ARG_TRUST_LIMIT - 3e16, ARG_TRUST_LIMIT - 3e16, -1e308]),
+        st.floats(-60.0, 60.0),
+    ))
+    gaps = draw(st.lists(_gaps, max_size=12))
+    xs = list(takewhile(math.isfinite, accumulate(gaps, initial=x0)))
+    n = draw(st.one_of(st.just(1), st.just(2), st.integers(1, 12)))
+    return lam, spec, xs, y, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(strip_rows())
+def test_ascending_strip_rows_match_the_oracle(row):
+    check_row(*row)

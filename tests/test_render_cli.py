@@ -387,6 +387,20 @@ def test_orbit_past_the_double_range_keeps_a_negative_zero_argument():
     assert lines[-1] == "6,3,15.154262241479262,-0,,,1,1"
 
 
+@pytest.mark.parametrize("lam, z, row", [("1,0", "1.7e308,1.7e308", 0),
+                                         ("1.7e308,1.7e308", "0,0", 1)])
+def test_orbit_of_a_point_past_dbl_max(lam, z, row):
+    # |1.7e308 (1 + i)| passes DBL_MAX, so abs() of it overflows; its log
+    # modulus log(1.7e308) + log(2) / 2 is past LIFT, a level-1 tower
+    code, out, err = run_cli(["orbit", f"--lambda={lam}", f"--z={z}", "--steps=3"])
+    assert (code, err) == (0, "")
+    fields = out.splitlines()[1 + row].split(",")
+    assert fields[1] == "1"
+    want = math.log(math.log(1.7e308) + math.log(2.0) / 2)
+    assert float(fields[2]) == pytest.approx(want, rel=1e-15)
+    assert float(fields[3]) == math.pi / 4
+
+
 # ---------------------------------------------------------------------------
 # supergrowth
 
@@ -631,6 +645,17 @@ def test_lambdaset_rejects_a_window_that_is_not_finite(window):
                               f"--window={window}", "--res=4,4", "--depth=3"])
     assert (code, out) == (2, "")
     assert err == "error: window must be finite\n"
+
+
+def test_lambdaset_walks_pixels_past_dbl_max():
+    # |z| > DBL_MAX at every pixel: the argument is untrusted, so step 1 is
+    # undecided, an exit for the conservative policy only
+    code, out, err = run_cli(["lambdaset", "--lambda=1,0", "--set=strip:0,1.79e308",
+                              "--window=1e308,1e308,1.7e308,1.7e308", "--res=2,2",
+                              "--depth=3"])
+    assert (code, err) == (0, "")
+    assert out == ("lambdaset: 2x2 field, depth 3, 0 survivors (conservative), "
+                   "4 precision caveats\n")
 
 
 # ---------------------------------------------------------------------------
