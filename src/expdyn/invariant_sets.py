@@ -15,24 +15,19 @@ undecidable the walk records an "undecided" verdict, and the two exit
 policies split: the conservative policy counts it as an exit, the
 optimistic one keeps iterating.  Both exit depths come from the same walk.
 
-A field walks each row of pixels, which share Im z, in one call.  On a
-strip the row is first resolved in runs.  Point 0 is inside for every
-pixel or for none, and along the row step 1's imaginary part
-exp(Re z + log|lambda|) * sin(Im z + Arg lambda) is monotone, so the
-pixels that leave the strip at step 1 are runs at the row's two ends.
-Bisection finds the runs with the walk's own float expressions and
-comparisons, where rounding cannot reorder them (_step1_runs), so the
-field is exactly the one a pixel-by-pixel walk gives; only the pixels
-outside the runs are walked point by point.
+A field walks each row of pixels, which share Im z, in one call.  Point
+0 of every pixel is classified in one pass, and a pixel whose first step
+is native with a trusted argument takes it inline; only orbits still in
+the set after that go on one by one.  Each examined point is classified
+once.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_left, bisect_right
-from itertools import chain, repeat, starmap
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from itertools import chain, compress, repeat, starmap
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .dynamics import (
     _RANGE_LIMIT,
@@ -60,13 +55,6 @@ _ARG_DEAD_ZONE = 1e-12
 # width profile of a one-point slice: any positive value bounds its
 # diameter 0, and one this small adds nothing to a column's n_sup
 _POINT_SLICE_WIDTH = 2.0 ** -52
-
-# _step1_runs resolves a strip row in runs only where exp's results are
-# ordered: the pixels at a run's inner end are at least _RUN_MIN_SPACING
-# apart, and every step-1 log modulus is at least _EXP_NORMAL, where
-# exp's results are normal doubles
-_RUN_MIN_SPACING = 2.0 ** -40
-_EXP_NORMAL = -708.0
 
 # an orbit point as the walk classifies it
 _Point = Union[complex, LogPolarComplex]
@@ -194,121 +182,76 @@ def _membership_walk(
     first point past the double range or with an untrusted argument, the
     orbit goes on as a LogPolarComplex through step_log_polar.
 
-    A ``Strip`` row of two or more pixels, whose xs must ascend, is first
-    resolved in runs.  Point 0 is inside exactly when a <= y <= b, for
-    every pixel of the row at once.  Step 1's imaginary part is
-    exp(x + log|lambda|) * s1 with s1 fixed by the row, so the pixels that
-    leave the strip at step 1 are runs at the two ends of the row's native
-    stretch (_step1_runs), and only the pixels between and beyond those
-    runs are walked one by one.
+    Point 0 of every pixel is classified in one pass over the row.  A pixel
+    inside at point 0 takes step 1 inline where a few comparisons show it
+    is native with a trusted argument (|Re z|, |Im z| <= ARG_TRUST_LIMIT
+    / 2, Re z < LIFT and a step-1 log modulus up to _EXP_SAFE), and most
+    pixels of a field end there; every other orbit goes on in
+    _native_walk.  Each examined point is classified once.
     """
     log_lam, arg_lam = lam_logs
     classify = spec.classify
-    # |y| first: abs(z) overflows past DBL_MAX
-    y_near = abs(y) <= ARG_TRUST_LIMIT
-    # one point (lambda_membership) gains nothing from runs
-    runs = isinstance(spec, Strip) and len(xs) > 1
-    if runs and not spec.a <= y <= spec.b:
-        return [(0, 0, False)] * len(xs)
-    if runs and n == 1:
-        return [(n + 1, n + 1, False)] * len(xs)
     a1 = _principal(y + arg_lam)
     s1, c1 = math.sin(a1), math.cos(a1)
-    # the pixels of a strip row's runs exit at step 1; all others are walked
-    out = [(1, 1, False)] * len(xs)
-    todo: Iterable[int] = range(len(xs))
-    if runs:
-        lo, k0, k1, hi = _step1_runs(spec, xs, y, log_lam, s1)
-        todo = chain(range(lo), range(k0, k1), range(hi, len(xs)))
-    for k in todo:
+    # point 0 of every pixel
+    verdicts = [classify(z) for z in map(complex, xs, repeat(y))]
+    if n == 1:
+        return [(0, 0, False) if v == EXIT else (2, 2, False) for v in verdicts]
+    # a pixel inside at point 0 is a step-1 exit until its walk says otherwise
+    if EXIT in verdicts:
+        out = [(0, 0, False) if v == EXIT else (1, 1, False) for v in verdicts]
+        inside = compress(range(len(xs)), map(EXIT.__ne__, verdicts))
+    else:
+        out = [(1, 1, False)] * len(xs)
+        inside = range(len(xs))
+    # |Re z|, |Im z| <= ARG_TRUST_LIMIT / 2 keep |z| within ARG_TRUST_LIMIT
+    x_min = -ARG_TRUST_LIMIT / 2 if abs(y) <= ARG_TRUST_LIMIT / 2 else math.inf
+    # |y| first: abs(z) overflows past DBL_MAX
+    y_near = abs(y) <= ARG_TRUST_LIMIT
+    for k in inside:
         re = xs[k]
-        z = complex(re, y)
-        if classify(z) == EXIT:
-            out[k] = (0, 0, False)
+        x = re + log_lam
+        if not (x_min <= re < LIFT and x <= _EXP_SAFE):
+            trusted = (
+                y_near and -ARG_TRUST_LIMIT <= re <= ARG_TRUST_LIMIT
+                and abs(complex(re, y)) <= ARG_TRUST_LIMIT
+            ) or math.sin(math.atan2(y, re)) == 0.0
+            out[k] = _native_walk(lam, classify, lam_logs, re, a1, s1, c1, trusted, 1, n)
             continue
-        trusted = (
-            y_near and -ARG_TRUST_LIMIT <= re <= ARG_TRUST_LIMIT and abs(z) <= ARG_TRUST_LIMIT
-        ) or math.sin(math.atan2(y, re)) == 0.0
-        a, s, c = a1, s1, c1
-        for i in range(1, n):
-            # the next point has log modulus x and argument a
-            x = re + log_lam
-            if not (trusted and re < LIFT and NEG_SENTINEL <= x <= _EXP_SAFE):
-                p = LogPolarComplex(TowerReal(0, re).add_float(log_lam), a, trusted)
-                out[k] = _log_polar_walk(lam, classify, p, i, n)
-                break
-            m = math.exp(x)
-            re = m * c
-            im = m * s
-            z = complex(re, im)
-            if classify(z) == EXIT:
-                out[k] = (i, i, False)
-                break
-            trusted = m <= ARG_TRUST_LIMIT or s == 0.0
+        # point 1, native with a trusted argument
+        m = math.exp(x)
+        re = m * c1
+        im = m * s1
+        if classify(complex(re, im)) != EXIT:
             a = _principal(im + arg_lam)
-            s, c = math.sin(a), math.cos(a)
-        else:
-            out[k] = (n + 1, n + 1, False)
+            out[k] = _native_walk(lam, classify, lam_logs, re, a, math.sin(a), math.cos(a),
+                                  m <= ARG_TRUST_LIMIT or s1 == 0.0, 2, n)
     return out
 
 
-def _step1_runs(
-    spec: Strip, xs: Sequence[float], y: float, log_lam: float, s1: float,
-) -> tuple[int, int, int, int]:
-    """(lo, k0, k1, hi) for a strip row whose point 0 is inside, with xs
-    ascending as sample_lambda_set builds them: the pixels lo..k0-1 and
-    k1..hi-1 leave the strip at step 1, and the rest of lo..hi-1 stays in
-    it; (0, 0, 0, 0) when the row is not resolved in runs.
-
-    Every pixel of lo..hi-1 passes the walk's native gate with a trusted
-    argument: its step-1 log modulus x = re + log|lambda| lies in
-    [_EXP_NORMAL, _EXP_SAFE] and re < LIFT, so |re| < 1500, and
-    |y| <= ARG_TRUST_LIMIT / 2 keeps |z| below ARG_TRUST_LIMIT.  Float
-    ``+`` of the fixed log|lambda| rounds monotonically, so bisection finds
-    lo and hi.  There Im f(z) = exp(x) * s1, and the step-1 exits are
-    Im < a and Im > b.  Im is monotone along lo..hi-1 up to near ties:
-
-    - float ``*`` by the fixed s1 rounds monotonically; s1 < 0 reverses
-      the order, and s1 == 0 makes Im a constant signed zero;
-    - libm exp is faithful (error below one ulp) and its results here are
-      normal.  If x < x' but exp(x) comes out above exp(x'), no double
-      lies between the exact values, so x' - x < 2^-51.
-
-    Bisection with the walk's own float expression and comparisons finds
-    k0 with pixel k0-1 evaluated inside the low run, and k1 with pixel k1
-    evaluated inside the high run.  A run pixel that would not exit lies
-    before k0-1 (after k1) within 2^-51 of it in x.  Each x is within
-    2^-44 of re + log|lambda| below |x| = 1024, so that cannot happen
-    when the two pixels at the run's inner end are _RUN_MIN_SPACING apart
-    in Re z; closer pixels send the row back to the per-pixel walk.
-    """
-    if not abs(y) <= ARG_TRUST_LIMIT / 2:
-        return 0, 0, 0, 0
-
-    def log_mod(re: float) -> float:
-        return re + log_lam
-
-    # the end points settle most rows without a bisection
-    lo = 0 if xs[0] + log_lam >= _EXP_NORMAL else bisect_left(xs, _EXP_NORMAL, key=log_mod)
-    hi = len(xs)
-    if not (xs[-1] < LIFT and xs[-1] + log_lam <= _EXP_SAFE):
-        hi = min(bisect_right(xs, _EXP_SAFE, lo, key=log_mod), bisect_left(xs, LIFT, lo))
-    if lo == hi:
-        return 0, 0, 0, 0
-    a, b = spec.a, spec.b
-    if s1 < 0.0:
-        # Im = -(exp(x) * -s1) exactly, so Im > b is key < -b
-        s1, a, b = -s1, -b, -a
-
-    def im1(re: float) -> float:
-        return math.exp(re + log_lam) * s1
-
-    k0 = lo if im1(xs[lo]) >= a else bisect_left(xs, a, lo, hi, key=im1)
-    k1 = hi if im1(xs[hi - 1]) <= b else bisect_right(xs, b, k0, hi, key=im1)
-    if (k0 - lo > 1 and xs[k0 - 1] - xs[k0 - 2] < _RUN_MIN_SPACING
-            or hi - k1 > 1 and xs[k1 + 1] - xs[k1] < _RUN_MIN_SPACING):
-        return 0, 0, 0, 0
-    return lo, k0, k1, hi
+def _native_walk(
+    lam: complex, classify: Callable[[_Point], str], lam_logs: tuple[float, float],
+    re: float, a: float, s: float, c: float, trusted: bool, i: int, n: int,
+) -> tuple[int, int, bool]:
+    """_membership_walk's result for an orbit whose points before i are
+    in the set; point i - 1 has real part re and point i argument a, with
+    s, c = sin a, cos a, and trusted says whether a is."""
+    log_lam, arg_lam = lam_logs
+    for i in range(i, n):
+        # the next point has log modulus x and argument a
+        x = re + log_lam
+        if not (trusted and re < LIFT and NEG_SENTINEL <= x <= _EXP_SAFE):
+            p = LogPolarComplex(TowerReal(0, re).add_float(log_lam), a, trusted)
+            return _log_polar_walk(lam, classify, p, i, n)
+        m = math.exp(x)
+        re = m * c
+        im = m * s
+        if classify(complex(re, im)) == EXIT:
+            return i, i, False
+        trusted = m <= ARG_TRUST_LIMIT or s == 0.0
+        a = _principal(im + arg_lam)
+        s, c = math.sin(a), math.cos(a)
+    return n + 1, n + 1, False
 
 
 def _log_polar_walk(

@@ -4,9 +4,7 @@ The oracle below classifies z itself as point 0, takes step 1 from z's own
 coordinates (no log/exp round trip) and then builds every point with
 ``step_log_polar``, classifying each as a log-polar point.  The walk must
 give the same (conservative exit, optimistic exit, caveat), with n + 1 for
-"member to depth n".  It classifies each examined point of a walked orbit
-exactly once, and no point of a strip row's pixels that it resolves in
-runs.
+"member to depth n", and classify each examined point exactly once.
 """
 
 import cmath
@@ -26,14 +24,7 @@ from expdyn import (
     symmetric_strip,
 )
 from expdyn.dynamics import ARG_TRUST_LIMIT, _lambda_logs, _principal
-from expdyn.invariant_sets import (
-    _EXP_NORMAL,
-    _RUN_MIN_SPACING,
-    EXIT,
-    UNDECIDED,
-    Strip,
-    _membership_walk,
-)
+from expdyn.invariant_sets import EXIT, UNDECIDED, _membership_walk
 from expdyn.towers import _EXP_SAFE, LIFT
 
 
@@ -208,8 +199,7 @@ def test_complex_and_log_polar_points_classify_alike(x, a, spec):
 
 
 # ---------------------------------------------------------------------------
-# row walks: one call walks every pixel of a row, which shares Im z.  Rows
-# ascend, as a field's do.
+# row walks: one call walks every pixel of a row, which shares Im z
 
 ROW_LAMBDAS = [1.0, complex(1.0, -0.0), -1.0, complex(-1.0, -0.0), 0.25, 1 + 0.3j]
 # Re z for exits at step 0 or 1, native survivors, orbits that leave the
@@ -217,7 +207,7 @@ ROW_LAMBDAS = [1.0, complex(1.0, -0.0), -1.0, complex(-1.0, -0.0), 0.25, 1 + 0.3
 # native next point at |lambda| < 1 (710.5), points past ARG_TRUST_LIMIT
 # (+-1e17) and a next log modulus below NEG_SENTINEL
 ROW_XS = [-1e308, -1e17, -3.0, -0.3, 0.0, 0.5, 3.0, 40.0, 709.79, 710.5, 1e17, 1.795e308]
-# signed zeros and the least subnormal, closer than _RUN_MIN_SPACING
+# signed zeros and the least subnormal
 CLOSE_XS = [-0.0, 0.0, 5e-324]
 # the real axis both ways round, the edges of the strips in SPECS, rows
 # inside and outside them, and tiny |Im z|, whose argument underflows to 0
@@ -242,62 +232,33 @@ def walk_row(lam, spec, xs, y, n):
     return got, seen
 
 
-def step1_exits_in_runs(lam, spec, xs, y, n, got):
-    """Pixels of a strip row of two or more that its runs settle without
-    classifying: all of them when point 0 is outside or n == 1; else, with
-    |y| <= ARG_TRUST_LIMIT / 2, the step-1 exits with Re z < LIFT and a
-    step-1 log modulus in [_EXP_NORMAL, _EXP_SAFE]."""
-    if not isinstance(spec, Strip) or len(xs) < 2:
-        return set()
-    if not spec.a <= y <= spec.b or n == 1:
-        return set(range(len(xs)))
-    if abs(y) > ARG_TRUST_LIMIT / 2:
-        return set()
-    log_lam = _lambda_logs(lam)[0]
-    return {i for i, x in enumerate(xs)
-            if got[i] == (1, 1, False) and x < LIFT and _EXP_NORMAL <= x + log_lam <= _EXP_SAFE}
-
-
 def check_row(lam, spec, xs, y, n):
-    """A row walk equals the oracle point by point.  It classifies no
-    point of a pixel that its runs settle, and each examined point of
-    every other pixel once, each orbit starting at its pixel.  A row with
-    pixels closer than _RUN_MIN_SPACING may instead be walked pixel by
-    pixel.  Returns the results, the classified points and the pixels
-    settled in runs."""
+    """A row walk equals the oracle point by point and classifies each
+    examined point once: point 0 of every pixel first, in row order, then
+    the later points of each orbit.  Returns the results and the
+    classified points."""
     got, seen = walk_row(lam, spec, xs, y, n)
     assert len(got) == len(xs)
     for x, result in zip(xs, got):
         assert result == oracle_walk(lam, spec, complex(x, y), n), (lam, x, y, n)
-    runs = step1_exits_in_runs(lam, spec, xs, y, n, got)
-    if len(seen) != sum(examined(result, n) for i, result in enumerate(got) if i not in runs):
-        assert min(b - a for a, b in zip(xs, xs[1:])) < _RUN_MIN_SPACING
-        runs = set()
-    start = 0
-    for i, (x, result) in enumerate(zip(xs, got)):
-        if i not in runs:
-            assert repr(seen[start]) == repr(complex(x, y))
-            start += examined(result, n)
-    assert start == len(seen)
-    return got, seen, runs
+    assert [repr(p) for p in seen[:len(xs)]] == [repr(complex(x, y)) for x in xs]
+    assert len(seen) == sum(examined(result, n) for result in got)
+    return got, seen
 
 
 @pytest.mark.parametrize("lam", ROW_LAMBDAS)
 def test_row_walks_match_the_oracle(lam):
-    exits, handed_over, in_runs = set(), False, 0
+    exits, handed_over = set(), False
     for name in sorted(SPECS):
         for y in ROW_YS:
             for n in (1, 2, 8, 25):
                 for xs in (ROW_XS, CLOSE_XS):
-                    got, seen, runs = check_row(lam, SPECS[name], xs, y, n)
+                    got, seen = check_row(lam, SPECS[name], xs, y, n)
                     exits |= {"member" if result[1] > n else result[1] for result in got}
                     handed_over |= any(isinstance(p, LogPolarComplex) for p in seen)
-                    in_runs += len(runs)
-    # the rows hold exits at steps 0 and 1, survivors, tower hand-overs and
-    # pixels resolved in runs
+    # the rows hold exits at steps 0 and 1, survivors and tower hand-overs
     assert {0, 1, "member"} <= exits
     assert handed_over
-    assert in_runs
 
 
 @settings(max_examples=200, deadline=None)
@@ -306,18 +267,7 @@ def test_row_walks_match_the_oracle(lam):
        st.one_of(st.sampled_from(ROW_YS), _row_y), st.sampled_from(ROW_LAMBDAS),
        st.sampled_from(sorted(SPECS)), st.integers(1, 20))
 def test_random_row_walks_match_the_oracle(xs, y, lam, name, n):
-    check_row(lam, SPECS[name], sorted(xs), y, n)
-
-
-def test_a_run_of_close_pixels_is_walked_pixel_by_pixel():
-    # Im f(z) = e^x sin 0.9 > 1: every pixel leaves the strip at step 1, in
-    # one run; below _RUN_MIN_SPACING apart its pixels are walked instead
-    spec, close = symmetric_strip(1.0), [1.0, 1.0 + 2.0 ** -45, 1.0 + 2.0 ** -44]
-    for xs, walked in (([1.0, 1.5, 2.0], 0), (close, 3)):
-        got, seen, runs = check_row(1.0, spec, xs, 0.9, 8)
-        assert got == [(1, 1, False)] * 3
-        assert len(runs) == 3 - walked
-        assert len(seen) == 2 * walked
+    check_row(lam, SPECS[name], xs, y, n)
 
 
 @pytest.mark.parametrize("lam, spec, y", [
@@ -328,32 +278,32 @@ def test_a_run_of_close_pixels_is_walked_pixel_by_pixel():
 ])
 def test_step1_points_on_the_strip_edges_stay_inside(lam, spec, y):
     # y + Arg lambda = +-pi/2, so Im f(z) = +-e^x exactly, and the pixel at
-    # x = 0 lands on an edge of the strip: inside, so outside the runs
-    got, _, runs = check_row(lam, spec, [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0], y, 4)
+    # x = 0 lands on an edge of the strip: inside, while the pixel at x = 2
+    # leaves
+    got, _ = check_row(lam, spec, [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0], y, 4)
     assert got[2][1] > 1
-    assert runs == {i for i, result in enumerate(got) if result[1] == 1}
-    assert len(runs) >= 3
+    assert got[5][1] == 1
 
 
-def test_pixels_past_lift_are_walked():
+def test_pixels_past_lift_take_step_1_as_towers():
     # at |lambda| < 1, Re z = 710.5 >= LIFT has a native next point, but the
-    # walk lifts it to a tower, so it is walked outside the runs
-    got, _, runs = check_row(0.25, horizontal_strip(0.0, math.pi), [700.0, 709.0, 710.5],
-                             1.0, 4)
+    # walk lifts it to a tower; the pixels before it step natively
+    got, seen = check_row(0.25, horizontal_strip(0.0, math.pi), [700.0, 709.0, 710.5],
+                          1.0, 4)
     assert got == [(1, 1, False)] * 3
-    assert runs == {0, 1}
+    assert [type(p) for p in seen[3:]] == [complex, complex, LogPolarComplex]
 
 
-def test_rows_past_the_trust_bound_of_the_runs_are_walked():
-    # |y| <= ARG_TRUST_LIMIT / 2 keeps every pixel of the runs trusted; past
-    # it the row is walked, and past ARG_TRUST_LIMIT step 1 is undecided
+def test_rows_on_either_side_of_the_trust_bounds():
+    # |y| <= ARG_TRUST_LIMIT / 2 settles step 1's trust for the whole row;
+    # just past it each pixel's |z| is tested, and past ARG_TRUST_LIMIT
+    # step 1 is undecided
     spec, xs = symmetric_strip(1e17), [40.0, 50.0, 60.0]
-    for y, walked, want in ((math.nextafter(ARG_TRUST_LIMIT / 2, 0.0), 0, (1, 1, False)),
-                            (math.nextafter(ARG_TRUST_LIMIT / 2, math.inf), 3, (1, 1, False)),
-                            (1e17, 3, (1, 9, True))):
-        got, _, runs = check_row(1.0, spec, xs, y, 8)
+    for y, want in ((math.nextafter(ARG_TRUST_LIMIT / 2, 0.0), (1, 1, False)),
+                    (math.nextafter(ARG_TRUST_LIMIT / 2, math.inf), (1, 1, False)),
+                    (1e17, (1, 9, True))):
+        got, _ = check_row(1.0, spec, xs, y, 8)
         assert got == [want] * 3
-        assert len(runs) == 3 - walked
 
 
 def test_a_row_computes_its_first_argument_once(monkeypatch):
@@ -365,8 +315,8 @@ def test_a_row_computes_its_first_argument_once(monkeypatch):
 
     monkeypatch.setattr("expdyn.invariant_sets._principal", principal)
     # Im f(z) = e^x sin 0.9 leaves the strip for x > 0.24: the last three
-    # pixels are a run that reduces no argument, and the first two survive
-    # step 1 and reduce only their step-2 arguments after the row's own
+    # pixels exit at step 1 and reduce no argument, and the first two
+    # survive it and reduce only their step-2 arguments after the row's own
     got = _membership_walk(1.0, symmetric_strip(1.0), [-1.0, 0.0, 0.5, 1.0, 2.0], 0.9, 2,
                            _lambda_logs(1.0))
     assert got == [(3, 3, False)] * 2 + [(1, 1, False)] * 3
@@ -374,7 +324,7 @@ def test_a_row_computes_its_first_argument_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# strip rows resolved in runs, against the per-pixel oracle
+# strip rows against the per-pixel oracle
 
 # 1j and the strip [-2, -1] hold y = -Arg lambda = -pi/2, where step 1's
 # argument is exactly 0 and every native step-1 point is on the real axis
@@ -382,10 +332,9 @@ RUN_LAMBDAS = ROW_LAMBDAS + [1j, 2.0, -0.3 + 0.2j, cmath.rect(0.25, 2.5), 1e-300
 RUN_STRIPS = [horizontal_strip(0.0, math.pi), horizontal_strip(-1.0, 0.5),
               horizontal_strip(0.0, 0.0), horizontal_strip(-2.0, -1.0), symmetric_strip(2.0),
               symmetric_strip(1e17)]
-# spacings: repeated, below and at _RUN_MIN_SPACING, fine and coarse
-# steps, and steps that carry a row across +-ARG_TRUST_LIMIT
-_gaps = st.one_of(st.sampled_from([0.0, 2.0 ** -44, _RUN_MIN_SPACING, 1e16]),
-                  st.floats(_RUN_MIN_SPACING, 20.0))
+# spacings: repeated, close, fine and coarse steps, and steps that carry
+# a row across +-ARG_TRUST_LIMIT / 2 and +-ARG_TRUST_LIMIT
+_gaps = st.one_of(st.sampled_from([0.0, 2.0 ** -44, 1e16]), st.floats(2.0 ** -40, 20.0))
 
 
 @st.composite
@@ -399,17 +348,18 @@ def strip_rows(draw):
         st.sampled_from([edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]),
         # y + Arg lambda a multiple of pi: s1 is 0 or within rounding of it
         st.integers(-2, 2).map(lambda k: k * math.pi - arg_lam),
-        # at the trust bound of a row's runs
+        # at the bound that settles step 1's trust for a whole row
         st.sampled_from([ARG_TRUST_LIMIT / 2, math.nextafter(ARG_TRUST_LIMIT / 2, math.inf),
                          -ARG_TRUST_LIMIT / 2]),
         st.floats(spec.a - 1.0, spec.b + 1.0),
     ))
-    # rows that start before and cross _EXP_NORMAL - log|lambda|,
-    # _EXP_SAFE - log|lambda|, LIFT and +-ARG_TRUST_LIMIT
+    # rows that start before and cross exp's underflow, _EXP_SAFE -
+    # log|lambda|, LIFT, +-ARG_TRUST_LIMIT / 2 and +-ARG_TRUST_LIMIT
     x0 = draw(st.one_of(
-        st.sampled_from([_EXP_NORMAL - log_lam, _EXP_SAFE - log_lam, LIFT]).flatmap(
+        st.sampled_from([-745.0 - log_lam, _EXP_SAFE - log_lam, LIFT]).flatmap(
             lambda c: st.floats(c - 40.0, c + 1.0)),
-        st.sampled_from([-ARG_TRUST_LIMIT - 3e16, ARG_TRUST_LIMIT - 3e16, -1e308]),
+        st.sampled_from([-ARG_TRUST_LIMIT - 3e16, -ARG_TRUST_LIMIT / 2 - 3e16,
+                         ARG_TRUST_LIMIT / 2 - 3e16, ARG_TRUST_LIMIT - 3e16, -1e308]),
         st.floats(-60.0, 60.0),
     ))
     gaps = draw(st.lists(_gaps, max_size=12))
@@ -420,5 +370,5 @@ def strip_rows(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(strip_rows())
-def test_ascending_strip_rows_match_the_oracle(row):
+def test_strip_rows_match_the_oracle(row):
     check_row(*row)
