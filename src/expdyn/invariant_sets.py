@@ -198,12 +198,8 @@ def _membership_walk(
     if n == 1:
         return [(0, 0, False) if v == EXIT else (2, 2, False) for v in verdicts]
     # a pixel inside at point 0 is a step-1 exit until its walk says otherwise
-    if EXIT in verdicts:
-        out = [(0, 0, False) if v == EXIT else (1, 1, False) for v in verdicts]
-        inside = compress(range(len(xs)), map(EXIT.__ne__, verdicts))
-    else:
-        out = [(1, 1, False)] * len(xs)
-        inside = range(len(xs))
+    out = [(0, 0, False) if v == EXIT else (1, 1, False) for v in verdicts]
+    inside = compress(range(len(xs)), map(EXIT.__ne__, verdicts))
     # |Re z|, |Im z| <= ARG_TRUST_LIMIT / 2 keep |z| within ARG_TRUST_LIMIT
     x_min = -ARG_TRUST_LIMIT / 2 if abs(y) <= ARG_TRUST_LIMIT / 2 else math.inf
     # |y| first: abs(z) overflows past DBL_MAX
