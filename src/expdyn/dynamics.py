@@ -81,6 +81,16 @@ def _log_abs(z: complex) -> float:
     return math.log(m)
 
 
+def _abs(z: complex) -> float:
+    """|z| of a finite z, or inf where |z| passes DBL_MAX and abs(z)
+    overflows (_log_abs gives its log there); every other z gets abs(z)
+    bit for bit."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _require_point(z: complex) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -96,6 +106,7 @@ def _require_count(n: int, what: str) -> None:
 def _principal(theta: float) -> float:
     """Reduce to (-pi, pi]."""
     r = math.remainder(theta, TAU)
+    # invariant_sets._native_walk repeats this rule inline
     return math.pi if r == -math.pi else r
 
 

@@ -32,6 +32,7 @@ from .errors import GeometryError, NumericRangeError, ValidationError
 from .dynamics import (
     _RANGE_LIMIT,
     TAU,
+    _abs,
     _lambda_logs,
     _require_count,
     _require_lambda,
@@ -368,7 +369,8 @@ def negative_geometry(
     disjointness are consequences of it).
     """
     lam = _require_lambda(lam)
-    if not (0.0 < c <= abs(lam)):
+    lam_abs = _abs(lam)
+    if not (0.0 < c <= lam_abs):
         raise ValidationError("need 0 < c <= |lambda| so that D <= 1/4")
     if l0 < 1 or n_levels < 1:
         raise ValidationError("need l0 >= 1 and n_levels >= 1")
@@ -393,7 +395,10 @@ def negative_geometry(
     if m < 1:
         raise GeometryError("alpha_{l0} too small for a positive threshold M")
 
-    d = c / (4.0 * abs(lam))
+    d = c / (4.0 * lam_abs)
+    if d == 0.0:
+        # 4|lambda| past DBL_MAX, or c/(4|lambda|) below the least subnormal
+        raise NumericRangeError("D = c/(4|lambda|) underflows to 0")
     log_d = math.log(d)
     log_lam = _lambda_logs(lam)[0]
     const = -math.log(4.0) - 1.0 + log_d

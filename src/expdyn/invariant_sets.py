@@ -27,11 +27,13 @@ from __future__ import annotations
 import math
 import struct
 from itertools import chain, compress, repeat, starmap
+from math import cos, exp, pi, remainder, sin
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .dynamics import (
     _RANGE_LIMIT,
     ARG_TRUST_LIMIT,
+    TAU,
     LogPolarComplex,
     TowerReal,
     _lambda_logs,
@@ -72,10 +74,17 @@ class ThinSetSpec:
     __slots__ = ()
 
     def classify(self, p: _Point) -> str:
-        """MEMBER, EXIT or UNDECIDED: ``membership`` decides a ``complex``
-        (a native point with a trusted argument), ``classify_log`` a
-        ``LogPolarComplex``; both agree on a native trusted point."""
-        if isinstance(p, complex):
+        """MEMBER, EXIT or UNDECIDED: a ``complex`` (a native point with a
+        trusted argument) is decided by ``membership``, a
+        ``LogPolarComplex`` by ``classify_log``; both agree on a native
+        trusted point except within rounding of the set's edge.
+
+        A ``Strip`` itself (not a subclass) makes its test a <= Im p <= b
+        here: the walk calls this once per orbit point, and that test then
+        costs no further call."""
+        if p.__class__ is complex or isinstance(p, complex):
+            if self.__class__ is Strip:
+                return MEMBER if self.a <= p.imag <= self.b else EXIT
             return MEMBER if self.membership(p) else EXIT
         return self.classify_log(p)
 
@@ -192,7 +201,7 @@ def _membership_walk(
     log_lam, arg_lam = lam_logs
     classify = spec.classify
     a1 = _principal(y + arg_lam)
-    s1, c1 = math.sin(a1), math.cos(a1)
+    s1, c1 = sin(a1), cos(a1)
     # point 0 of every pixel
     verdicts = [classify(z) for z in map(complex, xs, repeat(y))]
     if n == 1:
@@ -211,42 +220,47 @@ def _membership_walk(
             trusted = (
                 y_near and -ARG_TRUST_LIMIT <= re <= ARG_TRUST_LIMIT
                 and abs(complex(re, y)) <= ARG_TRUST_LIMIT
-            ) or math.sin(math.atan2(y, re)) == 0.0
-            out[k] = _native_walk(lam, classify, lam_logs, re, a1, s1, c1, trusted, 1, n)
+            ) or sin(math.atan2(y, re)) == 0.0
+            out[k] = _native_walk(lam, classify, lam_logs, re, y, trusted, 1, n)
             continue
         # point 1, native with a trusted argument
-        m = math.exp(x)
+        m = exp(x)
         re = m * c1
         im = m * s1
         if classify(complex(re, im)) != EXIT:
-            a = _principal(im + arg_lam)
-            out[k] = _native_walk(lam, classify, lam_logs, re, a, math.sin(a), math.cos(a),
+            out[k] = _native_walk(lam, classify, lam_logs, re, im,
                                   m <= ARG_TRUST_LIMIT or s1 == 0.0, 2, n)
     return out
 
 
 def _native_walk(
     lam: complex, classify: Callable[[_Point], str], lam_logs: tuple[float, float],
-    re: float, a: float, s: float, c: float, trusted: bool, i: int, n: int,
+    re: float, im: float, trusted: bool, i: int, n: int,
 ) -> tuple[int, int, bool]:
     """_membership_walk's result for an orbit whose points before i are
-    in the set; point i - 1 has real part re and point i argument a, with
-    s, c = sin a, cos a, and trusted says whether a is."""
+    in the set; point i - 1 is complex(re, im), and trusted says whether
+    point i's argument is.
+
+    Each step reduces its argument inline, with the bits of _principal,
+    and makes one Python call, the classify of the new point."""
     log_lam, arg_lam = lam_logs
     for i in range(i, n):
         # the next point has log modulus x and argument a
         x = re + log_lam
+        a = remainder(im + arg_lam, TAU)
+        if a == -pi:
+            # (-pi, pi], as in dynamics._principal
+            a = pi
         if not (trusted and re < LIFT and NEG_SENTINEL <= x <= _EXP_SAFE):
             p = LogPolarComplex(TowerReal(0, re).add_float(log_lam), a, trusted)
             return _log_polar_walk(lam, classify, p, i, n)
-        m = math.exp(x)
-        re = m * c
+        m = exp(x)
+        s = sin(a)
+        re = m * cos(a)
         im = m * s
         if classify(complex(re, im)) == EXIT:
             return i, i, False
         trusted = m <= ARG_TRUST_LIMIT or s == 0.0
-        a = _principal(im + arg_lam)
-        s, c = math.sin(a), math.cos(a)
     return n + 1, n + 1, False
 
 

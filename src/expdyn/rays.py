@@ -21,7 +21,15 @@ import math
 from typing import NamedTuple, Sequence
 
 from .errors import NonConvergenceError, NumericRangeError, ValidationError
-from .dynamics import TAU, _lambda_logs, _require_count, _require_lambda, eval_map, inverse_branch
+from .dynamics import (
+    TAU,
+    _abs,
+    _lambda_logs,
+    _require_count,
+    _require_lambda,
+    eval_map,
+    inverse_branch,
+)
 from .coding import ExternalAddress, strip_index
 from .invariant_sets import _write_payload
 
@@ -48,7 +56,8 @@ def _trace_single(
     lam: complex, s: ExternalAddress, t: float, depth: int
 ) -> tuple[complex, int]:
     """One pullback trace; returns (point, effective depth used)."""
-    lam_abs = abs(lam)
+    # inf past DBL_MAX, where log|lambda| + t passes _LOG_CAP at once
+    lam_abs = _abs(lam)
     log_lam, arg_lam = _lambda_logs(lam)
 
     chain = [float(t)]

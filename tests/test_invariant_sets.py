@@ -117,6 +117,74 @@ def test_strip_classification_beyond_native_range():
     assert STRIP.classify(LogPolarComplex.from_complex(1.0 + 1.0j)) == MEMBER
 
 
+class _CountingStrip(Strip):
+    """A Strip subclass with its own membership, which classify must call."""
+
+    calls: list = []
+
+    def membership(self, z):
+        self.calls.append(z)
+        return super().membership(z)
+
+
+_EDGES = st.floats(min_value=-1e300, max_value=1e300)
+_STRIPS = st.one_of(
+    st.tuples(_EDGES, _EDGES).map(lambda ab: Strip(min(ab), max(ab))),
+    _EDGES.map(lambda a: Strip(a, a)),  # zero height
+    st.sampled_from([Strip(-2.0, -1.0), Strip(-3.5, -3.5), Strip(0.0, 0.0),
+                     symmetric_strip(1e17)]),
+    st.tuples(_EDGES, _EDGES).map(lambda ab: _CountingStrip(min(ab), max(ab))),
+)
+
+
+@st.composite
+def _strip_points(draw):
+    """A strip and a point on an edge, one float either side of it, at
+    +-0.0 or anywhere."""
+    spec = draw(_STRIPS)
+    edge = st.sampled_from([spec.a, spec.b])
+    im = draw(st.one_of(
+        edge,
+        edge.map(lambda e: math.nextafter(e, -math.inf)),
+        edge.map(lambda e: math.nextafter(e, math.inf)),
+        st.sampled_from([0.0, -0.0]),
+        _EDGES,
+    ))
+    re = draw(st.one_of(st.sampled_from([0.0, -0.0]), _EDGES))
+    return spec, complex(re, im)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_strip_points())
+def test_strip_classify_is_its_membership(case):
+    spec, z = case
+    _CountingStrip.calls.clear()
+    got = spec.classify(z)
+    # a subclass keeps its own membership; Strip itself decides in classify
+    assert _CountingStrip.calls == ([z] if type(spec) is _CountingStrip else [])
+    assert got == (MEMBER if spec.membership(z) else EXIT)
+    # the log-polar verdict rounds |z| sin Arg z, off Im z by a few ulps of
+    # |z| times log|z|, so it agrees wherever Im z is clear of both edges
+    m = abs(z)
+    margin = 1e-10 * m * (1.0 + abs(math.log(m))) + 1e-320 if m else 1e-320
+    if min(abs(z.imag - spec.a), abs(z.imag - spec.b)) > margin:
+        assert got == spec.classify(LogPolarComplex.from_complex(z))
+
+
+def test_classify_asks_a_cone_band_its_membership():
+    calls = []
+
+    def membership(z):
+        calls.append(z)
+        return z.imag >= 0.0
+
+    band = ConeBand(membership, 1.0, lambda r: 1.0)
+    assert band.classify(1.0 + 0.0j) == MEMBER
+    assert band.classify(complex(1.0, -0.0)) == MEMBER
+    assert band.classify(1.0 - 1e-300j) == EXIT
+    assert [repr(z) for z in calls] == ["(1+0j)", "(1-0j)", "(1-1e-300j)"]
+
+
 # ---------------------------------------------------------------------------
 # membership
 

@@ -305,20 +305,30 @@ def test_rows_on_either_side_of_the_trust_bounds():
 
 
 def test_a_row_computes_its_first_argument_once(monkeypatch):
-    calls = []
+    calls, inline = [], []
 
     def principal(theta):
         calls.append(theta)
         return _principal(theta)
 
+    def remainder(x, y):
+        inline.append(x)
+        return math.remainder(x, y)
+
     monkeypatch.setattr("expdyn.invariant_sets._principal", principal)
+    monkeypatch.setattr("expdyn.invariant_sets.remainder", remainder)
     # Im f(z) = e^x sin 0.9 leaves the strip for x > 0.24: the last three
     # pixels exit at step 1 and reduce no argument, and the first two
-    # survive it and reduce only their step-2 arguments after the row's own
-    got = _membership_walk(1.0, symmetric_strip(1.0), [-1.0, 0.0, 0.5, 1.0, 2.0], 0.9, 2,
-                           _lambda_logs(1.0))
-    assert got == [(3, 3, False)] * 2 + [(1, 1, False)] * 3
-    assert calls == [0.9] + [math.exp(x) * math.sin(0.9) for x in (-1.0, 0.0)]
+    # survive it.  They reduce their step-2 arguments inline, after the
+    # row's own, and only where the walk goes on to point 2
+    xs = [-1.0, 0.0, 0.5, 1.0, 2.0]
+    for n, want in ((2, [(3, 3, False)] * 2), (3, [(4, 4, False), (2, 2, False)])):
+        calls.clear()
+        inline.clear()
+        got = _membership_walk(1.0, symmetric_strip(1.0), xs, 0.9, n, _lambda_logs(1.0))
+        assert got == want + [(1, 1, False)] * 3
+        assert calls == [0.9]
+        assert inline == ([] if n == 2 else [math.exp(x) * math.sin(0.9) for x in (-1.0, 0.0)])
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,16 @@ def test_ray_refuses_an_infinite_tol_before_any_output():
     assert err == "error: tol must be positive and finite\n"
 
 
+def test_ray_at_a_lambda_past_dbl_max():
+    # abs(lambda) overflows; log|lambda| + t passes the escape cap at once,
+    # so each sample is its seed t - i Arg lambda, with no pullback
+    code, out, err = run_cli(["ray", "--lambda=1.7e308,1.7e308", "--address=0...const",
+                              "--t=1:2:1", "--depth=5"])
+    assert (code, err) == (0, "")
+    assert out == ("t,re,im,depth,residual\n1,1,-0.78539816339744828,0,0\n"
+                   "2,2,-0.78539816339744828,0,0\n")
+
+
 def test_ray_t_range_does_not_drift():
     # t = t0 + i*step: the last sample is T1 itself, not T1 plus the
     # rounding error of ten accumulated steps
@@ -889,6 +899,20 @@ def test_certify_reports_a_cone_height_past_the_double_range():
                               "--rectangles"])
     assert (code, out) == (4, "")
     assert err.startswith("numeric range: Z_M scan height")
+
+
+@pytest.mark.parametrize("lam, l0, want", [
+    # abs(lambda) overflows
+    ("1.7e308,1.7e308", 4, "alpha at l0=4 exceeds the native range; choose a smaller l0"),
+    ("1.7e308,1.7e308", 1, "D = c/(4|lambda|) underflows to 0"),
+    # |lambda| is finite, 4|lambda| is not
+    ("1e308,0", 1, "D = c/(4|lambda|) underflows to 0"),
+])
+def test_two_sided_certify_at_a_lambda_near_dbl_max(lam, l0, want):
+    code, out, err = run_cli(["certify", f"--lambda={lam}", "--set=strip:0,3.14",
+                              "--delta=0.5", f"--l0={l0}", "--c=0.65", "--rmax=30"])
+    assert (code, out) == (4, "")
+    assert err == f"numeric range: {want}\n"
 
 
 def test_certify_with_a_bound_past_the_double_range_prints_no_json(tmp_path):
