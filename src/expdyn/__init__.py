@@ -9,8 +9,16 @@ Submodules:
   induced         contraction certificates, iterated covers
   boxdim          box counting and the certified dimension-bound search
   render          image output for exit-depth fields
+  reports         the JSON report writer
   cli             command-line front end
+
+Importing the package loads only the exception classes of ``errors``.
+Each other public name below is bound on its first access, which imports
+the submodule that defines it (PEP 562), so a caller pays for loading a
+submodule when it first uses one of its names, and never for the others.
 """
+
+from importlib import import_module
 
 from .errors import (
     DomainError,
@@ -20,128 +28,91 @@ from .errors import (
     NumericRangeError,
     ValidationError,
 )
-from .towers import TowerReal
-from .dynamics import (
-    LogPolarComplex,
-    OrbitPoint,
-    OrbitResult,
-    SupergrowthReport,
-    check_supergrowth,
-    eval_map,
-    inverse_branch,
-    iterate_orbit,
-    orbit_derivative_log,
-    singular_orbit,
-    step_log_polar,
-)
-from .coding import (
-    ExternalAddress,
-    parse_address,
-    strip_index,
-)
-from .rays import (
-    Ray,
-    RaySample,
-    ray_to_csv,
-    trace_ray,
-    write_ray_csv,
-)
-from .invariant_sets import (
-    ConeBand,
-    ExitDepthField,
-    MembershipResult,
-    Strip,
-    ThinSetSpec,
-    field_to_csv,
-    field_to_pgm,
-    horizontal_strip,
-    lambda_membership,
-    sample_lambda_set,
-    symmetric_strip,
-    write_field_csv,
-    write_field_pgm,
-)
-from .induced import (
-    ContractionCertificate,
-    CoverLevel,
-    CoverRun,
-    InducedGeometry,
-    RectangleIndex,
-    ZMFamily,
-    build_zm,
-    certificate_to_json,
-    cover_iterate,
-    negative_geometry,
-    positive_sum,
-    verify_contraction,
-)
-from .boxdim import (
-    BoxCountResult,
-    DimensionReport,
-    box_count,
-    dimension_bound_search,
-    report_to_json,
-)
-from .render import render_field
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoxCountResult",
-    "ConeBand",
-    "ContractionCertificate",
-    "CoverLevel",
-    "CoverRun",
-    "DimensionReport",
-    "DomainError",
-    "ExitDepthField",
-    "ExpdynError",
-    "ExternalAddress",
-    "GeometryError",
-    "InducedGeometry",
-    "LogPolarComplex",
-    "MembershipResult",
-    "NonConvergenceError",
-    "NumericRangeError",
-    "OrbitPoint",
-    "OrbitResult",
-    "Ray",
-    "RaySample",
-    "RectangleIndex",
-    "Strip",
-    "SupergrowthReport",
-    "ThinSetSpec",
-    "TowerReal",
-    "ValidationError",
-    "ZMFamily",
-    "box_count",
-    "build_zm",
-    "certificate_to_json",
-    "check_supergrowth",
-    "cover_iterate",
-    "dimension_bound_search",
-    "eval_map",
-    "field_to_csv",
-    "field_to_pgm",
-    "horizontal_strip",
-    "inverse_branch",
-    "iterate_orbit",
-    "lambda_membership",
-    "negative_geometry",
-    "orbit_derivative_log",
-    "parse_address",
-    "positive_sum",
-    "ray_to_csv",
-    "render_field",
-    "report_to_json",
-    "sample_lambda_set",
-    "singular_orbit",
-    "step_log_polar",
-    "strip_index",
-    "symmetric_strip",
-    "trace_ray",
-    "verify_contraction",
-    "write_field_csv",
-    "write_field_pgm",
-    "write_ray_csv",
-]
+# each public name outside errors -> the submodule that defines it
+_SOURCES = {
+    name: module
+    for module, names in {
+        "towers": ("TowerReal",),
+        "dynamics": (
+            "LogPolarComplex",
+            "OrbitPoint",
+            "OrbitResult",
+            "SupergrowthReport",
+            "check_supergrowth",
+            "eval_map",
+            "inverse_branch",
+            "iterate_orbit",
+            "orbit_derivative_log",
+            "singular_orbit",
+            "step_log_polar",
+        ),
+        "coding": ("ExternalAddress", "parse_address", "strip_index"),
+        "rays": ("Ray", "RaySample", "ray_to_csv", "trace_ray", "write_ray_csv"),
+        "invariant_sets": (
+            "ConeBand",
+            "ExitDepthField",
+            "MembershipResult",
+            "Strip",
+            "ThinSetSpec",
+            "field_to_csv",
+            "field_to_pgm",
+            "horizontal_strip",
+            "lambda_membership",
+            "sample_lambda_set",
+            "symmetric_strip",
+            "write_field_csv",
+            "write_field_pgm",
+        ),
+        "induced": (
+            "ContractionCertificate",
+            "CoverLevel",
+            "CoverRun",
+            "InducedGeometry",
+            "RectangleIndex",
+            "ZMFamily",
+            "build_zm",
+            "certificate_to_json",
+            "cover_iterate",
+            "negative_geometry",
+            "positive_sum",
+            "verify_contraction",
+        ),
+        "boxdim": (
+            "BoxCountResult",
+            "DimensionReport",
+            "box_count",
+            "dimension_bound_search",
+            "report_to_json",
+        ),
+        "render": ("render_field",),
+    }.items()
+    for name in names
+}
+_SUBMODULES = frozenset(_SOURCES.values())
+
+# the exception classes imported above, and every name in the table
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if isinstance(value, type) and issubclass(value, ExpdynError)]
+    + list(_SOURCES)
+)
+
+
+def __getattr__(name: str):
+    """The public name from its submodule, imported and bound here on first
+    access; a submodule named in the table is imported by its own name."""
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

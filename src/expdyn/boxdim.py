@@ -19,10 +19,10 @@ from .induced import (
     _threshold,
     certified_columns,
     negative_geometry,
-    report_json,
     verify_contraction,
 )
 from .invariant_sets import ThinSetSpec
+from .reports import report_json
 
 
 class BoxCountResult(NamedTuple):

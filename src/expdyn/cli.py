@@ -8,6 +8,10 @@ All JSON reports carry format_version 1 and are byte-deterministic.
 The argument parser and its set of value-taking options are built once per
 process, on the first ``main`` call, and reused by every later call; no
 default in the tree is mutable, and each parse makes a fresh namespace.
+
+Importing this module loads only the standard library and expdyn.errors.
+Each handler imports what it calls when it runs, so a command loads the
+modules it uses and no others.
 """
 
 from __future__ import annotations
@@ -20,31 +24,12 @@ import math
 import operator
 import re
 import sys
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .errors import NumericRangeError, ValidationError
-from .dynamics import _RANGE_LIMIT, check_supergrowth, iterate_orbit
-from .coding import parse_address
-from .rays import trace_ray, write_ray_csv
-from .invariant_sets import (
-    ThinSetSpec,
-    _write_payload,
-    horizontal_strip,
-    sample_lambda_set,
-    symmetric_strip,
-    write_field_csv,
-    write_field_pgm,
-)
-from .induced import (
-    _threshold,
-    certificate_to_json,
-    certified_columns,
-    cover_iterate,
-    negative_geometry,
-    report_json,
-    verify_contraction,
-)
-from .boxdim import _box_count, dimension_bound_search, report_to_json
+from .errors import _RANGE_LIMIT, NumericRangeError, ValidationError
+
+if TYPE_CHECKING:
+    from .invariant_sets import ThinSetSpec
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +49,8 @@ def _parse_complex(text: str, flag: str) -> complex:
 
 
 def _parse_set(text: str) -> ThinSetSpec:
+    from .invariant_sets import horizontal_strip, symmetric_strip
+
     kind, _, rest = text.partition(":")
     if kind == "strip":
         parts = rest.split(",")
@@ -171,6 +158,8 @@ def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
+        from .invariant_sets import _write_payload
+
         with _file_errors(path, "write"):
             _write_payload(path, text)
 
@@ -240,6 +229,8 @@ def _read_points(path: str) -> tuple[list[float], list[float]]:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
+    from .dynamics import iterate_orbit
+
     lam = _parse_complex(args.lam, "--lambda")
     z0 = _parse_complex(args.z, "--z")
     result = iterate_orbit(lam, z0, args.steps)
@@ -260,6 +251,9 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def _cmd_supergrowth(args: argparse.Namespace) -> int:
+    from .dynamics import check_supergrowth
+    from .reports import report_json
+
     lam = _parse_complex(args.lam, "--lambda")
     rep = check_supergrowth(lam, args.c, args.steps)
     doc = {
@@ -288,6 +282,9 @@ def _cmd_supergrowth(args: argparse.Namespace) -> int:
 
 
 def _cmd_ray(args: argparse.Namespace) -> int:
+    from .coding import parse_address
+    from .rays import trace_ray, write_ray_csv
+
     lam = _parse_complex(args.lam, "--lambda")
     address = parse_address(args.address)
     ts = _parse_trange(args.t)
@@ -305,6 +302,8 @@ def _cmd_ray(args: argparse.Namespace) -> int:
 
 
 def _cmd_lambdaset(args: argparse.Namespace) -> int:
+    from .invariant_sets import sample_lambda_set, write_field_csv, write_field_pgm
+
     lam = _parse_complex(args.lam, "--lambda")
     spec = _parse_set(args.set)
     window = _parse_window(args.window)
@@ -325,6 +324,15 @@ def _cmd_lambdaset(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from .induced import (
+        _threshold,
+        certificate_to_json,
+        certified_columns,
+        cover_iterate,
+        negative_geometry,
+        verify_contraction,
+    )
+
     lam = _parse_complex(args.lam, "--lambda")
     spec = _parse_set(args.set)
     if args.cover_depth < 0:
@@ -368,6 +376,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_boxdim(args: argparse.Namespace) -> int:
+    from .boxdim import _box_count
+    from .reports import report_json
+
     xs, ys = _read_points(args.points)
     eps = _parse_scales(args.scales)
     result = _box_count(xs, ys, eps)
@@ -385,6 +396,8 @@ def _cmd_boxdim(args: argparse.Namespace) -> int:
 
 
 def _cmd_searchbound(args: argparse.Namespace) -> int:
+    from .boxdim import dimension_bound_search, report_to_json
+
     lam = _parse_complex(args.lam, "--lambda")
     spec = _parse_set(args.set)
     deltas = _parse_floats(args.delta_grid, "--delta-grid")

@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
+    _RANGE_LIMIT,
     DomainError,
     NumericRangeError,
     ValidationError,
@@ -34,12 +35,6 @@ from .towers import _EXP_SAFE, NEG_SENTINEL, TowerReal, ZERO, _Frozen, _set
 TAU = 2.0 * math.pi
 # |z| beyond which Im z mod 2pi is below one ulp of Im z
 ARG_TRUST_LIMIT = TAU / 2.220446049250313e-16
-
-# most values a count or range may expand to: the points of an orbit, the
-# levels of a geometry, a ray's or a cover's depth, the pixels of a field
-# side, the columns of a certificate, and the values of a T0:T1:STEP or
-# E0:E1:FACTOR range
-_RANGE_LIMIT = 10_000
 
 # iterate_orbit marks a point escaped past this log modulus, and flags
 # precision loss once prod |f'| along the orbit passes e^_LOG_DERIVATIVE_FLAG
@@ -347,13 +342,20 @@ def _largest_growth_root(c: float) -> Optional[float]:
     if c >= 1.0 / math.e:
         return None
     x0 = -math.log(c)  # argmin of c e^x - x, negative there
+
+    def above(x: float) -> bool:
+        """c e^x > x, in log form where e^x overflows (x0 > 1, so x > 0)."""
+        if x > _EXP_SAFE:
+            return x - x0 > math.log(x)
+        return c * math.exp(x) - x > 0.0
+
     hi = x0 + 1.0
-    while c * math.exp(hi) - hi <= 0.0:
+    while not above(hi):
         hi = x0 + 2.0 * (hi - x0)
     lo = x0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if c * math.exp(mid) - mid > 0.0:
+        if above(mid):
             hi = mid
         else:
             lo = mid
@@ -421,8 +423,12 @@ def check_supergrowth(lam: complex, c: float, n: int) -> SupergrowthReport:
     worst = min(log_margins) if log_margins else 0.0
     if worst == -math.inf:
         largest_c: Optional[float] = 0.0
+    elif worst + log_c > _EXP_SAFE:
+        largest_c = None
+    elif worst > _EXP_SAFE:  # a tiny c: e^worst alone would overflow
+        largest_c = math.exp(worst + log_c)
     else:
-        largest_c = c * math.exp(worst) if worst + log_c <= _EXP_SAFE else None
+        largest_c = c * math.exp(worst)
 
     tail_ratio = _tail_ratio(alphas)
     return SupergrowthReport(

@@ -31,7 +31,6 @@ from math import cos, exp, pi, remainder, sin
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .dynamics import (
-    _RANGE_LIMIT,
     ARG_TRUST_LIMIT,
     TAU,
     LogPolarComplex,
@@ -42,7 +41,7 @@ from .dynamics import (
     _require_point,
     step_log_polar,
 )
-from .errors import NumericRangeError, ValidationError
+from .errors import _RANGE_LIMIT, NumericRangeError, ValidationError
 from .towers import _EXP_SAFE, LIFT, NEG_SENTINEL, _Frozen, _set
 from . import parallel
 

@@ -434,6 +434,21 @@ def test_supergrowth_failure_document():
     assert doc["escape_threshold"] == 3.577152063957297
 
 
+def test_supergrowth_with_a_c_below_the_double_range():
+    # -log c = 736.8: the largest root of c e^x = x lies past 709.78, where
+    # e^x overflows, and so does the log margin at k = 1
+    code, out, err = run_cli(["supergrowth", "--lambda", "1,0", "--c", "1e-320",
+                              "--steps", "5"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    x = doc["escape_threshold"]
+    assert x > 709.78
+    assert x + math.log(1e-320) == pytest.approx(math.log(x), rel=1e-14)
+    # alpha_2 / e^alpha_1 = e / e: c = 1 passes the ratio check at k = 1
+    assert doc["largest_passing_c"] == pytest.approx(1.0, rel=1e-12)
+    assert doc["holds"] is True
+
+
 # ---------------------------------------------------------------------------
 # ray
 
@@ -913,6 +928,15 @@ def test_two_sided_certify_at_a_lambda_near_dbl_max(lam, l0, want):
                               "--delta=0.5", f"--l0={l0}", "--c=0.65", "--rmax=30"])
     assert (code, out) == (4, "")
     assert err == f"numeric range: {want}\n"
+
+
+def test_two_sided_certify_with_a_c_below_the_double_range():
+    # the supergrowth check behind the geometry no longer overflows, and the
+    # distance D = c/(4|lambda|) is then a range error (exit 4)
+    code, out, err = run_cli(["certify", "--lambda=1e10,0", "--set=strip:0,3.14",
+                              "--delta=0.5", "--l0=1", "--c=1e-320", "--rmax=30"])
+    assert (code, out) == (4, "")
+    assert err == "numeric range: D = c/(4|lambda|) underflows to 0\n"
 
 
 def test_certify_with_a_bound_past_the_double_range_prints_no_json(tmp_path):

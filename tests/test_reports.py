@@ -7,9 +7,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings, strategies as st
 
-from expdyn import induced
+from expdyn import reports
 from expdyn.cli import main
-from expdyn.induced import report_json
+from expdyn.reports import report_json
 
 STRIP = "strip:0,3.141592653589793"
 
@@ -88,10 +88,10 @@ def test_each_kind_of_report_is_written_as_json_dumps_writes_it(tmp_path):
 
 def test_writer_without_the_c_encoder_is_json_dumps(monkeypatch):
     doc = {"b": [{"k": 1, "bound": 0.25}], "a": [1.5, None, "é"], "c": {}}
-    monkeypatch.setattr(induced, "c_make_encoder", None)
+    monkeypatch.setattr(reports, "c_make_encoder", None)
 
     def no_c_encoder(depth):
         raise AssertionError("the C encoder path ran")
 
-    monkeypatch.setattr(induced, "_flat_encoder", no_c_encoder)
+    monkeypatch.setattr(reports, "_flat_encoder", no_c_encoder)
     assert report_json(doc) == _dumps(doc)
