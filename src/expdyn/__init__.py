@@ -91,7 +91,9 @@ _SOURCES = {
     }.items()
     for name in names
 }
-_SUBMODULES = frozenset(_SOURCES.values())
+# every submodule the package once loaded eagerly, and reports, which holds
+# what induced did; each loads by its own name on first access
+_SUBMODULES = frozenset(_SOURCES.values()) | {"parallel", "reports"}
 
 # the exception classes imported above, and every name in the table
 __all__ = sorted(
@@ -103,7 +105,7 @@ __all__ = sorted(
 
 def __getattr__(name: str):
     """The public name from its submodule, imported and bound here on first
-    access; a submodule named in the table is imported by its own name."""
+    access; a submodule in _SUBMODULES is imported by its own name."""
     if name in _SUBMODULES:
         return import_module(f"{__name__}.{name}")
     try:

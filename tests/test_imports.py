@@ -113,5 +113,7 @@ def test_an_unknown_name_is_an_attribute_error_and_a_submodule_loads_by_name():
             "try:\n    expdyn.nope\nexcept AttributeError as exc:\n    msg = str(exc)\n"
             "before = 'expdyn.induced' in sys.modules\n"
             "found = expdyn.induced.positive_sum is expdyn.positive_sum\n"
-            "print(json.dumps([msg, hasattr(expdyn, 'nope'), before, found]))")
-    assert _fresh(code) == ["module 'expdyn' has no attribute 'nope'", False, False, True]
+            "others = [expdyn.parallel.__name__, expdyn.reports.__name__]\n"
+            "print(json.dumps([msg, hasattr(expdyn, 'nope'), before, found, others]))")
+    assert _fresh(code) == ["module 'expdyn' has no attribute 'nope'", False, False, True,
+                            ["expdyn.parallel", "expdyn.reports"]]

@@ -126,9 +126,16 @@ def test_tower_construction_normalises():
 
 
 def test_importing_the_package_loads_no_dataclasses_machinery():
-    code = ("import sys, expdyn, expdyn.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(expdyn.__file__)))
+    # the package loads each submodule on first use, so import every one
+    package = os.path.dirname(expdyn.__file__)
+    names = sorted(f[:-3] for f in os.listdir(package)
+                   if f.endswith(".py") and f != "__init__.py")
+    code = ("import sys, expdyn\n"
+            f"for name in {names!r}:\n"
+            "    __import__('expdyn.' + name)\n"
+            "print(sorted(k for k in sys.modules if k.startswith('expdyn.')), "
+            "sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out == "[]\n"
+    assert out == f"{['expdyn.' + name for name in names]} []\n"
