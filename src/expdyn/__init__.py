@@ -52,7 +52,6 @@ _SOURCES = {
         "coding": ("ExternalAddress", "parse_address", "strip_index"),
         "rays": ("Ray", "RaySample", "ray_to_csv", "trace_ray", "write_ray_csv"),
         "invariant_sets": (
-            "ConeBand",
             "ExitDepthField",
             "MembershipResult",
             "Strip",

@@ -3,26 +3,23 @@
 Box-count slopes of finite-depth samples and certified contraction
 bounds are the two honest numerical surrogates produced here; neither is
 ever labeled a Hausdorff dimension.
+
+The search imports ``induced`` when it runs, so box counting alone loads
+no certificate code.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import GeometryError, ValidationError
 from .dynamics import _require_lambda
-from .induced import (
-    ContractionCertificate,
-    InducedGeometry,
-    _certificate_doc,
-    _threshold,
-    certified_columns,
-    negative_geometry,
-    verify_contraction,
-)
-from .invariant_sets import ThinSetSpec
 from .reports import report_json
+
+if TYPE_CHECKING:
+    from .induced import ContractionCertificate, InducedGeometry
+    from .invariant_sets import ThinSetSpec
 
 
 class BoxCountResult(NamedTuple):
@@ -118,6 +115,8 @@ class DimensionReport(NamedTuple):
 
 def _geometry_for(lam: complex, c: float, l0: int, r_span: int) -> InducedGeometry:
     """Build a geometry deep enough that its bands cover -(M + r_span)."""
+    from .induced import negative_geometry
+
     n_levels = 4
     while True:
         geo = negative_geometry(lam, c, l0, n_levels)
@@ -146,6 +145,8 @@ def dimension_bound_search(
     geometry, and certifies both sides.  Absence of a certificate is a
     result ("no certificate in grid"), not an error.
     """
+    from .induced import _threshold, certified_columns, verify_contraction
+
     lam = _require_lambda(lam)
     deltas = sorted(set(float(d) for d in delta_grid))
     if not deltas:
@@ -189,6 +190,8 @@ def dimension_bound_search(
 
 
 def report_to_json(report: DimensionReport) -> str:
+    from .induced import _certificate_doc
+
     doc = {
         "format_version": 1,
         "status": report.status,

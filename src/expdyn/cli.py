@@ -158,7 +158,7 @@ def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        from .invariant_sets import _write_payload
+        from .reports import _write_payload
 
         with _file_errors(path, "write"):
             _write_payload(path, text)

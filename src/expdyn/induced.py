@@ -1,15 +1,16 @@
 """Rectangle families, the induced map, and contraction certificates.
 
 The plane strips are cut into unit-width rectangles R^k_r (column r,
-strip k).  Z_M is the family of rectangles meeting the thin set at
-|Re z| >= M.  On columns r >= M the induced map is f itself; on columns
+strip k).  Z_M is the family of rectangles meeting the thin set, a
+horizontal strip, at |Re z| >= M; every such column holds the same
+strips.  On columns r >= M the induced map is f itself; on columns
 r <= -M a point is assigned a level l from explicit half-plane bands
 derived from the singular orbit, and the induced map is f^{l+2}.
 
 The certificate machinery bounds, per rectangle, the sum over image
 rectangles of sup |F'|^{-(1+delta)}.  Positive-side sums are aggregated
 per image column: the count of rectangles a column can contribute is
-bounded through the width profile, and the column factors decay
+bounded through the strip's width, and the column factors decay
 geometrically, so the whole sum collapses to a closed form plus an
 integral tail.  Certificates pass when every bound is below 1/2; they
 are explicitly sampling-based and "modulo distortion allowance", not
@@ -38,7 +39,7 @@ from .dynamics import (
     check_supergrowth,
     singular_orbit,
 )
-from .invariant_sets import Strip, ThinSetSpec
+from .invariant_sets import ThinSetSpec
 from .reports import report_json
 
 # Exponents below this take the native path.  It sits ~20 below the
@@ -50,10 +51,8 @@ _HUGE_COLUMN = 1e300
 # exp(x) is 0.0 in double precision for every x below this: the smallest
 # subnormal is e^-744.44, and results under half of it (e^-745.13) round to 0
 _EXP_ZERO = -746.0
-# points sampled along Re in each rectangle by the Z_M membership test
-_RECT_SAMPLES = 6
 # heights above its lower edge, in units of the strip height 2 pi, at which
-# the Z_M test looks at a strip; both the sampled and the band test use them
+# the Z_M test looks at a strip
 _STRIP_HEIGHTS = (1e-9, 0.25, 0.5, 0.75, 1.0)
 # cover_iterate gives up (CoverRun.aborted) before a level passes this many
 # cells, and _zm_rows refuses to scan more strip indices than this
@@ -90,35 +89,10 @@ def certified_columns(m: int, r_max: int, two_sided: bool = True) -> list[int]:
     return columns
 
 
-def _rectangle_meets(
-    spec: ThinSetSpec, arg_lam: float, k: int, r: int, m: int
-) -> bool:
-    """Does R^k_r meet W intersected with {|Re| >= m}?  Sampled, not exact.
-
-    The membership predicate is called on a grid of _RECT_SAMPLES points
-    along Re (those with |Re| >= m) by the _STRIP_HEIGHTS along Im, so a
-    sliver thinner than the grid pitch can be missed.
-    """
-    lo = _strip_bottom(k, arg_lam)
-    if r >= 0:
-        x_lo, x_hi = float(r), r + 1.0 - 1e-9
-    else:
-        x_lo, x_hi = float(r), min(r + 1.0 - 1e-9, float(-m))
-        if x_hi < x_lo:
-            return False
-    for i in range(_RECT_SAMPLES):
-        x = x_lo + (x_hi - x_lo) * i / (_RECT_SAMPLES - 1)
-        if abs(x) < m:
-            continue
-        for u in _STRIP_HEIGHTS:
-            if spec.membership(complex(x, lo + TAU * u)):
-                return True
-    return False
-
-
-def _band_meets(strip: Strip, arg_lam: float, k: int) -> bool:
-    """_rectangle_meets for a strip, in any column with |r| >= m: the same
-    heights, the same closed comparison a <= Im z <= b."""
+def _band_meets(strip: ThinSetSpec, arg_lam: float, k: int) -> bool:
+    """Does the thin strip meet strip index k at one of the _STRIP_HEIGHTS,
+    by the closed comparison a <= Im z <= b?  Sampled, so a sliver between
+    two heights is missed; the verdict is the same in every column."""
     lo = _strip_bottom(k, arg_lam)
     return any(strip.a <= lo + TAU * u <= strip.b for u in _STRIP_HEIGHTS)
 
@@ -130,14 +104,13 @@ def _zm_rows(
 
     Column r is scanned over the strips that reach |Im| <= K(|r| + 2); a
     scan height that is not finite, or more than _CELL_LIMIT strip indices
-    over all columns, raises NumericRangeError before any is scanned.  A
-    ConeBand is tested rectangle by rectangle with _rectangle_meets, which
-    samples the membership predicate.  A Strip's membership ignores Re z
-    and the sample at Re z = r always counts when |r| >= m, so each strip
-    index's verdict is the same in every such column: it is decided once
-    per call, at the same heights and by the same closed comparison, and
-    the rows are those of the sampled test bit for bit (slivers it misses
-    included).  Columns with |r| < m hold no Z_M rectangle.
+    over all columns, raises NumericRangeError before any is scanned.
+    Membership in a strip ignores Re z, so each strip index's verdict
+    (_band_meets) is the same in every column with |r| >= m and is decided
+    once per call.  Every column's scan holds every strip index that
+    meets: the closed strip of a hit holds a point of [a, b], and every
+    scan height K(|r| + 2) >= 2 max(|a|, |b|) + 4 lies beyond it.  Columns
+    with |r| < m hold no Z_M rectangle.
     """
     arg_lam = _lambda_logs(lam)[1]
 
@@ -149,24 +122,14 @@ def _zm_rows(
         return range(_strip_of_imag(-y_max, arg_lam),
                      _strip_of_imag(y_max, arg_lam) + 1)
 
-    scans = [(r, strips(r)) for r in columns]
-    if sum(ks.stop - ks.start for _, ks in scans) > _CELL_LIMIT:
+    if sum(ks.stop - ks.start for ks in map(strips, columns)) > _CELL_LIMIT:
         raise NumericRangeError(
             f"Z_M enumeration would scan more than {_CELL_LIMIT:g} strip indices")
-    is_strip = isinstance(spec, Strip)
-    if is_strip:
-        # the widest column's strips hold every other column's
-        widest = strips(max((abs(r) for r in columns), default=0))
-        hits = [k for k in widest if _band_meets(spec, arg_lam, k)]
-    rects: list[RectangleIndex] = []
-    for r, ks in scans:
-        if not is_strip:
-            rects += (RectangleIndex(k, r) for k in ks
-                      if _rectangle_meets(spec, arg_lam, k, r, m))
-        elif abs(r) >= m:
-            rects += (RectangleIndex(k, r) for k in hits if k in ks)
-    rects.sort(key=lambda q: (q.r, q.k))
-    return rects
+    # the widest column's strips hold every other column's
+    widest = strips(max((abs(r) for r in columns), default=0))
+    hits = [k for k in widest if _band_meets(spec, arg_lam, k)]
+    return [RectangleIndex(k, r) for r in sorted(columns) if abs(r) >= m
+            for k in hits]
 
 
 def build_zm(spec: ThinSetSpec, lam: complex, m: int, r_max: int) -> ZMFamily:
@@ -182,27 +145,17 @@ def build_zm(spec: ThinSetSpec, lam: complex, m: int, r_max: int) -> ZMFamily:
 # positive-side column sums
 
 
-def _max_width(spec: ThinSetSpec, lo: float, log_hi: float) -> float:
-    """Widest slice over image columns [lo, e^log_hi]: the profile at the far end.
-
-    A width that is not >= 0 (negative or NaN) is no bound at all, so it is
-    rejected rather than carried into the column sums.
-    """
-    hi = math.exp(log_hi) if log_hi < _EXP_NATIVE else _HUGE_COLUMN
-    w = spec.width_profile(max(lo, 1.0, hi))
-    if not w >= 0.0:
-        raise ValidationError(f"width profile must be >= 0, got {w!r}")
-    return w
+def _max_width(spec: ThinSetSpec) -> float:
+    """Widest slice over any image columns: a strip's width is the same in
+    every column.  A function of its own, so that the per-layer benchmark
+    (bench/tracer.py) counts the column sums' width reads."""
+    return spec.width
 
 
-def _column_terms(
-    lam: complex, spec: ThinSetSpec, r: float, m: float
-) -> tuple[float, float]:
+def _column_terms(lam: complex, spec: ThinSetSpec, r: float) -> tuple[float, float]:
     """(log E, n_sup) at positive column r: E = |lambda| e^r, and n_sup
-    bounds the rectangles per image column (0.0 when the slices are empty)."""
-    log_e = _lambda_logs(lam)[0] + r
-    w_max = _max_width(spec, m, log_e + 1.0)
-    return log_e, (0.0 if w_max == 0.0 else w_max / TAU + 2.0)
+    bounds the rectangles per image column."""
+    return _lambda_logs(lam)[0] + r, _max_width(spec) / TAU + 2.0
 
 
 def _tail(s: float, e1: float, delta: float) -> float:
@@ -217,15 +170,15 @@ def _bound_vanishes(
 ) -> bool:
     """Is the column bound 0.0 at this column and at every larger one?
 
-    Past log E + 1 >= _EXP_NATIVE, _max_width reads the profile at
-    _HUGE_COLUMN, so lead = sides n_sup is the same at every larger
-    column, while the log branch's larger exponent log(lead) - delta log E
-    falls as the column grows.  Once that exponent is below _EXP_ZERO,
-    _positive_column_sum returns 0.0 without evaluating exp.  (With
-    lead >= 2 and delta < 1 this happens only past log E = 746, inside
-    the log branch, where exp would give 0.0 too.)
+    A strip's width is the same in every column, so lead = sides n_sup is
+    the same at every larger column, while the log branch's larger
+    exponent log(lead) - delta log E falls as the column grows.  Once that
+    exponent is below _EXP_ZERO, _positive_column_sum returns 0.0 without
+    evaluating exp.  (With lead >= 2 and delta < 1 this happens only past
+    log E = 746, inside the log branch, where exp would give 0.0 too; the
+    test on log E + 1 spares the log below _EXP_NATIVE.)
     """
-    return (log_e + 1.0 >= _EXP_NATIVE and n_sup > 0.0
+    return (log_e + 1.0 >= _EXP_NATIVE
             and math.log(sides * n_sup) - delta * log_e < _EXP_ZERO)
 
 
@@ -244,10 +197,10 @@ def _positive_column_sum(
     lower Re-bound below E contribute at most E^{-(1+delta)} each and
     their count is limited by the cone condition; columns beyond E decay
     like s^{-(1+delta)} and are absorbed by an integral tail.  terms is
-    _column_terms(lam, spec, r, m) when the caller already has it.
+    _column_terms(lam, spec, r) when the caller already has it.
     """
-    log_e, n_sup = _column_terms(lam, spec, r, m) if terms is None else terms
-    if n_sup == 0.0 or _bound_vanishes(log_e, n_sup, delta, sides):
+    log_e, n_sup = _column_terms(lam, spec, r) if terms is None else terms
+    if _bound_vanishes(log_e, n_sup, delta, sides):
         return 0.0
     lead = sides * n_sup
 
@@ -763,7 +716,7 @@ def cover_iterate(
         for col, mass in sources:
             if mass == 0.0:  # no nonzero weight reached this column
                 continue
-            log_e, n_sup = _column_terms(lam, spec, col, float(m))
+            log_e, n_sup = _column_terms(lam, spec, col)
             if _bound_vanishes(log_e, n_sup, delta, sides):
                 break
             ps = _positive_column_sum(

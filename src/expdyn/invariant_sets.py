@@ -1,10 +1,10 @@
 """Thin sets, membership in the forward-invariant set, and exit-depth fields.
 
-A thin-set spec is plain data: ``Strip(a, b)``, the closed strip
-a <= Im z <= b, or a ``ConeBand`` with its own predicate.  Each gives the
+The thin set is a strip, given as plain data: ``Strip(a, b)``, the closed
+strip a <= Im z <= b (``ThinSetSpec`` is the same class).  It gives the
 two quantities that make the set usable in dimension estimates: a cone
-constant K with |z| < K(|Re z| + 1) on the set, and a width profile w(R)
-bounding the diameter of the slice at |Re z| = R.
+constant K with |z| < K(|Re z| + 1) on the set, and a width bounding the
+diameter of every slice at a fixed Re z.
 
 Membership along an orbit is checked in one walk.  It classifies z itself
 first and steps from each point's Re and Im in native floats while |z| is
@@ -41,7 +41,7 @@ from .dynamics import (
     _require_point,
     step_log_polar,
 )
-from .errors import _RANGE_LIMIT, NumericRangeError, ValidationError
+from .errors import _RANGE_LIMIT, ValidationError
 from .towers import _EXP_SAFE, LIFT, NEG_SENTINEL, _Frozen, _set
 from . import parallel
 
@@ -53,7 +53,7 @@ UNDECIDED = "undecided"
 # once the modulus has left the native range
 _ARG_DEAD_ZONE = 1e-12
 
-# width profile of a one-point slice: any positive value bounds its
+# width of a one-point slice: any positive value bounds its
 # diameter 0, and one this small adds nothing to a column's n_sup
 _POINT_SLICE_WIDTH = 2.0 ** -52
 
@@ -61,43 +61,12 @@ _POINT_SLICE_WIDTH = 2.0 ** -52
 _Point = Union[complex, LogPolarComplex]
 
 
-class ThinSetSpec:
-    """Base of the specs: ``membership(z)``, ``cone_constant`` and
-    ``width_profile(R)``.
+class Strip(_Frozen):
+    """The closed horizontal strip a <= Im z <= b, the one thin-set spec.
 
-    ``width_profile(R)`` must upper-bound the diameter of every slice of
-    the set at 1 <= |Re z| <= R, so it is nondecreasing in R; 0.0 asserts
-    those slices are empty.
+    ``cone_constant`` K gives |z| < K(|Re z| + 1) on the strip, and
+    ``width`` bounds the diameter of every slice at a fixed Re z.
     """
-
-    __slots__ = ()
-
-    def classify(self, p: _Point) -> str:
-        """MEMBER, EXIT or UNDECIDED: a ``complex`` (a native point with a
-        trusted argument) is decided by ``membership``, a
-        ``LogPolarComplex`` by ``classify_log``; both agree on a native
-        trusted point except within rounding of the set's edge.
-
-        A ``Strip`` itself (not a subclass) makes its test a <= Im p <= b
-        here: the walk calls this once per orbit point, and that test then
-        costs no further call."""
-        if p.__class__ is complex or isinstance(p, complex):
-            if self.__class__ is Strip:
-                return MEMBER if self.a <= p.imag <= self.b else EXIT
-            return MEMBER if self.membership(p) else EXIT
-        return self.classify_log(p)
-
-    def classify_log(self, p: LogPolarComplex) -> str:
-        """``membership`` of a native point; UNDECIDED past native range."""
-        try:
-            z = p.to_complex()
-        except NumericRangeError:
-            return UNDECIDED
-        return MEMBER if self.membership(z) else EXIT
-
-
-class Strip(ThinSetSpec, _Frozen):
-    """The closed horizontal strip a <= Im z <= b."""
 
     __slots__ = ("a", "b")
 
@@ -111,15 +80,22 @@ class Strip(ThinSetSpec, _Frozen):
     def cone_constant(self) -> float:
         return max(abs(self.a), abs(self.b)) + 2.0
 
-    def membership(self, z: complex) -> bool:
-        return self.a <= z.imag <= self.b
-
-    def width_profile(self, r: float) -> float:
+    @property
+    def width(self) -> float:
         # a zero-height strip still has one point in every slice, and a
         # width of 0.0 would declare its slices empty
         return self.b - self.a if self.b > self.a else _POINT_SLICE_WIDTH
 
-    def classify_log(self, p: LogPolarComplex) -> str:
+    def classify(self, p: _Point) -> str:
+        """MEMBER, EXIT or UNDECIDED.  A ``complex`` (a native point with a
+        trusted argument) is tested a <= Im p <= b here, so the walk's one
+        call per orbit point costs no further call.  A ``LogPolarComplex``
+        is decided in log scale: UNDECIDED only for an untrusted argument,
+        or one within _ARG_DEAD_ZONE of 0 or pi past the double range.  The
+        two agree on a native trusted point except within rounding of an
+        edge."""
+        if p.__class__ is complex or isinstance(p, complex):
+            return MEMBER if self.a <= p.imag <= self.b else EXIT
         if not p.arg_trusted:
             return UNDECIDED
         s = math.sin(p.argument)
@@ -141,25 +117,7 @@ def symmetric_strip(h: float) -> Strip:
     return Strip(-h, h)
 
 
-class ConeBand(ThinSetSpec, _Frozen):
-    """A set given by its own membership predicate and width profile."""
-
-    __slots__ = ("membership", "cone_constant", "width_profile")
-
-    def __init__(
-        self,
-        membership: Callable[[complex], bool],
-        cone_constant: float,
-        width_profile: Callable[[float], float],
-    ) -> None:
-        if not (0 < cone_constant < math.inf):
-            raise ValidationError("cone constant must be positive and finite")
-        _set(self, "membership", membership)
-        _set(self, "cone_constant", cone_constant)
-        _set(self, "width_profile", width_profile)
-
-
-horizontal_strip = Strip
+horizontal_strip = ThinSetSpec = Strip
 
 
 # ---------------------------------------------------------------------------
@@ -401,20 +359,8 @@ def sample_lambda_set(
 
 
 # ---------------------------------------------------------------------------
-# field export
-
-
-def _write_payload(dest, payload: Union[str, bytes]) -> None:
-    """Write to an open file object, or to a path: text as ASCII with
-    newlines untranslated, bytes as binary."""
-    if hasattr(dest, "write"):
-        dest.write(payload)
-    elif isinstance(payload, str):
-        with open(dest, "w", encoding="ascii", newline="") as fh:
-            fh.write(payload)
-    else:
-        with open(dest, "wb") as fh:
-            fh.write(payload)
+# field export: the writers load reports, which holds the payload writer,
+# when they run, so a field that is not written loads no writer
 
 
 def field_to_csv(field: ExitDepthField, policy: str = "conservative") -> str:
@@ -430,6 +376,8 @@ def field_to_csv(field: ExitDepthField, policy: str = "conservative") -> str:
 
 
 def write_field_csv(field: ExitDepthField, dest, policy: str = "conservative") -> None:
+    from .reports import _write_payload
+
     _write_payload(dest, field_to_csv(field, policy))
 
 
@@ -444,4 +392,6 @@ def field_to_pgm(field: ExitDepthField, policy: str = "conservative") -> bytes:
 
 
 def write_field_pgm(field: ExitDepthField, dest, policy: str = "conservative") -> None:
+    from .reports import _write_payload
+
     _write_payload(dest, field_to_pgm(field, policy))

@@ -31,7 +31,7 @@ from .dynamics import (
     inverse_branch,
 )
 from .coding import ExternalAddress, strip_index
-from .invariant_sets import _write_payload
+from .reports import _write_payload
 
 ESCAPE_CAP = 1e14
 _LOG_CAP = math.log(ESCAPE_CAP)

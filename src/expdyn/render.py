@@ -12,7 +12,8 @@ from os import PathLike
 from typing import BinaryIO, Callable, Union
 
 from .errors import ValidationError
-from .invariant_sets import ExitDepthField, _write_payload
+from .invariant_sets import ExitDepthField
+from .reports import _write_payload
 
 
 def _gray(t: float) -> tuple[int]:

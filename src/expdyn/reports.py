@@ -1,8 +1,8 @@
 """The JSON report writer shared by the certificate, search, box-count and
-supergrowth reports.
+supergrowth reports, and the payload writer of every file output.
 
-It sits apart from the modules that compute those reports, so that a
-command which only writes a report loads none of their code.
+They sit apart from the modules that compute those reports, so that a
+command which only writes a report or a file loads none of their code.
 """
 
 from __future__ import annotations
@@ -11,6 +11,20 @@ import json
 from functools import cache
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Union
+
+
+def _write_payload(dest, payload: Union[str, bytes]) -> None:
+    """Write to an open file object, or to a path: text as ASCII with
+    newlines untranslated, bytes as binary."""
+    if hasattr(dest, "write"):
+        dest.write(payload)
+    elif isinstance(payload, str):
+        with open(dest, "w", encoding="ascii", newline="") as fh:
+            fh.write(payload)
+    else:
+        with open(dest, "wb") as fh:
+            fh.write(payload)
 
 
 def report_json(doc) -> str:

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expdyn import boxdim
+from expdyn import boxdim, induced
 from expdyn import (
     NumericRangeError,
     ValidationError,
@@ -253,13 +253,13 @@ def test_search_provenance_in_both_modes():
 
 def test_search_verifies_each_grid_point_once(monkeypatch):
     seen = []
-    verify = boxdim.verify_contraction
+    verify = induced.verify_contraction
 
     def counted(lam, spec, delta, cols, **kw):
         seen.append((kw["m"], delta))
         return verify(lam, spec, delta, cols, **kw)
 
-    monkeypatch.setattr(boxdim, "verify_contraction", counted)
+    monkeypatch.setattr(induced, "verify_contraction", counted)
     rep = dimension_bound_search(1.0, STRIP, [0.5, 0.2, 0.2, 0.5], m_grid=[5, 5])
     assert rep.provenance["delta_grid"] == [0.2, 0.5]
     # 0.2 fails at M = 5, so the scan goes on to 0.5, each once

@@ -14,7 +14,6 @@ import tracemalloc
 import pytest
 
 from expdyn import (
-    ConeBand,
     GeometryError,
     cover_iterate,
     horizontal_strip,
@@ -23,15 +22,11 @@ from expdyn import (
 )
 
 STRIP = horizontal_strip(0.0, math.pi)
-# the width grows with log R through 460..700, so _max_width changes from
-# column to column up to log E + 1 = _EXP_NATIVE and is constant after it
-LOG_RAMP = ConeBand(
-    STRIP.membership, STRIP.cone_constant,
-    lambda r: 1.0 + min(max(math.log(r) - 460.0, 0.0), 240.0),
-)
-# a cone constant this large starts every image window at column M, so the
-# negative columns -M-1, -M-2, ... cross several level bands
-WIDE_CONE = ConeBand(STRIP.membership, 1e12, lambda r: math.pi)
+# a strip this tall has a cone constant that starts every image window at
+# column M, so the negative columns -M-1, -M-2, ... cross several level bands
+TALL_STRIP = horizontal_strip(-1e12, 1e12)
+# a zero-height strip: the smallest width, so the smallest n_sup
+POINT_STRIP = horizontal_strip(1.0, 1.0)
 GEOMETRIES = ((1.0, 1.0, 3), (2.0, 1.0, 2), (0.65, 0.65, 4), (0.9, 0.5, 3))
 
 
@@ -69,7 +64,7 @@ def reference_cover(lam, spec, delta, depth, cap, m=None, geometry=None,
             ps = induced._positive_column_sum(lam, spec, float(col), delta, float(m), sides)
             if mass * ps == 0.0:
                 continue
-            log_e, n_sup = induced._column_terms(lam, spec, col, float(m))
+            log_e, n_sup = induced._column_terms(lam, spec, col)
             if log_e > induced._EXP_NATIVE:
                 new_tail += mass * ps
                 new_tail_col = min(new_tail_col, induced._HUGE_COLUMN)
@@ -155,19 +150,12 @@ def test_two_sided_cover_totals_are_pinned(params, totals, cells):
     assert [lv.cells for lv in run.levels[1:]] == cells
 
 
-def test_growing_width_cover_totals_are_pinned():
-    run = cover_iterate(1.0, LOG_RAMP, 0.5, 3, 300, m=3)
-    assert [repr(lv.total) for lv in run.levels[1:]] == \
-        ["15.838070288309845", "1.0206635373451414", "0.024965732202274063"]
-    assert [lv.cells for lv in run.levels[1:]] == [53.0, 15494.0, 145881.0]
-
-
 # ---------------------------------------------------------------------------
 # the same bits as the loop over every column
 
 
 @pytest.mark.parametrize("lam, spec, m", [
-    (1.0, STRIP, 5), (0.9, STRIP, 5), (1 + 0.3j, LOG_RAMP, 3), (-1.0, LOG_RAMP, 4),
+    (1.0, STRIP, 5), (0.9, STRIP, 5), (1 + 0.3j, TALL_STRIP, 3), (-1.0, POINT_STRIP, 4),
 ])
 def test_one_sided_cover_matches_the_per_column_loop(monkeypatch, lam, spec, m):
     want, _ = _reference_rows(monkeypatch, lam, spec, 0.5, 3, 40, m=m)
@@ -194,10 +182,10 @@ def test_negative_bands_take_one_bound_per_level(monkeypatch, params):
         return 1e-3 * (l - geometry.l0 + 1) ** 2
 
     monkeypatch.setattr(induced, "_negative_level_bound", level_bound)
-    want, sources = _reference_rows(monkeypatch, params[0], WIDE_CONE, 0.5, 3, 40,
+    want, sources = _reference_rows(monkeypatch, params[0], TALL_STRIP, 0.5, 3, 40,
                                     geometry=geo)
     calls.clear()
-    got = _rows(cover_iterate(params[0], WIDE_CONE, 0.5, 3, 40, geometry=geo))
+    got = _rows(cover_iterate(params[0], TALL_STRIP, 0.5, 3, 40, geometry=geo))
     assert got == want
     assert any(total > 0.0 for total, _, _ in want)
     # one call per band: the distinct levels of each depth's negative columns
@@ -206,6 +194,7 @@ def test_negative_bands_take_one_bound_per_level(monkeypatch, params):
         levels = [geo.level_of_column(c) for c in sorted(masses) if c <= -geo.m]
         bands += sorted(set(levels), reverse=True)
     assert calls == bands
+    # some depth's negative columns cross more than one level band
     assert len(bands) > len(sources)
 
 
@@ -235,7 +224,7 @@ def _runs(columns):
 
 def _window(lam, spec, col, m, cap):
     """[s_start, s_stop) of the image window of positive column col."""
-    log_e = induced._column_terms(lam, spec, col, float(m))[0]
+    log_e = induced._column_terms(lam, spec, col)[0]
     e = math.exp(log_e)
     s_start = max(math.ceil(max(float(m), e / spec.cone_constant - 2.0)), m)
     return s_start, min(math.floor(math.exp(log_e + 1.0)) + 2, s_start + cap)
@@ -260,7 +249,7 @@ def _source_columns(lam, spec, delta, m, sides, sources):
     want = []
     for masses in sources:
         for c in sorted(c for c in masses if c > 0):
-            terms = induced._column_terms(lam, spec, c, float(m))
+            terms = induced._column_terms(lam, spec, c)
             if induced._bound_vanishes(*terms, delta, sides):
                 break
             want.append(float(c))
@@ -389,7 +378,7 @@ def test_a_window_far_from_m_stores_only_its_own_columns():
 def _first_cut(lam, spec, delta, m, sides):
     r = m
     while not induced._bound_vanishes(
-            *induced._column_terms(lam, spec, r, float(m)), delta, sides):
+            *induced._column_terms(lam, spec, r), delta, sides):
         r += 1
     return r
 
@@ -397,9 +386,9 @@ def _first_cut(lam, spec, delta, m, sides):
 @pytest.mark.parametrize("lam, spec, delta, sides", [
     (1.0, STRIP, 0.5, 1.0),
     (0.9, STRIP, 0.1, 2.0),
-    (1 + 0.3j, LOG_RAMP, 0.9, 2.0),
+    (1 + 0.3j, TALL_STRIP, 0.9, 2.0),
     (-1.0, STRIP, 0.01, 1.0),
-    (2.0, LOG_RAMP, 0.3, 1.0),
+    (2.0, POINT_STRIP, 0.3, 1.0),
 ])
 def test_every_column_from_the_cut_on_bounds_to_zero(monkeypatch, lam, spec, delta, sides):
     m = 5
@@ -413,7 +402,7 @@ def test_every_column_from_the_cut_on_bounds_to_zero(monkeypatch, lam, spec, del
     assert first_zero <= cut <= first_zero + 1 + 0.9 / delta
     columns = range(cut, cut + 2001)
     for r in columns:
-        terms = induced._column_terms(lam, spec, r, float(m))
+        terms = induced._column_terms(lam, spec, r)
         assert induced._bound_vanishes(*terms, delta, sides)
         assert induced._positive_column_sum(lam, spec, float(r), delta, float(m), sides) == 0.0
     # evaluating exp gives the same 0.0, so the short-circuit moves no value
@@ -438,8 +427,8 @@ def test_bound_vanishes_only_below_the_exponent_limit():
     assert induced._EXP_ZERO == -746.0
     assert not induced._bound_vanishes(1492.0, 0.5, 0.5, 2.0)
     assert induced._bound_vanishes(math.nextafter(1492.0, math.inf), 0.5, 0.5, 2.0)
-    assert not induced._bound_vanishes(1e6, 0.0, 0.5, 2.0)
-    # below log E + 1 = _EXP_NATIVE the profile still moves, whatever lead is
+    # below log E + 1 = _EXP_NATIVE the bound is never taken to vanish,
+    # whatever lead is
     assert not induced._bound_vanishes(688.0, 1e-300, 0.5, 1.0)
 
 

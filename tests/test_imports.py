@@ -69,6 +69,7 @@ _COMMANDS = {
     "ray": ["ray", "--lambda=1,0", "--address=0...const", "--t=1:2:1", "--depth=5"],
     "certify": ["certify", "--lambda=1,0", "--set=strip:0,3.14", "--delta=0.5",
                 "--m=10", "--rmax=12"],
+    "boxdim": ["boxdim", "--points={points}", "--scales=1:0.05:2"],
 }
 
 
@@ -76,13 +77,17 @@ _COMMANDS = {
     ("orbit", {"induced", "invariant_sets", "boxdim", "rays", "render", "reports"}),
     ("supergrowth", {"induced", "invariant_sets", "boxdim", "rays", "render"}),
     ("lambdaset", {"induced", "boxdim", "rays", "render", "reports"}),
-    ("ray", {"induced", "boxdim", "render", "reports"}),
+    ("ray", {"induced", "boxdim", "render", "invariant_sets", "parallel"}),
     ("certify", {"boxdim", "rays", "render", "coding"}),
+    ("boxdim", {"induced", "invariant_sets", "parallel", "rays", "render", "coding"}),
 ])
-def test_a_command_loads_only_the_modules_it_calls(command, absent):
+def test_a_command_loads_only_the_modules_it_calls(command, absent, tmp_path):
+    points = tmp_path / "points.csv"
+    points.write_text("".join(f"{i / 50},{(i * i % 37) / 37}\n" for i in range(200)))
+    argv = [arg.replace("{points}", str(points)) for arg in _COMMANDS[command]]
     code = ("import contextlib, io, json, sys, expdyn.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert expdyn.cli.main({_COMMANDS[command]!r}) == 0\n"
+            f"    assert expdyn.cli.main({argv!r}) == 0\n"
             f"print({_LOADED})")
     loaded = {name.partition(".")[2] for name in _fresh(code)}
     assert {"cli", "errors", "dynamics"} <= loaded
@@ -94,7 +99,7 @@ def test_star_import_and_dir_give_every_public_name():
             "print(json.dumps([expdyn.__all__, [n for n in expdyn.__all__ "
             "if n not in globals()], [n for n in expdyn.__all__ if n not in dir(expdyn)]]))")
     names, unbound, undir = _fresh(code)
-    assert names == sorted(set(names)) and len(names) == 57
+    assert names == sorted(set(names)) and len(names) == 56
     assert unbound == [] and undir == []
 
 

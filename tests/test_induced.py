@@ -6,10 +6,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expdyn import induced
 from expdyn import (
-    ConeBand,
     GeometryError,
     NumericRangeError,
     RectangleIndex,
@@ -104,39 +104,6 @@ def test_positive_sum_upper_bounds_a_sampled_branch_sum():
     mc = math.fsum(v ** -(1 + delta) for v in cells.values())
     assert mc == 0.19146296760432924
     assert mc <= bound
-
-
-def test_width_profile_is_read_once_at_the_far_column():
-    # the profile bounds every slice up to its argument, so a ramp that
-    # reaches 50 before the image columns gives the constant-50 sums
-    calls = []
-
-    def ramp_profile(r):
-        calls.append(r)
-        return min(r, 50.0)
-
-    ramp = ConeBand(STRIP.membership, STRIP.cone_constant, ramp_profile)
-    bar = ConeBand(STRIP.membership, STRIP.cone_constant, lambda r: 50.0)
-    for r in (10, 11, 30, 700):
-        calls.clear()
-        assert positive_sum(1.0, ramp, r, 0.5, 10) == \
-            positive_sum(1.0, bar, r, 0.5, 10)
-        assert len(calls) == 1 and calls[0] > 50.0
-    ramp_run = cover_iterate(1.0, ramp, 0.5, 2, 10 ** 5, m=10)
-    bar_run = cover_iterate(1.0, bar, 0.5, 2, 10 ** 5, m=10)
-    assert [lv.total for lv in ramp_run.levels] == \
-        [lv.total for lv in bar_run.levels]
-    assert ramp_run.levels[1].total > 0.0
-
-
-@pytest.mark.parametrize("width", [-100.0, math.nan])
-@pytest.mark.parametrize("column", [10, 700])
-def test_a_width_that_is_not_a_bound_is_rejected(width, column):
-    # a negative width made a negative "bound" at column 10 and a bare
-    # math domain error at column 700; a NaN width made a NaN bound
-    bad = ConeBand(STRIP.membership, STRIP.cone_constant, lambda r: width)
-    with pytest.raises(ValidationError, match="width profile must be >= 0"):
-        positive_sum(1.0, bad, column, 0.5, 10)
 
 
 def test_positive_sum_validation():
@@ -368,28 +335,70 @@ def test_certificate_validation():
         verify_contraction(1.0, STRIP, 0.5, [20], m=10, geometry=geo)
 
 
-def _sampled(spec):
-    """The same set as a cone band, so Z_M goes through the sampled test."""
-    return ConeBand(spec.membership, spec.cone_constant, spec.width_profile)
+# ---------------------------------------------------------------------------
+# Z_M oracle: each rectangle tested on its own by sampling the membership
+# predicate, column by column over that column's scan
+
+_RECT_SAMPLES = 6  # points along Re in each rectangle
+
+
+def _rectangle_meets(member, arg_lam, k, r, m):
+    """Does R^k_r meet the set {member} at |Re| >= m?  A grid of
+    _RECT_SAMPLES points along Re (those with |Re| >= m) by the heights
+    induced._STRIP_HEIGHTS along Im."""
+    lo = induced._strip_bottom(k, arg_lam)
+    if r >= 0:
+        x_lo, x_hi = float(r), r + 1.0 - 1e-9
+    else:
+        x_lo, x_hi = float(r), min(r + 1.0 - 1e-9, float(-m))
+        if x_hi < x_lo:
+            return False
+    for i in range(_RECT_SAMPLES):
+        x = x_lo + (x_hi - x_lo) * i / (_RECT_SAMPLES - 1)
+        if abs(x) < m:
+            continue
+        for u in induced._STRIP_HEIGHTS:
+            if member(complex(x, lo + TAU * u)):
+                return True
+    return False
+
+
+def _sampled_rows(strip, lam, m, columns):
+    """Z_M rows of a strip, rectangle by rectangle, ordered by (r, k)."""
+    arg_lam = induced._lambda_logs(lam)[1]
+
+    def member(z):
+        return strip.a <= z.imag <= strip.b
+
+    rows = []
+    for r in columns:
+        y_max = strip.cone_constant * (abs(r) + 2.0)
+        ks = range(induced._strip_of_imag(-y_max, arg_lam),
+                   induced._strip_of_imag(y_max, arg_lam) + 1)
+        rows += (RectangleIndex(k, r) for k in ks
+                 if _rectangle_meets(member, arg_lam, k, r, m))
+    return sorted(rows, key=lambda q: (q.r, q.k))
 
 
 def test_certificate_enumerates_only_its_own_columns(monkeypatch):
     calls = []
-    meets = induced._rectangle_meets
+    meets = induced._band_meets
 
-    def counted(spec, arg_lam, k, r, m):
-        calls.append(r)
-        return meets(spec, arg_lam, k, r, m)
+    def counted(strip, arg_lam, k):
+        calls.append(k)
+        return meets(strip, arg_lam, k)
 
-    monkeypatch.setattr(induced, "_rectangle_meets", counted)
-    cert = verify_contraction(1.0, _sampled(STRIP), 0.5, range(10, 31), m=10)
-    assert len(calls) == 777 and set(calls) == set(range(10, 31))
+    monkeypatch.setattr(induced, "_band_meets", counted)
+    cert = verify_contraction(1.0, STRIP, 0.5, range(10, 31), m=10)
     assert cert.per_rectangle == tuple((0, r, cert.column_bound(r))
                                        for r in range(10, 31))
-    # the strip decides its strips once, without the sampled test
-    calls.clear()
-    assert verify_contraction(1.0, STRIP, 0.5, range(10, 31), m=10) == cert
-    assert calls == []
+    assert cert.per_rectangle == tuple(
+        (q.k, q.r, cert.column_bound(q.r))
+        for q in _sampled_rows(STRIP, 1.0, 10, range(10, 31)))
+    # the strip decides each strip index of the widest column's scan once
+    y_max = STRIP.cone_constant * 32.0
+    assert calls == list(range(induced._strip_of_imag(-y_max, 0.0),
+                               induced._strip_of_imag(y_max, 0.0) + 1))
     # the rows are the family's rows in the certified columns, both sides;
     # a rotated lambda puts two rectangles in each column
     geo = negative_geometry(0.65, 0.65, 4, 6)
@@ -408,7 +417,6 @@ def test_strip_specs_carry_their_band():
     assert (strip.a, strip.b) == (-1.0, 2.5)
     assert symmetric_strip(0.5) == Strip(-0.5, 0.5)
     assert isinstance(STRIP, Strip)
-    assert not isinstance(_sampled(STRIP), Strip)
 
 
 _ZM_LAMBDAS = [1.0, -1.0, 1 + 0.3j, cmath.rect(0.65, 2.5)]
@@ -447,10 +455,44 @@ def test_strip_rows_match_the_sampled_rows(lam, m, two_sided):
     for a, b in _band_cases(lam):
         strip = horizontal_strip(a, b)
         rows = induced._zm_rows(strip, lam, m, cols)
-        assert rows == induced._zm_rows(_sampled(strip), lam, m, cols)
+        assert rows == _sampled_rows(strip, lam, m, cols)
         seen.add(len(rows) // len(cols))
     # the cases cover missed slivers (0 rows), and one- and two-strip columns
     assert {0, 1, 2} <= seen
+
+
+def _edge_heights(lam):
+    """Strip edges (2k + 1) pi - Arg lambda near the real axis, and the
+    floats either side of them."""
+    edges = [_edge(lam, k) for k in range(-4, 4)]
+    return st.sampled_from(edges).flatmap(lambda e: st.sampled_from(
+        [e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)]))
+
+
+@st.composite
+def _zm_cases(draw):
+    """(lam, strip, m, two_sided): zero-height strips, slivers, edges on
+    strip edges, and strips of any height up to a few strips."""
+    lam = draw(st.sampled_from(_ZM_LAMBDAS))
+    a = draw(st.one_of(st.floats(-30.0, 30.0), _edge_heights(lam)))
+    height = draw(st.one_of(
+        st.just(0.0), st.floats(0.0, 0.5), st.floats(0.0, 30.0),
+        _edge_heights(lam).map(lambda e: max(e - a, 0.0))))
+    m = draw(st.sampled_from([1, 5, 10]))
+    return lam, horizontal_strip(a, a + height), m, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_zm_cases())
+def test_every_column_holds_the_strips_decided_once(case):
+    lam, strip, m, two_sided = case
+    cols = induced.certified_columns(m, m + 6, two_sided)
+    rows = induced._zm_rows(strip, lam, m, cols)
+    hits = [q.k for q in rows if q.r == cols[0]]
+    assert hits == [k for k in range(-20, 20)
+                    if induced._band_meets(strip, induced._lambda_logs(lam)[1], k)]
+    assert rows == [RectangleIndex(k, r) for r in sorted(cols) for k in hits]
+    assert rows == _sampled_rows(strip, lam, m, cols)
 
 
 def test_column_ranges_stop_at_the_range_limit():
@@ -463,22 +505,10 @@ def test_column_ranges_stop_at_the_range_limit():
             induced.certified_columns(10, r_max, two_sided)
 
 
-def test_strip_rows_follow_each_columns_cone_height():
-    # with cone constant 1, column r scans the strips that reach |Im| <= |r| + 2;
-    # strip 3, (5 pi, 7 pi], holds the band [20, 21] and is reached from |r| = 14
-    # (a strip derives its own cone constant, so this one is a cone band)
-    strip = horizontal_strip(20.0, 21.0)
-    far = ConeBand(strip.membership, 1.0, strip.width_profile)
-    cols = induced.certified_columns(5, 30)
-    rows = induced._zm_rows(far, 1.0, 5, cols)
-    assert {q.r for q in rows} == set(range(-30, -13)) | set(range(14, 31))
-    assert {q.k for q in rows} == {3}
-
-
 def test_strip_rows_skip_columns_inside_m():
     cols = [-4, -3, 0, 2, 3, 4, 9]
     assert induced._zm_rows(STRIP, 1.0, 3, cols) == \
-        induced._zm_rows(_sampled(STRIP), 1.0, 3, cols) == \
+        _sampled_rows(STRIP, 1.0, 3, cols) == \
         [RectangleIndex(0, r) for r in (-4, -3, 3, 4, 9)]
 
 
@@ -531,15 +561,11 @@ def _no_scan(*args):
     raise AssertionError("a strip index was scanned")
 
 
-@pytest.mark.parametrize("spec", [
-    horizontal_strip(-1e307, 1e307),
-    ConeBand(STRIP.membership, 1e300, STRIP.width_profile),
-], ids=["strip", "cone-band"])
+@pytest.mark.parametrize("spec", [horizontal_strip(-1e307, 1e307)], ids=["strip"])
 def test_zm_enumeration_refuses_a_scan_past_the_cell_limit(monkeypatch, spec):
     # finite scan heights, but about 1e306 strip indices per column: the
     # enumeration raises before it tests a single one
     monkeypatch.setattr(induced, "_band_meets", _no_scan)
-    monkeypatch.setattr(induced, "_rectangle_meets", _no_scan)
     with pytest.raises(NumericRangeError, match="strip indices"):
         induced._zm_rows(spec, 1.0, 10, induced.certified_columns(10, 12))
     with pytest.raises(NumericRangeError, match="strip indices"):

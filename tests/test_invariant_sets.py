@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expdyn import (
-    ConeBand,
     LogPolarComplex,
     NumericRangeError,
     Strip,
@@ -41,11 +40,11 @@ STRIP = horizontal_strip(0.0, math.pi)
 
 def test_strip_spec_basics():
     assert STRIP.cone_constant == math.pi + 2.0
-    assert STRIP.width_profile(7.0) == math.pi
-    assert STRIP.membership(1.0 + 1.0j)
-    assert not STRIP.membership(1.0 - 0.1j)
+    assert STRIP.width == math.pi
+    assert STRIP.classify(1.0 + 1.0j) == MEMBER
+    assert STRIP.classify(1.0 - 0.1j) == EXIT
     sym = symmetric_strip(2.0)
-    assert sym.membership(-5.0 - 2.0j)
+    assert sym.classify(-5.0 - 2.0j) == MEMBER
     assert sym.cone_constant == 4.0
 
 
@@ -54,41 +53,25 @@ def test_spec_validation():
         horizontal_strip(1.0, 0.0)
     with pytest.raises(ValidationError):
         symmetric_strip(0.0)
-    with pytest.raises(ValidationError):
-        ConeBand(lambda z: True, 0.0, lambda r: 1.0)
-
-
-def test_cone_band_takes_no_descriptor():
-    with pytest.raises(TypeError):
-        ConeBand(STRIP.membership, 1.0, lambda r: 1.0, "band")
-
-
-@pytest.mark.parametrize("k", [math.inf, math.nan, -math.inf])
-def test_cone_band_rejects_a_cone_constant_that_is_not_finite(k):
-    with pytest.raises(ValidationError, match="cone constant must be positive"):
-        ConeBand(STRIP.membership, k, lambda r: 1.0)
 
 
 def test_a_cone_height_past_the_double_range_is_a_range_error():
     # K(|r| + 2) overflows at column 12: a range error, not an OverflowError
-    for spec in (horizontal_strip(0.0, 1e308),
-                 ConeBand(STRIP.membership, 1e308, lambda r: 1.0)):
-        with pytest.raises(NumericRangeError, match="scan height"):
-            build_zm(spec, 1.0, 10, 12)
+    with pytest.raises(NumericRangeError, match="scan height"):
+        build_zm(horizontal_strip(0.0, 1e308), 1.0, 10, 12)
     # without the rectangles nothing scans the strips
     cert = verify_contraction(1.0, horizontal_strip(0.0, 1e308), 0.5, [10, 11],
                               m=10, enumerate_rectangles=False)
     assert not cert.passed
 
 
-def test_specs_are_two_kinds_on_one_base():
-    assert isinstance(STRIP, Strip) and isinstance(STRIP, ThinSetSpec)
-    band = ConeBand(STRIP.membership, 1.0, lambda r: 1.0)
-    assert isinstance(band, ConeBand) and isinstance(band, ThinSetSpec)
-    assert horizontal_strip is Strip
+def test_the_strip_is_the_one_spec_class():
+    assert ThinSetSpec is Strip and horizontal_strip is Strip
+    assert type(STRIP) is Strip
     assert symmetric_strip(2.0) == Strip(-2.0, 2.0)
-    # classify is written once, on the base
-    assert "classify" not in vars(Strip) and "classify" not in vars(ConeBand)
+    # classify is written once, on the class itself
+    assert "classify" in vars(Strip)
+    assert [c.__name__ for c in Strip.__mro__] == ["Strip", "_Frozen", "object"]
 
 
 def test_strips_are_plain_data():
@@ -117,23 +100,12 @@ def test_strip_classification_beyond_native_range():
     assert STRIP.classify(LogPolarComplex.from_complex(1.0 + 1.0j)) == MEMBER
 
 
-class _CountingStrip(Strip):
-    """A Strip subclass with its own membership, which classify must call."""
-
-    calls: list = []
-
-    def membership(self, z):
-        self.calls.append(z)
-        return super().membership(z)
-
-
 _EDGES = st.floats(min_value=-1e300, max_value=1e300)
 _STRIPS = st.one_of(
     st.tuples(_EDGES, _EDGES).map(lambda ab: Strip(min(ab), max(ab))),
     _EDGES.map(lambda a: Strip(a, a)),  # zero height
     st.sampled_from([Strip(-2.0, -1.0), Strip(-3.5, -3.5), Strip(0.0, 0.0),
                      symmetric_strip(1e17)]),
-    st.tuples(_EDGES, _EDGES).map(lambda ab: _CountingStrip(min(ab), max(ab))),
 )
 
 
@@ -158,31 +130,14 @@ def _strip_points(draw):
 @given(_strip_points())
 def test_strip_classify_is_its_membership(case):
     spec, z = case
-    _CountingStrip.calls.clear()
     got = spec.classify(z)
-    # a subclass keeps its own membership; Strip itself decides in classify
-    assert _CountingStrip.calls == ([z] if type(spec) is _CountingStrip else [])
-    assert got == (MEMBER if spec.membership(z) else EXIT)
+    assert got == (MEMBER if spec.a <= z.imag <= spec.b else EXIT)
     # the log-polar verdict rounds |z| sin Arg z, off Im z by a few ulps of
     # |z| times log|z|, so it agrees wherever Im z is clear of both edges
     m = abs(z)
     margin = 1e-10 * m * (1.0 + abs(math.log(m))) + 1e-320 if m else 1e-320
     if min(abs(z.imag - spec.a), abs(z.imag - spec.b)) > margin:
         assert got == spec.classify(LogPolarComplex.from_complex(z))
-
-
-def test_classify_asks_a_cone_band_its_membership():
-    calls = []
-
-    def membership(z):
-        calls.append(z)
-        return z.imag >= 0.0
-
-    band = ConeBand(membership, 1.0, lambda r: 1.0)
-    assert band.classify(1.0 + 0.0j) == MEMBER
-    assert band.classify(complex(1.0, -0.0)) == MEMBER
-    assert band.classify(1.0 - 1e-300j) == EXIT
-    assert [repr(z) for z in calls] == ["(1+0j)", "(1-0j)", "(1-1e-300j)"]
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +308,8 @@ def test_the_range_limit_is_defined_once():
 
 def test_zero_height_strip_has_positive_width():
     point = horizontal_strip(0.0, 0.0)
-    assert point.width_profile(10.0) > 0.0
-    assert horizontal_strip(-1.0, 2.0).width_profile(10.0) == 3.0
+    assert point.width > 0.0
+    assert horizontal_strip(-1.0, 2.0).width == 3.0
 
 
 def test_field_writers(tmp_path):

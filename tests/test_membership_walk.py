@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from expdyn import (
     LogPolarComplex,
     ThinSetSpec,
-    ConeBand,
     TowerReal,
     horizontal_strip,
     step_log_polar,
@@ -64,12 +63,6 @@ def examined(result, n):
     return n if result[1] > n else result[1] + 1
 
 
-SQRT_BAND = ConeBand(
-    lambda z: abs(z.imag) <= math.sqrt(abs(z.real) + 1.0),
-    5.0, lambda r: 2.0 * math.sqrt(r + 1.0))
-# a band with a closed edge, as a cone band: undecided past the double range
-EDGE_BAND = ConeBand(lambda z: abs(z.imag) <= 2.0, 4.0, lambda r: 4.0)
-
 SPECS = {
     "strip": horizontal_strip(0.0, math.pi),
     "strip-neg": horizontal_strip(-1.0, 0.5),
@@ -77,8 +70,6 @@ SPECS = {
     # holds points past DBL_MAX in modulus
     "strip-wide": horizontal_strip(-1.79e308, 1.79e308),
     "symstrip": symmetric_strip(2.0),
-    "sqrt-band": SQRT_BAND,
-    "edge-band": EDGE_BAND,
 }
 
 # -1-0j has Arg -pi, so its steps reduce onto -pi and fold it to pi
@@ -188,7 +179,7 @@ _strips = st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 10.0)).map(
 
 @settings(max_examples=500, deadline=None)
 @given(st.floats(-745.0, 709.78), st.floats(-math.pi, math.pi),
-       st.one_of(_strips, st.just(SQRT_BAND)))
+       _strips)
 def test_complex_and_log_polar_points_classify_alike(x, a, spec):
     if a == -math.pi:
         a = math.pi

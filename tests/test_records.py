@@ -13,7 +13,6 @@ import pytest
 
 import expdyn
 from expdyn import (
-    ConeBand,
     DimensionReport,
     ExternalAddress,
     LogPolarComplex,
@@ -36,7 +35,6 @@ def _examples():
         (TowerReal(1, 50.0), "mantissa", 60.0),
         (LogPolarComplex(TowerReal(0, 0.5), 0.25, False), "arg_trusted", True),
         (Strip(-1.0, 2.5), "b", 3.0),
-        (ConeBand(bool, 3.0, abs), "cone_constant", 4.0),  # picklable callables
         (ExternalAddress((1, 2), ("constant", 0)), "entries", (3,)),
         (expdyn.lambda_membership(0.25, STRIP, 0.1, 5), "precision_caveat", True),
         (expdyn.sample_lambda_set(0.25, STRIP, (-1, -1, 1, 1), (3, 2), 4),
@@ -74,7 +72,7 @@ def test_every_public_record_class_has_an_example():
                if isinstance(cls := getattr(expdyn, name), type)
                and (issubclass(cls, tuple) or "__slots__" in vars(cls) and cls.__slots__)}
     assert records == {type(rec) for rec, _, _ in EXAMPLES}
-    assert len(records) == 20
+    assert len(records) == 19
 
 
 @pytest.mark.parametrize("rec, field, value", EXAMPLES,
