@@ -360,18 +360,22 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         distortion_allowance=args.distortion,
         enumerate_rectangles=args.rectangles,
     )
-    _emit(certificate_to_json(cert), args.json)
+    # the cover runs before anything is written, so an error in it (a
+    # column below the deepest band, say) leaves stdout and the file empty
+    text = certificate_to_json(cert)
+    levels = ()
     if args.cover_depth > 0:
-        run = cover_iterate(
+        levels = cover_iterate(
             lam, spec, args.delta, args.cover_depth, args.branch_cap,
             m=m, geometry=geometry, distortion_allowance=args.distortion,
+        ).levels
+    _emit(text, args.json)
+    for level in levels:
+        ok = "<" if level.total < level.budget else ">="
+        print(
+            f"cover n={level.n}: total {level.total:.6g} {ok} "
+            f"budget {level.budget:.6g}"
         )
-        for level in run.levels:
-            ok = "<" if level.total < level.budget else ">="
-            print(
-                f"cover n={level.n}: total {level.total:.6g} {ok} "
-                f"budget {level.budget:.6g}"
-            )
     return 0 if cert.passed else 3
 
 

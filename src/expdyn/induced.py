@@ -2,10 +2,11 @@
 
 The plane strips are cut into unit-width rectangles R^k_r (column r,
 strip k).  Z_M is the family of rectangles meeting the thin set, a
-horizontal strip, at |Re z| >= M; every such column holds the same
-strips.  On columns r >= M the induced map is f itself; on columns
-r <= -M a point is assigned a level l from explicit half-plane bands
-derived from the singular orbit, and the induced map is f^{l+2}.
+horizontal strip a <= Im z <= b, at |Re z| >= M; every such column
+holds the same strips, found within one index of those of a and b.  On
+columns r >= M the induced map is f itself; on columns r <= -M a point
+is assigned a level l from explicit half-plane bands derived from the
+singular orbit, and the induced map is f^{l+2}.
 
 The certificate machinery bounds, per rectangle, the sum over image
 rectangles of sup |F'|^{-(1+delta)}.  Positive-side sums are aggregated
@@ -29,6 +30,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import _RANGE_LIMIT, GeometryError, NumericRangeError, ValidationError
 from .dynamics import (
+    ARG_TRUST_LIMIT,
     TAU,
     _abs,
     _lambda_logs,
@@ -55,7 +57,7 @@ _EXP_ZERO = -746.0
 # the Z_M test looks at a strip
 _STRIP_HEIGHTS = (1e-9, 0.25, 0.5, 0.75, 1.0)
 # cover_iterate gives up (CoverRun.aborted) before a level passes this many
-# cells, and _zm_rows refuses to scan more strip indices than this
+# cells, and _zm_rows refuses to list more rectangles than this
 _CELL_LIMIT = 1e7
 
 
@@ -102,34 +104,30 @@ def _zm_rows(
 ) -> list[RectangleIndex]:
     """The Z_M rectangles in the given columns, ordered by (r, k).
 
-    Column r is scanned over the strips that reach |Im| <= K(|r| + 2); a
-    scan height that is not finite, or more than _CELL_LIMIT strip indices
-    over all columns, raises NumericRangeError before any is scanned.
-    Membership in a strip ignores Re z, so each strip index's verdict
-    (_band_meets) is the same in every column with |r| >= m and is decided
-    once per call.  Every column's scan holds every strip index that
-    meets: the closed strip of a hit holds a point of [a, b], and every
-    scan height K(|r| + 2) >= 2 max(|a|, |b|) + 4 lies beyond it.  Columns
-    with |r| < m hold no Z_M rectangle.
+    A strip index's verdict (_band_meets) ignores Re z, so it is decided
+    once for every column with |r| >= m; columns with |r| < m hold none.
+    A sampled height of a hit k lies in [a, b] and in strip k's own closed
+    range [(2k - 1) pi - A, (2k + 1) pi - A], A = Arg lambda, so in exact
+    arithmetic k lies in s(a)..s(b), s = _strip_of_imag.  The heights and
+    s round by a few ulps of |Im|, under one strip while an ulp is at most
+    2 (|Im| < 2^54), and one index added on each side takes that up; from
+    2^54 to ARG_TRUST_LIMIT an ulp is 4, and tests check the margin by
+    brute force.  Past ARG_TRUST_LIMIT strip indices are not resolved.
+    NumericRangeError refuses, before any index is tested, an edge past
+    ARG_TRUST_LIMIT and more than _CELL_LIMIT rectangles (candidates times
+    listed columns).
     """
-    arg_lam = _lambda_logs(lam)[1]
-
-    def strips(r: int) -> range:
-        y_max = spec.cone_constant * (abs(r) + 2.0)
-        if not math.isfinite(y_max):
-            raise NumericRangeError(
-                f"Z_M scan height K(|r| + 2) is not finite at column {r}")
-        return range(_strip_of_imag(-y_max, arg_lam),
-                     _strip_of_imag(y_max, arg_lam) + 1)
-
-    if sum(ks.stop - ks.start for ks in map(strips, columns)) > _CELL_LIMIT:
+    if max(abs(spec.a), abs(spec.b)) > ARG_TRUST_LIMIT:
         raise NumericRangeError(
-            f"Z_M enumeration would scan more than {_CELL_LIMIT:g} strip indices")
-    # the widest column's strips hold every other column's
-    widest = strips(max((abs(r) for r in columns), default=0))
-    hits = [k for k in widest if _band_meets(spec, arg_lam, k)]
-    return [RectangleIndex(k, r) for r in sorted(columns) if abs(r) >= m
-            for k in hits]
+            f"Z_M strip edges must lie within |Im z| <= {ARG_TRUST_LIMIT:g}")
+    arg_lam = _lambda_logs(lam)[1]
+    ks = range(_strip_of_imag(spec.a, arg_lam) - 1,
+               _strip_of_imag(spec.b, arg_lam) + 2)
+    listed = sorted(r for r in columns if abs(r) >= m)
+    if (ks.stop - ks.start) * len(listed) > _CELL_LIMIT:
+        raise NumericRangeError(f"Z_M would list more than {_CELL_LIMIT:g} rectangles")
+    hits = [k for k in ks if _band_meets(spec, arg_lam, k)]
+    return [RectangleIndex(k, r) for r in listed for k in hits]
 
 
 def build_zm(spec: ThinSetSpec, lam: complex, m: int, r_max: int) -> ZMFamily:

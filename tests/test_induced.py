@@ -337,7 +337,8 @@ def test_certificate_validation():
 
 # ---------------------------------------------------------------------------
 # Z_M oracle: each rectangle tested on its own by sampling the membership
-# predicate, column by column over that column's scan
+# predicate, column by column over the strips within two strip heights of
+# the thin strip
 
 _RECT_SAMPLES = 6  # points along Re in each rectangle
 
@@ -370,11 +371,11 @@ def _sampled_rows(strip, lam, m, columns):
     def member(z):
         return strip.a <= z.imag <= strip.b
 
+    # strip k spans (2k - 1) pi - A .. (2k + 1) pi - A
+    ks = range(math.floor((strip.a + arg_lam) / TAU) - 2,
+               math.ceil((strip.b + arg_lam) / TAU) + 3)
     rows = []
     for r in columns:
-        y_max = strip.cone_constant * (abs(r) + 2.0)
-        ks = range(induced._strip_of_imag(-y_max, arg_lam),
-                   induced._strip_of_imag(y_max, arg_lam) + 1)
         rows += (RectangleIndex(k, r) for k in ks
                  if _rectangle_meets(member, arg_lam, k, r, m))
     return sorted(rows, key=lambda q: (q.r, q.k))
@@ -395,10 +396,14 @@ def test_certificate_enumerates_only_its_own_columns(monkeypatch):
     assert cert.per_rectangle == tuple(
         (q.k, q.r, cert.column_bound(q.r))
         for q in _sampled_rows(STRIP, 1.0, 10, range(10, 31)))
-    # the strip decides each strip index of the widest column's scan once
-    y_max = STRIP.cone_constant * 32.0
-    assert calls == list(range(induced._strip_of_imag(-y_max, 0.0),
-                               induced._strip_of_imag(y_max, 0.0) + 1))
+    # the strip decides each candidate strip index once: those of its
+    # edges 0 and pi, with one more on each side, however far the columns
+    assert calls == [-1, 0, 1]
+    calls.clear()
+    cols = induced.certified_columns(10, 2000)
+    assert induced._zm_rows(STRIP, 1.0, 10, cols) == \
+        [RectangleIndex(0, r) for r in sorted(cols)]
+    assert calls == [-1, 0, 1]
     # the rows are the family's rows in the certified columns, both sides;
     # a rotated lambda puts two rectangles in each column
     geo = negative_geometry(0.65, 0.65, 4, 6)
@@ -461,25 +466,43 @@ def test_strip_rows_match_the_sampled_rows(lam, m, two_sided):
     assert {0, 1, 2} <= seen
 
 
-def _edge_heights(lam):
-    """Strip edges (2k + 1) pi - Arg lambda near the real axis, and the
+def _edge_heights(lam, ks):
+    """Strip edges (2k + 1) pi - Arg lambda for k drawn from ks, and the
     floats either side of them."""
-    edges = [_edge(lam, k) for k in range(-4, 4)]
-    return st.sampled_from(edges).flatmap(lambda e: st.sampled_from(
+    return ks.map(lambda k: _edge(lam, k)).flatmap(lambda e: st.sampled_from(
         [e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)]))
 
 
 @st.composite
+def _strips_near(draw, lam, limit):
+    """Strips with |a| up to about limit: zero-height strips, slivers,
+    edges on strip edges, and strips of any height up to a few strips."""
+    k_max = int(limit / TAU) - 8
+    a = draw(st.one_of(st.floats(-limit, limit - 64.0),
+                       _edge_heights(lam, st.integers(-k_max, k_max))))
+    k_a = induced._strip_of_imag(a, cmath.phase(lam))
+    b = draw(st.one_of(
+        st.just(a), st.floats(a, a + 0.5), st.floats(a, a + 30.0),
+        _edge_heights(lam, st.integers(k_a - 2, k_a + 4)).map(
+            lambda e: max(e, a))))
+    return horizontal_strip(a, b)
+
+
+def _window_hits(strip, lam):
+    """The strip indices that meet the strip, tested one by one over the
+    candidates of _zm_rows and six more on each side."""
+    arg_lam = induced._lambda_logs(lam)[1]
+    ks = range(induced._strip_of_imag(strip.a, arg_lam) - 7,
+               induced._strip_of_imag(strip.b, arg_lam) + 8)
+    return [k for k in ks if induced._band_meets(strip, arg_lam, k)]
+
+
+@st.composite
 def _zm_cases(draw):
-    """(lam, strip, m, two_sided): zero-height strips, slivers, edges on
-    strip edges, and strips of any height up to a few strips."""
+    """(lam, strip, m, two_sided), with strip edges up to about 1e4."""
     lam = draw(st.sampled_from(_ZM_LAMBDAS))
-    a = draw(st.one_of(st.floats(-30.0, 30.0), _edge_heights(lam)))
-    height = draw(st.one_of(
-        st.just(0.0), st.floats(0.0, 0.5), st.floats(0.0, 30.0),
-        _edge_heights(lam).map(lambda e: max(e - a, 0.0))))
     m = draw(st.sampled_from([1, 5, 10]))
-    return lam, horizontal_strip(a, a + height), m, draw(st.booleans())
+    return lam, draw(_strips_near(lam, 1e4)), m, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
@@ -489,10 +512,20 @@ def test_every_column_holds_the_strips_decided_once(case):
     cols = induced.certified_columns(m, m + 6, two_sided)
     rows = induced._zm_rows(strip, lam, m, cols)
     hits = [q.k for q in rows if q.r == cols[0]]
-    assert hits == [k for k in range(-20, 20)
-                    if induced._band_meets(strip, induced._lambda_logs(lam)[1], k)]
+    assert hits == _window_hits(strip, lam)
     assert rows == [RectangleIndex(k, r) for r in sorted(cols) for k in hits]
     assert rows == _sampled_rows(strip, lam, m, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_ZM_LAMBDAS).flatmap(
+    lambda lam: st.tuples(st.just(lam),
+                          _strips_near(lam, induced.ARG_TRUST_LIMIT))))
+def test_no_hit_lies_outside_the_candidate_strips(case):
+    # up to ARG_TRUST_LIMIT, where an ulp of Im z nears a strip height
+    lam, strip = case
+    rows = induced._zm_rows(strip, lam, 1, [1])
+    assert [q.k for q in rows] == _window_hits(strip, lam)
 
 
 def test_column_ranges_stop_at_the_range_limit():
@@ -561,31 +594,33 @@ def _no_scan(*args):
     raise AssertionError("a strip index was scanned")
 
 
-@pytest.mark.parametrize("spec", [horizontal_strip(-1e307, 1e307)], ids=["strip"])
-def test_zm_enumeration_refuses_a_scan_past_the_cell_limit(monkeypatch, spec):
-    # finite scan heights, but about 1e306 strip indices per column: the
-    # enumeration raises before it tests a single one
+@pytest.mark.parametrize("spec, message", [
+    # edges past ARG_TRUST_LIMIT, where strip indices are not resolved
+    (horizontal_strip(-1e307, 1e307), "strip edges must lie within"),
+    # about 3e14 candidate strip indices in each of 6 columns
+    (horizontal_strip(-1e15, 1e15), "more than 1e[+]07 rectangles"),
+], ids=["strip", "tall-strip"])
+def test_zm_enumeration_refuses_a_scan_past_the_cell_limit(monkeypatch, spec, message):
+    # the enumeration raises before it tests a single strip index
     monkeypatch.setattr(induced, "_band_meets", _no_scan)
-    with pytest.raises(NumericRangeError, match="strip indices"):
+    with pytest.raises(NumericRangeError, match=message):
         induced._zm_rows(spec, 1.0, 10, induced.certified_columns(10, 12))
-    with pytest.raises(NumericRangeError, match="strip indices"):
+    with pytest.raises(NumericRangeError, match=message):
         build_zm(spec, 1.0, 10, 12)
 
 
 def test_zm_cell_limit_counts_the_strip_indices_of_every_column(monkeypatch):
     cols = induced.certified_columns(10, 12)
     rows = induced._zm_rows(STRIP, 1.0, 10, cols)
-    # strip indices 0 and -1 at each column reach |Im| <= K(|r| + 2) < 3 pi
     assert rows == [RectangleIndex(0, r) for r in (-12, -11, -10, 10, 11, 12)]
-    scanned = 0
-    for r in cols:
-        y_max = STRIP.cone_constant * (abs(r) + 2.0)
-        scanned += (induced._strip_of_imag(y_max, 0.0)
-                    - induced._strip_of_imag(-y_max, 0.0) + 1)
-    monkeypatch.setattr(induced, "_CELL_LIMIT", float(scanned))
+    # candidates -1, 0 and 1 (the strip indices of the edges 0 and pi, one
+    # more on each side) in each of 6 columns: 18 rectangles at most
+    monkeypatch.setattr(induced, "_CELL_LIMIT", 18.0)
     assert induced._zm_rows(STRIP, 1.0, 10, cols) == rows
-    monkeypatch.setattr(induced, "_CELL_LIMIT", float(scanned - 1))
-    with pytest.raises(NumericRangeError, match="strip indices"):
+    # columns inside |r| < M list no rectangle and are not counted
+    assert induced._zm_rows(STRIP, 1.0, 10, [0, -9, 9] + cols) == rows
+    monkeypatch.setattr(induced, "_CELL_LIMIT", 17.0)
+    with pytest.raises(NumericRangeError, match="more than 17 rectangles"):
         induced._zm_rows(STRIP, 1.0, 10, cols)
 
 

@@ -56,10 +56,11 @@ def test_spec_validation():
 
 
 def test_a_cone_height_past_the_double_range_is_a_range_error():
-    # K(|r| + 2) overflows at column 12: a range error, not an OverflowError
-    with pytest.raises(NumericRangeError, match="scan height"):
+    # an edge at 1e308 has no resolved strip index: a range error before
+    # any strip is tested, not an OverflowError
+    with pytest.raises(NumericRangeError, match="strip edges must lie within"):
         build_zm(horizontal_strip(0.0, 1e308), 1.0, 10, 12)
-    # without the rectangles nothing scans the strips
+    # without the rectangles nothing enumerates the strips
     cert = verify_contraction(1.0, horizontal_strip(0.0, 1e308), 0.5, [10, 11],
                               m=10, enumerate_rectangles=False)
     assert not cert.passed

@@ -907,13 +907,15 @@ def test_certify_bounds_a_zero_height_strip():
 
 
 def test_certify_reports_a_cone_height_past_the_double_range():
-    # K(|r| + 2) = 1e308 * 14 overflows while Z_M is scanned: exit 4 before
-    # anything is printed, not an OverflowError traceback
-    code, out, err = run_cli(["certify", "--lambda", "1,0", "--set", "strip:0,1e308",
-                              "--delta", "0.5", "--m", "10", "--rmax", "12",
-                              "--rectangles"])
-    assert (code, out) == (4, "")
-    assert err.startswith("numeric range: Z_M scan height")
+    # an edge past ARG_TRUST_LIMIT has no resolved strip index: exit 4
+    # before anything is printed, not an OverflowError traceback
+    for band in ("strip:0,1e308", "strip:1e17,1.0000000000000001e17"):
+        code, out, err = run_cli(["certify", "--lambda", "1,0", "--set", band,
+                                  "--delta", "0.5", "--m", "10", "--rmax", "12",
+                                  "--rectangles"])
+        assert (code, out) == (4, "")
+        assert err == ("numeric range: Z_M strip edges must lie within "
+                       "|Im z| <= 2.8297e+16\n")
 
 
 @pytest.mark.parametrize("lam, l0, want", [
@@ -951,13 +953,42 @@ def test_certify_with_a_bound_past_the_double_range_prints_no_json(tmp_path):
 
 
 def test_certify_refuses_an_endless_zm_enumeration():
-    # a finite scan height K(|r| + 2) = 1.4e308 holds about 4.5e307 strip
-    # indices at column 12; the count is refused before any is scanned
-    code, out, err = run_cli(["certify", "--lambda", "1,0", "--set",
-                              "strip:-1e307,1e307", "--delta", "0.5", "--m", "10",
-                              "--rmax", "12", "--rectangles"])
+    # about 3e14 candidate strip indices in each of 6 columns are refused
+    # before any is tested, and so are edges past ARG_TRUST_LIMIT
+    argv = ["certify", "--lambda", "1,0", "--delta", "0.5", "--m", "10",
+            "--rmax", "12", "--rectangles"]
+    code, out, err = run_cli(argv + ["--set", "strip:-1e15,1e15"])
     assert (code, out) == (4, "")
-    assert err.startswith("numeric range: Z_M enumeration would scan more than")
+    assert err == "numeric range: Z_M would list more than 1e+07 rectangles\n"
+    code, out, err = run_cli(argv + ["--set", "strip:-1e307,1e307"])
+    assert (code, out) == (4, "")
+    assert err.startswith("numeric range: Z_M strip edges must lie within")
+
+
+def test_certify_lists_a_long_zm_of_one_strip_per_column():
+    # 4,991 columns of one strip each: far below the rectangle limit
+    code, out, err = run_cli(["certify", "--lambda", "1,0", "--set", "strip:0,3.14",
+                              "--delta", "0.5", "--m", "10", "--rmax", "5000",
+                              "--rectangles"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["per_rectangle"]
+    assert [(row["k"], row["r"]) for row in rows] == [(0, r) for r in range(10, 5001)]
+
+
+def test_certify_prints_nothing_when_its_cover_fails(tmp_path):
+    # the certificate passes, but the cover reaches a column below the one
+    # band computed: exit 2 with nothing printed and no file written
+    argv = ["certify", "--lambda", "1,0", "--set", "strip:0,3.14", "--delta", "0.5",
+            "--l0", "3", "--c", "1", "--n-levels", "1", "--rmax", "20",
+            "--cover-depth", "3"]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert "below the deepest computed band" in err
+    dest = tmp_path / "cert.json"
+    assert run_cli(argv + ["--json", str(dest)])[:2] == (2, "")
+    assert not dest.exists()
+    # the certificate alone passes
+    assert run_cli(argv[:-2])[0] == 0
 
 
 @pytest.mark.parametrize("depth", [1024, 1100])
