@@ -292,21 +292,34 @@ def inverse_branch(lam: complex, w: complex, k: int) -> complex:
     """The preimage z of w under lambda * e^z with Im z in strip k.
 
     Strip k is ((2k-1) pi - Arg lambda, (2k+1) pi - Arg lambda], upper edge
-    inclusive.
+    inclusive.  NumericRangeError refuses a strip with an edge past
+    ARG_TRUST_LIMIT, where one ulp is wider than a strip, and a preimage
+    that no float next to the rounded one puts in strip k.
     """
     lam = _require_lambda(lam)
     w = _require_point(w)
     if w == 0:
         raise DomainError("0 has no preimage under lambda * e^z")
-    base = cmath.log(w) - cmath.log(lam)
     arg_lam = _lambda_logs(lam)[1]
+    # a |k| past ARG_TRUST_LIMIT has both edges past it too; testing it
+    # first keeps a huge k, whose float edges would overflow, out of them
+    if abs(k) > ARG_TRUST_LIMIT or max(
+            abs(_strip_bottom(k, arg_lam)), abs(_strip_bottom(k + 1, arg_lam))
+    ) > ARG_TRUST_LIMIT:
+        raise NumericRangeError(
+            f"strip {k} has an edge past |Im z| = {ARG_TRUST_LIMIT:g}, "
+            "where floats cannot tell strips apart")
+    base = cmath.log(w) - cmath.log(lam)
     im = base.imag + TAU * (k - _strip_of_imag(base.imag, arg_lam))
     # next to a strip edge the sum can round across the edge: step it back
+    s = _strip_of_imag(im, arg_lam)
     for _ in range(4):
-        s = _strip_of_imag(im, arg_lam)
         if s == k:
             break
         im = math.nextafter(im, math.inf if s < k else -math.inf)
+        s = _strip_of_imag(im, arg_lam)
+    if s != k:
+        raise NumericRangeError(f"no float near the preimage lies in strip {k}")
     return complex(base.real, im)
 
 

@@ -8,12 +8,14 @@ diameter of every slice at a fixed Re z.
 
 Membership along an orbit is checked in one walk.  It classifies z itself
 first and steps from each point's Re and Im in native floats while |z| is
-a finite double with a trusted argument.  From the first point past the
-double range (or with an untrusted argument) it goes on in log-polar form
-through step_log_polar.  When the sign of Im z becomes numerically
-undecidable the walk records an "undecided" verdict, and the two exit
-policies split: the conservative policy counts it as an exit, the
-optimistic one keeps iterating.  Both exit depths come from the same walk.
+a finite double with a trusted argument; such a point is classified from
+its two floats, with no ``complex`` built for it.  From the first point
+past the double range (or with an untrusted argument) it goes on in
+log-polar form through step_log_polar.  When the sign of Im z becomes
+numerically undecidable the walk records an "undecided" verdict, and the
+two exit policies split: the conservative policy counts it as an exit,
+the optimistic one keeps iterating.  Both exit depths come from the same
+walk.
 
 A field walks each row of pixels, which share Im z, in one call.  Point
 0 of every pixel is classified in one pass, and a pixel whose first step
@@ -86,14 +88,19 @@ class Strip(_Frozen):
         # width of 0.0 would declare its slices empty
         return self.b - self.a if self.b > self.a else _POINT_SLICE_WIDTH
 
-    def classify(self, p: _Point) -> str:
-        """MEMBER, EXIT or UNDECIDED.  A ``complex`` (a native point with a
-        trusted argument) is tested a <= Im p <= b here, so the walk's one
-        call per orbit point costs no further call.  A ``LogPolarComplex``
-        is decided in log scale: UNDECIDED only for an untrusted argument,
-        or one within _ARG_DEAD_ZONE of 0 or pi past the double range.  The
-        two agree on a native trusted point except within rounding of an
-        edge."""
+    def classify(self, p: Union[_Point, float], im: Optional[float] = None) -> str:
+        """MEMBER, EXIT or UNDECIDED.  With im given, the point is
+        complex(p, im), a native point with a trusted argument, and so is a
+        ``complex`` p: either is tested a <= Im z <= b here, so the walk's
+        one call per orbit point costs no further call.  For every pair of
+        floats, NaN, +-inf and +-0.0 included, classify(x, y) ==
+        classify(complex(x, y)).  A ``LogPolarComplex`` is decided in log
+        scale: UNDECIDED only for an untrusted argument, or one within
+        _ARG_DEAD_ZONE of 0 or pi past the double range.  The native and
+        log-polar forms agree on a native trusted point except within
+        rounding of an edge."""
+        if im is not None:
+            return MEMBER if self.a <= im <= self.b else EXIT
         if p.__class__ is complex or isinstance(p, complex):
             return MEMBER if self.a <= p.imag <= self.b else EXIT
         if not p.arg_trusted:
@@ -143,10 +150,10 @@ def _membership_walk(
     An exit of n + 1 means the orbit stayed in the set to depth n.  The
     pixel itself is point 0, and step 1's argument is the same for the
     whole row.  While an orbit is native with a trusted argument, each
-    point is a complex, and the log-polar recursion of step_log_polar is
-    evaluated in floats from its Re and Im, with the same bits.  From the
-    first point past the double range or with an untrusted argument, the
-    orbit goes on as a LogPolarComplex through step_log_polar.
+    point is its Re and Im, classified as two floats, and the log-polar
+    recursion of step_log_polar is evaluated from them, with the same bits.
+    From the first point past the double range or with an untrusted
+    argument, the orbit goes on as a LogPolarComplex through step_log_polar.
 
     Point 0 of every pixel is classified in one pass over the row.  A pixel
     inside at point 0 takes step 1 inline where a few comparisons show it
@@ -160,7 +167,7 @@ def _membership_walk(
     a1 = _principal(y + arg_lam)
     s1, c1 = sin(a1), cos(a1)
     # point 0 of every pixel
-    verdicts = [classify(z) for z in map(complex, xs, repeat(y))]
+    verdicts = [classify(x, y) for x in xs]
     if n == 1:
         return [(0, 0, False) if v == EXIT else (2, 2, False) for v in verdicts]
     # a pixel inside at point 0 is a step-1 exit until its walk says otherwise
@@ -184,14 +191,14 @@ def _membership_walk(
         m = exp(x)
         re = m * c1
         im = m * s1
-        if classify(complex(re, im)) != EXIT:
+        if classify(re, im) != EXIT:
             out[k] = _native_walk(lam, classify, lam_logs, re, im,
                                   m <= ARG_TRUST_LIMIT or s1 == 0.0, 2, n)
     return out
 
 
 def _native_walk(
-    lam: complex, classify: Callable[[_Point], str], lam_logs: tuple[float, float],
+    lam: complex, classify: Callable[[float, float], str], lam_logs: tuple[float, float],
     re: float, im: float, trusted: bool, i: int, n: int,
 ) -> tuple[int, int, bool]:
     """_membership_walk's result for an orbit whose points before i are
@@ -199,7 +206,8 @@ def _native_walk(
     point i's argument is.
 
     Each step reduces its argument inline, with the bits of _principal,
-    and makes one Python call, the classify of the new point."""
+    and makes one Python call, classify(re, im) of the new point: no
+    ``complex`` is built for it."""
     log_lam, arg_lam = lam_logs
     for i in range(i, n):
         # the next point has log modulus x and argument a
@@ -215,14 +223,15 @@ def _native_walk(
         s = sin(a)
         re = m * cos(a)
         im = m * s
-        if classify(complex(re, im)) == EXIT:
+        if classify(re, im) == EXIT:
             return i, i, False
         trusted = m <= ARG_TRUST_LIMIT or s == 0.0
     return n + 1, n + 1, False
 
 
 def _log_polar_walk(
-    lam: complex, classify: Callable[[_Point], str], p: LogPolarComplex, i: int, n: int,
+    lam: complex, classify: Callable[[LogPolarComplex], str], p: LogPolarComplex,
+    i: int, n: int,
 ) -> tuple[int, int, bool]:
     """_membership_walk's result for an orbit whose point i is p."""
     cons, caveat = n + 1, False

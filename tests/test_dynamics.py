@@ -22,7 +22,7 @@ from expdyn import (
     strip_index,
 )
 from expdyn import dynamics
-from expdyn.dynamics import ARG_TRUST_LIMIT, _principal
+from expdyn.dynamics import ARG_TRUST_LIMIT, TAU, _principal
 from expdyn.towers import _EXP_SAFE, LIFT, NEG_SENTINEL
 
 
@@ -382,6 +382,35 @@ def test_inverse_branch_next_to_a_strip_edge():
             z = inverse_branch(1.0, w, k)
             assert strip_index(1.0, z) == k, (w, k, z)
             assert abs(eval_map(1.0, z) - w) <= 1e-12 * abs(w)
+
+
+def test_inverse_branch_refuses_strips_past_the_trust_limit():
+    # strip k spans ((2k - 1) pi, (2k + 1) pi] at lambda = 1; past
+    # ARG_TRUST_LIMIT = 2^53 pi one ulp is wider than a strip, so k is not
+    # resolved.  2^53 + 1 rounds to 2^53, so the outer edges of strips
+    # +-2^52 round onto the limit itself
+    for k in (2**52, -2**52):
+        z = inverse_branch(1.0, 2.0 + 1.0j, k)
+        assert strip_index(1.0, z) == k
+    for k in (2**52 + 1, -2**52 - 1, 10**20, -10**400):
+        with pytest.raises(NumericRangeError, match=f"strip {k} has an edge past"):
+            inverse_branch(1.0, 2.0 + 1.0j, k)
+
+
+@pytest.mark.parametrize("ulps, lands", [(4, True), (5, False)])
+def test_inverse_branch_checks_every_nudge(monkeypatch, ulps, lands):
+    # a strip edge this many ulps above the rounded preimage TAU of w = 1
+    # in strip 1: the fourth and last nudge still lands, a fifth would be
+    # needed, and then the preimage is refused, not returned in strip 0
+    edge = TAU
+    for _ in range(ulps):
+        edge = math.nextafter(edge, math.inf)
+    monkeypatch.setattr(dynamics, "_strip_of_imag", lambda im, arg: int(im >= edge))
+    if lands:
+        assert inverse_branch(1.0, 1.0, 1) == complex(0.0, edge)
+    else:
+        with pytest.raises(NumericRangeError, match="lies in strip 1"):
+            inverse_branch(1.0, 1.0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expdyn import (
     LogPolarComplex,
@@ -129,10 +129,20 @@ def _strip_points(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_strip_points())
+# signed zeros on a zero-height strip, and Im z at +-inf and NaN, which
+# no strip holds
+@example((Strip(0.0, 0.0), complex(1.0, -0.0)))
+@example((Strip(-0.0, -0.0), complex(-0.0, 0.0)))
+@example((STRIP, complex(0.0, math.inf)))
+@example((symmetric_strip(1e17), complex(-1.0, -math.inf)))
+@example((STRIP, complex(0.0, math.nan)))
+@example((STRIP, complex(math.nan, 1.0)))
 def test_strip_classify_is_its_membership(case):
     spec, z = case
     got = spec.classify(z)
     assert got == (MEMBER if spec.a <= z.imag <= spec.b else EXIT)
+    # the walk's form: a native point as its two floats
+    assert spec.classify(z.real, z.imag) == got
     # the log-polar verdict rounds |z| sin Arg z, off Im z by a few ulps of
     # |z| times log|z|, so it agrees wherever Im z is clear of both edges
     m = abs(z)

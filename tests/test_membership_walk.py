@@ -96,18 +96,39 @@ POINTS = [
 ]
 
 
+class Seen(list):
+    """The points passed to ThinSetSpec.classify, in call order; a point
+    passed as its two floats is recorded as complex(re, im).  ``forms``
+    holds the argument types of each call."""
+
+    def __init__(self):
+        super().__init__()
+        self.forms = []
+
+    def clear(self):
+        super().clear()
+        self.forms.clear()
+
+
+def spy_classify(mp):
+    """Patch ThinSetSpec.classify on mp to record its calls in a Seen."""
+    seen = Seen()
+    orig = ThinSetSpec.classify
+
+    def classify(self, p, im=None):
+        args = (p,) if im is None else (p, im)
+        seen.append(p if im is None else complex(p, im))
+        seen.forms.append(tuple(map(type, args)))
+        return orig(self, *args)
+
+    mp.setattr(ThinSetSpec, "classify", classify)
+    return seen
+
+
 @pytest.fixture
 def counted(monkeypatch):
     """Record the point passed to every ThinSetSpec.classify call."""
-    seen = []
-    orig = ThinSetSpec.classify
-
-    def classify(self, p):
-        seen.append(p)
-        return orig(self, p)
-
-    monkeypatch.setattr(ThinSetSpec, "classify", classify)
-    return seen
+    return spy_classify(monkeypatch)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -128,9 +149,11 @@ def test_orbit_leaves_the_double_range_mid_walk(counted):
     # 3 -> e^3 -> e^(e^3) (native) -> e^(e^(e^3)) (tower) ... all real
     spec = symmetric_strip(1.0)
     got = walk(1.0, spec, 3.0 + 0j, 6)
-    walked = list(counted)
+    walked, forms = list(counted), list(counted.forms)
     assert got == oracle_walk(1.0, spec, 3.0 + 0j, 6) == (7, 7, False)
     assert [type(p) for p in walked] == [complex] * 3 + [LogPolarComplex] * 3
+    # the native points come as two floats, with no complex built for them
+    assert forms == [(float, float)] * 3 + [(LogPolarComplex,)] * 3
     assert walked[3].log_modulus.level == 1
 
 
@@ -211,14 +234,7 @@ _row_y = st.floats(allow_nan=False, allow_infinity=False)
 def walk_row(lam, spec, xs, y, n):
     """The row walk's results, and the points it classified, in order."""
     with pytest.MonkeyPatch.context() as mp:
-        seen = []
-        orig = ThinSetSpec.classify
-
-        def classify(self, p):
-            seen.append(p)
-            return orig(self, p)
-
-        mp.setattr(ThinSetSpec, "classify", classify)
+        seen = spy_classify(mp)
         got = _membership_walk(lam, spec, xs, y, n, _lambda_logs(lam))
     return got, seen
 

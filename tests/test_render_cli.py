@@ -472,6 +472,16 @@ def test_ray_refuses_an_infinite_tol_before_any_output():
     assert err == "error: tol must be positive and finite\n"
 
 
+def test_ray_refuses_strips_that_floats_cannot_tell_apart():
+    # strip 99999999999999999999 lies at Im z ~ 6.3e20, where one ulp is
+    # wider than a strip: a range error before any sample is printed
+    code, out, err = run_cli(["ray", "--lambda=1,0",
+                              "--address=99999999999999999999...const",
+                              "--t=1:2:0.5"])
+    assert (code, out) == (4, "")
+    assert err.startswith("numeric range: strip 99999999999999999999 has an edge past")
+
+
 def test_ray_at_a_lambda_past_dbl_max():
     # abs(lambda) overflows; log|lambda| + t passes the escape cap at once,
     # so each sample is its seed t - i Arg lambda, with no pullback
