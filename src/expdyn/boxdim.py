@@ -78,8 +78,11 @@ def _box_count(
     if eps[0] / eps[-1] < 10.0:
         raise ValidationError("scales must span at least one decade")
 
+    # the points relative to the grid corner, shifted once for every scale
     x0 = min(xs)
     y0 = min(ys)
+    us = [x - x0 for x in xs]
+    vs = [y - y0 for y in ys]
     top = max(ys) - y0
     floor = math.floor
     counts: list[int] = []
@@ -90,8 +93,7 @@ def _box_count(
             # box; ints, unlike tuples, are not tracked by the garbage
             # collector
             k = floor(top / e) + 1
-            counts.append(len({floor((x - x0) / e) * k + floor((y - y0) / e)
-                               for x, y in zip(xs, ys)}))
+            counts.append(len({floor(u / e) * k + floor(v / e) for u, v in zip(us, vs)}))
     except OverflowError:  # a box index past the float range
         raise ValidationError(f"points spread too wide for scale {e:g}") from None
 

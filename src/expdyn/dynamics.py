@@ -301,14 +301,7 @@ def inverse_branch(lam: complex, w: complex, k: int) -> complex:
     if w == 0:
         raise DomainError("0 has no preimage under lambda * e^z")
     arg_lam = _lambda_logs(lam)[1]
-    # a |k| past ARG_TRUST_LIMIT has both edges past it too; testing it
-    # first keeps a huge k, whose float edges would overflow, out of them
-    if abs(k) > ARG_TRUST_LIMIT or max(
-            abs(_strip_bottom(k, arg_lam)), abs(_strip_bottom(k + 1, arg_lam))
-    ) > ARG_TRUST_LIMIT:
-        raise NumericRangeError(
-            f"strip {k} has an edge past |Im z| = {ARG_TRUST_LIMIT:g}, "
-            "where floats cannot tell strips apart")
+    _require_strip(k, arg_lam)
     base = cmath.log(w) - cmath.log(lam)
     im = base.imag + TAU * (k - _strip_of_imag(base.imag, arg_lam))
     # next to a strip edge the sum can round across the edge: step it back
@@ -321,6 +314,19 @@ def inverse_branch(lam: complex, w: complex, k: int) -> complex:
     if s != k:
         raise NumericRangeError(f"no float near the preimage lies in strip {k}")
     return complex(base.real, im)
+
+
+def _require_strip(k: int, arg_lam: float) -> None:
+    """NumericRangeError unless both edges of strip k lie within
+    ARG_TRUST_LIMIT, where floats still tell strips apart."""
+    # a |k| past ARG_TRUST_LIMIT has both edges past it too; testing it
+    # first keeps a huge k, whose float edges would overflow, out of them
+    if abs(k) > ARG_TRUST_LIMIT or max(
+            abs(_strip_bottom(k, arg_lam)), abs(_strip_bottom(k + 1, arg_lam))
+    ) > ARG_TRUST_LIMIT:
+        raise NumericRangeError(
+            f"strip {k} has an edge past |Im z| = {ARG_TRUST_LIMIT:g}, "
+            "where floats cannot tell strips apart")
 
 
 def _strip_of_imag(im: float, arg_lam: float) -> int:

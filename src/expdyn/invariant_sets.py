@@ -15,21 +15,24 @@ log-polar form through step_log_polar.  When the sign of Im z becomes
 numerically undecidable the walk records an "undecided" verdict, and the
 two exit policies split: the conservative policy counts it as an exit,
 the optimistic one keeps iterating.  Both exit depths come from the same
-walk.
+walk, and they differ exactly when it met an undecided verdict, so a
+precision caveat is a pixel whose two exits differ.
 
-A field walks each row of pixels, which share Im z, in one call.  Point
-0 of every pixel is classified in one pass, and a pixel whose first step
-is native with a trusted argument takes it inline; only orbits still in
-the set after that go on one by one.  Each examined point is classified
-once.
+A field walks each row of pixels, which share Im z, in one call that
+returns the row's conservative and optimistic exits as two flat lists.
+Point 0 of every pixel is classified in one pass that builds the
+conservative list, and a pixel whose first step is native with a
+trusted argument takes it inline; only orbits still in the set after
+that go on one by one.  Each examined point is classified once.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from itertools import chain, compress, repeat, starmap
+from itertools import compress, repeat, starmap
 from math import cos, exp, pi, remainder, sin
+from operator import ne
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .dynamics import (
@@ -143,41 +146,47 @@ class MembershipResult(NamedTuple):
 def _membership_walk(
     lam: complex, spec: ThinSetSpec, xs: Sequence[float], y: float, n: int,
     lam_logs: tuple[float, float],
-) -> list[tuple[int, int, bool]]:
-    """(conservative exit, optimistic exit, precision caveat) of the orbit
-    of each finite complex(x, y), x in xs; lam_logs is _lambda_logs(lam).
+) -> tuple[list[int], list[int]]:
+    """The conservative and the optimistic exit of the orbit of each finite
+    complex(x, y), x in xs, as two lists in row order; lam_logs is
+    _lambda_logs(lam).
 
-    An exit of n + 1 means the orbit stayed in the set to depth n.  The
-    pixel itself is point 0, and step 1's argument is the same for the
+    An exit of n + 1 means the orbit stayed in the set to depth n.  The two
+    exits of a pixel differ exactly when its walk met an undecided verdict
+    (a precision caveat): that sets the conservative exit to its index,
+    while the optimistic walk goes on past it, and nothing else splits them.
+
+    The pixel itself is point 0, and step 1's argument is the same for the
     whole row.  While an orbit is native with a trusted argument, each
     point is its Re and Im, classified as two floats, and the log-polar
     recursion of step_log_polar is evaluated from them, with the same bits.
     From the first point past the double range or with an untrusted
     argument, the orbit goes on as a LogPolarComplex through step_log_polar.
 
-    Point 0 of every pixel is classified in one pass over the row.  A pixel
-    inside at point 0 takes step 1 inline where a few comparisons show it
-    is native with a trusted argument (|Re z|, |Im z| <= ARG_TRUST_LIMIT
-    / 2, Re z < LIFT and a step-1 log modulus up to _EXP_SAFE), and most
-    pixels of a field end there; every other orbit goes on in
-    _native_walk.  Each examined point is classified once.
+    Point 0 of every pixel is classified in one pass over the row, which
+    builds the conservative exits.  A pixel inside at point 0 takes step 1
+    inline where a few comparisons show it is native with a trusted
+    argument (|Re z|, |Im z| <= ARG_TRUST_LIMIT / 2, Re z < LIFT and a
+    step-1 log modulus up to _EXP_SAFE), and most pixels of a field end
+    there; every other orbit goes on in _native_walk.  Each examined point
+    is classified once.
     """
     log_lam, arg_lam = lam_logs
     classify = spec.classify
     a1 = _principal(y + arg_lam)
     s1, c1 = sin(a1), cos(a1)
     # point 0 of every pixel
-    verdicts = [classify(x, y) for x in xs]
     if n == 1:
-        return [(0, 0, False) if v == EXIT else (2, 2, False) for v in verdicts]
+        cons = [0 if classify(x, y) == EXIT else 2 for x in xs]
+        return cons, cons[:]
     # a pixel inside at point 0 is a step-1 exit until its walk says otherwise
-    out = [(0, 0, False) if v == EXIT else (1, 1, False) for v in verdicts]
-    inside = compress(range(len(xs)), map(EXIT.__ne__, verdicts))
+    cons = [0 if classify(x, y) == EXIT else 1 for x in xs]
+    opt = cons[:]
     # |Re z|, |Im z| <= ARG_TRUST_LIMIT / 2 keep |z| within ARG_TRUST_LIMIT
     x_min = -ARG_TRUST_LIMIT / 2 if abs(y) <= ARG_TRUST_LIMIT / 2 else math.inf
     # |y| first: abs(z) overflows past DBL_MAX
     y_near = abs(y) <= ARG_TRUST_LIMIT
-    for k in inside:
+    for k in compress(range(len(xs)), cons):
         re = xs[k]
         x = re + log_lam
         if not (x_min <= re < LIFT and x <= _EXP_SAFE):
@@ -185,25 +194,25 @@ def _membership_walk(
                 y_near and -ARG_TRUST_LIMIT <= re <= ARG_TRUST_LIMIT
                 and abs(complex(re, y)) <= ARG_TRUST_LIMIT
             ) or sin(math.atan2(y, re)) == 0.0
-            out[k] = _native_walk(lam, classify, lam_logs, re, y, trusted, 1, n)
+            cons[k], opt[k] = _native_walk(lam, classify, lam_logs, re, y, trusted, 1, n)
             continue
         # point 1, native with a trusted argument
         m = exp(x)
         re = m * c1
         im = m * s1
         if classify(re, im) != EXIT:
-            out[k] = _native_walk(lam, classify, lam_logs, re, im,
-                                  m <= ARG_TRUST_LIMIT or s1 == 0.0, 2, n)
-    return out
+            cons[k], opt[k] = _native_walk(lam, classify, lam_logs, re, im,
+                                           m <= ARG_TRUST_LIMIT or s1 == 0.0, 2, n)
+    return cons, opt
 
 
 def _native_walk(
     lam: complex, classify: Callable[[float, float], str], lam_logs: tuple[float, float],
     re: float, im: float, trusted: bool, i: int, n: int,
-) -> tuple[int, int, bool]:
-    """_membership_walk's result for an orbit whose points before i are
-    in the set; point i - 1 is complex(re, im), and trusted says whether
-    point i's argument is.
+) -> tuple[int, int]:
+    """The two exits of an orbit whose points before i are in the set;
+    point i - 1 is complex(re, im), and trusted says whether point i's
+    argument is.
 
     Each step reduces its argument inline, with the bits of _principal,
     and makes one Python call, classify(re, im) of the new point: no
@@ -224,28 +233,26 @@ def _native_walk(
         re = m * cos(a)
         im = m * s
         if classify(re, im) == EXIT:
-            return i, i, False
+            return i, i
         trusted = m <= ARG_TRUST_LIMIT or s == 0.0
-    return n + 1, n + 1, False
+    return n + 1, n + 1
 
 
 def _log_polar_walk(
     lam: complex, classify: Callable[[LogPolarComplex], str], p: LogPolarComplex,
     i: int, n: int,
-) -> tuple[int, int, bool]:
-    """_membership_walk's result for an orbit whose point i is p."""
-    cons, caveat = n + 1, False
+) -> tuple[int, int]:
+    """The two exits of an orbit whose point i is p."""
+    cons = n + 1
     for i in range(i, n):
         verdict = classify(p)
         if verdict != MEMBER and cons > n:
             cons = i
         if verdict == EXIT:
-            return cons, i, caveat
-        if verdict == UNDECIDED:
-            caveat = True
+            return cons, i
         if i + 1 < n:
             p = step_log_polar(lam, p)
-    return cons, n + 1, caveat
+    return cons, n + 1
 
 
 def lambda_membership(
@@ -268,10 +275,9 @@ def lambda_membership(
         raise ValidationError("membership depth must be >= 1")
     if policy not in ("conservative", "optimistic"):
         raise ValidationError("policy must be 'conservative' or 'optimistic'")
-    cons, opt, caveat = _membership_walk(
-        lam, spec, (z.real,), z.imag, n, _lambda_logs(lam))[0]
+    (cons,), (opt,) = _membership_walk(lam, spec, (z.real,), z.imag, n, _lambda_logs(lam))
     ex = cons if policy == "conservative" else opt
-    return MembershipResult(ex > n, None if ex > n else ex, caveat)
+    return MembershipResult(ex > n, None if ex > n else ex, cons != opt)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +312,14 @@ class ExitDepthField(NamedTuple):
     def raster(self, policy: str = "conservative") -> list[tuple[int, ...]]:
         """Rows in image order: the top row (iy = ny - 1) first, as Netpbm
         wants; values outside 0..depth+1 are refused."""
-        d, nx = self.data(policy), self.nx
+        d = self.data(policy)
         if d and not (min(d) >= 0 and max(d) <= self.depth + 1):
             raise ValidationError(f"field values must lie in 0..{self.depth + 1}")
+        return self._top_first(d)
+
+    def _top_first(self, d: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """d's rows in image order, its values unchecked."""
+        nx = self.nx
         return [d[iy * nx:(iy + 1) * nx] for iy in range(self.ny - 1, -1, -1)]
 
     def point(self, ix: int, iy: int) -> complex:
@@ -356,15 +367,17 @@ def sample_lambda_set(
     lam_logs = _lambda_logs(lam)
     xs = [x0 + ix * dx for ix in range(nx)]
 
-    def one_row(iy: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        # transposed per row, so only one row's result tuples are alive
-        walked = _membership_walk(lam, spec, xs, y0 + iy * dy, n, lam_logs)
-        cons, opt, caveats = zip(*walked)
-        return cons, opt, sum(caveats)
+    def one_row(iy: int) -> tuple[list[int], list[int]]:
+        return _membership_walk(lam, spec, xs, y0 + iy * dy, n, lam_logs)
 
-    cons, opt, caveats = zip(*parallel.ordered_map(one_row, range(ny)))
-    cons, opt = (tuple(chain.from_iterable(rows)) for rows in (cons, opt))
-    return ExitDepthField((x0, y0, x1, y1), nx, ny, n, cons, opt, sum(caveats))
+    cons: list[int] = []
+    opt: list[int] = []
+    for row_cons, row_opt in parallel.ordered_map(one_row, range(ny)):
+        cons += row_cons
+        opt += row_opt
+    # a pixel's two exits differ exactly when its walk met a caveat
+    caveats = sum(map(ne, cons, opt))
+    return ExitDepthField((x0, y0, x1, y1), nx, ny, n, tuple(cons), tuple(opt), caveats)
 
 
 # ---------------------------------------------------------------------------

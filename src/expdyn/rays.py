@@ -27,6 +27,7 @@ from .dynamics import (
     _lambda_logs,
     _require_count,
     _require_lambda,
+    _require_strip,
     eval_map,
     inverse_branch,
 )
@@ -67,6 +68,9 @@ def _trace_single(
         chain.append(lam_abs * math.exp(chain[-1]))
     j = len(chain) - 1
 
+    # the seed's strip is refused as inverse_branch refuses a strip: a huge
+    # entry would overflow its float height
+    _require_strip(s.entry(j), arg_lam)
     z = complex(chain[j], TAU * s.entry(j) - arg_lam)
     for i in range(j - 1, -1, -1):
         z = inverse_branch(lam, z, s.entry(i))
@@ -100,7 +104,9 @@ def trace_ray(
     Each sample is accepted only if re-tracing five levels deeper moves it
     by less than tol, and its forward itinerary matches the address prefix
     as far as native iteration can check.  depth is at most _RANGE_LIMIT,
-    tol and the parameters must be finite.
+    tol and the parameters must be finite.  A strip with an edge past
+    ARG_TRUST_LIMIT, the seed's or one pulled back through, is a
+    NumericRangeError.
     """
     lam = _require_lambda(lam)
     if depth < 1:

@@ -8,6 +8,7 @@ rasters run, so Im z grows upward in the image.
 
 from __future__ import annotations
 
+from itertools import chain
 from os import PathLike
 from typing import BinaryIO, Callable, Union
 
@@ -29,12 +30,15 @@ def _fire(t: float) -> tuple[int, int, int]:
 
 class _Palette(dict):
     """Pixel bytes of each field value, made on its first lookup: the cost
-    follows the values a raster holds, not the depth."""
+    follows the values a raster holds, not the depth.  A value outside
+    0..top is refused there, so each distinct value is checked once."""
 
     def __init__(self, shade: Callable[[float], tuple[int, ...]], top: int) -> None:
         self.shade, self.top = shade, top
 
     def __missing__(self, v: int) -> bytes:
+        if not 0 <= v <= self.top:
+            raise ValidationError(f"field values must lie in 0..{self.top}")
         entry = self[v] = bytes(self.shade(v / self.top))
         return entry
 
@@ -49,5 +53,7 @@ def render_field(
         raise ValidationError(f"unknown palette {palette!r}")
     table = _Palette(_gray if palette == "gray" else _fire, field.depth + 1)
     magic = b"P5" if palette == "gray" else b"P6"
-    rows = [b"".join(map(table.__getitem__, row)) for row in field.raster(policy)]
-    _write_payload(dest, magic + b"\n%d %d\n255\n" % (field.nx, field.ny) + b"".join(rows))
+    # the whole raster in one join; the palette checks each value
+    rows = field._top_first(field.data(policy))
+    pixels = b"".join(map(table.__getitem__, chain.from_iterable(rows)))
+    _write_payload(dest, magic + b"\n%d %d\n255\n" % (field.nx, field.ny) + pixels)

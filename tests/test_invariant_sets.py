@@ -257,6 +257,19 @@ def test_small_field_values_and_grid():
     assert field.survivor_points() == [0.0 + 0.0j, 2.0 + 0.0j, 0.0 + 2.0j]
 
 
+def test_field_counts_each_caveat_once():
+    # |f(z)| ~ e^Re z is past the argument trust bound; on the real axis
+    # the orbit stays real, but above it Arg f(z) = Im z is nonzero, so
+    # step 2 is undecided for the 9 pixels whose f(z) is still in the
+    # strip (at 40 + 2e-17i, Im f(z) = 4.7 has left it): the policies split
+    field = sample_lambda_set(1.0, STRIP, (38.0, 0.0, 40.0, 2e-17), (5, 3), 4)
+    assert field.caveat_count == 9
+    assert field.survivor_count("conservative") == 5
+    assert field.survivor_count("optimistic") == 14
+    assert field.caveat_count == sum(
+        c != o for c, o in zip(field.conservative, field.optimistic))
+
+
 def test_field_matches_pointwise_membership():
     field = sample_lambda_set(1.0, STRIP, (0.0, 0.0, 4.0, math.pi), (5, 4), 4)
     for policy in ("conservative", "optimistic"):

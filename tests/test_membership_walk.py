@@ -3,13 +3,15 @@
 The oracle below classifies z itself as point 0, takes step 1 from z's own
 coordinates (no log/exp round trip) and then builds every point with
 ``step_log_polar``, classifying each as a log-polar point.  The walk must
-give the same (conservative exit, optimistic exit, caveat), with n + 1 for
-"member to depth n", and classify each examined point exactly once.
+give the same conservative and optimistic exits, with n + 1 for "member to
+depth n", and classify each examined point exactly once; the oracle's
+precision caveat is exactly a split of the two exits.
 """
 
 import cmath
 import math
 from itertools import accumulate, takewhile
+from operator import ne
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,8 +56,15 @@ def oracle_walk(lam, spec, z, n):
     return cons, n + 1, caveat
 
 
+def triples(walked):
+    """A row walk's two exit lists as the oracle's (conservative exit,
+    optimistic exit, caveat) per pixel: a caveat is a split of the two."""
+    cons, opt = walked
+    return list(zip(cons, opt, map(ne, cons, opt)))
+
+
 def walk(lam, spec, z, n):
-    return _membership_walk(lam, spec, [z.real], z.imag, n, _lambda_logs(lam))[0]
+    return triples(_membership_walk(lam, spec, [z.real], z.imag, n, _lambda_logs(lam)))[0]
 
 
 def examined(result, n):
@@ -235,7 +244,7 @@ def walk_row(lam, spec, xs, y, n):
     """The row walk's results, and the points it classified, in order."""
     with pytest.MonkeyPatch.context() as mp:
         seen = spy_classify(mp)
-        got = _membership_walk(lam, spec, xs, y, n, _lambda_logs(lam))
+        got = triples(_membership_walk(lam, spec, xs, y, n, _lambda_logs(lam)))
     return got, seen
 
 
@@ -273,6 +282,38 @@ def test_row_walks_match_the_oracle(lam):
        st.sampled_from(sorted(SPECS)), st.integers(1, 20))
 def test_random_row_walks_match_the_oracle(xs, y, lam, name, n):
     check_row(lam, SPECS[name], xs, y, n)
+
+
+def caveat_splits(lam, spec, xs, y, n):
+    """Check on every pixel of a row that the oracle's caveat is exactly
+    cons != opt, of the oracle's exits and of the walk's two lists; returns
+    the caveats."""
+    cons, opt = _membership_walk(lam, spec, xs, y, n, _lambda_logs(lam))
+    assert len(cons) == len(opt) == len(xs)
+    caveats = []
+    for x, c, o in zip(xs, cons, opt):
+        want_c, want_o, caveat = oracle_walk(lam, spec, complex(x, y), n)
+        assert caveat == (want_c != want_o) == (c != o), (lam, x, y, n)
+        caveats.append(caveat)
+    return caveats
+
+
+def test_caveats_occur_where_the_two_exits_split():
+    # the fixed rows hold pixels with and without a caveat
+    seen = set()
+    for lam in ROW_LAMBDAS:
+        for name in sorted(SPECS):
+            for y in ROW_YS:
+                seen.update(caveat_splits(lam, SPECS[name], ROW_XS, y, 8))
+    assert seen == {False, True}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(ROW_XS), _finite), min_size=1, max_size=8),
+       st.one_of(st.sampled_from(ROW_YS + [1e17, -1e17]), _row_y),
+       st.sampled_from(ROW_LAMBDAS), st.sampled_from(sorted(SPECS)), st.integers(1, 20))
+def test_a_caveat_is_exactly_a_split_of_the_two_exits(xs, y, lam, name, n):
+    caveat_splits(lam, SPECS[name], xs, y, n)
 
 
 @pytest.mark.parametrize("lam, spec, y", [
@@ -332,7 +373,8 @@ def test_a_row_computes_its_first_argument_once(monkeypatch):
     for n, want in ((2, [(3, 3, False)] * 2), (3, [(4, 4, False), (2, 2, False)])):
         calls.clear()
         inline.clear()
-        got = _membership_walk(1.0, symmetric_strip(1.0), xs, 0.9, n, _lambda_logs(1.0))
+        got = triples(_membership_walk(1.0, symmetric_strip(1.0), xs, 0.9, n,
+                                       _lambda_logs(1.0)))
         assert got == want + [(1, 1, False)] * 3
         assert calls == [0.9]
         assert inline == ([] if n == 2 else [math.exp(x) * math.sin(0.9) for x in (-1.0, 0.0)])

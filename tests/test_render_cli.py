@@ -135,6 +135,20 @@ def test_field_pgm_rejects_values_outside_the_field(bad):
         field_to_pgm(field)
 
 
+@pytest.mark.parametrize("palette", ["gray", "fire"])
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_render_refuses_a_bad_value_in_the_last_row_before_writing(tmp_path, palette, bad):
+    # the raster runs top row first, so the bottom row (iy = 0) is written
+    # last; its last pixel is the first bad value the renderer meets
+    field = _field(3, 3, 4, [0, 1, bad] + [2] * 9, [4] * 12)
+    dest = tmp_path / "field.ppm"
+    with pytest.raises(ValidationError, match=r"^field values must lie in 0\.\.4$"):
+        render_field(field, dest, palette=palette)
+    assert not dest.exists()
+    render_field(field, dest, palette=palette, policy="optimistic")
+    assert dest.exists()
+
+
 def test_render_rejects_unknown_palette():
     with pytest.raises(ValidationError, match="unknown palette 'neon'"):
         render_field(_small_field(), io.BytesIO(), palette="neon")
@@ -480,6 +494,20 @@ def test_ray_refuses_strips_that_floats_cannot_tell_apart():
                               "--t=1:2:0.5"])
     assert (code, out) == (4, "")
     assert err.startswith("numeric range: strip 99999999999999999999 has an edge past")
+
+
+@pytest.mark.parametrize("address", ["9" * 400 + "...const", "-" + "9" * 400 + "...const",
+                                     "0,0," + "9" * 400], ids=["const", "negative", "prefix"])
+def test_ray_refuses_a_seed_strip_past_the_double_range(address):
+    # 2 pi k overflows a float for k ~ 1e400: the seed's strip is refused
+    # as a range error, as inverse_branch refuses one, not a crash; the
+    # finite address puts the huge entry where the depth-2 trace seeds
+    code, out, err = run_cli(["ray", "--lambda=1,0", f"--address={address}",
+                              "--t=1:2:0.5", "--depth=2"])
+    assert (code, out) == (4, "")
+    assert err.startswith("numeric range: strip ")
+    assert "has an edge past |Im z| = " in err
+    assert err.endswith("where floats cannot tell strips apart\n")
 
 
 def test_ray_at_a_lambda_past_dbl_max():
