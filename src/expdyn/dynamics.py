@@ -101,7 +101,8 @@ def _require_count(n: int, what: str) -> None:
 def _principal(theta: float) -> float:
     """Reduce to (-pi, pi]."""
     r = math.remainder(theta, TAU)
-    # invariant_sets._native_walk repeats this rule inline
+    # invariant_sets._native_walk applies this rule inline and calls
+    # remainder only for a theta outside (-pi, pi]: inside, it returns theta
     return math.pi if r == -math.pi else r
 
 

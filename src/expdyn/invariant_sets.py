@@ -21,9 +21,14 @@ precision caveat is a pixel whose two exits differ.
 A field walks each row of pixels, which share Im z, in one call that
 returns the row's conservative and optimistic exits as two flat lists.
 Point 0 of every pixel is classified in one pass that builds the
-conservative list, and a pixel whose first step is native with a
-trusted argument takes it inline; only orbits still in the set after
-that go on one by one.  Each examined point is classified once.
+conservative list.  The rows share the x grid, so the modulus of step 1,
+exp(Re z + log|lambda|), is computed once per column for the whole
+field, in a table that holds None where the step is not native with a
+trusted argument; a pixel with a table entry takes step 1 inline as
+that modulus times the row's cosine and sine.  Only orbits still in the
+set after that go on one by one, and a trusted native point whose Re z
+lies in an interval derived from log|lambda| steps on after one
+chained comparison.  Each examined point is classified once.
 """
 
 from __future__ import annotations
@@ -61,6 +66,10 @@ _ARG_DEAD_ZONE = 1e-12
 # width of a one-point slice: any positive value bounds its
 # diameter 0, and one this small adds nothing to a column's n_sup
 _POINT_SLICE_WIDTH = 2.0 ** -52
+
+# log ARG_TRUST_LIMIT: a step from a log modulus below it has a trusted
+# next argument
+_LOG_TRUST = math.log(ARG_TRUST_LIMIT)
 
 # an orbit point as the walk classifies it
 _Point = Union[complex, LogPolarComplex]
@@ -143,13 +152,56 @@ class MembershipResult(NamedTuple):
     precision_caveat: bool
 
 
+def _step1_moduli(xs: Sequence[float], log_lam: float) -> list[Optional[float]]:
+    """|f(z)| = exp(Re z + log|lambda|) for each Re z in xs whose step 1 is
+    native with a trusted argument in a row with |Im z| <= ARG_TRUST_LIMIT /
+    2, else None.  The modulus depends on Re z alone, so one table serves
+    every row of a field.
+
+    The entry is a float where -ARG_TRUST_LIMIT / 2 <= Re z < LIFT and the
+    log modulus Re z + log|lambda| is at most _EXP_SAFE: with |Im z| at most
+    ARG_TRUST_LIMIT / 2 too, |z| <= ARG_TRUST_LIMIT, so step 1's argument is
+    trusted, and the log modulus, at least -ARG_TRUST_LIMIT / 2 - 746, is
+    above NEG_SENTINEL."""
+    half = ARG_TRUST_LIMIT / 2
+    return [exp(x) if -half <= re < LIFT and (x := re + log_lam) <= _EXP_SAFE else None
+            for re in xs]
+
+
+def _native_span(log_lam: float) -> tuple[float, float]:
+    """[lo, hi]: a trusted native point whose Re z lies in it steps on
+    natively, and the next point's argument is trusted too.
+
+    lo = NEG_SENTINEL / 2 and hi = min(LIFT, _LOG_TRUST - log|lambda|) - 1.
+    Let L = log|lambda|; a valid lambda has |L| < 746, since |lambda| lies
+    between 5e-324 and 2 * DBL_MAX.  For a float re in [lo, hi], with x the
+    float sum re + L, as the walk computes it:
+
+    * re <= hi <= LIFT - 1 < LIFT, so the point is not lifted to a tower;
+    * re + L >= NEG_SENTINEL / 2 - 746 > NEG_SENTINEL, and rounding is
+      monotone with NEG_SENTINEL a float, so x >= NEG_SENTINEL;
+    * _LOG_TRUST - L is below 1024 in magnitude, so it rounds by at most
+      2**-44, and so does the subtraction of 1 (exact when the min is
+      LIFT): hi + L <= _LOG_TRUST - 1 + 2**-43, and x, rounded up by at
+      most 2**-48 more, is below _LOG_TRUST - 0.99 < 36.9 < _EXP_SAFE;
+    * so exp(x), within an ulp of e**x, is below e**36.9 < 1.1e16 <
+      ARG_TRUST_LIMIT (2.8e16), and the next point is trusted whatever its
+      argument.
+
+    These are the conditions of the full test, so a point in [lo, hi]
+    takes the same native step with the same bits.  The bounds leave a
+    margin: a point near them takes the full test, which decides it as
+    before."""
+    return NEG_SENTINEL / 2, min(LIFT, _LOG_TRUST - log_lam) - 1.0
+
+
 def _membership_walk(
-    lam: complex, spec: ThinSetSpec, xs: Sequence[float], y: float, n: int,
-    lam_logs: tuple[float, float],
+    lam: complex, spec: ThinSetSpec, xs: Sequence[float], mods: Sequence[Optional[float]],
+    y: float, n: int, lam_logs: tuple[float, float],
 ) -> tuple[list[int], list[int]]:
     """The conservative and the optimistic exit of the orbit of each finite
-    complex(x, y), x in xs, as two lists in row order; lam_logs is
-    _lambda_logs(lam).
+    complex(x, y), x in xs, as two lists in row order; mods is
+    _step1_moduli(xs, lam_logs[0]) and lam_logs is _lambda_logs(lam).
 
     An exit of n + 1 means the orbit stayed in the set to depth n.  The two
     exits of a pixel differ exactly when its walk met an undecided verdict
@@ -164,12 +216,11 @@ def _membership_walk(
     argument, the orbit goes on as a LogPolarComplex through step_log_polar.
 
     Point 0 of every pixel is classified in one pass over the row, which
-    builds the conservative exits.  A pixel inside at point 0 takes step 1
-    inline where a few comparisons show it is native with a trusted
-    argument (|Re z|, |Im z| <= ARG_TRUST_LIMIT / 2, Re z < LIFT and a
-    step-1 log modulus up to _EXP_SAFE), and most pixels of a field end
-    there; every other orbit goes on in _native_walk.  Each examined point
-    is classified once.
+    builds the conservative exits.  A pixel inside at point 0 whose mods
+    entry is a float, in a row with |Im z| <= ARG_TRUST_LIMIT / 2, takes
+    step 1 inline as that modulus times the row's cosine and sine, and
+    most pixels of a field end there; every other orbit goes on in
+    _native_walk.  Each examined point is classified once.
     """
     log_lam, arg_lam = lam_logs
     classify = spec.classify
@@ -182,60 +233,94 @@ def _membership_walk(
     # a pixel inside at point 0 is a step-1 exit until its walk says otherwise
     cons = [0 if classify(x, y) == EXIT else 1 for x in xs]
     opt = cons[:]
-    # |Re z|, |Im z| <= ARG_TRUST_LIMIT / 2 keep |z| within ARG_TRUST_LIMIT
-    x_min = -ARG_TRUST_LIMIT / 2 if abs(y) <= ARG_TRUST_LIMIT / 2 else math.inf
+    span = _native_span(log_lam)
+    if abs(y) > ARG_TRUST_LIMIT / 2:
+        # the table's trust needs |Im z| <= ARG_TRUST_LIMIT / 2 as well
+        mods = [None] * len(xs)
     # |y| first: abs(z) overflows past DBL_MAX
     y_near = abs(y) <= ARG_TRUST_LIMIT
     for k in compress(range(len(xs)), cons):
-        re = xs[k]
-        x = re + log_lam
-        if not (x_min <= re < LIFT and x <= _EXP_SAFE):
+        m = mods[k]
+        if m is None:
+            re = xs[k]
             trusted = (
                 y_near and -ARG_TRUST_LIMIT <= re <= ARG_TRUST_LIMIT
                 and abs(complex(re, y)) <= ARG_TRUST_LIMIT
             ) or sin(math.atan2(y, re)) == 0.0
-            cons[k], opt[k] = _native_walk(lam, classify, lam_logs, re, y, trusted, 1, n)
+            cons[k], opt[k] = _native_walk(lam, classify, lam_logs, span, re, y, trusted, 1, n)
             continue
         # point 1, native with a trusted argument
-        m = exp(x)
         re = m * c1
         im = m * s1
         if classify(re, im) != EXIT:
-            cons[k], opt[k] = _native_walk(lam, classify, lam_logs, re, im,
+            cons[k], opt[k] = _native_walk(lam, classify, lam_logs, span, re, im,
                                            m <= ARG_TRUST_LIMIT or s1 == 0.0, 2, n)
     return cons, opt
 
 
 def _native_walk(
     lam: complex, classify: Callable[[float, float], str], lam_logs: tuple[float, float],
-    re: float, im: float, trusted: bool, i: int, n: int,
+    span: tuple[float, float], re: float, im: float, trusted: bool, i: int, n: int,
 ) -> tuple[int, int]:
     """The two exits of an orbit whose points before i are in the set;
     point i - 1 is complex(re, im), and trusted says whether point i's
-    argument is.
+    argument is.  span is _native_span(lam_logs[0]).
 
-    Each step reduces its argument inline, with the bits of _principal,
-    and makes one Python call, classify(re, im) of the new point: no
-    ``complex`` is built for it."""
+    Each step makes one Python call, classify(re, im) of the new point: no
+    ``complex`` is built for it.  Its argument Im z + Arg lambda is reduced
+    inline, with the bits of _principal, and only when it lies outside
+    (-pi, pi]: inside, |x / TAU| <= 1/2, a tie rounds to the even n = 0,
+    and remainder(x, TAU) is x itself.  Only trusted points stay in the
+    loop, so a point whose Re z lies in span steps after one chained
+    comparison; any other point takes the full test (Re z below LIFT and
+    a log modulus in [NEG_SENTINEL, _EXP_SAFE]), and a step whose next
+    point is untrusted hands that point over to the log-polar walk."""
+    if not trusted:
+        return _log_polar_from(lam, classify, lam_logs, re, im, False, i, n)
     log_lam, arg_lam = lam_logs
+    lo, hi = span
+    _exp, _sin, _cos = exp, sin, cos
     for i in range(i, n):
         # the next point has log modulus x and argument a
         x = re + log_lam
-        a = remainder(im + arg_lam, TAU)
-        if a == -pi:
-            # (-pi, pi], as in dynamics._principal
-            a = pi
-        if not (trusted and re < LIFT and NEG_SENTINEL <= x <= _EXP_SAFE):
-            p = LogPolarComplex(TowerReal(0, re).add_float(log_lam), a, trusted)
-            return _log_polar_walk(lam, classify, p, i, n)
-        m = exp(x)
-        s = sin(a)
-        re = m * cos(a)
+        a = im + arg_lam
+        if not -pi < a <= pi:
+            a = remainder(a, TAU)
+            if a == -pi:
+                # (-pi, pi], as in dynamics._principal
+                a = pi
+        if lo <= re <= hi:
+            m = _exp(x)
+            re = m * _cos(a)
+            im = m * _sin(a)
+            if classify(re, im) == EXIT:
+                return i, i
+            continue
+        if not (re < LIFT and NEG_SENTINEL <= x <= _EXP_SAFE):
+            return _log_polar_from(lam, classify, lam_logs, re, im, True, i, n)
+        m = _exp(x)
+        s = _sin(a)
+        re = m * _cos(a)
         im = m * s
         if classify(re, im) == EXIT:
             return i, i
-        trusted = m <= ARG_TRUST_LIMIT or s == 0.0
+        if m > ARG_TRUST_LIMIT and s != 0.0:
+            return _log_polar_from(lam, classify, lam_logs, re, im, False, i + 1, n)
     return n + 1, n + 1
+
+
+def _log_polar_from(
+    lam: complex, classify: Callable[[LogPolarComplex], str], lam_logs: tuple[float, float],
+    re: float, im: float, trusted: bool, i: int, n: int,
+) -> tuple[int, int]:
+    """The two exits of an orbit whose points before i are in the set and
+    whose point i - 1 is complex(re, im), walked in log-polar form from
+    point i, whose argument trusted says is trusted."""
+    if i == n:
+        return n + 1, n + 1
+    log_lam, arg_lam = lam_logs
+    p = LogPolarComplex(TowerReal(0, re).add_float(log_lam), _principal(im + arg_lam), trusted)
+    return _log_polar_walk(lam, classify, p, i, n)
 
 
 def _log_polar_walk(
@@ -275,7 +360,10 @@ def lambda_membership(
         raise ValidationError("membership depth must be >= 1")
     if policy not in ("conservative", "optimistic"):
         raise ValidationError("policy must be 'conservative' or 'optimistic'")
-    (cons,), (opt,) = _membership_walk(lam, spec, (z.real,), z.imag, n, _lambda_logs(lam))
+    lam_logs = _lambda_logs(lam)
+    xs = (z.real,)
+    (cons,), (opt,) = _membership_walk(lam, spec, xs, _step1_moduli(xs, lam_logs[0]), z.imag,
+                                       n, lam_logs)
     ex = cons if policy == "conservative" else opt
     return MembershipResult(ex > n, None if ex > n else ex, cons != opt)
 
@@ -366,9 +454,10 @@ def sample_lambda_set(
 
     lam_logs = _lambda_logs(lam)
     xs = [x0 + ix * dx for ix in range(nx)]
+    mods = _step1_moduli(xs, lam_logs[0])
 
     def one_row(iy: int) -> tuple[list[int], list[int]]:
-        return _membership_walk(lam, spec, xs, y0 + iy * dy, n, lam_logs)
+        return _membership_walk(lam, spec, xs, mods, y0 + iy * dy, n, lam_logs)
 
     cons: list[int] = []
     opt: list[int] = []

@@ -25,19 +25,33 @@ from expdyn import (
     symmetric_strip,
 )
 from expdyn.dynamics import ARG_TRUST_LIMIT, _lambda_logs, _principal
-from expdyn.invariant_sets import EXIT, UNDECIDED, _membership_walk
-from expdyn.towers import _EXP_SAFE, LIFT
+from expdyn.invariant_sets import (
+    EXIT,
+    MEMBER,
+    UNDECIDED,
+    _membership_walk,
+    _native_span,
+    _native_walk,
+    _step1_moduli,
+    lambda_membership,
+    sample_lambda_set,
+)
+from expdyn.towers import _EXP_SAFE, LIFT, NEG_SENTINEL
+
+
+def step1_trusted(z):
+    """Is the argument of f(z) trusted?"""
+    # |Re z| and |Im z| first: abs(z) overflows past DBL_MAX
+    near = max(abs(z.real), abs(z.imag)) <= ARG_TRUST_LIMIT and abs(z) <= ARG_TRUST_LIMIT
+    return near or math.sin(math.atan2(z.imag, z.real)) == 0.0
 
 
 def first_step(lam, z):
     """f(z) in log-polar form, from Re z and Im z themselves."""
     log_lam = math.log(abs(lam))
     arg_lam = math.atan2(lam.imag, lam.real)
-    # |Re z| and |Im z| first: abs(z) overflows past DBL_MAX
-    near = max(abs(z.real), abs(z.imag)) <= ARG_TRUST_LIMIT and abs(z) <= ARG_TRUST_LIMIT
-    trusted = near or math.sin(math.atan2(z.imag, z.real)) == 0.0
     return LogPolarComplex(TowerReal(0, z.real).add_float(log_lam),
-                           _principal(z.imag + arg_lam), trusted)
+                           _principal(z.imag + arg_lam), step1_trusted(z))
 
 
 def oracle_walk(lam, spec, z, n):
@@ -63,8 +77,14 @@ def triples(walked):
     return list(zip(cons, opt, map(ne, cons, opt)))
 
 
+def row_walk(lam, spec, xs, y, n):
+    """_membership_walk over one row, with the step-1 table a field builds."""
+    lam_logs = _lambda_logs(lam)
+    return _membership_walk(lam, spec, xs, _step1_moduli(xs, lam_logs[0]), y, n, lam_logs)
+
+
 def walk(lam, spec, z, n):
-    return triples(_membership_walk(lam, spec, [z.real], z.imag, n, _lambda_logs(lam)))[0]
+    return triples(row_walk(lam, spec, [z.real], z.imag, n))[0]
 
 
 def examined(result, n):
@@ -244,7 +264,7 @@ def walk_row(lam, spec, xs, y, n):
     """The row walk's results, and the points it classified, in order."""
     with pytest.MonkeyPatch.context() as mp:
         seen = spy_classify(mp)
-        got = triples(_membership_walk(lam, spec, xs, y, n, _lambda_logs(lam)))
+        got = triples(row_walk(lam, spec, xs, y, n))
     return got, seen
 
 
@@ -288,7 +308,7 @@ def caveat_splits(lam, spec, xs, y, n):
     """Check on every pixel of a row that the oracle's caveat is exactly
     cons != opt, of the oracle's exits and of the walk's two lists; returns
     the caveats."""
-    cons, opt = _membership_walk(lam, spec, xs, y, n, _lambda_logs(lam))
+    cons, opt = row_walk(lam, spec, xs, y, n)
     assert len(cons) == len(opt) == len(xs)
     caveats = []
     for x, c, o in zip(xs, cons, opt):
@@ -365,19 +385,22 @@ def test_a_row_computes_its_first_argument_once(monkeypatch):
 
     monkeypatch.setattr("expdyn.invariant_sets._principal", principal)
     monkeypatch.setattr("expdyn.invariant_sets.remainder", remainder)
-    # Im f(z) = e^x sin 0.9 leaves the strip for x > 0.24: the last three
-    # pixels exit at step 1 and reduce no argument, and the first two
-    # survive it.  They reduce their step-2 arguments inline, after the
-    # row's own, and only where the walk goes on to point 2
-    xs = [-1.0, 0.0, 0.5, 1.0, 2.0]
-    for n, want in ((2, [(3, 3, False)] * 2), (3, [(4, 4, False), (2, 2, False)])):
+    # Im f(z) = e^x sin 0.9 leaves the strip |Im z| <= 4 for x > 1.63: the
+    # last two pixels exit at step 1 and reduce no argument, and the first
+    # three survive it.  Their step-2 arguments, Im f(z) + Arg 1, are
+    # computed only where the walk goes on to point 2, and of those only
+    # the one past pi, at x = 1.5, is reduced, inline; the row's own
+    # argument is its one _principal call
+    xs = [-1.0, 0.0, 1.5, 2.0, 3.0]
+    step2 = [math.exp(x) * math.sin(0.9) for x in xs[:3]]
+    assert [-math.pi < a <= math.pi for a in step2] == [True, True, False]
+    for n, want in ((2, [(3, 3, False)] * 3), (3, [(4, 4, False)] * 2 + [(2, 2, False)])):
         calls.clear()
         inline.clear()
-        got = triples(_membership_walk(1.0, symmetric_strip(1.0), xs, 0.9, n,
-                                       _lambda_logs(1.0)))
-        assert got == want + [(1, 1, False)] * 3
+        got = triples(row_walk(1.0, symmetric_strip(4.0), xs, 0.9, n))
+        assert got == want + [(1, 1, False)] * 2
         assert calls == [0.9]
-        assert inline == ([] if n == 2 else [math.exp(x) * math.sin(0.9) for x in (-1.0, 0.0)])
+        assert inline == ([] if n == 2 else step2[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -429,3 +452,179 @@ def strip_rows(draw):
 @given(strip_rows())
 def test_strip_rows_match_the_oracle(row):
     check_row(*row)
+
+
+# ---------------------------------------------------------------------------
+# the native walk's fast path against the full test at every step
+
+
+def full_test_walk(lam, spec, re, im, trusted, n):
+    """The exits of the orbit of complex(re, im), whose step-1 argument
+    trusted says is trusted, and the points it classifies, from a plain
+    loop: every native step takes the full test (a trusted argument, Re z
+    below LIFT and a log modulus in [NEG_SENTINEL, _EXP_SAFE]) and reduces
+    its argument with _principal, and from the first point that fails it
+    the orbit goes on through step_log_polar."""
+    log_lam, arg_lam = _lambda_logs(lam)
+    seen = [complex(re, im)]
+    if spec.classify(re, im) == EXIT:
+        return (0, 0), seen
+    p, cons = None, n + 1
+    for i in range(1, n):
+        if p is None:
+            x = re + log_lam
+            a = _principal(im + arg_lam)
+            if trusted and re < LIFT and NEG_SENTINEL <= x <= _EXP_SAFE:
+                m = math.exp(x)
+                s = math.sin(a)
+                re, im = m * math.cos(a), m * s
+                trusted = m <= ARG_TRUST_LIMIT or s == 0.0
+                seen.append(complex(re, im))
+                if spec.classify(re, im) == EXIT:
+                    return (i, i), seen
+                continue
+            p = LogPolarComplex(TowerReal(0, re).add_float(log_lam), a, trusted)
+        else:
+            p = step_log_polar(lam, p)
+        seen.append(p)
+        verdict = spec.classify(p)
+        if verdict != MEMBER and cons > n:
+            cons = i
+        if verdict == EXIT:
+            return (cons, i), seen
+    return (cons, n + 1), seen
+
+
+def native_from(lam, spec, re, im, trusted, n):
+    """The exits of the orbit of complex(re, im) as _native_walk walks it
+    from point 1, and the points classified, point 0 first."""
+    lam_logs = _lambda_logs(lam)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_classify(mp)
+        classify = spec.classify
+        if classify(re, im) == EXIT:
+            got = (0, 0)
+        elif n == 1:
+            got = (2, 2)
+        else:
+            got = _native_walk(lam, classify, lam_logs, _native_span(lam_logs[0]),
+                               re, im, trusted, 1, n)
+    return got, seen
+
+
+def ulps(x, k):
+    """The float k steps from x."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# log|lambda| = -690.8 and 690.8, where the fast path ends at LIFT - 1 and
+# at Re z = -654.9; Arg lambda = pi, pi + a rounding step and 2.5
+FAST_LAMBDAS = [1e-300, 1e300, 1.0, -1.0, complex(-1.0, -0.0), cmath.rect(0.25, 2.5),
+                1e-300j]
+FAST_SPECS = [horizontal_strip(-1.79e308, 1.79e308), symmetric_strip(1e17),
+              symmetric_strip(4.0)]
+
+
+@st.composite
+def fast_path_starts(draw):
+    lam = draw(st.sampled_from(FAST_LAMBDAS))
+    log_lam, arg_lam = _lambda_logs(lam)
+    lo, hi = _native_span(log_lam)
+    re = draw(st.one_of(
+        # within a few ulps of the fast path's bounds, of LIFT, and of the
+        # Re z whose log modulus reaches log ARG_TRUST_LIMIT
+        st.sampled_from([lo, hi, LIFT, math.log(ARG_TRUST_LIMIT) - log_lam]).flatmap(
+            lambda e: st.integers(-4, 4).map(lambda k: ulps(e, k))),
+        st.floats(-50.0, 50.0),
+    ))
+    im = draw(st.one_of(
+        # Im z + Arg lambda at +-pi, and the floats beside it
+        st.sampled_from([math.pi, -math.pi]).flatmap(
+            lambda t: st.integers(-2, 2).map(lambda k: ulps(t - arg_lam, k))),
+        st.floats(-4.0, 4.0),
+        # rows past ARG_TRUST_LIMIT / 2, whose pixels take no step-1 table
+        # entry, so that point 0 itself meets the fast path's bounds
+        st.sampled_from([0.6 * ARG_TRUST_LIMIT, -0.6 * ARG_TRUST_LIMIT]),
+    ))
+    untrusted = draw(st.booleans())
+    n = draw(st.integers(1, 12))
+    return lam, draw(st.sampled_from(FAST_SPECS)), re, im, untrusted, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(fast_path_starts())
+def test_walks_near_the_fast_path_bounds_match_the_full_test(start):
+    lam, spec, re, im, untrusted, n = start
+    z = complex(re, im)
+    trusted = not untrusted and step1_trusted(z)
+    want, want_seen = full_test_walk(lam, spec, re, im, trusted, n)
+    # _native_walk from point 1: the same exits and the same points, in
+    # the same form and with the same bits
+    got, seen = native_from(lam, spec, re, im, trusted, n)
+    assert got == want
+    assert list(map(repr, seen)) == list(map(repr, want_seen))
+    if untrusted:
+        return
+    # the row walk of the one pixel z, against the oracle too
+    got, seen = walk_row(lam, spec, [re], im, n)
+    assert got[0] == (*want, want[0] != want[1])
+    assert got[0] == oracle_walk(lam, spec, z, n)
+    assert list(map(repr, seen)) == list(map(repr, want_seen))
+
+
+def test_the_fast_path_bounds():
+    # lambda = 1e-300 runs the fast path up to LIFT - 1, and lambda = 1e300
+    # only to where the log modulus stays below log ARG_TRUST_LIMIT - 1
+    for lam in (1e-300, 1e300, 1.0, 5e-324, 1.7e308):
+        log_lam = _lambda_logs(lam)[0]
+        lo, hi = _native_span(log_lam)
+        assert NEG_SENTINEL < lo + log_lam
+        assert hi < LIFT
+        assert math.exp(hi + log_lam) <= ARG_TRUST_LIMIT / 2
+    assert _native_span(_lambda_logs(1e-300)[0])[1] == LIFT - 1.0
+    assert _native_span(_lambda_logs(1e300)[0])[1] < -650.0
+
+
+# ---------------------------------------------------------------------------
+# the field's step-1 table against per-pixel membership
+
+
+def pixels_match_membership(lam, spec, window, res, n):
+    """Every pixel of the field against lambda_membership (one pixel, a
+    one-entry step-1 table) and the oracle; returns the field's Re z."""
+    field = sample_lambda_set(lam, spec, window, res, n)
+    for iy in range(field.ny):
+        for ix in range(field.nx):
+            z = field.point(ix, iy)
+            k = iy * field.nx + ix
+            want = oracle_walk(lam, spec, z, n)
+            assert (field.conservative[k], field.optimistic[k]) == want[:2], (lam, z, n)
+            for policy, ex in (("conservative", want[0]), ("optimistic", want[1])):
+                got = lambda_membership(lam, spec, z, n, policy)
+                assert got == (ex > n, None if ex > n else ex, want[2]), (lam, z, n, policy)
+    return [field.point(ix, 0).real for ix in range(field.nx)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_field_rows_on_either_side_of_the_table_bounds(n):
+    wide = horizontal_strip(-1.79e308, 1.79e308)
+    half = ARG_TRUST_LIMIT / 2
+    # rows at |Im z| = ARG_TRUST_LIMIT / 2 and one float past it, on both
+    # sides of the real axis; the ones past it take no table entry
+    for y0 in (half, -math.nextafter(half, math.inf)):
+        pixels_match_membership(1.0, wide, (-3.0, y0, 3.0, math.nextafter(y0, math.inf)),
+                                (4, 2), n)
+    # Re z at the float below LIFT and at LIFT: a table entry and none
+    below = math.nextafter(LIFT, 0.0)
+    xs = pixels_match_membership(1e-300, wide, (below, -1.0, LIFT, 1.0), (2, 3), n)
+    assert xs == [below, LIFT]
+    assert [m is None for m in _step1_moduli(xs, _lambda_logs(1e-300)[0])] == [False, True]
+    # Re z + log|lambda| on either side of _EXP_SAFE, below LIFT
+    for lam in (1.0, 2.0, 1e300):
+        log_lam = _lambda_logs(lam)[0]
+        c = _EXP_SAFE - log_lam
+        xs = pixels_match_membership(lam, wide, (c - 1e-12, -1.0, c + 1e-12, 1.0), (5, 3), n)
+        assert {x + log_lam <= _EXP_SAFE for x in xs} == {False, True}
+        assert {m is None for m in _step1_moduli(xs, log_lam)} == {False, True}
