@@ -5,6 +5,12 @@ The plane splits into horizontal strips
     P_k = { z : (2k-1) pi - Arg lambda < Im z <= (2k+1) pi - Arg lambda },
 
 each mapped bijectively onto C minus the negative real half-line through 0.
+The edges are taken with pi the float math.pi, as TAU, inverse branches
+and ray seeds take them, and a point's strip is decided exactly against
+them (dynamics._strip_of_imag).  They differ from the edges at the real
+pi by under one ulp: of the 1,089 floats within 4 ulps of an edge
+(2k+1) pi, |k| <= 60, at lambda = 1, 29 lie in a different strip.
+
 An external address is a bounded integer sequence; orbits get one by
 recording the strip of each iterate, rays carry one by construction.
 """

@@ -323,7 +323,7 @@ def _require_strip(k: int, arg_lam: float) -> None:
     # a |k| past ARG_TRUST_LIMIT has both edges past it too; testing it
     # first keeps a huge k, whose float edges would overflow, out of them
     if abs(k) > ARG_TRUST_LIMIT or max(
-            abs(_strip_bottom(k, arg_lam)), abs(_strip_bottom(k + 1, arg_lam))
+            abs((2 * k - 1) * math.pi - arg_lam), abs((2 * k + 1) * math.pi - arg_lam)
     ) > ARG_TRUST_LIMIT:
         raise NumericRangeError(
             f"strip {k} has an edge past |Im z| = {ARG_TRUST_LIMIT:g}, "
@@ -331,13 +331,24 @@ def _require_strip(k: int, arg_lam: float) -> None:
 
 
 def _strip_of_imag(im: float, arg_lam: float) -> int:
-    # (2k-1) pi - A < im <= (2k+1) pi - A  <=>  k = ceil((im + A)/tau - 1/2)
-    return math.ceil((im + arg_lam) / TAU - 0.5)
+    """The strip k, ((2k-1) pi - A, (2k+1) pi - A] with pi = math.pi, that
+    holds Im z = im, A = arg_lam: the one rule that decides strips.
 
+    Exactly, k = ceil(q), q = (im + A) / TAU - 1/2, with TAU = 2 pi exact.
+    The float q takes three roundings, each off by at most u = 2^-53
+    relative (an underflowing quotient by under 2^-1074), so it is within
+    (3|q| + 1) u + O(u^2) < (|q| + 1) 2^-50 of the exact q.  If both float
+    gaps k - q and q - (k - 1) exceed that bound, so do the exact ones
+    (rounding is monotone, the bound a float), and k is exact; otherwise,
+    always once |q| >= 2^50, k is decided in rationals."""
+    q = (im + arg_lam) / TAU - 0.5
+    k = math.ceil(q)
+    bound = (abs(q) + 1.0) * 2.0 ** -50
+    if k - q > bound and q - (k - 1) > bound:
+        return k
+    from fractions import Fraction
 
-def _strip_bottom(k: int, arg_lam: float) -> float:
-    """Lower edge (2k - 1) pi - Arg lambda of strip k."""
-    return (2 * k - 1) * math.pi - arg_lam
+    return math.ceil((Fraction(im) + Fraction(arg_lam)) / Fraction(TAU) - Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The plane strips are cut into unit-width rectangles R^k_r (column r,
 strip k).  Z_M is the family of rectangles meeting the thin set, a
 horizontal strip a <= Im z <= b, at |Re z| >= M; every such column
-holds the same strips, found within one index of those of a and b.  On
+holds the same strips, those from the strip of a to the strip of b.  On
 columns r >= M the induced map is f itself; on columns r <= -M a point
 is assigned a level l from explicit half-plane bands derived from the
 singular orbit, and the induced map is f^{l+2}.
@@ -36,7 +36,6 @@ from .dynamics import (
     _lambda_logs,
     _require_count,
     _require_lambda,
-    _strip_bottom,
     _strip_of_imag,
     check_supergrowth,
     singular_orbit,
@@ -53,9 +52,6 @@ _HUGE_COLUMN = 1e300
 # exp(x) is 0.0 in double precision for every x below this: the smallest
 # subnormal is e^-744.44, and results under half of it (e^-745.13) round to 0
 _EXP_ZERO = -746.0
-# heights above its lower edge, in units of the strip height 2 pi, at which
-# the Z_M test looks at a strip
-_STRIP_HEIGHTS = (1e-9, 0.25, 0.5, 0.75, 1.0)
 # cover_iterate gives up (CoverRun.aborted) before a level passes this many
 # cells, and _zm_rows refuses to list more rectangles than this
 _CELL_LIMIT = 1e7
@@ -91,43 +87,27 @@ def certified_columns(m: int, r_max: int, two_sided: bool = True) -> list[int]:
     return columns
 
 
-def _band_meets(strip: ThinSetSpec, arg_lam: float, k: int) -> bool:
-    """Does the thin strip meet strip index k at one of the _STRIP_HEIGHTS,
-    by the closed comparison a <= Im z <= b?  Sampled, so a sliver between
-    two heights is missed; the verdict is the same in every column."""
-    lo = _strip_bottom(k, arg_lam)
-    return any(strip.a <= lo + TAU * u <= strip.b for u in _STRIP_HEIGHTS)
-
-
 def _zm_rows(
     spec: ThinSetSpec, lam: complex, m: int, columns: Sequence[int]
 ) -> list[RectangleIndex]:
     """The Z_M rectangles in the given columns, ordered by (r, k).
 
-    A strip index's verdict (_band_meets) ignores Re z, so it is decided
-    once for every column with |r| >= m; columns with |r| < m hold none.
-    A sampled height of a hit k lies in [a, b] and in strip k's own closed
-    range [(2k - 1) pi - A, (2k + 1) pi - A], A = Arg lambda, so in exact
-    arithmetic k lies in s(a)..s(b), s = _strip_of_imag.  The heights and
-    s round by a few ulps of |Im|, under one strip while an ulp is at most
-    2 (|Im| < 2^54), and one index added on each side takes that up; from
-    2^54 to ARG_TRUST_LIMIT an ulp is 4, and tests check the margin by
-    brute force.  Past ARG_TRUST_LIMIT strip indices are not resolved.
-    NumericRangeError refuses, before any index is tested, an edge past
-    ARG_TRUST_LIMIT and more than _CELL_LIMIT rectangles (candidates times
-    listed columns).
+    The strips ((2k - 1) pi - A, (2k + 1) pi - A] partition the line, so
+    the closed strip a <= Im z <= b meets exactly the strips s(a)..s(b),
+    s = _strip_of_imag, in every column with |r| >= m; columns with
+    |r| < m hold none.  Past ARG_TRUST_LIMIT strip indices are not
+    resolved.  NumericRangeError refuses, before any rectangle is listed,
+    an edge past ARG_TRUST_LIMIT and more than _CELL_LIMIT rectangles.
     """
     if max(abs(spec.a), abs(spec.b)) > ARG_TRUST_LIMIT:
         raise NumericRangeError(
             f"Z_M strip edges must lie within |Im z| <= {ARG_TRUST_LIMIT:g}")
     arg_lam = _lambda_logs(lam)[1]
-    ks = range(_strip_of_imag(spec.a, arg_lam) - 1,
-               _strip_of_imag(spec.b, arg_lam) + 2)
+    ks = range(_strip_of_imag(spec.a, arg_lam), _strip_of_imag(spec.b, arg_lam) + 1)
     listed = sorted(r for r in columns if abs(r) >= m)
-    if (ks.stop - ks.start) * len(listed) > _CELL_LIMIT:
+    if len(ks) * len(listed) > _CELL_LIMIT:
         raise NumericRangeError(f"Z_M would list more than {_CELL_LIMIT:g} rectangles")
-    hits = [k for k in ks if _band_meets(spec, arg_lam, k)]
-    return [RectangleIndex(k, r) for r in listed for k in hits]
+    return [RectangleIndex(k, r) for r in listed for k in ks]
 
 
 def build_zm(spec: ThinSetSpec, lam: complex, m: int, r_max: int) -> ZMFamily:

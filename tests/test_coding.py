@@ -1,6 +1,8 @@
 """External addresses, strip indices and address shifts."""
 
+import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,9 +10,11 @@ from hypothesis import given, strategies as st
 from expdyn import (
     ExternalAddress,
     ValidationError,
+    inverse_branch,
     parse_address,
     strip_index,
 )
+from expdyn.dynamics import ARG_TRUST_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +38,84 @@ def test_strip_index_shifts_by_full_periods():
 def test_strip_index_full_period_moves_index_by_one(re, im):
     z = complex(re, im)
     assert strip_index(1.0, z + 2.0j * math.pi) == strip_index(1.0, z) + 1
+
+
+# exact oracle: strip k is ((2k - 1) pi - A, (2k + 1) pi - A], upper edge
+# inclusive, with pi the float math.pi and A = Arg lambda, compared in
+# rationals
+
+_PI = Fraction(math.pi)
+_EDGE_LAMBDAS = [1.0, 1 + 0.3j, -1.0, cmath.exp(1j)]
+
+
+def _in_strip(lam, im, k):
+    x = Fraction(im) + Fraction(cmath.phase(complex(lam)))
+    return (2 * k - 1) * _PI < x <= (2 * k + 1) * _PI
+
+
+def _edge(lam, k):
+    """The float edge (2k + 1) pi - Arg lambda between strips k and k + 1."""
+    return (2 * k + 1) * math.pi - cmath.phase(complex(lam))
+
+
+def _step(x, n):
+    """The float n ulps above x (below it for n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+def _around(x, n):
+    """x and the n floats on each side of it."""
+    return [_step(x, i) for i in range(-n, n + 1)]
+
+
+@pytest.mark.parametrize("lam", _EDGE_LAMBDAS)
+def test_strip_index_is_exact_on_the_floats_around_each_edge(lam):
+    wrong = [im for k in range(-60, 61) for im in _around(_edge(lam, k), 4)
+             if not _in_strip(lam, im, strip_index(lam, complex(0.0, im)))]
+    assert wrong == []
+
+
+def test_strip_index_of_a_float_just_above_an_edge():
+    # the float -119 * math.pi rounds to 5/16 of an ulp above the edge
+    # between strips -60 and -59
+    assert strip_index(1.0, -373.84952577718536j) == -59
+
+
+_far = st.floats(min_value=2.0 * ARG_TRUST_LIMIT, max_value=1.7e308)
+
+
+def _heights(lam):
+    """Any float, +-0.0, floats a few ulps from an edge of lambda's strips,
+    and heights far past ARG_TRUST_LIMIT."""
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0]),
+        st.builds(lambda k, n: _step(_edge(lam, k), n),
+                  st.integers(-10 ** 6, 10 ** 6), st.integers(-6, 6)),
+        _far, _far.map(lambda x: -x))
+
+
+@given(st.sampled_from(_EDGE_LAMBDAS).flatmap(
+    lambda lam: st.tuples(st.just(lam), _heights(lam))))
+def test_strip_index_agrees_with_the_exact_edges(case):
+    lam, im = case
+    assert _in_strip(lam, im, strip_index(lam, complex(1.0, im)))
+
+
+@pytest.mark.parametrize("lam", _EDGE_LAMBDAS)
+def test_inverse_branch_lands_in_its_strip_when_arg_w_is_next_to_pi(lam):
+    # Arg w within a few ulps of +-pi puts Im log w - Arg lambda next to an
+    # edge of each strip
+    ws = [cmath.rect(r, t) for r in (0.5, 1.0, 3.0)
+          for t in _around(math.pi, 3) + _around(-math.pi, 3)]
+    ws += [complex(-1.0, y) for y in (0.0, -0.0, 5e-324, -5e-324, 2e-16, -2e-16)]
+    assert any(cmath.phase(w) == math.pi for w in ws)
+    assert any(cmath.phase(w) == -math.pi for w in ws)
+    for k in range(-60, 61):
+        for w in ws:
+            assert _in_strip(lam, inverse_branch(lam, w, k).imag, k), (w, k)
 
 
 # ---------------------------------------------------------------------------

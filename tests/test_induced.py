@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -336,74 +337,59 @@ def test_certificate_validation():
 
 
 # ---------------------------------------------------------------------------
-# Z_M oracle: each rectangle tested on its own by sampling the membership
-# predicate, column by column over the strips within two strip heights of
-# the thin strip
+# Z_M oracle: strip k is ((2k - 1) pi - A, (2k + 1) pi - A], with pi the
+# float math.pi and A = Arg lambda, and meets the closed strip [a, b] iff
+# its lower edge lies below b and its upper edge at or above a, compared in
+# rationals; a rectangle R^k_r = [r, r + 1) x strip k meets |Re z| >= m iff
+# r >= m or r <= -m
 
-_RECT_SAMPLES = 6  # points along Re in each rectangle
-
-
-def _rectangle_meets(member, arg_lam, k, r, m):
-    """Does R^k_r meet the set {member} at |Re| >= m?  A grid of
-    _RECT_SAMPLES points along Re (those with |Re| >= m) by the heights
-    induced._STRIP_HEIGHTS along Im."""
-    lo = induced._strip_bottom(k, arg_lam)
-    if r >= 0:
-        x_lo, x_hi = float(r), r + 1.0 - 1e-9
-    else:
-        x_lo, x_hi = float(r), min(r + 1.0 - 1e-9, float(-m))
-        if x_hi < x_lo:
-            return False
-    for i in range(_RECT_SAMPLES):
-        x = x_lo + (x_hi - x_lo) * i / (_RECT_SAMPLES - 1)
-        if abs(x) < m:
-            continue
-        for u in induced._STRIP_HEIGHTS:
-            if member(complex(x, lo + TAU * u)):
-                return True
-    return False
+_PI = Fraction(math.pi)
 
 
-def _sampled_rows(strip, lam, m, columns):
-    """Z_M rows of a strip, rectangle by rectangle, ordered by (r, k)."""
+def _strip_meets(strip, arg_lam, k):
+    lo = (2 * k - 1) * _PI - Fraction(arg_lam)
+    return lo < Fraction(strip.b) and Fraction(strip.a) <= lo + 2 * _PI
+
+
+def _window_hits(strip, lam):
+    """The strip indices that meet the strip, tested one by one over a
+    window three strips wider on each side than a float estimate."""
     arg_lam = induced._lambda_logs(lam)[1]
+    ks = range(math.floor((strip.a + arg_lam) / TAU) - 3,
+               math.ceil((strip.b + arg_lam) / TAU) + 4)
+    return [k for k in ks if _strip_meets(strip, arg_lam, k)]
 
-    def member(z):
-        return strip.a <= z.imag <= strip.b
 
-    # strip k spans (2k - 1) pi - A .. (2k + 1) pi - A
-    ks = range(math.floor((strip.a + arg_lam) / TAU) - 2,
-               math.ceil((strip.b + arg_lam) / TAU) + 3)
-    rows = []
-    for r in columns:
-        rows += (RectangleIndex(k, r) for k in ks
-                 if _rectangle_meets(member, arg_lam, k, r, m))
-    return sorted(rows, key=lambda q: (q.r, q.k))
+def _exact_rows(strip, lam, m, columns):
+    """Z_M rows of a strip, rectangle by rectangle, ordered by (r, k)."""
+    hits = _window_hits(strip, lam)
+    return sorted((RectangleIndex(k, r) for r in columns if r >= m or r <= -m
+                   for k in hits), key=lambda q: (q.r, q.k))
 
 
 def test_certificate_enumerates_only_its_own_columns(monkeypatch):
     calls = []
-    meets = induced._band_meets
+    strip_of = induced._strip_of_imag
 
-    def counted(strip, arg_lam, k):
-        calls.append(k)
-        return meets(strip, arg_lam, k)
+    def counted(im, arg_lam):
+        calls.append(im)
+        return strip_of(im, arg_lam)
 
-    monkeypatch.setattr(induced, "_band_meets", counted)
+    monkeypatch.setattr(induced, "_strip_of_imag", counted)
     cert = verify_contraction(1.0, STRIP, 0.5, range(10, 31), m=10)
     assert cert.per_rectangle == tuple((0, r, cert.column_bound(r))
                                        for r in range(10, 31))
     assert cert.per_rectangle == tuple(
         (q.k, q.r, cert.column_bound(q.r))
-        for q in _sampled_rows(STRIP, 1.0, 10, range(10, 31)))
-    # the strip decides each candidate strip index once: those of its
-    # edges 0 and pi, with one more on each side, however far the columns
-    assert calls == [-1, 0, 1]
+        for q in _exact_rows(STRIP, 1.0, 10, range(10, 31)))
+    # the strip decides its strip range once, from its edges 0 and pi,
+    # however far the columns
+    assert calls == [0.0, math.pi]
     calls.clear()
     cols = induced.certified_columns(10, 2000)
     assert induced._zm_rows(STRIP, 1.0, 10, cols) == \
         [RectangleIndex(0, r) for r in sorted(cols)]
-    assert calls == [-1, 0, 1]
+    assert calls == [0.0, math.pi]
     # the rows are the family's rows in the certified columns, both sides;
     # a rotated lambda puts two rectangles in each column
     geo = negative_geometry(0.65, 0.65, 4, 6)
@@ -438,7 +424,8 @@ def _band_cases(lam):
         (0.0, math.pi),
         (-2.0, 5.0),  # negative a
         (-7.5, -6.0),
-        (0.3, 0.31),  # narrower than pi/2: slivers the samples can miss
+        (0.3, 0.31),  # slivers far narrower than a strip
+        (1.0, 1.2),
         (1.1, 2.4),
         (-0.2, 1.3),
         (3.0, 3.0),
@@ -460,10 +447,10 @@ def test_strip_rows_match_the_sampled_rows(lam, m, two_sided):
     for a, b in _band_cases(lam):
         strip = horizontal_strip(a, b)
         rows = induced._zm_rows(strip, lam, m, cols)
-        assert rows == _sampled_rows(strip, lam, m, cols)
+        assert rows == _exact_rows(strip, lam, m, cols)
         seen.add(len(rows) // len(cols))
-    # the cases cover missed slivers (0 rows), and one- and two-strip columns
-    assert {0, 1, 2} <= seen
+    # the cases cover one- and two-strip columns
+    assert {1, 2} <= seen
 
 
 def _edge_heights(lam, ks):
@@ -480,7 +467,7 @@ def _strips_near(draw, lam, limit):
     k_max = int(limit / TAU) - 8
     a = draw(st.one_of(st.floats(-limit, limit - 64.0),
                        _edge_heights(lam, st.integers(-k_max, k_max))))
-    k_a = induced._strip_of_imag(a, cmath.phase(lam))
+    k_a = round((a + cmath.phase(lam)) / TAU)
     b = draw(st.one_of(
         st.just(a), st.floats(a, a + 0.5), st.floats(a, a + 30.0),
         _edge_heights(lam, st.integers(k_a - 2, k_a + 4)).map(
@@ -488,21 +475,14 @@ def _strips_near(draw, lam, limit):
     return horizontal_strip(a, b)
 
 
-def _window_hits(strip, lam):
-    """The strip indices that meet the strip, tested one by one over the
-    candidates of _zm_rows and six more on each side."""
-    arg_lam = induced._lambda_logs(lam)[1]
-    ks = range(induced._strip_of_imag(strip.a, arg_lam) - 7,
-               induced._strip_of_imag(strip.b, arg_lam) + 8)
-    return [k for k in ks if induced._band_meets(strip, arg_lam, k)]
-
-
 @st.composite
 def _zm_cases(draw):
-    """(lam, strip, m, two_sided), with strip edges up to about 1e4."""
+    """(lam, strip, m, two_sided), with strip edges up to about 1e4 or up
+    to ARG_TRUST_LIMIT, where an ulp of Im z nears a strip height."""
     lam = draw(st.sampled_from(_ZM_LAMBDAS))
     m = draw(st.sampled_from([1, 5, 10]))
-    return lam, draw(_strips_near(lam, 1e4)), m, draw(st.booleans())
+    limit = draw(st.sampled_from([1e4, induced.ARG_TRUST_LIMIT]))
+    return lam, draw(_strips_near(lam, limit)), m, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
@@ -514,18 +494,7 @@ def test_every_column_holds_the_strips_decided_once(case):
     hits = [q.k for q in rows if q.r == cols[0]]
     assert hits == _window_hits(strip, lam)
     assert rows == [RectangleIndex(k, r) for r in sorted(cols) for k in hits]
-    assert rows == _sampled_rows(strip, lam, m, cols)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_ZM_LAMBDAS).flatmap(
-    lambda lam: st.tuples(st.just(lam),
-                          _strips_near(lam, induced.ARG_TRUST_LIMIT))))
-def test_no_hit_lies_outside_the_candidate_strips(case):
-    # up to ARG_TRUST_LIMIT, where an ulp of Im z nears a strip height
-    lam, strip = case
-    rows = induced._zm_rows(strip, lam, 1, [1])
-    assert [q.k for q in rows] == _window_hits(strip, lam)
+    assert rows == _exact_rows(strip, lam, m, cols)
 
 
 def test_column_ranges_stop_at_the_range_limit():
@@ -541,7 +510,7 @@ def test_column_ranges_stop_at_the_range_limit():
 def test_strip_rows_skip_columns_inside_m():
     cols = [-4, -3, 0, 2, 3, 4, 9]
     assert induced._zm_rows(STRIP, 1.0, 3, cols) == \
-        _sampled_rows(STRIP, 1.0, 3, cols) == \
+        _exact_rows(STRIP, 1.0, 3, cols) == \
         [RectangleIndex(0, r) for r in (-4, -3, 3, 4, 9)]
 
 
@@ -591,18 +560,18 @@ def test_certificate_json_refuses_a_bound_that_is_not_finite():
 
 
 def _no_scan(*args):
-    raise AssertionError("a strip index was scanned")
+    raise AssertionError("a rectangle was listed")
 
 
 @pytest.mark.parametrize("spec, message", [
     # edges past ARG_TRUST_LIMIT, where strip indices are not resolved
     (horizontal_strip(-1e307, 1e307), "strip edges must lie within"),
-    # about 3e14 candidate strip indices in each of 6 columns
+    # about 3e14 strip indices in each of 6 columns
     (horizontal_strip(-1e15, 1e15), "more than 1e[+]07 rectangles"),
 ], ids=["strip", "tall-strip"])
 def test_zm_enumeration_refuses_a_scan_past_the_cell_limit(monkeypatch, spec, message):
-    # the enumeration raises before it tests a single strip index
-    monkeypatch.setattr(induced, "_band_meets", _no_scan)
+    # the enumeration raises before it lists a single rectangle
+    monkeypatch.setattr(induced, "RectangleIndex", _no_scan)
     with pytest.raises(NumericRangeError, match=message):
         induced._zm_rows(spec, 1.0, 10, induced.certified_columns(10, 12))
     with pytest.raises(NumericRangeError, match=message):
@@ -613,14 +582,14 @@ def test_zm_cell_limit_counts_the_strip_indices_of_every_column(monkeypatch):
     cols = induced.certified_columns(10, 12)
     rows = induced._zm_rows(STRIP, 1.0, 10, cols)
     assert rows == [RectangleIndex(0, r) for r in (-12, -11, -10, 10, 11, 12)]
-    # candidates -1, 0 and 1 (the strip indices of the edges 0 and pi, one
-    # more on each side) in each of 6 columns: 18 rectangles at most
-    monkeypatch.setattr(induced, "_CELL_LIMIT", 18.0)
+    # strip 0, which holds both edges 0 and pi, in each of 6 columns:
+    # 6 rectangles
+    monkeypatch.setattr(induced, "_CELL_LIMIT", 6.0)
     assert induced._zm_rows(STRIP, 1.0, 10, cols) == rows
     # columns inside |r| < M list no rectangle and are not counted
     assert induced._zm_rows(STRIP, 1.0, 10, [0, -9, 9] + cols) == rows
-    monkeypatch.setattr(induced, "_CELL_LIMIT", 17.0)
-    with pytest.raises(NumericRangeError, match="more than 17 rectangles"):
+    monkeypatch.setattr(induced, "_CELL_LIMIT", 5.0)
+    with pytest.raises(NumericRangeError, match="more than 5 rectangles"):
         induced._zm_rows(STRIP, 1.0, 10, cols)
 
 
