@@ -71,12 +71,10 @@ _SOURCES = {
             "CoverRun",
             "InducedGeometry",
             "RectangleIndex",
-            "ZMFamily",
             "build_zm",
             "certificate_to_json",
             "cover_iterate",
             "negative_geometry",
-            "positive_sum",
             "verify_contraction",
         ),
         "boxdim": (

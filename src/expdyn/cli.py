@@ -361,7 +361,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         enumerate_rectangles=args.rectangles,
     )
     # the cover runs before anything is written, so an error in it (a
-    # column below the deepest band, say) leaves stdout and the file empty
+    # column below the deepest band, a depth past 10^7 cells) leaves stdout
+    # and the file empty
     text = certificate_to_json(cert)
     levels = ()
     if args.cover_depth > 0:

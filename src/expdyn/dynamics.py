@@ -132,12 +132,6 @@ class LogPolarComplex(_Frozen):
             return math.exp(lm.mantissa)
         return math.inf
 
-    def to_complex(self) -> complex:
-        m = self.modulus_float()
-        if m == math.inf:
-            raise NumericRangeError("point modulus exceeds the native float range")
-        return complex(m * math.cos(self.argument), m * math.sin(self.argument))
-
     def real_part_tower(self) -> TowerReal:
         """Re z as a TowerReal (clamped to the negative sentinel if below range)."""
         c = math.cos(self.argument)
@@ -149,20 +143,6 @@ class LogPolarComplex(_Frozen):
         if c > 0.0:
             return self.log_modulus.add_float(math.log(c)).exp()
         return TowerReal(0, NEG_SENTINEL)
-
-    def imag_part_float(self) -> Optional[float]:
-        """Im z as a native float, or None when not representable."""
-        s = math.sin(self.argument)
-        m = self.modulus_float()
-        if m != math.inf:
-            return m * s
-        if s == 0.0:
-            return 0.0
-        t = self.log_modulus.add_float(math.log(abs(s)))
-        v = t.exp().to_float()
-        if v == math.inf:
-            return None
-        return math.copysign(v, s)
 
 
 def eval_map(lam: complex, z: complex) -> complex:
@@ -182,17 +162,21 @@ def step_log_polar(lam: complex, p: LogPolarComplex) -> LogPolarComplex:
     The new log modulus is Re z + log|lambda| and the new argument is
     Im z + Arg lambda reduced to (-pi, pi].  The argument stays trusted
     while |z| <= ARG_TRUST_LIMIT or z points exactly along the real axis.
+    Past the double range Im z = |z| sin(Arg z) is taken as a tower; when
+    it is not a finite float either, the new argument is 0.0.
     """
     log_lam, arg_lam = _lambda_logs(lam)
     m = p.modulus_float()
     s = math.sin(p.argument)
-    if m == math.inf and s == 0.0:
+    if m != math.inf:
+        new_arg = _principal(m * s + arg_lam)
+    elif s == 0.0:
         # exactly real direction past the double range: Im z is an exact
         # zero, and Arg lambda alone keeps the sign of a zero argument
         new_arg = _principal(arg_lam)
     else:
-        im = p.imag_part_float()
-        new_arg = 0.0 if im is None else _principal(im + arg_lam)
+        v = p.log_modulus.add_float(math.log(abs(s))).exp().to_float()
+        new_arg = 0.0 if v == math.inf else _principal(math.copysign(v, s) + arg_lam)
     trusted = p.arg_trusted and (m <= ARG_TRUST_LIMIT or s == 0.0)
     return LogPolarComplex(p.real_part_tower().add_float(log_lam), new_arg, trusted)
 

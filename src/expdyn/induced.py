@@ -13,20 +13,19 @@ rectangles of sup |F'|^{-(1+delta)}.  Positive-side sums are aggregated
 per image column: the count of rectangles a column can contribute is
 bounded through the strip's width, and the column factors decay
 geometrically, so the whole sum collapses to a closed form plus an
-integral tail.  Certificates pass when every bound is below 1/2; they
-are explicitly sampling-based and "modulo distortion allowance", not
-interval-rigorous.
+integral tail.  Certificates pass when every bound is below 1/2; their
+bounds are float-rounded and hold "modulo distortion allowance", so they
+are not interval-rigorous.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from functools import partial, reduce
 from itertools import accumulate, chain, repeat
 from operator import add, lt, mul, neg
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import _RANGE_LIMIT, GeometryError, NumericRangeError, ValidationError
 from .dynamics import (
@@ -52,24 +51,14 @@ _HUGE_COLUMN = 1e300
 # exp(x) is 0.0 in double precision for every x below this: the smallest
 # subnormal is e^-744.44, and results under half of it (e^-745.13) round to 0
 _EXP_ZERO = -746.0
-# cover_iterate gives up (CoverRun.aborted) before a level passes this many
-# cells, and _zm_rows refuses to list more rectangles than this
+# cover_iterate refuses a depth that would pass this many cells, and
+# _zm_rows refuses to list more rectangles than this
 _CELL_LIMIT = 1e7
 
 
 class RectangleIndex(NamedTuple):
     k: int  # strip
     r: int  # column; rectangle is {r <= Re z < r+1} within strip k
-
-
-class ZMFamily(NamedTuple):
-    m: int
-    r_max: int
-    rectangles: tuple[RectangleIndex, ...]
-    per_column_counts: Mapping[int, int]
-
-    def count(self, r: int) -> int:
-        return self.per_column_counts.get(r, 0)
 
 
 def certified_columns(m: int, r_max: int, two_sided: bool = True) -> list[int]:
@@ -110,13 +99,14 @@ def _zm_rows(
     return [RectangleIndex(k, r) for r in listed for k in ks]
 
 
-def build_zm(spec: ThinSetSpec, lam: complex, m: int, r_max: int) -> ZMFamily:
-    """Enumerate Z_M rectangles with M <= |column| <= r_max."""
+def build_zm(
+    spec: ThinSetSpec, lam: complex, m: int, r_max: int
+) -> tuple[RectangleIndex, ...]:
+    """The Z_M rectangles with M <= |column| <= r_max, ordered by (r, k)."""
     lam = _require_lambda(lam)
     if m < 1 or r_max <= m:
         raise ValidationError("need 1 <= M < r_max")
-    rects = _zm_rows(spec, lam, m, certified_columns(m, r_max))
-    return ZMFamily(m, r_max, tuple(rects), Counter(q.r for q in rects))
+    return tuple(_zm_rows(spec, lam, m, certified_columns(m, r_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,29 +204,6 @@ def _positive_column_sum(
     if s0 > e1 + 1.0:
         return part1
     return part1 + lead * _tail(s0, e1, delta)
-
-
-def _exp_or_inf(x: float) -> float:
-    return math.exp(x) if x < _EXP_NATIVE else math.inf
-
-
-def positive_sum(
-    lam: complex,
-    spec: ThinSetSpec,
-    rect: Union[RectangleIndex, int],
-    delta: float,
-    m: int,
-    both_sides: bool = True,
-) -> float:
-    """Public wrapper; rect may be a RectangleIndex or a bare column."""
-    lam = _require_lambda(lam)
-    r = rect.r if isinstance(rect, RectangleIndex) else int(rect)
-    if not (0.0 < delta < 1.0):
-        raise ValidationError("delta must lie in (0, 1)")
-    if r < _threshold(m, None):
-        raise ValidationError("need column r >= M")
-    return _positive_column_sum(lam, spec, float(r), delta, float(m),
-                                2.0 if both_sides else 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +339,6 @@ class ContractionCertificate(NamedTuple):
     status: str
     distortion_allowance: float
 
-    def column_bound(self, r: int) -> float:
-        for rr, b in self.per_column:
-            if rr == r:
-                return b
-        raise ValidationError(f"column {r} not in the certified range")
-
 
 def _negative_level_bound(
     lam: complex,
@@ -415,7 +376,7 @@ def _negative_level_bound(
         + math.log(ps)
         - math.log1p(-math.exp(-delta / 2.0))
     )
-    return _exp_or_inf(log_bound)
+    return math.exp(log_bound) if log_bound < _EXP_NATIVE else math.inf
 
 
 def _threshold(m: Optional[int], geometry: Optional[InducedGeometry]) -> int:
@@ -540,7 +501,6 @@ class CoverLevel(NamedTuple):
 
 class CoverRun(NamedTuple):
     levels: tuple[CoverLevel, ...]
-    aborted: bool
     m: int
     two_sided: bool
 
@@ -599,7 +559,8 @@ def cover_iterate(
     (2 pi + 1) times the product of its legs' derivative reciprocals, so
     the total factors through per-column masses, merged exactly (the
     transition weight depends only on the source column).  Columns past
-    branch_cap are absorbed into an analytic tail bucket.
+    branch_cap are absorbed into an analytic tail bucket.  A depth whose
+    cells would pass _CELL_LIMIT raises NumericRangeError naming it.
 
     Without a geometry the run is one-sided: it covers the part of the
     set in {Re z >= M} and transition mass into negative columns is not
@@ -650,7 +611,6 @@ def cover_iterate(
     tail_mass = 0.0
     tail_col = math.inf
     levels = [CoverLevel(0, scale, base, 1.0, 0.0)]
-    aborted = False
 
     for n in range(1, depth_max + 1):
         new_positive: list[tuple[int, list[float]]] = []
@@ -717,8 +677,8 @@ def cover_iterate(
             s_stop = min(s_stop_full, s_start + branch_cap)
 
             if cells + (s_stop - s_start) * sides > _CELL_LIMIT:
-                aborted = True
-                break
+                raise NumericRangeError(
+                    f"the cover at depth {n} would pass {_CELL_LIMIT:g} cells")
 
             weights = _window_weights(mass * n_sup, e, s_start, s_stop, power)
             if weights:
@@ -734,8 +694,6 @@ def cover_iterate(
                     new_tail += mass * rem
                     new_tail_col = min(new_tail_col, s_cut)
 
-        if aborted:
-            break
         positive, negative = new_positive, new_negative
         tail_mass, tail_col = new_tail, new_tail_col
         mass_sum = math.fsum(chain.from_iterable(v for _, v in positive + negative))
@@ -744,4 +702,4 @@ def cover_iterate(
             n, total, math.ldexp(base, -n), cells, scale * tail_mass
         ))
 
-    return CoverRun(tuple(levels), aborted, m, two_sided)
+    return CoverRun(tuple(levels), m, two_sided)

@@ -417,10 +417,6 @@ class ExitDepthField(NamedTuple):
         dy = (y1 - y0) / (self.ny - 1)
         return complex(x0 + ix * dx, y0 + iy * dy)
 
-    def survivor_points(self, policy: str = "conservative") -> list[complex]:
-        d, nx, top = self.data(policy), self.nx, self.depth + 1
-        return [self.point(i % nx, i // nx) for i, v in enumerate(d) if v == top]
-
     def survivor_count(self, policy: str = "conservative") -> int:
         return self.data(policy).count(self.depth + 1)
 

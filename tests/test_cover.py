@@ -15,6 +15,7 @@ import pytest
 
 from expdyn import (
     GeometryError,
+    NumericRangeError,
     cover_iterate,
     horizontal_strip,
     induced,
@@ -98,7 +99,6 @@ def reference_cover(lam, spec, delta, depth, cap, m=None, geometry=None,
 
 
 def _rows(run):
-    assert not run.aborted
     return [(lv.total, lv.cells, lv.tail_mass) for lv in run.levels[1:]]
 
 
@@ -353,9 +353,10 @@ def test_the_cell_limit_stops_at_the_same_depth(monkeypatch, lam, kwargs):
     depth = next(n for n, row in enumerate(want, 1) if row[1] > limit)
     assert depth == 2
     monkeypatch.setattr(induced, "_CELL_LIMIT", limit)
-    run = cover_iterate(lam, STRIP, 0.5, 3, 300, **kwargs)
-    assert run.aborted
-    assert [(lv.total, lv.cells, lv.tail_mass) for lv in run.levels[1:]] == want[:depth - 1]
+    with pytest.raises(NumericRangeError, match=f"at depth {depth} would pass 1000 cells"):
+        cover_iterate(lam, STRIP, 0.5, 3, 300, **kwargs)
+    # the depths before it stay under the limit
+    assert _rows(cover_iterate(lam, STRIP, 0.5, depth - 1, 300, **kwargs)) == want[:depth - 1]
 
 
 def test_a_window_far_from_m_stores_only_its_own_columns():

@@ -4,7 +4,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expdyn import (
     DomainError,
@@ -175,6 +175,67 @@ def test_native_step_matches_the_tower_formula(lm, arg, trusted, lam):
     assert _bits(step_log_polar(lam, p)) == _bits(_tower_step(lam, p))
 
 
+def _imag_part_float(p):
+    """Im z as a float, or None: the helper the step once called."""
+    s = math.sin(p.argument)
+    m = p.modulus_float()
+    if m != math.inf:
+        return m * s
+    if s == 0.0:
+        return 0.0
+    v = p.log_modulus.add_float(math.log(abs(s))).exp().to_float()
+    if v == math.inf:
+        return None
+    return math.copysign(v, s)
+
+
+def _two_pass_step(lam, p):
+    """step_log_polar as it was before the Im z helper was folded in."""
+    log_lam, arg_lam = dynamics._lambda_logs(lam)
+    m = p.modulus_float()
+    s = math.sin(p.argument)
+    if m == math.inf and s == 0.0:
+        new_arg = _principal(arg_lam)
+    else:
+        im = _imag_part_float(p)
+        new_arg = 0.0 if im is None else _principal(im + arg_lam)
+    trusted = p.arg_trusted and (m <= ARG_TRUST_LIMIT or s == 0.0)
+    return LogPolarComplex(p.real_part_tower().add_float(log_lam), new_arg, trusted)
+
+
+def _outcome(step, lam, p):
+    try:
+        return repr(step(lam, p))
+    except Exception as exc:  # both steps must fail alike, too
+        return f"{type(exc).__name__}: {exc}"
+
+
+_FOLD_LAMBDAS = (1.0, -1.0, complex(-1.0, -0.0), 1e-300, 1e300, 2.5j, 0.3 + 0.2j)
+_FOLD_ARGS = (0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2, 5e-324, 1e-300)
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(_FOLD_LAMBDAS),
+       st.one_of(
+           # native moduli, and level 0 past exp's range
+           st.builds(TowerReal, st.just(0),
+                     st.floats(min_value=NEG_SENTINEL, max_value=LIFT)),
+           # towers: level 1 and the levels >= 2 above it
+           st.builds(TowerReal, st.integers(1, 4), st.floats(min_value=0.0, max_value=LIFT))),
+       st.one_of(st.sampled_from(_FOLD_ARGS),
+                 st.floats(min_value=-math.pi, max_value=math.pi)),
+       st.booleans())
+@example(1.0, TowerReal(1, 10.0), 0.0, True)  # m = inf, sin arg = 0
+@example(-1.0, TowerReal(1, 10.0), -0.0, False)
+@example(2.5j, TowerReal(1, 10.0), 0.5, True)  # Im z a tower that is no float
+@example(1e-300, TowerReal(0, 700.0), 1e-300, True)  # Im z a float past exp
+@example(1e300, TowerReal(2, 5.0), -math.pi / 2, False)
+@example(complex(-1.0, -0.0), TowerReal(0, 1.0), -0.0, True)
+def test_step_gives_the_bits_of_the_two_pass_step(lam, log_modulus, arg, trusted):
+    p = LogPolarComplex(log_modulus, arg, trusted)
+    assert _outcome(step_log_polar, lam, p) == _outcome(_two_pass_step, lam, p)
+
+
 def test_signed_zero_lambdas_keep_their_own_argument():
     p = LogPolarComplex.from_complex(0.5 + 0.25j)
     for lam in (complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-1.0, 0.0)):
@@ -229,17 +290,12 @@ def test_from_complex_of_zero_uses_sentinel():
 def test_log_polar_part_helpers():
     p = LogPolarComplex.from_complex(3.0 + 4.0j)
     assert p.modulus_float() == pytest.approx(5.0)
-    assert p.to_complex() == pytest.approx(3.0 + 4.0j)
     assert p.real_part_tower().to_float() == pytest.approx(3.0)
-    assert p.imag_part_float() == pytest.approx(4.0)
     huge = LogPolarComplex(TowerReal(1, 10.0), 0.5, True)
     assert huge.modulus_float() == math.inf
-    with pytest.raises(NumericRangeError):
-        huge.to_complex()
-    # Re = e^(e^10) cos(0.5), still a tower; Im too large for a float
+    # Re = e^(e^10) cos(0.5), still a tower
     assert huge.real_part_tower() == huge.log_modulus.add_float(
         math.log(math.cos(0.5))).exp()
-    assert huge.imag_part_float() is None
 
 
 def test_real_part_of_huge_left_half_point_clamps():
@@ -317,7 +373,7 @@ def test_singular_orbit_starts_at_lambda():
     lam = 0.65
     orbit = singular_orbit(lam, 8)
     assert len(orbit) == 8
-    assert orbit[0].to_complex() == pytest.approx(lam)
+    assert cmath.rect(orbit[0].modulus_float(), orbit[0].argument) == pytest.approx(lam)
     # log|beta_{n+1}| = Re beta_n + log|lambda| while native
     for a, b in zip(orbit, orbit[1:]):
         ra = a.real_part_tower().to_float()

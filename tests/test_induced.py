@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from expdyn import (
     eval_map,
     horizontal_strip,
     negative_geometry,
-    positive_sum,
     symmetric_strip,
     verify_contraction,
 )
@@ -36,26 +36,20 @@ TAU = 2.0 * math.pi
 
 def test_zm_family_for_the_strip():
     fam = build_zm(STRIP, 1.0, 5, 10)
-    assert fam.m == 5 and fam.r_max == 10
-    assert sorted(fam.per_column_counts) == [-10, -9, -8, -7, -6, -5,
-                                             5, 6, 7, 8, 9, 10]
-    assert set(fam.per_column_counts.values()) == {1}
-    assert fam.count(-5) == 1
-    assert fam.count(99) == 0
-    assert len(fam.rectangles) == 12
-    assert fam.rectangles == tuple(sorted(fam.rectangles,
-                                          key=lambda q: (q.r, q.k)))
+    cols = [-10, -9, -8, -7, -6, -5, 5, 6, 7, 8, 9, 10]
+    assert fam == tuple(RectangleIndex(0, r) for r in cols)
+    assert fam == tuple(sorted(fam, key=lambda q: (q.r, q.k)))
 
 
 def test_zm_family_truncates_at_rmax():
     fam = build_zm(STRIP, 1.0, 5, 6)
-    assert sorted(fam.per_column_counts) == [-6, -5, 5, 6]
+    assert [q.r for q in fam] == [-6, -5, 5, 6]
 
 
 def test_zm_family_rotated_lambda_doubles_the_strips():
     # rotating lambda shifts the strip grid so the set straddles two strips
     fam = build_zm(STRIP, cmath.rect(1.0, 2.5), 5, 10)
-    assert set(fam.per_column_counts.values()) == {2}
+    assert set(Counter(q.r for q in fam).values()) == {2}
 
 
 def test_zm_validation():
@@ -69,19 +63,14 @@ def test_zm_validation():
 # positive column sums
 
 def test_positive_sum_is_independent_of_m_in_range():
-    assert positive_sum(1.0, STRIP, 10, 0.5, 5) == 0.0536547399495383
-    assert positive_sum(1.0, STRIP, 10, 0.5, 10) == 0.0536547399495383
+    assert induced._positive_column_sum(1.0, STRIP, 10, 0.5, 5) == 0.0536547399495383
+    assert induced._positive_column_sum(1.0, STRIP, 10, 0.5, 10) == 0.0536547399495383
 
 
 def test_positive_sum_one_sided_is_half():
-    two = positive_sum(1.0, STRIP, 10, 0.5, 10, both_sides=True)
-    one = positive_sum(1.0, STRIP, 10, 0.5, 10, both_sides=False)
+    two = induced._positive_column_sum(1.0, STRIP, 10, 0.5, 10, sides=2.0)
+    one = induced._positive_column_sum(1.0, STRIP, 10, 0.5, 10, sides=1.0)
     assert one == two / 2.0
-
-
-def test_positive_sum_accepts_rectangle_index():
-    b1 = positive_sum(1.0, STRIP, RectangleIndex(0, 10), 0.5, 10)
-    assert b1 == positive_sum(1.0, STRIP, 10, 0.5, 10)
 
 
 def test_positive_sum_upper_bounds_a_sampled_branch_sum():
@@ -90,7 +79,7 @@ def test_positive_sum_upper_bounds_a_sampled_branch_sum():
     # worst derivative reciprocal per cell
     rng = random.Random(7)
     lam, r, m, delta = 1.0, 3, 2, 0.5
-    bound = positive_sum(lam, STRIP, r, delta, m, both_sides=False)
+    bound = induced._positive_column_sum(lam, STRIP, r, delta, m, sides=1.0)
     assert bound == 0.9765572986408728
     cells = {}
     for _ in range(10 ** 4):
@@ -107,29 +96,20 @@ def test_positive_sum_upper_bounds_a_sampled_branch_sum():
     assert mc <= bound
 
 
-def test_positive_sum_validation():
-    with pytest.raises(ValidationError):
-        positive_sum(1.0, STRIP, 10, 0.0, 5)
-    with pytest.raises(ValidationError):
-        positive_sum(1.0, STRIP, 10, 1.0, 5)
-    with pytest.raises(ValidationError):
-        positive_sum(1.0, STRIP, 3, 0.5, 5)
-    with pytest.raises(ValidationError):
-        positive_sum(1.0, STRIP, 10, 0.5, 0)
-
-
 @pytest.mark.parametrize("delta", [0.01, 0.1, 0.5, 0.9])
 def test_column_bound_never_rises_with_the_column(delta):
     # past (1 + delta) log E = 690 the bound is evaluated with E factored
     # out; it must not jump there (column 691 at delta = 0.01, 461 at 0.5)
     # nor lose its E^-(1+delta) term to underflow
-    bounds = [positive_sum(1.0, STRIP, r, delta, 300) for r in range(300, 801)]
+    bounds = [induced._positive_column_sum(1.0, STRIP, r, delta, 300)
+              for r in range(300, 801)]
     assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
     assert all(b > 0.0 for b in bounds[:200])
 
 
 def test_column_bound_is_continuous_across_the_switch():
-    b690, b691 = (positive_sum(1.0, STRIP, r, 0.01, 10) for r in (690, 691))
+    b690, b691 = (induced._positive_column_sum(1.0, STRIP, r, 0.01, 10)
+                  for r in (690, 691))
     assert b691 == pytest.approx(b690 * math.exp(-0.01), rel=1e-4)
 
 
@@ -262,7 +242,7 @@ def test_positive_certificate_passes_at_m_ten():
     assert cert.status == "pass"
     assert cert.max_sum == 0.0536547399495383
     assert len(cert.per_column) == 21
-    assert cert.column_bound(10) == cert.max_sum
+    assert dict(cert.per_column)[10] == cert.max_sum
     assert cert.c is None and cert.l0 is None
     # per-column bounds decay at least like e^(-delta/2) per column
     bounds = [b for _, b in cert.per_column]
@@ -312,12 +292,12 @@ def test_mixed_depth_negative_bounds():
                               [-20, -12, -7] + list(range(7, 17)), geometry=geo)
     assert cert.passed
     assert cert.max_sum == 0.29928725932049105
-    assert cert.column_bound(-7) == 8.022493104028301e-48
-    assert cert.column_bound(-12) == cert.column_bound(-7)  # same level ball
-    assert cert.column_bound(-20) == 0.0
-    assert cert.column_bound(7) == cert.max_sum
-    with pytest.raises(ValidationError):
-        cert.column_bound(11**3)
+    bound = dict(cert.per_column)
+    assert bound[-7] == 8.022493104028301e-48
+    assert bound[-12] == bound[-7]  # same level ball
+    assert bound[-20] == 0.0
+    assert bound[7] == cert.max_sum
+    assert 11**3 not in bound
 
 
 def test_certificate_validation():
@@ -377,10 +357,10 @@ def test_certificate_enumerates_only_its_own_columns(monkeypatch):
 
     monkeypatch.setattr(induced, "_strip_of_imag", counted)
     cert = verify_contraction(1.0, STRIP, 0.5, range(10, 31), m=10)
-    assert cert.per_rectangle == tuple((0, r, cert.column_bound(r))
-                                       for r in range(10, 31))
+    bound = dict(cert.per_column)
+    assert cert.per_rectangle == tuple((0, r, bound[r]) for r in range(10, 31))
     assert cert.per_rectangle == tuple(
-        (q.k, q.r, cert.column_bound(q.r))
+        (q.k, q.r, bound[q.r])
         for q in _exact_rows(STRIP, 1.0, 10, range(10, 31)))
     # the strip decides its strip range once, from its edges 0 and pi,
     # however far the columns
@@ -397,9 +377,9 @@ def test_certificate_enumerates_only_its_own_columns(monkeypatch):
     cert = verify_contraction(cmath.rect(0.65, 2.5), STRIP, 0.5, cols,
                               geometry=geo._replace(lam=cmath.rect(0.65, 2.5)))
     family = build_zm(STRIP, cmath.rect(0.65, 2.5), 7, 20)
+    bound = dict(cert.per_column)
     assert cert.per_rectangle == tuple(
-        (q.k, q.r, cert.column_bound(q.r)) for q in family.rectangles
-        if q.r in cols)
+        (q.k, q.r, bound[q.r]) for q in family if q.r in cols)
     assert len(cert.per_rectangle) == 2 * len(cols)
 
 
@@ -521,8 +501,6 @@ def test_m_below_one_is_rejected(m):
                            enumerate_rectangles=False)
     with pytest.raises(ValidationError, match="need M >= 1"):
         cover_iterate(1.0, STRIP, 0.5, 2, 10 ** 3, m=m)
-    with pytest.raises(ValidationError, match="need M >= 1"):
-        positive_sum(1.0, STRIP, 5, 0.5, m)
 
 
 @pytest.mark.parametrize("allowance", [0.0, -1.0, math.nan, 0.5, math.inf])
@@ -598,7 +576,6 @@ def test_zm_cell_limit_counts_the_strip_indices_of_every_column(monkeypatch):
 
 def test_one_sided_cover_run():
     run = cover_iterate(1.0, STRIP, 0.5, 5, 10 ** 5, m=10)
-    assert not run.aborted
     assert run.m == 10
     assert not run.two_sided
     totals = [lv.total for lv in run.levels]
@@ -625,9 +602,8 @@ def test_two_sided_cover_run():
 
 def test_cover_aborts_on_cell_blowup(monkeypatch):
     monkeypatch.setattr(induced, "_CELL_LIMIT", 10.0)
-    run = cover_iterate(1.0, STRIP, 0.5, 5, 10 ** 5, m=10)
-    assert run.aborted
-    assert len(run.levels) == 1
+    with pytest.raises(NumericRangeError, match="at depth 1 would pass 10 cells"):
+        cover_iterate(1.0, STRIP, 0.5, 5, 10 ** 5, m=10)
     with pytest.raises(TypeError):
         cover_iterate(1.0, STRIP, 0.5, 5, 10 ** 5, m=10, cell_limit=10.0)
 

@@ -1003,6 +1003,23 @@ def test_certify_refuses_an_endless_zm_enumeration():
     assert err.startswith("numeric range: Z_M strip edges must lie within")
 
 
+def test_certify_refuses_a_cover_past_the_cell_limit(tmp_path):
+    # depth 2 of this cover would pass 10^7 cells: nothing is written, not
+    # even the certificate or the depths before it
+    argv = ["certify", "--lambda", "1,0", "--set", "strip:0,3.14", "--delta", "0.5",
+            "--m", "5", "--rmax", "8", "--cover-depth", "3"]
+    assert run_cli(argv) == (
+        4, "", "numeric range: the cover at depth 2 would pass 1e+07 cells\n")
+    path = tmp_path / "cert.json"
+    assert run_cli(argv + ["--json", str(path)])[0] == 4
+    assert not path.exists()
+    # one depth less is under the limit and prints its two cover lines
+    code, out, _ = run_cli(argv[:-1] + ["1"])
+    assert code == 3
+    assert [line.split(":")[0] for line in out.splitlines()[-2:]] == \
+        ["cover n=0", "cover n=1"]
+
+
 def test_certify_lists_a_long_zm_of_one_strip_per_column():
     # 4,991 columns of one strip each: far below the rectangle limit
     code, out, err = run_cli(["certify", "--lambda", "1,0", "--set", "strip:0,3.14",
