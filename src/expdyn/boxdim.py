@@ -142,12 +142,12 @@ def dimension_bound_search(
 ) -> DimensionReport:
     """Scan the grids and return the smallest passing 1 + delta.
 
-    Positive-only mode scans (delta, M) and certifies columns M..M+r_span.
-    With l0_grid (c required) it scans (delta, l0), derives M from each
-    geometry, and certifies both sides.  Absence of a certificate is a
-    result ("no certificate in grid"), not an error.
+    Positive-only mode scans (delta, M) and certifies columns M..M+r_span,
+    r_span >= 0.  With l0_grid (c required) it scans (delta, l0), derives
+    M from each geometry, and certifies both sides.  Absence of a
+    certificate is a result ("no certificate in grid"), not an error.
     """
-    from .induced import _threshold, certified_columns, verify_contraction
+    from .induced import _threshold, verify_contraction
 
     lam = _require_lambda(lam)
     deltas = sorted(set(float(d) for d in delta_grid))
@@ -159,6 +159,8 @@ def dimension_bound_search(
         raise ValidationError("need an M grid (or an l0 grid with c)")
     if l0_grid is not None and c is None:
         raise ValidationError("l0 scanning needs the supergrowth constant c")
+    if r_span < 0:
+        raise ValidationError("r_span must be >= 0")
 
     if l0_grid is None:
         ms = sorted(set(_threshold(int(m), None) for m in m_grid))
@@ -175,12 +177,11 @@ def dimension_bound_search(
 
     best: Optional[ContractionCertificate] = None
     for m, geo in candidates:
-        cols = certified_columns(m, m + r_span, two_sided=geo is not None)
         for d in deltas:
             if best is not None and 1.0 + d >= 1.0 + best.delta:
                 break
             cert = verify_contraction(
-                lam, spec, d, cols, m=m, geometry=geo, enumerate_rectangles=False
+                lam, spec, d, m + r_span, m=m, geometry=geo, enumerate_rectangles=False
             )
             if cert.passed:
                 best = cert

@@ -325,9 +325,7 @@ def _cmd_lambdaset(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     from .induced import (
-        _threshold,
         certificate_to_json,
-        certified_columns,
         cover_iterate,
         negative_geometry,
         verify_contraction,
@@ -347,15 +345,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         geometry = negative_geometry(lam, args.c, args.l0, args.n_levels)
     elif args.m is None:
         raise ValidationError("positive-only certification needs --m")
-    m = _threshold(args.m, geometry)
-    if args.rmax < m:
-        raise ValidationError(f"--rmax must be at least M = {m}")
     cert = verify_contraction(
         lam,
         spec,
         args.delta,
-        certified_columns(m, args.rmax, two_sided=geometry is not None),
-        m=m,
+        args.rmax,
+        m=args.m,
         geometry=geometry,
         distortion_allowance=args.distortion,
         enumerate_rectangles=args.rectangles,
@@ -368,7 +363,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if args.cover_depth > 0:
         levels = cover_iterate(
             lam, spec, args.delta, args.cover_depth, args.branch_cap,
-            m=m, geometry=geometry, distortion_allowance=args.distortion,
+            m=cert.m, geometry=geometry, distortion_allowance=args.distortion,
         ).levels
     _emit(text, args.json)
     for level in levels:

@@ -8,14 +8,17 @@ columns r >= M the induced map is f itself; on columns r <= -M a point
 is assigned a level l from explicit half-plane bands derived from the
 singular orbit, and the induced map is f^{l+2}.
 
-The certificate machinery bounds, per rectangle, the sum over image
-rectangles of sup |F'|^{-(1+delta)}.  Positive-side sums are aggregated
-per image column: the count of rectangles a column can contribute is
-bounded through the strip's width, and the column factors decay
-geometrically, so the whole sum collapses to a closed form plus an
-integral tail.  Certificates pass when every bound is below 1/2; their
-bounds are float-rounded and hold "modulo distortion allowance", so they
-are not interval-rigorous.
+A certificate at threshold M covers the columns M..r_max, and
+-r_max..-M too when it has a negative-side geometry; it keeps one bound
+per column and the Z_M strip range once, since every column holds the
+same strips.  It bounds, per rectangle, the sum over image rectangles of
+sup |F'|^{-(1+delta)}.  Positive-side sums are aggregated per image
+column: the count of rectangles a column can contribute is bounded
+through the strip's width, and the column factors decay geometrically,
+so the whole sum collapses to a closed form plus an integral tail.
+Certificates pass when every bound is below 1/2; their bounds are
+float-rounded and hold "modulo distortion allowance", so they are not
+interval-rigorous.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from functools import partial, reduce
 from itertools import accumulate, chain, repeat
 from operator import add, lt, mul, neg
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import _RANGE_LIMIT, GeometryError, NumericRangeError, ValidationError
 from .dynamics import (
@@ -52,7 +55,7 @@ _HUGE_COLUMN = 1e300
 # subnormal is e^-744.44, and results under half of it (e^-745.13) round to 0
 _EXP_ZERO = -746.0
 # cover_iterate refuses a depth that would pass this many cells, and
-# _zm_rows refuses to list more rectangles than this
+# _zm_strips refuses a Z_M of more rectangles than this
 _CELL_LIMIT = 1e7
 
 
@@ -61,52 +64,51 @@ class RectangleIndex(NamedTuple):
     r: int  # column; rectangle is {r <= Re z < r+1} within strip k
 
 
-def certified_columns(m: int, r_max: int, two_sided: bool = True) -> list[int]:
-    """The columns M..r_max, then -r_max..-M when two-sided; more than
+def _columns(m: int, r_max: int, two_sided: bool) -> list[int]:
+    """The columns of a certificate at threshold M, ascending: M..r_max,
+    after -r_max..-M when two-sided.  r_max below M and more than
     _RANGE_LIMIT columns are refused before any is listed."""
+    if r_max < m:
+        raise ValidationError(f"r_max must be at least M = {m}")
     count = (r_max - m + 1) * (2 if two_sided else 1)
     if count > _RANGE_LIMIT:
         raise ValidationError(
             f"the column range {m}..{r_max} holds {count} columns, "
             f"more than {_RANGE_LIMIT}"
         )
-    columns = list(range(m, r_max + 1))
-    if two_sided:
-        columns += range(-r_max, -m + 1)
-    return columns
+    negative = range(-r_max, -m + 1) if two_sided else range(0)
+    return [*negative, *range(m, r_max + 1)]
 
 
-def _zm_rows(
-    spec: ThinSetSpec, lam: complex, m: int, columns: Sequence[int]
-) -> list[RectangleIndex]:
-    """The Z_M rectangles in the given columns, ordered by (r, k).
+def _zm_strips(spec: ThinSetSpec, lam: complex, n_columns: int) -> range:
+    """The strips s(a)..s(b), s = _strip_of_imag, that every Z_M column holds.
 
     The strips ((2k - 1) pi - A, (2k + 1) pi - A] partition the line, so
-    the closed strip a <= Im z <= b meets exactly the strips s(a)..s(b),
-    s = _strip_of_imag, in every column with |r| >= m; columns with
-    |r| < m hold none.  Past ARG_TRUST_LIMIT strip indices are not
-    resolved.  NumericRangeError refuses, before any rectangle is listed,
-    an edge past ARG_TRUST_LIMIT and more than _CELL_LIMIT rectangles.
+    the closed strip a <= Im z <= b meets exactly the strips s(a)..s(b)
+    in every column with |r| >= M.  Past ARG_TRUST_LIMIT strip indices
+    are not resolved.  NumericRangeError refuses, before any rectangle is
+    listed, an edge past ARG_TRUST_LIMIT and more than _CELL_LIMIT
+    rectangles in n_columns columns.
     """
     if max(abs(spec.a), abs(spec.b)) > ARG_TRUST_LIMIT:
         raise NumericRangeError(
             f"Z_M strip edges must lie within |Im z| <= {ARG_TRUST_LIMIT:g}")
     arg_lam = _lambda_logs(lam)[1]
     ks = range(_strip_of_imag(spec.a, arg_lam), _strip_of_imag(spec.b, arg_lam) + 1)
-    listed = sorted(r for r in columns if abs(r) >= m)
-    if len(ks) * len(listed) > _CELL_LIMIT:
+    if len(ks) * n_columns > _CELL_LIMIT:
         raise NumericRangeError(f"Z_M would list more than {_CELL_LIMIT:g} rectangles")
-    return [RectangleIndex(k, r) for r in listed for k in ks]
+    return ks
 
 
 def build_zm(
     spec: ThinSetSpec, lam: complex, m: int, r_max: int
 ) -> tuple[RectangleIndex, ...]:
-    """The Z_M rectangles with M <= |column| <= r_max, ordered by (r, k)."""
+    """The Z_M rectangles in the columns M..r_max of a certificate without
+    a geometry, ordered by (r, k)."""
     lam = _require_lambda(lam)
-    if m < 1 or r_max <= m:
-        raise ValidationError("need 1 <= M < r_max")
-    return tuple(_zm_rows(spec, lam, m, certified_columns(m, r_max)))
+    columns = _columns(_threshold(m, None), r_max, two_sided=False)
+    ks = _zm_strips(spec, lam, len(columns))
+    return tuple(RectangleIndex(k, r) for r in columns for k in ks)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +333,8 @@ class ContractionCertificate(NamedTuple):
     delta: float
     m: int
     l0: Optional[int]
-    r_range: tuple[int, ...]
-    per_rectangle: tuple[tuple[int, int, float], ...]  # (k, r, bound)
-    per_column: tuple[tuple[int, float], ...]
+    per_column: tuple[tuple[int, float], ...]  # (r, bound), ascending r
+    zm_strips: Optional[range]  # every column's Z_M strips; None when not listed
     max_sum: float
     passed: bool
     status: str
@@ -405,7 +406,7 @@ def verify_contraction(
     lam: complex,
     spec: ThinSetSpec,
     delta: float,
-    r_range: Sequence[int],
+    r_max: int,
     m: Optional[int] = None,
     geometry: Optional[InducedGeometry] = None,
     distortion_allowance: float = 1.2,
@@ -413,37 +414,26 @@ def verify_contraction(
 ) -> ContractionCertificate:
     """Certificate that every per-rectangle image sum is below 1/2.
 
-    Positive columns need only M; negative columns need the geometry.
-    A max in [1/2, 1) is reported as "not achieved", not as an error.
+    It certifies the columns M..r_max, and -r_max..-M too when a geometry
+    is given (the geometry then also gives M).  A max in [1/2, 1) is
+    reported as "not achieved", not as an error.
     """
     lam = _require_lambda(lam)
     _require_run_parameters(delta, distortion_allowance)
     m = _threshold(m, geometry)
-    columns = sorted(set(int(r) for r in r_range))
-    if not columns:
-        raise ValidationError("empty column range")
+    columns = _columns(m, r_max, two_sided=geometry is not None)
 
     per_column: list[tuple[int, float]] = []
     for r in columns:
-        if r >= m:
+        if r > 0:
             b = _positive_column_sum(lam, spec, float(r), delta, float(m))
-        elif r <= -m:
-            if geometry is None:
-                raise ValidationError(
-                    "negative columns require a geometry (build one with "
-                    "negative_geometry)"
-                )
+        else:
             b = _negative_level_bound(
                 lam, spec, geometry, geometry.level_of_column(r), delta,
                 distortion_allowance,
             )
-        else:
-            raise ValidationError(f"column {r} lies inside |Re| < M = {m}")
         per_column.append((r, b))
-
-    bound = dict(per_column)
-    zm = _zm_rows(spec, lam, m, columns) if enumerate_rectangles else []
-    rows = [(q.k, q.r, bound[q.r]) for q in zm]
+    strips = _zm_strips(spec, lam, len(columns)) if enumerate_rectangles else None
 
     max_sum = max(b for _, b in per_column)
     passed = max_sum < 0.5
@@ -453,16 +443,18 @@ def verify_contraction(
     )
     return ContractionCertificate(
         lam, geometry.c if geometry else None, delta, m,
-        geometry.l0 if geometry else None, tuple(columns), tuple(rows),
-        tuple(per_column), max_sum, passed, status, distortion_allowance,
+        geometry.l0 if geometry else None, tuple(per_column), strips,
+        max_sum, passed, status, distortion_allowance,
     )
 
 
 def _certificate_doc(cert: ContractionCertificate) -> dict:
     """The certificate's JSON fields; a bound that is not finite has no JSON
-    number, so it raises NumericRangeError."""
+    number, so it raises NumericRangeError.  Its rectangles are each
+    column's Z_M strips, in (r, k) order."""
     if not all(math.isfinite(b) for _, b in cert.per_column):
         raise NumericRangeError("a certificate bound is not finite")
+    strips = cert.zm_strips or ()
     return {
         "format_version": 1,
         "lambda": [cert.lam.real, cert.lam.imag],
@@ -470,9 +462,9 @@ def _certificate_doc(cert: ContractionCertificate) -> dict:
         "delta": cert.delta,
         "M": cert.m,
         "l0": cert.l0,
-        "r_range": list(cert.r_range),
+        "r_range": [r for r, _ in cert.per_column],
         "per_rectangle": [
-            {"k": k, "r": r, "bound": b} for k, r, b in cert.per_rectangle
+            {"k": k, "r": r, "bound": b} for r, b in cert.per_column for k in strips
         ],
         "per_column": [{"r": r, "bound": b} for r, b in cert.per_column],
         "max_sum": cert.max_sum,

@@ -320,14 +320,6 @@ def _log_polar_from(
         return n + 1, n + 1
     log_lam, arg_lam = lam_logs
     p = LogPolarComplex(TowerReal(0, re).add_float(log_lam), _principal(im + arg_lam), trusted)
-    return _log_polar_walk(lam, classify, p, i, n)
-
-
-def _log_polar_walk(
-    lam: complex, classify: Callable[[LogPolarComplex], str], p: LogPolarComplex,
-    i: int, n: int,
-) -> tuple[int, int]:
-    """The two exits of an orbit whose point i is p."""
     cons = n + 1
     for i in range(i, n):
         verdict = classify(p)

@@ -21,6 +21,7 @@ from expdyn import (
     lambda_membership,
     orbit_derivative_log,
     sample_lambda_set,
+    symmetric_strip,
     trace_ray,
     verify_contraction,
 )
@@ -105,7 +106,7 @@ def test_criterion_05():
 
 def test_criterion_06():
     t0 = time.monotonic()
-    cert = verify_contraction(1.0, STRIP, 0.5, range(10, 31), m=10)
+    cert = verify_contraction(1.0, STRIP, 0.5, 30, m=10)
     cols = list(range(10, 31))
     bound = dict(cert.per_column)
     logs = [math.log(bound[r]) for r in cols]
@@ -114,6 +115,18 @@ def test_criterion_06():
     ok = cert.passed and cert.max_sum < 0.1 and rate >= 0.25 and elapsed < 10.0
     _report(6, ok, f"max_sum = {cert.max_sum:.4g}, fitted decay rate "
                    f"{rate:.3f} per column (needs >= 0.25), {elapsed:.2f}s")
+
+
+def test_a_certificate_bounds_only_orbits_that_stay_past_m():
+    # not the whole trapped set: at the attracting lambda = 0.2 a one-sided
+    # certificate for symstrip:1 passes, while an open piece of the basin,
+    # whose orbits stay near the fixed point inside |Re z| < M, keeps 849
+    # of 861 pixels in the strip to depth 30
+    spec = symmetric_strip(1.0)
+    cert = verify_contraction(0.2, spec, 0.5, 30, m=10)
+    assert cert.passed and cert.max_sum == 0.10160123525459788
+    field = sample_lambda_set(0.2, spec, (-2.0, -1.0, 2.0, 1.0), (41, 21), 30)
+    assert field.survivor_count("conservative") == 849
 
 
 def test_criterion_07():

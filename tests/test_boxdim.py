@@ -223,7 +223,7 @@ def test_report_json_holds_the_certificate_document(kwargs):
 
 
 def test_report_json_refuses_a_certificate_bound_that_is_not_finite():
-    cert = verify_contraction(1.0, horizontal_strip(0.0, 1e308), 0.5, [10, 11, 12],
+    cert = verify_contraction(1.0, horizontal_strip(0.0, 1e308), 0.5, 12,
                               m=10, enumerate_rectangles=False)
     rep = boxdim.DimensionReport(cert, 1.5, {}, "ok")
     with pytest.raises(NumericRangeError, match="not finite"):
@@ -255,9 +255,9 @@ def test_search_verifies_each_grid_point_once(monkeypatch):
     seen = []
     verify = induced.verify_contraction
 
-    def counted(lam, spec, delta, cols, **kw):
+    def counted(lam, spec, delta, r_max, **kw):
         seen.append((kw["m"], delta))
-        return verify(lam, spec, delta, cols, **kw)
+        return verify(lam, spec, delta, r_max, **kw)
 
     monkeypatch.setattr(induced, "verify_contraction", counted)
     rep = dimension_bound_search(1.0, STRIP, [0.5, 0.2, 0.2, 0.5], m_grid=[5, 5])

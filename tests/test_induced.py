@@ -35,15 +35,15 @@ TAU = 2.0 * math.pi
 # rectangle families
 
 def test_zm_family_for_the_strip():
+    # the columns M..r_max of a certificate without a geometry
     fam = build_zm(STRIP, 1.0, 5, 10)
-    cols = [-10, -9, -8, -7, -6, -5, 5, 6, 7, 8, 9, 10]
-    assert fam == tuple(RectangleIndex(0, r) for r in cols)
+    assert fam == tuple(RectangleIndex(0, r) for r in range(5, 11))
     assert fam == tuple(sorted(fam, key=lambda q: (q.r, q.k)))
 
 
 def test_zm_family_truncates_at_rmax():
     fam = build_zm(STRIP, 1.0, 5, 6)
-    assert [q.r for q in fam] == [-6, -5, 5, 6]
+    assert [q.r for q in fam] == [5, 6]
 
 
 def test_zm_family_rotated_lambda_doubles_the_strips():
@@ -53,10 +53,10 @@ def test_zm_family_rotated_lambda_doubles_the_strips():
 
 
 def test_zm_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="need M >= 1"):
         build_zm(STRIP, 1.0, 0, 10)
-    with pytest.raises(ValidationError):
-        build_zm(STRIP, 1.0, 5, 5)
+    with pytest.raises(ValidationError, match="r_max must be at least M = 5"):
+        build_zm(STRIP, 1.0, 5, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def _smallest_passing_delta(m):
     lo, hi = 1e-6, 0.99
     for _ in range(40):
         mid = math.sqrt(lo * hi)
-        cert = verify_contraction(1.0, STRIP, mid, range(m, m + 21), m=m,
+        cert = verify_contraction(1.0, STRIP, mid, m + 20, m=m,
                                   enumerate_rectangles=False)
         lo, hi = (lo, mid) if cert.passed else (mid, hi)
     return hi
@@ -237,7 +237,7 @@ def test_level_of_column_bisect_matches_the_scan(geo):
 # contraction certificates
 
 def test_positive_certificate_passes_at_m_ten():
-    cert = verify_contraction(1.0, STRIP, 0.5, range(10, 31), m=10)
+    cert = verify_contraction(1.0, STRIP, 0.5, 30, m=10)
     assert cert.passed
     assert cert.status == "pass"
     assert cert.max_sum == 0.0536547399495383
@@ -252,13 +252,13 @@ def test_positive_certificate_passes_at_m_ten():
 
 
 def test_certificate_tightens_with_m():
-    cert = verify_contraction(1.0, STRIP, 0.5, range(12, 33), m=12)
+    cert = verify_contraction(1.0, STRIP, 0.5, 32, m=12)
     assert cert.passed
     assert cert.max_sum == 0.01973670580368357
 
 
 def test_certificate_failure_is_reported_not_raised():
-    cert = verify_contraction(1.0, STRIP, 0.01, range(10, 31), m=10)
+    cert = verify_contraction(1.0, STRIP, 0.01, 30, m=10)
     assert not cert.passed
     assert cert.max_sum == 8.146695738234074
     assert cert.status == ("certificate not achieved at M=10, delta=0.01 "
@@ -266,18 +266,20 @@ def test_certificate_failure_is_reported_not_raised():
 
 
 def test_certificate_without_rectangle_enumeration():
-    cert = verify_contraction(1.0, STRIP, 0.5, range(10, 31), m=10,
+    cert = verify_contraction(1.0, STRIP, 0.5, 30, m=10,
                               enumerate_rectangles=False)
     assert cert.passed and cert.max_sum == 0.0536547399495383
-    assert cert.per_rectangle == ()
+    assert cert.zm_strips is None
+    assert json.loads(certificate_to_json(cert))["per_rectangle"] == []
     assert len(cert.per_column) == 21
 
 
 def test_two_sided_certificate_with_geometry():
     geo = negative_geometry(1.0, 1.0, 3, 6)
     assert geo.m == 16
-    cols = list(range(geo.m, geo.m + 21)) + list(range(-geo.m - 20, -geo.m + 1))
-    cert = verify_contraction(1.0, STRIP, 0.2, cols, geometry=geo)
+    cert = verify_contraction(1.0, STRIP, 0.2, geo.m + 20, geometry=geo)
+    assert [r for r, _ in cert.per_column] == \
+        list(range(-geo.m - 20, -geo.m + 1)) + list(range(geo.m, geo.m + 21))
     assert cert.passed
     assert cert.m == 16 and cert.c == 1.0 and cert.l0 == 3
     assert cert.max_sum == 0.34889479114215693
@@ -288,8 +290,7 @@ def test_two_sided_certificate_with_geometry():
 
 def test_mixed_depth_negative_bounds():
     geo = negative_geometry(0.65, 0.65, 4, 6)
-    cert = verify_contraction(0.65, STRIP, 0.5,
-                              [-20, -12, -7] + list(range(7, 17)), geometry=geo)
+    cert = verify_contraction(0.65, STRIP, 0.5, 20, geometry=geo)
     assert cert.passed
     assert cert.max_sum == 0.29928725932049105
     bound = dict(cert.per_column)
@@ -302,18 +303,16 @@ def test_mixed_depth_negative_bounds():
 
 def test_certificate_validation():
     with pytest.raises(ValidationError):
-        verify_contraction(1.0, STRIP, 0.5, range(10, 31))  # no M anywhere
+        verify_contraction(1.0, STRIP, 0.5, 30)  # no M anywhere
     with pytest.raises(ValidationError):
-        verify_contraction(1.0, STRIP, 1.5, range(10, 31), m=10)
-    with pytest.raises(ValidationError):
-        verify_contraction(1.0, STRIP, 0.5, [], m=10)
-    with pytest.raises(ValidationError):
-        verify_contraction(1.0, STRIP, 0.5, [3], m=10)  # inside the gap
-    with pytest.raises(ValidationError):
-        verify_contraction(1.0, STRIP, 0.5, [-12], m=10)  # needs geometry
+        verify_contraction(1.0, STRIP, 1.5, 30, m=10)
+    with pytest.raises(ValidationError, match="r_max must be at least M = 10"):
+        verify_contraction(1.0, STRIP, 0.5, 9, m=10)
     geo = negative_geometry(1.0, 1.0, 3, 6)
-    with pytest.raises(ValidationError):
-        verify_contraction(1.0, STRIP, 0.5, [20], m=10, geometry=geo)
+    with pytest.raises(ValidationError, match="disagrees"):
+        verify_contraction(1.0, STRIP, 0.5, 20, m=10, geometry=geo)
+    with pytest.raises(ValidationError, match="r_max must be at least M = 16"):
+        verify_contraction(1.0, STRIP, 0.5, 15, geometry=geo)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +346,12 @@ def _exact_rows(strip, lam, m, columns):
                    for k in hits), key=lambda q: (q.r, q.k))
 
 
+def _listed_rows(cert):
+    """The certificate's JSON per_rectangle rows as (k, r, bound)."""
+    doc = json.loads(certificate_to_json(cert))
+    return [(row["k"], row["r"], row["bound"]) for row in doc["per_rectangle"]]
+
+
 def test_certificate_enumerates_only_its_own_columns(monkeypatch):
     calls = []
     strip_of = induced._strip_of_imag
@@ -356,31 +361,30 @@ def test_certificate_enumerates_only_its_own_columns(monkeypatch):
         return strip_of(im, arg_lam)
 
     monkeypatch.setattr(induced, "_strip_of_imag", counted)
-    cert = verify_contraction(1.0, STRIP, 0.5, range(10, 31), m=10)
+    cert = verify_contraction(1.0, STRIP, 0.5, 30, m=10)
     bound = dict(cert.per_column)
-    assert cert.per_rectangle == tuple((0, r, bound[r]) for r in range(10, 31))
-    assert cert.per_rectangle == tuple(
-        (q.k, q.r, bound[q.r])
-        for q in _exact_rows(STRIP, 1.0, 10, range(10, 31)))
+    assert cert.zm_strips == range(0, 1)
+    assert _listed_rows(cert) == [(0, r, bound[r]) for r in range(10, 31)]
+    assert _listed_rows(cert) == [
+        (q.k, q.r, bound[q.r]) for q in _exact_rows(STRIP, 1.0, 10, range(10, 31))]
     # the strip decides its strip range once, from its edges 0 and pi,
     # however far the columns
     assert calls == [0.0, math.pi]
     calls.clear()
-    cols = induced.certified_columns(10, 2000)
-    assert induced._zm_rows(STRIP, 1.0, 10, cols) == \
-        [RectangleIndex(0, r) for r in sorted(cols)]
+    assert verify_contraction(1.0, STRIP, 0.5, 2000, m=10).zm_strips == range(0, 1)
     assert calls == [0.0, math.pi]
     # the rows are the family's rows in the certified columns, both sides;
     # a rotated lambda puts two rectangles in each column
-    geo = negative_geometry(0.65, 0.65, 4, 6)
-    cols = [-20, -12, -7] + list(range(7, 17))
-    cert = verify_contraction(cmath.rect(0.65, 2.5), STRIP, 0.5, cols,
-                              geometry=geo._replace(lam=cmath.rect(0.65, 2.5)))
-    family = build_zm(STRIP, cmath.rect(0.65, 2.5), 7, 20)
-    bound = dict(cert.per_column)
-    assert cert.per_rectangle == tuple(
-        (q.k, q.r, bound[q.r]) for q in family if q.r in cols)
-    assert len(cert.per_rectangle) == 2 * len(cols)
+    lam = cmath.rect(0.65, 2.5)
+    geo = negative_geometry(0.65, 0.65, 4, 6)._replace(lam=lam)
+    cert = verify_contraction(lam, STRIP, 0.5, 20, geometry=geo)
+    family = build_zm(STRIP, lam, 7, 20)
+    assert [r for r, _ in cert.per_column] == list(range(-20, -6)) + list(range(7, 21))
+    assert len(cert.zm_strips) == 2
+    rows = _listed_rows(cert)
+    assert [(k, r) for k, r, _ in rows] == [
+        (q.k, q.r) for q in _exact_rows(STRIP, lam, 7, range(-20, 21))]
+    assert [(k, r) for k, r, _ in rows if r > 0] == [(q.k, q.r) for q in family]
 
 
 def test_strip_specs_carry_their_band():
@@ -422,13 +426,14 @@ def _band_cases(lam):
 @pytest.mark.parametrize("m", [1, 5, 10])
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_strip_rows_match_the_sampled_rows(lam, m, two_sided):
-    cols = induced.certified_columns(m, m + 8, two_sided)
+    cols = induced._columns(m, m + 8, two_sided)
     seen = set()
     for a, b in _band_cases(lam):
         strip = horizontal_strip(a, b)
-        rows = induced._zm_rows(strip, lam, m, cols)
-        assert rows == _exact_rows(strip, lam, m, cols)
-        seen.add(len(rows) // len(cols))
+        ks = induced._zm_strips(strip, lam, len(cols))
+        assert [RectangleIndex(k, r) for r in cols for k in ks] == \
+            _exact_rows(strip, lam, m, cols)
+        seen.add(len(ks))
     # the cases cover one- and two-strip columns
     assert {1, 2} <= seen
 
@@ -469,36 +474,36 @@ def _zm_cases(draw):
 @given(_zm_cases())
 def test_every_column_holds_the_strips_decided_once(case):
     lam, strip, m, two_sided = case
-    cols = induced.certified_columns(m, m + 6, two_sided)
-    rows = induced._zm_rows(strip, lam, m, cols)
-    hits = [q.k for q in rows if q.r == cols[0]]
-    assert hits == _window_hits(strip, lam)
-    assert rows == [RectangleIndex(k, r) for r in sorted(cols) for k in hits]
-    assert rows == _exact_rows(strip, lam, m, cols)
+    cols = induced._columns(m, m + 6, two_sided)
+    ks = induced._zm_strips(strip, lam, len(cols))
+    assert list(ks) == _window_hits(strip, lam)
+    assert [RectangleIndex(k, r) for r in cols for k in ks] == \
+        _exact_rows(strip, lam, m, cols)
 
 
 def test_column_ranges_stop_at_the_range_limit():
     limit = induced._RANGE_LIMIT
-    assert len(induced.certified_columns(10, 10 + limit - 1, False)) == limit
-    assert len(induced.certified_columns(10, 10 + limit // 2 - 1)) == limit
+    assert len(induced._columns(10, 10 + limit - 1, False)) == limit
+    assert len(induced._columns(10, 10 + limit // 2 - 1, True)) == limit
     for two_sided, r_max in ((False, 10 + limit), (True, 10 + limit // 2),
                              (True, 10 ** 8)):
         with pytest.raises(ValidationError, match=f"more than {limit}"):
-            induced.certified_columns(10, r_max, two_sided)
+            induced._columns(10, r_max, two_sided)
 
 
 def test_strip_rows_skip_columns_inside_m():
-    cols = [-4, -3, 0, 2, 3, 4, 9]
-    assert induced._zm_rows(STRIP, 1.0, 3, cols) == \
-        _exact_rows(STRIP, 1.0, 3, cols) == \
-        [RectangleIndex(0, r) for r in (-4, -3, 3, 4, 9)]
+    # a certificate's columns, ascending, never reach inside |r| < M
+    cols = induced._columns(3, 9, True)
+    assert cols == [-9, -8, -7, -6, -5, -4, -3, 3, 4, 5, 6, 7, 8, 9]
+    ks = induced._zm_strips(STRIP, 1.0, len(cols))
+    assert [RectangleIndex(k, r) for r in cols for k in ks] == \
+        _exact_rows(STRIP, 1.0, 3, range(-9, 10))
 
 
 @pytest.mark.parametrize("m", [0, -3])
 def test_m_below_one_is_rejected(m):
     with pytest.raises(ValidationError, match="need M >= 1"):
-        verify_contraction(1.0, STRIP, 0.5, range(m, 6), m=m,
-                           enumerate_rectangles=False)
+        verify_contraction(1.0, STRIP, 0.5, 5, m=m, enumerate_rectangles=False)
     with pytest.raises(ValidationError, match="need M >= 1"):
         cover_iterate(1.0, STRIP, 0.5, 2, 10 ** 3, m=m)
 
@@ -506,19 +511,19 @@ def test_m_below_one_is_rejected(m):
 @pytest.mark.parametrize("allowance", [0.0, -1.0, math.nan, 0.5, math.inf])
 def test_distortion_allowance_must_be_finite_and_at_least_one(allowance):
     geo = negative_geometry(1.0, 1.0, 3, 6)
-    for cols, kw in (([10, 11], {"m": 10}), ([16, -16], {"geometry": geo})):
+    for r_max, kw in ((11, {"m": 10}), (16, {"geometry": geo})):
         with pytest.raises(ValidationError, match="distortion allowance"):
-            verify_contraction(1.0, STRIP, 0.5, cols,
+            verify_contraction(1.0, STRIP, 0.5, r_max,
                                distortion_allowance=allowance, **kw)
         with pytest.raises(ValidationError, match="distortion allowance"):
             cover_iterate(1.0, STRIP, 0.5, 2, 10 ** 3,
                           distortion_allowance=allowance, **kw)
-    assert verify_contraction(1.0, STRIP, 0.5, [16, -16], geometry=geo,
+    assert verify_contraction(1.0, STRIP, 0.5, 16, geometry=geo,
                               distortion_allowance=1.0).passed
 
 
 def test_certificate_json_is_deterministic():
-    cert = verify_contraction(1.0, STRIP, 0.5, range(10, 13), m=10)
+    cert = verify_contraction(1.0, STRIP, 0.5, 12, m=10)
     text = certificate_to_json(cert)
     assert text == certificate_to_json(cert)
     doc = json.loads(text)
@@ -530,7 +535,7 @@ def test_certificate_json_is_deterministic():
 
 
 def test_certificate_json_refuses_a_bound_that_is_not_finite():
-    cert = verify_contraction(1.0, horizontal_strip(0.0, 1e308), 0.5, [10, 11, 12],
+    cert = verify_contraction(1.0, horizontal_strip(0.0, 1e308), 0.5, 12,
                               m=10, enumerate_rectangles=False)
     assert cert.max_sum == math.inf
     with pytest.raises(NumericRangeError, match="not finite"):
@@ -544,31 +549,30 @@ def _no_scan(*args):
 @pytest.mark.parametrize("spec, message", [
     # edges past ARG_TRUST_LIMIT, where strip indices are not resolved
     (horizontal_strip(-1e307, 1e307), "strip edges must lie within"),
-    # about 3e14 strip indices in each of 6 columns
+    # about 3e14 strip indices in each of 3 columns
     (horizontal_strip(-1e15, 1e15), "more than 1e[+]07 rectangles"),
 ], ids=["strip", "tall-strip"])
 def test_zm_enumeration_refuses_a_scan_past_the_cell_limit(monkeypatch, spec, message):
     # the enumeration raises before it lists a single rectangle
     monkeypatch.setattr(induced, "RectangleIndex", _no_scan)
     with pytest.raises(NumericRangeError, match=message):
-        induced._zm_rows(spec, 1.0, 10, induced.certified_columns(10, 12))
+        induced._zm_strips(spec, 1.0, 3)
     with pytest.raises(NumericRangeError, match=message):
         build_zm(spec, 1.0, 10, 12)
 
 
 def test_zm_cell_limit_counts_the_strip_indices_of_every_column(monkeypatch):
-    cols = induced.certified_columns(10, 12)
-    rows = induced._zm_rows(STRIP, 1.0, 10, cols)
-    assert rows == [RectangleIndex(0, r) for r in (-12, -11, -10, 10, 11, 12)]
-    # strip 0, which holds both edges 0 and pi, in each of 6 columns:
-    # 6 rectangles
+    assert induced._zm_strips(STRIP, 1.0, 6) == range(0, 1)
+    # strip 0, which holds both edges 0 and pi, in each of the 6 columns
+    # 10..15: 6 rectangles
     monkeypatch.setattr(induced, "_CELL_LIMIT", 6.0)
-    assert induced._zm_rows(STRIP, 1.0, 10, cols) == rows
-    # columns inside |r| < M list no rectangle and are not counted
-    assert induced._zm_rows(STRIP, 1.0, 10, [0, -9, 9] + cols) == rows
+    assert verify_contraction(1.0, STRIP, 0.5, 15, m=10).zm_strips == range(0, 1)
     monkeypatch.setattr(induced, "_CELL_LIMIT", 5.0)
     with pytest.raises(NumericRangeError, match="more than 5 rectangles"):
-        induced._zm_rows(STRIP, 1.0, 10, cols)
+        verify_contraction(1.0, STRIP, 0.5, 15, m=10)
+    # without the rectangles nothing is counted
+    assert verify_contraction(1.0, STRIP, 0.5, 15, m=10,
+                              enumerate_rectangles=False).passed
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +634,11 @@ def test_cover_rejects_an_m_that_disagrees_with_the_geometry():
 
 def test_certificate_json_lists_every_column_bound():
     geo = negative_geometry(0.65, 0.65, 4, 6)
-    for cert in (verify_contraction(1.0, STRIP, 0.5, range(10, 31), m=10,
+    for cert in (verify_contraction(1.0, STRIP, 0.5, 30, m=10,
                                     enumerate_rectangles=False),
-                 verify_contraction(0.65, STRIP, 0.5, [-20, -12, -7, 7, 8],
-                                    geometry=geo)):
+                 verify_contraction(0.65, STRIP, 0.5, 8, geometry=geo)):
         doc = json.loads(certificate_to_json(cert))
         assert doc["format_version"] == 1
         assert doc["per_column"] == [{"r": r, "bound": b} for r, b in cert.per_column]
-        assert [row["r"] for row in doc["per_column"]] == list(cert.r_range)
+        assert [row["r"] for row in doc["per_column"]] == doc["r_range"]
         assert max(row["bound"] for row in doc["per_column"]) == doc["max_sum"]

@@ -1,5 +1,5 @@
-"""TowerReal at levels 2 and above, the tower branch of step_log_polar and
-the log-space column bound, against mpmath.
+"""TowerReal at levels 2 and above, the tower branch of step_log_polar,
+the log-space column bound and the exit depths of fields, against mpmath.
 
 mpmath's exponent range is unbounded, so it holds e^(e^x) for every double
 x and evaluates the towers without the float arithmetic they are built
@@ -8,6 +8,7 @@ of the exact value, to a few ulps.
 """
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +19,11 @@ from expdyn import (  # noqa: E402
     LogPolarComplex,
     TowerReal,
     horizontal_strip,
+    sample_lambda_set,
     step_log_polar,
+    symmetric_strip,
 )
-from expdyn.dynamics import _principal  # noqa: E402
+from expdyn.dynamics import ARG_TRUST_LIMIT, _principal  # noqa: E402
 from expdyn.induced import (  # noqa: E402
     _EXP_NATIVE,
     _column_terms,
@@ -162,3 +165,77 @@ def test_log_space_column_bound_covers_the_native_formula(spec, delta):
         assert 0.0 <= rel <= 1e-10, (r, got, want)
         checked += 1
     assert checked >= 10
+
+
+def _exact_exit(lam, spec, z, n, prec):
+    """(exit, peak) of the orbit of z in mpmath at prec bits: exit is the
+    first i < n whose point leaves a <= Im <= b, n + 1 when none does, or
+    None when the float walk is not bound to agree; peak is the largest
+    log2 |(f^i)'(z)| on the way.
+
+    (f^i)' is the product of the points after z, since f' = f.  A point's
+    float error bound err grows as err_i = |z_i| err_{i-1} + 2^-50 (1 +
+    |z_i|), from 2^-50 (1 + |z|), which is at least 2^(log2 |(f^i)'| - 50)
+    (1 + |z|).  A point past ARG_TRUST_LIMIT (the walk has no trusted
+    argument there), within err of a strip edge, or with err past 2^-20
+    (where the first-order bound stops holding) gives None.
+    """
+    with mpmath.workprec(prec):
+        lam_mp, w = mpmath.mpc(lam), mpmath.mpc(z)
+        a, b = mpmath.mpf(spec.a), mpmath.mpf(spec.b)
+        err = 2.0 ** -50 * (1.0 + abs(z))
+        log2_deriv = peak = 0.0
+        for i in range(n):
+            if i:
+                w = lam_mp * mpmath.exp(w)
+                r = float(abs(w))
+                if r > ARG_TRUST_LIMIT:
+                    return None, peak
+                log2_deriv += math.log2(r)
+                peak = max(peak, log2_deriv)
+                err = r * err + 2.0 ** -50 * (1.0 + r)
+            if err > 2.0 ** -20 or min(abs(w.imag - a), abs(w.imag - b)) <= err:
+                return None, peak
+            if not a <= w.imag <= b:
+                return i, peak
+        return n + 1, peak
+
+
+def _oracle_exit(lam, spec, z, n):
+    """The exact exit of z, at a precision that grows with log2 |(f^i)'|:
+    a first orbit finds the derivative's peak, and a second one carries
+    80 bits past it."""
+    prec = 80 + math.ceil(math.log2(1.0 + abs(z)))
+    peak = _exact_exit(lam, spec, z, n, prec)[1]
+    return _exact_exit(lam, spec, z, n, prec + math.ceil(peak))[0]
+
+
+# (lambda, strip, window, res, depth): lambda = 1, whose orbits leave the
+# strip at steps 1 to 5, and two attracting lambdas whose orbits mostly
+# stay; the windows keep off the strip edges
+FIELD_CASES = [
+    (1.0, STRIP, (-3.0, 0.1, 1.5, 3.0), (12, 8), 4),
+    (1.0, STRIP, (-3.0, 0.1, 1.5, 3.0), (12, 8), 8),
+    (0.25, horizontal_strip(-2.0, 2.0), (-3.0, -1.9, 3.0, 1.9), (12, 8), 20),
+    (0.3 + 0.15j, symmetric_strip(1.0), (-3.0, -0.9, 3.0, 0.9), (12, 8), 21),
+]
+
+
+def test_field_exits_match_an_mpmath_orbit_of_each_pixel():
+    disagree, skipped, kinds = [], 0, Counter()
+    for lam, spec, window, (nx, ny), n in FIELD_CASES:
+        field = sample_lambda_set(lam, spec, window, (nx, ny), n)
+        for iy in range(ny):
+            for ix in range(nx):
+                got = field.data("conservative")[iy * nx + ix]
+                want = _oracle_exit(lam, spec, field.point(ix, iy), n)
+                if want is None:
+                    skipped += 1
+                elif got != want:
+                    disagree.append((lam, n, ix, iy, got, want))
+                else:
+                    kinds["trapped" if want == n + 1 else min(want, 2)] += 1
+    assert disagree == []
+    assert skipped <= 20
+    # most pixels exit at step 2 or later, or stay to full depth
+    assert kinds[2] >= 80 and kinds["trapped"] >= 200, (kinds, skipped)

@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -879,6 +880,13 @@ def test_searchbound_json_documents():
     assert doc["certificate"] is None
 
 
+@pytest.mark.parametrize("mode", [["--m-grid", "10"], ["--l0-grid", "3", "--c", "1"]])
+def test_searchbound_refuses_a_negative_r_span_in_both_modes(mode):
+    code, out, err = run_cli(["searchbound", "--lambda", "1,0", "--set", "strip:0,3.14",
+                              "--delta-grid", "0.5", "--r-span=-1"] + mode)
+    assert (code, out, err) == (2, "", "error: r_span must be >= 0\n")
+
+
 @pytest.mark.parametrize("extra", [
     ["--m", "10", "--rmax", "9"],  # positive-only, M = 10
     ["--l0", "3", "--c", "1", "--rmax", "15"],  # two-sided, induced M = 16
@@ -1030,6 +1038,18 @@ def test_certify_lists_a_long_zm_of_one_strip_per_column():
     assert [(row["k"], row["r"]) for row in rows] == [(0, r) for r in range(10, 5001)]
 
 
+def test_certify_at_rmax_equal_to_m_lists_the_one_column_of_build_zm():
+    code, out, err = run_cli(["certify", "--lambda", "1,0", "--set", STRIP,
+                              "--delta", "0.5", "--m", "10", "--rmax", "10",
+                              "--rectangles"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["r_range"] == [10]
+    rows = [expdyn.RectangleIndex(row["k"], row["r"]) for row in doc["per_rectangle"]]
+    assert tuple(rows) == expdyn.build_zm(horizontal_strip(0.0, math.pi), 1.0, 10, 10) \
+        == (expdyn.RectangleIndex(0, 10),)
+
+
 def test_certify_prints_nothing_when_its_cover_fails(tmp_path):
     # the certificate passes, but the cover reaches a column below the one
     # band computed: exit 2 with nothing printed and no file written
@@ -1057,3 +1077,108 @@ def test_certify_cover_runs_past_depth_1023(depth):
     assert len(lines) == depth + 1
     assert lines[1023] == "cover n=1023: total 0 < budget 8.10281e-308"
     assert lines[-1].startswith(f"cover n={depth}: total 0 ")
+
+
+# ---------------------------------------------------------------------------
+# console-script pins: each row runs one command through cli.main and
+# checks what it prints: a lambdaset summary line (and the count of each
+# listed value in its 16-bit PGM), the box counts of a boxdim report, or
+# the strip of each per_rectangle row of a certificate
+
+_BOXDIM_COUNTS = [4, 13, 50, 135, 176, 194, 200]
+
+_CONSOLE_PINS = [
+    # an attracting lambda: orbits stay native, and the 328 survivors write
+    # depth + 1 = 21, big-endian
+    pytest.param(
+        ["lambdaset", "--lambda=0.25,0", "--set=strip:-2,2", "--window=-3,-2,3,2",
+         "--res=24,16", "--depth=20"],
+        "lambdaset: 24x16 field, depth 20, 328 survivors (conservative), 0 precision caveats",
+        {21: 328}, id="field-328"),
+    # lambda = 1, whose real-axis orbits leave the double range
+    pytest.param(
+        ["lambdaset", "--lambda=1,0", f"--set={STRIP}",
+         "--window=-2,0,4,3.141592653589793", "--res=24,16", "--depth=8"],
+        "lambdaset: 24x16 field, depth 8, 32 survivors (conservative), 7 precision caveats",
+        None, id="field-32"),
+    # every pixel in the closed strip, on its edges included
+    pytest.param(
+        ["lambdaset", "--lambda=1,0", f"--set={STRIP}",
+         "--window=0,0,3,3.141592653589793", "--res=31,2", "--depth=1"],
+        "lambdaset: 31x2 field, depth 1, 62 survivors (conservative), 0 precision caveats",
+        None, id="field-62"),
+    # rows below and above the strip exit at step 0, rows inside it leave at
+    # step 1 at large Re while the pixels near Re 0 are walked on
+    pytest.param(
+        ["lambdaset", "--lambda=1,0", f"--set={STRIP}", "--window=-1,-0.5,9,3.6",
+         "--res=48,24", "--depth=6"],
+        "lambdaset: 48x24 field, depth 6, 67 survivors (conservative), 0 precision caveats",
+        {0: 288, 1: 611, 2: 43, 3: 23, 4: 56, 5: 64, 7: 67}, id="field-67"),
+    # a complex attracting lambda: 21 native steps, each reducing its argument
+    pytest.param(
+        ["lambdaset", "--lambda=0.3,0.15", "--set=symstrip:1", "--window=-3,-1,3,1",
+         "--res=24,16", "--depth=21"],
+        "lambdaset: 24x16 field, depth 21, 277 survivors (conservative), 0 precision caveats",
+        {1: 75, 2: 24, 3: 5, 4: 3, 22: 277}, id="field-277"),
+    # the ends of the native fast path: survivors step natively to full
+    # depth while the last column, past the tower lift, goes log-polar ...
+    pytest.param(
+        ["lambdaset", "--lambda=1e-300,0", "--set=symstrip:2", "--window=-4,-2,716,2",
+         "--res=37,9", "--depth=8"],
+        "lambdaset: 37x9 field, depth 8, 317 survivors (conservative), 0 precision caveats",
+        {1: 16, 9: 317}, id="field-317"),
+    # ... and orbits that leave it after step 1, the real axis going on in towers
+    pytest.param(
+        ["lambdaset", "--lambda=1e300,0", "--set=symstrip:2", "--window=-720,-2,-640,2",
+         "--res=41,9", "--depth=8"],
+        "lambdaset: 41x9 field, depth 8, 41 survivors (conservative), 0 precision caveats",
+        {1: 202, 2: 126, 9: 41}, id="field-41"),
+    # the same 200 points, parsed in bulk and row by row
+    pytest.param(["boxdim", "--points={clean}", "--scales=1:0.01:2"],
+                 _BOXDIM_COUNTS, None, id="boxdim-clean"),
+    pytest.param(["boxdim", "--points={crlf}", "--scales=1:0.01:2"],
+                 _BOXDIM_COUNTS, None, id="boxdim-crlf"),
+    # the sliver strip:1,1.2 lies inside strip 0
+    pytest.param(
+        ["certify", "--lambda=1,0", "--set=strip:1,1.2", "--delta=0.5", "--m=10",
+         "--rmax=12", "--rectangles"],
+        [0, 0, 0], None, id="certify-sliver"),
+]
+
+
+def _write_pin_points(tmp_path):
+    """A clean points file, and one with CRLF line ends and a non-numeric
+    row mid-file, holding the same 200 points."""
+    rows = [f"{i / 64!r},{i * i % 97 / 97!r}" for i in range(200)]
+    clean, crlf = tmp_path / "clean.csv", tmp_path / "crlf.csv"
+    clean.write_bytes(("re,im\n" + "\n".join(rows) + "\n").encode("ascii"))
+    rows.insert(100, "gap,gap")
+    crlf.write_bytes(("re,im\r\n" + "\r\n".join(rows) + "\r\n").encode("ascii"))
+    return {"clean": clean, "crlf": crlf}
+
+
+def _pinned(command, out):
+    if command == "lambdaset":
+        return out.removesuffix("\n")
+    doc = json.loads(out)
+    if command == "boxdim":
+        return doc["counts"]
+    return [row["k"] for row in doc["per_rectangle"]]
+
+
+@pytest.mark.parametrize("argv, want, pgm_counts", _CONSOLE_PINS)
+def test_console_script_pins(tmp_path, argv, want, pgm_counts):
+    argv = [arg.format(**_write_pin_points(tmp_path)) for arg in argv]
+    pgm = tmp_path / "field.pgm"
+    if pgm_counts is not None:
+        argv.append(f"--pgm={pgm}")
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert _pinned(argv[0], out) == want
+    if pgm_counts is not None:
+        res = next(arg for arg in argv if arg.startswith("--res="))
+        nx, ny = (int(v) for v in res.removeprefix("--res=").split(","))
+        blob, head = pgm.read_bytes(), f"P5\n{nx} {ny}\n65535\n".encode()
+        assert blob.startswith(head)
+        counts = Counter(struct.unpack(f">{nx * ny}H", blob[len(head):]))
+        assert {v: counts[v] for v in pgm_counts} == pgm_counts
