@@ -50,7 +50,7 @@ _SOURCES = {
             "step_log_polar",
         ),
         "coding": ("ExternalAddress", "parse_address", "strip_index"),
-        "rays": ("Ray", "RaySample", "ray_to_csv", "trace_ray", "write_ray_csv"),
+        "rays": ("Ray", "RaySample", "ray_to_csv", "trace_ray"),
         "invariant_sets": (
             "ExitDepthField",
             "MembershipResult",
@@ -62,7 +62,6 @@ _SOURCES = {
             "lambda_membership",
             "sample_lambda_set",
             "symmetric_strip",
-            "write_field_csv",
             "write_field_pgm",
         ),
         "induced": (

@@ -144,8 +144,9 @@ def dimension_bound_search(
 
     Positive-only mode scans (delta, M) and certifies columns M..M+r_span,
     r_span >= 0.  With l0_grid (c required) it scans (delta, l0), derives
-    M from each geometry, and certifies both sides.  Absence of a
-    certificate is a result ("no certificate in grid"), not an error.
+    M from each geometry, and certifies both sides; an M grid or a c that
+    the mode would not read is refused.  Absence of a certificate is a
+    result ("no certificate in grid"), not an error.
     """
     from .induced import _threshold, verify_contraction
 
@@ -159,6 +160,10 @@ def dimension_bound_search(
         raise ValidationError("need an M grid (or an l0 grid with c)")
     if l0_grid is not None and c is None:
         raise ValidationError("l0 scanning needs the supergrowth constant c")
+    if l0_grid is not None and m_grid:
+        raise ValidationError("give an M grid or an l0 grid, not both")
+    if l0_grid is None and c is not None:
+        raise ValidationError("c is read only with an l0 grid")
     if r_span < 0:
         raise ValidationError("r_span must be >= 0")
 

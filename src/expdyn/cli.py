@@ -24,7 +24,7 @@ import math
 import operator
 import re
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import _RANGE_LIMIT, NumericRangeError, ValidationError
 
@@ -154,14 +154,16 @@ def _file_errors(path: str, verb: str) -> Iterator[None]:
         raise ValidationError(f"cannot {verb} {path}: {reason}") from None
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(payload: Union[str, bytes], path: Optional[str]) -> None:
+    """The one way a command writes: text to stdout, ending in a newline,
+    when path is None, else text or bytes to the file at path as they are."""
     if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
     else:
         from .reports import _write_payload
 
         with _file_errors(path, "write"):
-            _write_payload(path, text)
+            _write_payload(path, payload)
 
 
 def _parse_rows(rows: Iterable[str]) -> tuple[list[float], list[float]]:
@@ -283,17 +285,14 @@ def _cmd_supergrowth(args: argparse.Namespace) -> int:
 
 def _cmd_ray(args: argparse.Namespace) -> int:
     from .coding import parse_address
-    from .rays import trace_ray, write_ray_csv
+    from .rays import ray_to_csv, trace_ray
 
     lam = _parse_complex(args.lam, "--lambda")
     address = parse_address(args.address)
     ts = _parse_trange(args.t)
     ray = trace_ray(lam, address, ts, depth=args.depth, tol=args.tol)
-    if args.csv is None:
-        write_ray_csv(ray, sys.stdout)
-    else:
-        with _file_errors(args.csv, "write"):
-            write_ray_csv(ray, args.csv)
+    _emit(ray_to_csv(ray), args.csv)
+    if args.csv is not None:
         print(
             f"ray {address.describe()}: {len(ray.samples)} samples, "
             f"max residual {ray.residual:.3g}"
@@ -302,7 +301,7 @@ def _cmd_ray(args: argparse.Namespace) -> int:
 
 
 def _cmd_lambdaset(args: argparse.Namespace) -> int:
-    from .invariant_sets import sample_lambda_set, write_field_csv, write_field_pgm
+    from .invariant_sets import field_to_csv, field_to_pgm, sample_lambda_set
 
     lam = _parse_complex(args.lam, "--lambda")
     spec = _parse_set(args.set)
@@ -310,11 +309,9 @@ def _cmd_lambdaset(args: argparse.Namespace) -> int:
     res = _parse_res(args.res)
     field = sample_lambda_set(lam, spec, window, res, args.depth)
     if args.pgm is not None:
-        with _file_errors(args.pgm, "write"):
-            write_field_pgm(field, args.pgm, policy=args.policy)
+        _emit(field_to_pgm(field, args.policy), args.pgm)
     if args.csv is not None:
-        with _file_errors(args.csv, "write"):
-            write_field_csv(field, args.csv, policy=args.policy)
+        _emit(field_to_csv(field, args.policy), args.csv)
     print(
         f"lambdaset: {field.nx}x{field.ny} field, depth {field.depth}, "
         f"{field.survivor_count(args.policy)} survivors ({args.policy}), "
@@ -333,10 +330,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
     lam = _parse_complex(args.lam, "--lambda")
     spec = _parse_set(args.set)
+    # these refusals come before the certificate is computed
     if args.cover_depth < 0:
         raise ValidationError("--cover-depth must be >= 0")
     if args.cover_depth > _RANGE_LIMIT:
-        # refused here too, before the certificate is written
         raise ValidationError(f"--cover-depth must be at most {_RANGE_LIMIT}")
     if args.cover_depth > 0 and args.branch_cap < 1:
         raise ValidationError("--branch-cap must be >= 1 when --cover-depth > 0")

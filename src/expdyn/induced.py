@@ -203,8 +203,6 @@ def _positive_column_sum(
     part1 = lead * count * e ** -(1.0 + delta)
 
     s0 = max(math.ceil(max(e, float(m))), 1)
-    if s0 > e1 + 1.0:
-        return part1
     return part1 + lead * _tail(s0, e1, delta)
 
 

@@ -458,8 +458,8 @@ def sample_lambda_set(
 
 
 # ---------------------------------------------------------------------------
-# field export: the writers load reports, which holds the payload writer,
-# when they run, so a field that is not written loads no writer
+# field export: write_field_pgm loads reports, which holds the payload
+# writer, when it runs, so a field that is not written loads no writer
 
 
 def field_to_csv(field: ExitDepthField, policy: str = "conservative") -> str:
@@ -472,12 +472,6 @@ def field_to_csv(field: ExitDepthField, policy: str = "conservative") -> str:
                 f"{ix},{iy},{z.real:.17g},{z.imag:.17g},{d[iy * field.nx + ix]}"
             )
     return "\n".join(lines) + "\n"
-
-
-def write_field_csv(field: ExitDepthField, dest, policy: str = "conservative") -> None:
-    from .reports import _write_payload
-
-    _write_payload(dest, field_to_csv(field, policy))
 
 
 def field_to_pgm(field: ExitDepthField, policy: str = "conservative") -> bytes:

@@ -32,7 +32,6 @@ from .dynamics import (
     inverse_branch,
 )
 from .coding import ExternalAddress, strip_index
-from .reports import _write_payload
 
 ESCAPE_CAP = 1e14
 _LOG_CAP = math.log(ESCAPE_CAP)
@@ -151,8 +150,3 @@ def ray_to_csv(ray: Ray) -> str:
             f"{s.depth},{s.residual:.17g}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_ray_csv(ray: Ray, dest) -> None:
-    """Write the CSV form to a path or text file object, LF line endings."""
-    _write_payload(dest, ray_to_csv(ray))

@@ -77,7 +77,7 @@ _COMMANDS = {
     ("orbit", {"induced", "invariant_sets", "boxdim", "rays", "render", "reports"}),
     ("supergrowth", {"induced", "invariant_sets", "boxdim", "rays", "render"}),
     ("lambdaset", {"induced", "boxdim", "rays", "render", "reports"}),
-    ("ray", {"induced", "boxdim", "render", "invariant_sets", "parallel"}),
+    ("ray", {"induced", "boxdim", "render", "invariant_sets", "parallel", "reports"}),
     ("certify", {"boxdim", "rays", "render", "coding"}),
     ("boxdim", {"induced", "invariant_sets", "parallel", "rays", "render", "coding"}),
 ])
@@ -99,7 +99,7 @@ def test_star_import_and_dir_give_every_public_name():
             "print(json.dumps([expdyn.__all__, [n for n in expdyn.__all__ "
             "if n not in globals()], [n for n in expdyn.__all__ if n not in dir(expdyn)]]))")
     names, unbound, undir = _fresh(code)
-    assert names == sorted(set(names)) and len(names) == 54
+    assert names == sorted(set(names)) and len(names) == 52
     assert unbound == [] and undir == []
 
 

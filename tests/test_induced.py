@@ -67,6 +67,16 @@ def test_positive_sum_is_independent_of_m_in_range():
     assert induced._positive_column_sum(1.0, STRIP, 10, 0.5, 10) == 0.0536547399495383
 
 
+def test_positive_sum_is_zero_while_no_image_column_reaches_m():
+    # at lambda = 0.001 the image moduli of column r lie in [E, eE] with
+    # E = 0.001 e^r, and eE + 1 < M = 3 up to r = 6, so no image column
+    # reaches M and the bound is 0.0; a certificate on columns 3..6 passes
+    # whatever the columns past 6 hold
+    spec = horizontal_strip(1.0, 1.2)
+    sums = [induced._positive_column_sum(0.001, spec, r, 0.9, 3) for r in range(3, 9)]
+    assert sums == [0.0, 0.0, 0.0, 0.0, 0.8815564283644027, 2.065559189780574]
+
+
 def test_positive_sum_one_sided_is_half():
     two = induced._positive_column_sum(1.0, STRIP, 10, 0.5, 10, sides=2.0)
     one = induced._positive_column_sum(1.0, STRIP, 10, 0.5, 10, sides=1.0)

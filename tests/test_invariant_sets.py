@@ -28,7 +28,6 @@ from expdyn.invariant_sets import (
     _RANGE_LIMIT,
     field_to_csv,
     field_to_pgm,
-    write_field_csv,
     write_field_pgm,
 )
 
@@ -344,9 +343,7 @@ def test_field_writers(tmp_path):
                 "0,0,0,0,4\n1,0,2,0,4\n0,1,0,2,4\n1,1,2,2,1\n")
     assert field_to_pgm(field) == want_pgm
     assert field_to_csv(field) == want_csv
-    pgm, csv = tmp_path / "f.pgm", tmp_path / "f.csv"
+    pgm = tmp_path / "f.pgm"
     write_field_pgm(field, str(pgm))
-    write_field_csv(field, str(csv))
     assert pgm.read_bytes() == want_pgm
-    assert csv.read_text() == want_csv
 

@@ -1,6 +1,5 @@
 """Ray tracing by pullback and CSV output."""
 
-import io
 import math
 import random
 
@@ -13,7 +12,6 @@ from expdyn import (
     eval_map,
     ray_to_csv,
     trace_ray,
-    write_ray_csv,
 )
 from expdyn.dynamics import _RANGE_LIMIT
 from expdyn.rays import _trace_single
@@ -127,6 +125,3 @@ def test_ray_csv_round_trip():
     ray = trace_ray(1.0, ZERO, [2.0, 3.0], depth=10)
     want = "t,re,im,depth,residual\n2,2,0,2,0\n3,3,0,2,0\n"
     assert ray_to_csv(ray) == want
-    buf = io.StringIO()
-    write_ray_csv(ray, buf)
-    assert buf.getvalue() == want

@@ -18,10 +18,10 @@ from expdyn import (
     ExternalAddress,
     ValidationError,
     horizontal_strip,
+    ray_to_csv,
     render_field,
     sample_lambda_set,
     trace_ray,
-    write_ray_csv,
 )
 import expdyn
 from expdyn import cli
@@ -29,8 +29,8 @@ from expdyn.cli import main
 from expdyn.invariant_sets import (
     ExitDepthField,
     _RANGE_LIMIT,
+    field_to_csv,
     field_to_pgm,
-    write_field_csv,
     write_field_pgm,
 )
 from expdyn.render import _fire
@@ -92,30 +92,20 @@ def test_both_writers_put_the_top_row_first():
         round(255 * v / 4) for v in (2, 4, 0, 1))
 
 
-def _ray():
-    return trace_ray(1.0, ExternalAddress.constant(0), [2.0, 3.0], depth=10)
-
-
 WRITERS = {
-    "write_field_csv": (lambda dest: write_field_csv(_small_field(), dest), io.StringIO),
-    "write_field_pgm": (lambda dest: write_field_pgm(_small_field(), dest), io.BytesIO),
-    "write_ray_csv": (lambda dest: write_ray_csv(_ray(), dest), io.StringIO),
-    "render_field": (lambda dest: render_field(_small_field(), dest, palette="fire"),
-                     io.BytesIO),
+    "write_field_pgm": lambda dest: write_field_pgm(_small_field(), dest),
+    "render_field": lambda dest: render_field(_small_field(), dest, palette="fire"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WRITERS))
 def test_writers_accept_pathlib_paths(tmp_path, name):
-    write, buffer = WRITERS[name]
-    mem = buffer()
+    write = WRITERS[name]
+    mem = io.BytesIO()
     write(mem)
-    expected = mem.getvalue()
-    if isinstance(expected, str):
-        expected = expected.encode("ascii")
     dest = tmp_path / "out"
     write(dest)
-    assert dest.read_bytes() == expected
+    assert dest.read_bytes() == mem.getvalue()
 
 
 @pytest.mark.parametrize("palette", ["gray", "fire"])
@@ -449,6 +439,16 @@ def test_supergrowth_failure_document():
     assert doc["escape_threshold"] == 3.577152063957297
 
 
+def test_supergrowth_fails_at_once_where_the_orbit_is_not_positive():
+    code, out, _ = run_cli(["supergrowth", "--lambda", "-1,0", "--c", "1",
+                            "--steps", "5"])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["first_failure_index"] == 1
+    assert doc["ratios"] == [None] * 4
+    assert doc["largest_passing_c"] == 0.0
+
+
 def test_supergrowth_with_a_c_below_the_double_range():
     # -log c = 736.8: the largest root of c e^x = x lies past 709.78, where
     # e^x overflows, and so does the log margin at k = 1
@@ -478,6 +478,8 @@ def test_ray_csv_file_and_summary(tmp_path):
     assert lines[0] == "t,re,im,depth,residual"
     assert lines[1] == "2,2,0,2,0"
     assert len(lines) == 4
+    ray = trace_ray(1.0, ExternalAddress.constant(0), [2.0, 3.0, 4.0], depth=10)
+    assert dest.read_bytes() == ray_to_csv(ray).encode("ascii")
 
 
 def test_ray_refuses_an_infinite_tol_before_any_output():
@@ -646,6 +648,9 @@ def test_a_non_ascii_byte_is_reported_at_its_offset_in_the_file(tmp_path):
     ["orbit", "--lambda=1,0", "--z=0", "--steps=3", "--csv={out}"],
     ["lambdaset", "--lambda=1,0", f"--set={STRIP}", "--window=0,0,1,1",
      "--res=2,2", "--depth=2", "--pgm={out}"],
+    ["ray", "--lambda=1,0", "--address=0...const", "--t=2:3:1", "--csv={out}"],
+    ["lambdaset", "--lambda=1,0", f"--set={STRIP}", "--window=0,0,1,1",
+     "--res=2,2", "--depth=2", "--csv={out}"],
 ])
 def test_output_into_a_missing_directory_exits_2(tmp_path, argv):
     target = tmp_path / "no-such-dir" / "out"
@@ -693,6 +698,10 @@ def test_lambdaset_writes_pgm_and_csv(tmp_path):
     lines = csv.read_text(encoding="ascii").splitlines()
     assert lines[0] == "ix,iy,re,im,exit_depth"
     assert len(lines) == 17
+    field = sample_lambda_set(1.0, horizontal_strip(0.0, math.pi), (0.0, 0.0, 2.0, 2.0),
+                              (4, 4), 3)
+    assert blob == field_to_pgm(field)
+    assert csv.read_bytes() == field_to_csv(field).encode("ascii")
 
 
 @pytest.mark.parametrize("res", ["100000000,100000000", "100000,2", "2,10001"])
@@ -885,6 +894,17 @@ def test_searchbound_refuses_a_negative_r_span_in_both_modes(mode):
     code, out, err = run_cli(["searchbound", "--lambda", "1,0", "--set", "strip:0,3.14",
                               "--delta-grid", "0.5", "--r-span=-1"] + mode)
     assert (code, out, err) == (2, "", "error: r_span must be >= 0\n")
+
+
+@pytest.mark.parametrize("grids, refusal", [
+    (["--m-grid", "10", "--l0-grid", "3", "--c", "1"],
+     "give an M grid or an l0 grid, not both"),
+    (["--m-grid", "10", "--c", "1"], "c is read only with an l0 grid"),
+])
+def test_searchbound_refuses_a_grid_argument_its_mode_does_not_read(grids, refusal):
+    code, out, err = run_cli(["searchbound", "--lambda", "1,0", "--set", "strip:0,3.14",
+                              "--delta-grid", "0.5"] + grids)
+    assert (code, out, err) == (2, "", f"error: {refusal}\n")
 
 
 @pytest.mark.parametrize("extra", [
