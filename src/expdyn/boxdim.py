@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .errors import GeometryError, ValidationError
+from .errors import ValidationError
 from .dynamics import _require_lambda
 from .reports import report_json
 
 if TYPE_CHECKING:
-    from .induced import ContractionCertificate, InducedGeometry
+    from .induced import ContractionCertificate
     from .invariant_sets import ThinSetSpec
 
 
@@ -115,22 +115,6 @@ class DimensionReport(NamedTuple):
     status: str  # "ok" | "no certificate in grid"
 
 
-def _geometry_for(lam: complex, c: float, l0: int, r_span: int) -> InducedGeometry:
-    """Build a geometry deep enough that its bands cover -(M + r_span)."""
-    from .induced import negative_geometry
-
-    n_levels = 4
-    while True:
-        geo = negative_geometry(lam, c, l0, n_levels)
-        try:
-            geo.level_of_column(-(geo.m + r_span))
-            return geo
-        except GeometryError:
-            if n_levels >= 64:
-                raise
-            n_levels *= 2
-
-
 def dimension_bound_search(
     lam: complex,
     spec: ThinSetSpec,
@@ -148,7 +132,7 @@ def dimension_bound_search(
     the mode would not read is refused.  Absence of a certificate is a
     result ("no certificate in grid"), not an error.
     """
-    from .induced import _threshold, verify_contraction
+    from .induced import _threshold, negative_geometry, verify_contraction
 
     lam = _require_lambda(lam)
     deltas = sorted(set(float(d) for d in delta_grid))
@@ -174,8 +158,12 @@ def dimension_bound_search(
     else:
         l0s = sorted(set(int(l) for l in l0_grid))
         grid = {"mode": "two-sided", "l0_grid": l0s, "c": c}
-        # built on demand, so a GeometryError surfaces at its own l0
-        geometries = (_geometry_for(lam, c, l0, r_span) for l0 in l0s)
+        # built on demand, so a GeometryError surfaces at its own l0.  Every
+        # geometry valid at four levels in a scan (|lambda| 1/e..50, negative
+        # and complex lambda, c/|lambda| 1..1e-4, l0 <= 399) has a deepest
+        # band down to sigma = -inf; a column below it would be refused when
+        # certified ("increase n_levels")
+        geometries = (negative_geometry(lam, c, l0, 4) for l0 in l0s)
         candidates = ((geo.m, geo) for geo in geometries)
     provenance = {"lambda": [lam.real, lam.imag], "delta_grid": deltas, **grid,
                   "r_span": r_span}

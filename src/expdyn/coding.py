@@ -17,8 +17,6 @@ recording the strip of each iterate, rays carry one by construction.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import ValidationError
 from .dynamics import _lambda_logs, _require_lambda, _require_point, _strip_of_imag
 from .towers import _Frozen, _set
@@ -36,117 +34,97 @@ def strip_index(lam: complex, z: complex) -> int:
 
 
 class ExternalAddress(_Frozen):
-    """Bounded integer sequence, stored as a finite prefix plus an optional
-    deterministic tail rule.
+    """Bounded integer sequence: the finite prefix ``entries``, then the
+    tuple ``cycle`` repeated forever from its first element.
 
-    ``tail`` is either None (the address is just the finite prefix),
-    ("constant", k), or ("periodic", pattern): the tail starts right after
-    the prefix and, for the periodic rule, cycles the pattern from its
-    first element.
+    An empty cycle makes the address finite, and ``(k,)`` is the constant
+    tail k.  No canonical form is computed: ``periodic([1, 1])`` and
+    ``periodic([1])`` are the same sequence but different values.
     """
 
-    __slots__ = ("entries", "tail")
+    __slots__ = ("entries", "cycle")
 
-    def __init__(self, entries: tuple[int, ...] = (), tail: Optional[tuple] = None) -> None:
-        if tail is not None:
-            kind = tail[0]
-            if kind == "constant":
-                if not isinstance(tail[1], int):
-                    raise ValidationError("constant tail value must be an integer")
-            elif kind == "periodic":
-                pat = tail[1]
-                if not pat or not all(isinstance(v, int) for v in pat):
-                    raise ValidationError("periodic tail needs a nonempty integer pattern")
-            else:
-                raise ValidationError(f"unknown tail rule {kind!r}")
+    def __init__(self, entries: tuple[int, ...] = (), cycle: tuple[int, ...] = ()) -> None:
+        for v in entries + cycle:
+            if not isinstance(v, int):
+                raise ValidationError(f"address entries must be integers, got {v!r}")
         _set(self, "entries", entries)
-        _set(self, "tail", tail)
+        _set(self, "cycle", cycle)
 
     # -- constructors
 
     @classmethod
     def constant(cls, k: int) -> "ExternalAddress":
-        return cls((), ("constant", int(k)))
+        return cls((), (int(k),))
 
     @classmethod
     def periodic(cls, pattern) -> "ExternalAddress":
-        return cls((), ("periodic", tuple(int(v) for v in pattern)))
+        cycle = tuple(int(v) for v in pattern)
+        if not cycle:
+            raise ValidationError("periodic address needs a nonempty pattern")
+        return cls((), cycle)
 
     @classmethod
     def from_entries(cls, entries) -> "ExternalAddress":
-        return cls(tuple(int(v) for v in entries), None)
+        return cls(tuple(int(v) for v in entries))
 
     # -- access
 
     def entry(self, n: int) -> int:
         if n < 0:
             raise ValidationError("address index must be >= 0")
-        if n < len(self.entries):
-            return self.entries[n]
-        if self.tail is None:
-            raise ValidationError(
-                f"address has only {len(self.entries)} entries, asked for index {n}"
-            )
-        if self.tail[0] == "constant":
-            return self.tail[1]
-        pat = self.tail[1]
-        return pat[(n - len(self.entries)) % len(pat)]
+        entries, cycle = self.entries, self.cycle
+        if n < len(entries):
+            return entries[n]
+        # a one-entry cycle skips the modulo: rays read such tails the most
+        if len(cycle) == 1:
+            return cycle[0]
+        if not cycle:
+            raise ValidationError(f"address has only {len(entries)} entries, asked for index {n}")
+        return cycle[(n - len(entries)) % len(cycle)]
 
     def shift(self) -> "ExternalAddress":
         """Drop the first entry."""
         if self.entries:
-            return ExternalAddress(self.entries[1:], self.tail)
-        if self.tail is None:
+            return ExternalAddress(self.entries[1:], self.cycle)
+        if not self.cycle:
             raise ValidationError("cannot shift an empty address")
-        if self.tail[0] == "constant":
-            return self
-        pat = self.tail[1]
-        return ExternalAddress((), ("periodic", pat[1:] + pat[:1]))
+        return ExternalAddress((), self.cycle[1:] + self.cycle[:1])
 
     def describe(self) -> str:
-        head = ",".join(str(v) for v in self.entries)
-        if self.tail is None:
-            return f"({head})"
-        if self.tail[0] == "constant":
-            tail = f"{self.tail[1]},{self.tail[1]},..."
-        else:
-            tail = ",".join(str(v) for v in self.tail[1]) + ",..."
-        return f"({head},{tail})" if head else f"({tail})"
+        """The prefix, then the cycle (twice when it has one entry), then "..."."""
+        if not self.cycle:
+            return "(" + ",".join(map(str, self.entries)) + ")"
+        shown = self.entries + self.cycle * (2 if len(self.cycle) == 1 else 1)
+        return "(" + ",".join(map(str, shown)) + ",...)"
 
 
 def parse_address(text: str) -> ExternalAddress:
-    """Parse an address literal.
+    """Parse an address literal into its prefix and cycle.
 
-    Accepted forms: "const:K", "periodic:a,b,c", a comma-separated finite
-    list "0,1,-2", a list with the suffix "...const" (the last value
-    repeats forever, e.g. "0...const") or "...period" (the whole prefix
-    repeats, e.g. "2,0,0,0...period"), and a bare trailing ellipsis
-    "0,1,2,..." as shorthand for "...const".
+    "const:K" is ((), (K,)); "periodic:a,b,c" is ((), (a, b, c)); a
+    comma-separated list "0,1,-2" is finite, ((0, 1, -2), ()); a list with
+    the suffix "...const", or a bare trailing "...", repeats its last value
+    ("1,0...const" is ((1,), (0,))); a list with the suffix "...period"
+    repeats as a whole ("2,0,0,0...period" is ((), (2, 0, 0, 0))).
     """
     t = text.strip().replace("…", "...")
     try:
         if t.startswith("const:"):
-            return ExternalAddress.constant(int(t[6:]))
+            return ExternalAddress((), (int(t[6:]),))
         if t.startswith("periodic:"):
-            vals = [int(v) for v in t[9:].split(",") if v.strip()]
+            vals = tuple(int(v) for v in t[9:].split(",") if v.strip())
             if not vals:
                 raise ValueError
-            return ExternalAddress.periodic(vals)
-        tail_kind = None
-        for suffix, kind in (("...const", "constant"), ("...period", "periodic"),
-                             ("...", "constant")):
-            if t.endswith(suffix):
-                tail_kind = kind
-                t = t[: -len(suffix)].rstrip().rstrip(",")
-                break
-        vals = [int(v) for v in t.replace(",", " ").split()]
+            return ExternalAddress((), vals)
+        suffix = next((s for s in ("...const", "...period", "...") if t.endswith(s)), "")
+        vals = tuple(int(v) for v in t[: len(t) - len(suffix)].replace(",", " ").split())
         if not vals:
             raise ValueError
-        if tail_kind == "constant":
-            return ExternalAddress(tuple(vals[:-1]), ("constant", vals[-1]))
-        if tail_kind == "periodic":
-            return ExternalAddress.periodic(vals)
-        return ExternalAddress.from_entries(vals)
+        if suffix == "...period":
+            return ExternalAddress((), vals)
+        if suffix:
+            return ExternalAddress(vals[:-1], vals[-1:])
+        return ExternalAddress(vals)
     except ValueError:
         raise ValidationError(f"cannot parse address literal {text!r}") from None
-

@@ -271,7 +271,7 @@ def negative_geometry(
     if l0 < 1 or n_levels < 1:
         raise ValidationError("need l0 >= 1 and n_levels >= 1")
 
-    horizon = max(2, l0 + n_levels + 1)
+    horizon = l0 + n_levels + 1
     report = check_supergrowth(lam, c, horizon)
     if not report.holds:
         raise GeometryError(

@@ -78,7 +78,7 @@ def test_criterion_03():
 
 def test_criterion_04():
     t0 = time.monotonic()
-    s = ExternalAddress((1,), ("constant", 0))
+    s = ExternalAddress((1,), (0,))
     ray = trace_ray(1.0, s, [50.0], depth=20)
     gap = abs(ray.samples[0].point.imag - 2 * math.pi)
     elapsed = time.monotonic() - t0
@@ -93,7 +93,7 @@ def test_criterion_05():
     worst = 0.0
     for _ in range(3):
         entries = tuple(rng.randint(-2, 2) for _ in range(12))
-        s = ExternalAddress(entries, ("constant", 0))
+        s = ExternalAddress(entries, (0,))
         ray = trace_ray(1.0, s, ts, depth=25)
         shifted = trace_ray(1.0, s.shift(), [math.exp(t) for t in ts], depth=24)
         for a, b in zip(ray.samples, shifted.samples):

@@ -129,37 +129,67 @@ def test_inverse_branch_lands_in_its_strip_when_arg_w_is_next_to_pi(lam):
 # addresses
 
 def test_address_constructors_and_entries():
-    fin = ExternalAddress.from_entries([1, -2, 3])
-    assert (fin.entries, fin.tail) == ((1, -2, 3), None)
-    with pytest.raises(ValidationError, match="only 3 entries"):
-        fin.entry(3)
-
-    const = ExternalAddress.constant(2)
-    assert [const.entry(i) for i in range(4)] == [2, 2, 2, 2]
-
-    per = ExternalAddress.periodic([3, 0])
-    assert [per.entry(i) for i in range(5)] == [3, 0, 3, 0, 3]
-
-
-def test_shift_drops_the_first_entry():
-    s = ExternalAddress((1, 2), ("constant", 0))
-    assert s.shift().entries == (2,)
-    assert s.shift().shift().entries == ()
-    assert s.shift().shift().entry(7) == 0
-    c = ExternalAddress.constant(4)
-    assert c.shift() == c
-    p = ExternalAddress.periodic([1, 2, 3])
-    assert [p.shift().entry(i) for i in range(4)] == [2, 3, 1, 2]
+    assert ExternalAddress.from_entries([1, -2, 3]) == ExternalAddress((1, -2, 3), ())
+    assert ExternalAddress.periodic([3, 0]) == ExternalAddress((), (3, 0))
+    # a constant tail is a one-entry cycle: the same sequence, the same value
+    assert ExternalAddress.constant(2) == ExternalAddress.periodic([2])
+    assert repr(ExternalAddress.constant(2)) == "ExternalAddress(entries=(), cycle=(2,))"
+    # no canonical form: a cycle of two equal entries stays a different value
+    assert ExternalAddress.periodic([1, 1]) != ExternalAddress.periodic([1])
+    with pytest.raises(ValidationError, match="nonempty pattern"):
+        ExternalAddress.periodic([])
 
 
-def test_describe_forms():
-    assert parse_address("0...const").describe() == "(0,0,...)"
-    assert parse_address("periodic:2,0").describe() == "(2,0,...)"
-    assert parse_address("1,2,3").describe() == "(1,2,3)"
+@pytest.mark.parametrize("entries, cycle", [((0.5,), (0,)), ((), (1.5,)), ((1, "2"), ())])
+def test_address_refuses_an_entry_that_is_not_an_integer(entries, cycle):
+    # refused when the address is built, before any ray reads it
+    with pytest.raises(ValidationError, match="must be integers"):
+        ExternalAddress(entries, cycle)
+
+
+_entries = st.lists(st.integers(min_value=-5, max_value=5), max_size=6).map(tuple)
+
+
+@given(_entries, _entries)
+def test_address_entries_are_the_prefix_then_the_cycle_repeated(entries, cycle):
+    a = ExternalAddress(entries, cycle)
+    p = len(entries)
+    with pytest.raises(ValidationError, match=">= 0"):
+        a.entry(-1)
+    if not cycle:
+        assert [a.entry(n) for n in range(p)] == list(entries)
+        with pytest.raises(ValidationError, match=f"only {p} entries, asked for index {p}"):
+            a.entry(p)
+    else:
+        seq = [a.entry(n) for n in range(p + 3 * len(cycle) + 2)]
+        assert seq[:p + len(cycle)] == list(entries + cycle)
+        assert all(seq[n] == seq[n - len(cycle)] for n in range(p + len(cycle), len(seq)))
+    if not entries and not cycle:
+        with pytest.raises(ValidationError, match="cannot shift an empty address"):
+            a.shift()
+        return
+    # the shift drops the first entry; a cycle alone turns by one
+    s = a.shift()
+    assert all(s.entry(n) == a.entry(n + 1) for n in range(p + 2 * len(cycle) - 1))
+    if not entries:
+        assert s == ExternalAddress((), cycle[1:] + cycle[:1])
 
 
 # ---------------------------------------------------------------------------
-# address literals
+# address literals: each README form, its prefix and cycle, and describe()
+
+_LITERALS = [
+    ("const:5", (), (5,), "(5,5,...)"),
+    ("periodic:5", (), (5,), "(5,5,...)"),
+    ("periodic:2,0", (), (2, 0), "(2,0,...)"),
+    ("0...const", (), (0,), "(0,0,...)"),
+    ("1,0...const", (1,), (0,), "(1,0,0,...)"),
+    ("2,0,0,0...period", (), (2, 0, 0, 0), "(2,0,0,0,...)"),
+    ("0,1,2", (0, 1, 2), (), "(0,1,2)"),
+    # a bare trailing ellipsis repeats the last value
+    ("0,1,2,...", (0, 1), (2,), "(0,1,2,2,...)"),
+]
+
 
 def test_parse_const_and_periodic_keywords():
     assert parse_address("const:4") == ExternalAddress.constant(4)
@@ -167,11 +197,14 @@ def test_parse_const_and_periodic_keywords():
 
 
 def test_parse_suffix_literals():
-    assert parse_address("0...const") == ExternalAddress((), ("constant", 0))
-    assert parse_address("1,0...const") == ExternalAddress((1,), ("constant", 0))
-    assert parse_address("2,0,0,0...period") == ExternalAddress.periodic([2, 0, 0, 0])
-    # bare trailing ellipsis repeats the last value
-    assert parse_address("0,1,2,...") == ExternalAddress((0, 1), ("constant", 2))
+    for text, entries, cycle, _ in _LITERALS:
+        a = parse_address(text)
+        assert (a.entries, a.cycle) == (entries, cycle), text
+
+
+def test_describe_forms():
+    for text, _, _, shown in _LITERALS:
+        assert parse_address(text).describe() == shown, text
 
 
 def test_parse_finite_lists():

@@ -44,7 +44,7 @@ def test_real_ray_escapes_monotonically():
 
 
 def test_traced_imaginary_part_approaches_asymptote():
-    s = ExternalAddress((1,), ("constant", 0))
+    s = ExternalAddress((1,), (0,))
     ray = trace_ray(1.0, s, [50.0], depth=20)
     assert abs(ray.samples[0].point.imag - 2 * math.pi) < 0.1
 
@@ -56,7 +56,7 @@ def test_forward_invariance_of_traced_rays():
     worst = 0.0
     for _ in range(3):
         entries = tuple(rng.randint(-2, 2) for _ in range(12))
-        s = ExternalAddress(entries, ("constant", 0))
+        s = ExternalAddress(entries, (0,))
         ray = trace_ray(1.0, s, ts, depth=25)
         shifted = trace_ray(1.0, s.shift(), [math.exp(t) for t in ts], depth=24)
         for a, b in zip(ray.samples, shifted.samples):

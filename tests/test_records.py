@@ -35,7 +35,7 @@ def _examples():
         (TowerReal(1, 50.0), "mantissa", 60.0),
         (LogPolarComplex(TowerReal(0, 0.5), 0.25, False), "arg_trusted", True),
         (Strip(-1.0, 2.5), "b", 3.0),
-        (ExternalAddress((1, 2), ("constant", 0)), "entries", (3,)),
+        (ExternalAddress((1, 2), (0,)), "entries", (3,)),
         (expdyn.lambda_membership(0.25, STRIP, 0.1, 5), "precision_caveat", True),
         (expdyn.sample_lambda_set(0.25, STRIP, (-1, -1, 1, 1), (3, 2), 4),
          "caveat_count", 7),

@@ -482,6 +482,14 @@ def test_ray_csv_file_and_summary(tmp_path):
     assert dest.read_bytes() == ray_to_csv(ray).encode("ascii")
 
 
+@pytest.mark.parametrize("address", ["periodic:5", "const:5"])
+def test_ray_summary_shows_a_one_entry_cycle_twice(tmp_path, address):
+    code, out, err = run_cli(["ray", "--lambda", "1", "--address", address,
+                              "--t", "2:4:1", "--depth", "10", "--csv", str(tmp_path / "F")])
+    assert (code, err) == (0, "")
+    assert out == "ray (5,5,...): 3 samples, max residual 0\n"
+
+
 def test_ray_refuses_an_infinite_tol_before_any_output():
     code, out, err = run_cli(["ray", "--lambda", "0.2,0", "--address", "1...const",
                               "--t", "2:3:1", "--depth", "1", "--tol", "inf"])
