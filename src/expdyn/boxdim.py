@@ -152,18 +152,14 @@ def dimension_bound_search(
         raise ValidationError("r_span must be >= 0")
 
     if l0_grid is None:
-        ms = sorted(set(_threshold(int(m), None) for m in m_grid))
+        ms = sorted(set(_threshold(lam, int(m), None) for m in m_grid))
         grid = {"mode": "positive-only", "m_grid": ms}
         candidates = ((m, None) for m in ms)
     else:
         l0s = sorted(set(int(l) for l in l0_grid))
         grid = {"mode": "two-sided", "l0_grid": l0s, "c": c}
-        # built on demand, so a GeometryError surfaces at its own l0.  Every
-        # geometry valid at four levels in a scan (|lambda| 1/e..50, negative
-        # and complex lambda, c/|lambda| 1..1e-4, l0 <= 399) has a deepest
-        # band down to sigma = -inf; a column below it would be refused when
-        # certified ("increase n_levels")
-        geometries = (negative_geometry(lam, c, l0, 4) for l0 in l0s)
+        # built on demand, so a GeometryError surfaces at its own l0
+        geometries = (negative_geometry(lam, c, l0) for l0 in l0s)
         candidates = ((geo.m, geo) for geo in geometries)
     provenance = {"lambda": [lam.real, lam.imag], "delta_grid": deltas, **grid,
                   "r_span": r_span}

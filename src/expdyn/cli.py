@@ -339,7 +339,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise ValidationError("--branch-cap must be >= 1 when --cover-depth > 0")
     geometry = None
     if args.l0 is not None:
-        geometry = negative_geometry(lam, args.c, args.l0, args.n_levels)
+        geometry = negative_geometry(lam, args.c, args.l0)
     elif args.m is None:
         raise ValidationError("positive-only certification needs --m")
     cert = verify_contraction(
@@ -353,8 +353,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         enumerate_rectangles=args.rectangles,
     )
     # the cover runs before anything is written, so an error in it (a
-    # column below the deepest band, a depth past 10^7 cells) leaves stdout
-    # and the file empty
+    # depth past 10^7 cells) leaves stdout and the file empty
     text = certificate_to_json(cert)
     levels = ()
     if args.cover_depth > 0:
@@ -462,7 +461,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
     p.add_argument("--l0", type=int, default=None)
     p.add_argument("--c", type=float, default=1.0,
                    help="supergrowth constant (used with --l0)")
-    p.add_argument("--n-levels", type=int, default=6)
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--distortion", type=float, default=1.2)
     p.add_argument("--rectangles", action="store_true",

@@ -55,18 +55,18 @@ class ExternalAddress(_Frozen):
 
     @classmethod
     def constant(cls, k: int) -> "ExternalAddress":
-        return cls((), (int(k),))
+        return cls((), (k,))
 
     @classmethod
     def periodic(cls, pattern) -> "ExternalAddress":
-        cycle = tuple(int(v) for v in pattern)
+        cycle = tuple(pattern)
         if not cycle:
             raise ValidationError("periodic address needs a nonempty pattern")
         return cls((), cycle)
 
     @classmethod
     def from_entries(cls, entries) -> "ExternalAddress":
-        return cls(tuple(int(v) for v in entries))
+        return cls(tuple(entries))
 
     # -- access
 

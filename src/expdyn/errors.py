@@ -9,10 +9,10 @@ that the command-line front end can check it without loading the modules
 that compute.
 """
 
-# most values a count or range may expand to: the points of an orbit, the
-# levels of a geometry, a ray's or a cover's depth, the pixels of a field
-# side, the columns of a certificate, and the values of a T0:T1:STEP or
-# E0:E1:FACTOR range
+# most values a count or range may expand to: the points of an orbit (a
+# geometry's singular orbit too), a ray's or a cover's depth, the pixels of
+# a field side, the columns of a certificate, and the values of a
+# T0:T1:STEP or E0:E1:FACTOR range
 _RANGE_LIMIT = 10_000
 
 

@@ -57,6 +57,9 @@ _EXP_ZERO = -746.0
 # cover_iterate refuses a depth that would pass this many cells, and
 # _zm_strips refuses a Z_M of more rectangles than this
 _CELL_LIMIT = 1e7
+# negative_geometry's bands are the levels l0..l0 + _BANDS, the same at
+# every l0, so certify --l0 and searchbound build the same geometry
+_BANDS = 4
 
 
 class RectangleIndex(NamedTuple):
@@ -106,7 +109,7 @@ def build_zm(
     """The Z_M rectangles in the columns M..r_max of a certificate without
     a geometry, ordered by (r, k)."""
     lam = _require_lambda(lam)
-    columns = _columns(_threshold(m, None), r_max, two_sided=False)
+    columns = _columns(_threshold(lam, m, None), r_max, two_sided=False)
     ks = _zm_strips(spec, lam, len(columns))
     return tuple(RectangleIndex(k, r) for r in columns for k in ks)
 
@@ -215,10 +218,9 @@ class InducedGeometry(NamedTuple):
     c: float
     d: float  # ball radius factor c / (4 |lambda|): balls B(beta_l, D |beta_l|)
     l0: int
-    n_levels: int
     m: int
-    sigmas: tuple[float, ...]  # band boundaries sigma_{l0} .. sigma_{l0+n+1}
-    alphas: tuple[float, ...]  # alpha_0 .. alpha_{l0+n+1} as floats (inf beyond native)
+    sigmas: tuple[float, ...]  # band boundaries sigma_{l0} .. sigma_{l0+_BANDS+1}
+    alphas: tuple[float, ...]  # alpha_0 .. alpha_{l0+_BANDS+1} as floats (inf beyond native)
     log_betas: tuple[float, ...]  # log|beta_l|, index 1..; [0] unused sentinel
 
     def level_of_column(self, r: int) -> int:
@@ -226,7 +228,9 @@ class InducedGeometry(NamedTuple):
 
         Level l holds the column when sigma_{l+1} < r + 1 and sigma_l > r.
         The sigmas do not increase with l, so the smallest such l is found
-        by two bisections over them.
+        by two bisections over them.  A column below the deepest band
+        raises GeometryError; negative_geometry's deepest band reaches
+        sigma = -inf, so only a hand-built geometry has such a column.
         """
         if r > -self.m:
             raise ValidationError(f"column {r} is not on the negative side of Y_M")
@@ -234,11 +238,9 @@ class InducedGeometry(NamedTuple):
         below_top = bisect_right(self.sigmas, -(r + 1), key=neg)
         below_r = bisect_left(self.sigmas, -r, key=neg)
         i = max(below_top - 1, 0)
-        if i < below_r and i <= self.n_levels:
+        if i < below_r and i <= len(self.sigmas) - 2:
             return self.l0 + i
-        raise GeometryError(
-            f"column {r} below the deepest computed band; increase n_levels"
-        )
+        raise GeometryError(f"column {r} below the deepest computed band")
 
     def r_prime_min(self, l: int) -> float:
         """Smallest positive column the level-l continuation can reach."""
@@ -250,13 +252,11 @@ class InducedGeometry(NamedTuple):
         return max(float(self.m), math.floor(a - radius))
 
 
-def negative_geometry(
-    lam: complex, c: float, l0: int, n_levels: int
-) -> InducedGeometry:
+def negative_geometry(lam: complex, c: float, l0: int) -> InducedGeometry:
     """Balls around the singular orbit and the level bands for Re z <= -M.
 
-    M = floor(alpha_{l0}) + 1; level l covers the half-plane band
-    [sigma_{l+1}, sigma_l) with
+    M = floor(alpha_{l0}) + 1; level l, l0 <= l <= l0 + _BANDS, covers
+    the half-plane band [sigma_{l+1}, sigma_l) with
 
         sigma_l = -log 4 - 1 + log D - (alpha_{l-2} + ... + alpha_0)
                   - l log|lambda|.
@@ -268,10 +268,10 @@ def negative_geometry(
     lam_abs = _abs(lam)
     if not (0.0 < c <= lam_abs):
         raise ValidationError("need 0 < c <= |lambda| so that D <= 1/4")
-    if l0 < 1 or n_levels < 1:
-        raise ValidationError("need l0 >= 1 and n_levels >= 1")
+    if l0 < 1:
+        raise ValidationError("need l0 >= 1")
 
-    horizon = l0 + n_levels + 1
+    horizon = l0 + _BANDS + 1
     report = check_supergrowth(lam, c, horizon)
     if not report.holds:
         raise GeometryError(
@@ -302,7 +302,7 @@ def negative_geometry(
     # partial[j] = alpha_0 + ... + alpha_{j-1}, added left to right
     partial = list(accumulate(alphas, initial=0.0))
     sigmas = tuple(const - partial[l - 1] - l * log_lam
-                   for l in range(l0, l0 + n_levels + 2))
+                   for l in range(l0, horizon + 1))
     if not sigmas[1] >= -m + 1:
         raise GeometryError(
             f"band top sigma_{l0 + 1} = {sigmas[1]:.4g} does not reach "
@@ -311,14 +311,12 @@ def negative_geometry(
 
     # the balls at beta_l and beta_{l+1} (orbit[l - 1] and orbit[l]) are
     # disjoint when |beta_{l+1}| (1 - D) > |beta_l| (1 + D)
-    for l in range(l0, l0 + n_levels):
+    for l in range(l0, l0 + _BANDS):
         lhs = orbit[l].log_modulus.add_float(math.log1p(-d))
         rhs = orbit[l - 1].log_modulus.add_float(math.log1p(d))
         if not lhs > rhs:
             raise GeometryError(f"balls at levels {l} and {l + 1} are not disjoint")
-    return InducedGeometry(
-        lam, c, d, l0, n_levels, m, sigmas, tuple(alphas), tuple(log_betas)
-    )
+    return InducedGeometry(lam, c, d, l0, m, sigmas, tuple(alphas), tuple(log_betas))
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +376,16 @@ def _negative_level_bound(
     return math.exp(log_bound) if log_bound < _EXP_NATIVE else math.inf
 
 
-def _threshold(m: Optional[int], geometry: Optional[InducedGeometry]) -> int:
-    """M >= 1, given directly or by a geometry; when both are given they must agree."""
+def _threshold(
+    lam: complex, m: Optional[int], geometry: Optional[InducedGeometry]
+) -> int:
+    """M >= 1, given directly or by a geometry; when both are given they must
+    agree.  A geometry's bands come from the singular orbit of its own
+    lambda, so it is refused for any other lambda."""
     if geometry is not None:
+        if lam != geometry.lam:
+            raise ValidationError(
+                f"the geometry was built for lambda = {geometry.lam:g}, not {lam:g}")
         if m is not None and m != geometry.m:
             raise ValidationError("M disagrees with the geometry's threshold")
         m = geometry.m
@@ -418,7 +423,7 @@ def verify_contraction(
     """
     lam = _require_lambda(lam)
     _require_run_parameters(delta, distortion_allowance)
-    m = _threshold(m, geometry)
+    m = _threshold(lam, m, geometry)
     columns = _columns(m, r_max, two_sided=geometry is not None)
 
     per_column: list[tuple[int, float]] = []
@@ -588,7 +593,7 @@ def cover_iterate(
     if depth_max < 1 or branch_cap < 1:
         raise ValidationError("need depth_max >= 1 and branch_cap >= 1")
     _require_count(depth_max, "cover depth")
-    m = _threshold(m, geometry)
+    m = _threshold(lam, m, geometry)
     two_sided = geometry is not None
     sides = 2.0 if two_sided else 1.0
     power = -(1.0 + delta)

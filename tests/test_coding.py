@@ -147,6 +147,17 @@ def test_address_refuses_an_entry_that_is_not_an_integer(entries, cycle):
         ExternalAddress(entries, cycle)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ExternalAddress.from_entries([0.5, 2.9]),
+    lambda: ExternalAddress.constant(1.7),
+    lambda: ExternalAddress.periodic([1.5, 2]),
+], ids=["from_entries", "constant", "periodic"])
+def test_address_constructors_refuse_what_the_address_refuses(build):
+    # the values go through as they are, not truncated by int()
+    with pytest.raises(ValidationError, match="must be integers"):
+        build()
+
+
 _entries = st.lists(st.integers(min_value=-5, max_value=5), max_size=6).map(tuple)
 
 

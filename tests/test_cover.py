@@ -145,7 +145,7 @@ def test_one_sided_cover_totals_are_pinned(lam, totals, cells):
 @pytest.mark.parametrize("params, totals, cells", TWO_SIDED_PINS)
 def test_two_sided_cover_totals_are_pinned(params, totals, cells):
     lam = params[0]
-    run = cover_iterate(lam, STRIP, 0.5, 3, 300, geometry=negative_geometry(*params, 6))
+    run = cover_iterate(lam, STRIP, 0.5, 3, 300, geometry=negative_geometry(*params))
     assert [repr(lv.total) for lv in run.levels[1:]] == totals
     assert [lv.cells for lv in run.levels[1:]] == cells
 
@@ -165,7 +165,7 @@ def test_one_sided_cover_matches_the_per_column_loop(monkeypatch, lam, spec, m):
 @pytest.mark.parametrize("params", GEOMETRIES)
 @pytest.mark.parametrize("delta", [0.2, 0.5])
 def test_two_sided_cover_matches_the_per_column_loop(monkeypatch, params, delta):
-    geo = negative_geometry(*params, 6)
+    geo = negative_geometry(*params)
     want, _ = _reference_rows(monkeypatch, params[0], STRIP, delta, 3, 40, geometry=geo)
     assert _rows(cover_iterate(params[0], STRIP, delta, 3, 40, geometry=geo)) == want
 
@@ -174,7 +174,7 @@ def test_two_sided_cover_matches_the_per_column_loop(monkeypatch, params, delta)
 def test_negative_bands_take_one_bound_per_level(monkeypatch, params):
     # no real geometry gives negative columns a nonzero bound, so substitute
     # one that differs from level to level
-    geo = negative_geometry(*params, 6)
+    geo = negative_geometry(*params)
     calls = []
 
     def level_bound(lam, spec, geometry, l, delta, distortion_allowance):
@@ -199,7 +199,11 @@ def test_negative_bands_take_one_bound_per_level(monkeypatch, params):
 
 
 def test_a_column_below_the_computed_bands_still_raises(monkeypatch):
-    geo = negative_geometry(1.0, 1.0, 3, 1)
+    # negative_geometry's deepest band reaches sigma = -inf, so keep the
+    # bands of levels 3 and 4 alone: a finite floor at sigma_5
+    geo = negative_geometry(1.0, 1.0, 3)
+    geo = geo._replace(sigmas=geo.sigmas[:3])
+    assert geo.sigmas[-1] > -math.inf
     with pytest.raises(GeometryError, match="below the deepest") as want:
         _reference_rows(monkeypatch, 1.0, STRIP, 0.5, 2, 300, geometry=geo)
     with pytest.raises(GeometryError, match="below the deepest") as got:
@@ -324,7 +328,7 @@ def test_windows_split_by_the_branch_cap_match_the_per_column_loop(monkeypatch):
 
 
 def test_a_level_band_across_negative_runs_takes_one_bound(monkeypatch):
-    geo = negative_geometry(0.65, 0.65, 4, 6)
+    geo = negative_geometry(0.65, 0.65, 4)
     calls = []
 
     def level_bound(lam, spec, geometry, l, delta, distortion_allowance):
@@ -345,7 +349,7 @@ def test_a_level_band_across_negative_runs_takes_one_bound(monkeypatch):
 
 @pytest.mark.parametrize("lam, kwargs", [
     (1.0, {"m": 5}),
-    (0.65, {"geometry": negative_geometry(0.65, 0.65, 4, 6)}),
+    (0.65, {"geometry": negative_geometry(0.65, 0.65, 4)}),
 ])
 def test_the_cell_limit_stops_at_the_same_depth(monkeypatch, lam, kwargs):
     want, _ = _reference_rows(monkeypatch, lam, STRIP, 0.5, 3, 300, **kwargs)

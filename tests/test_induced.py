@@ -148,10 +148,10 @@ def test_smallest_passing_delta_falls_like_one_over_m():
 # negative-side geometry
 
 def test_geometry_for_supergrowing_real_lambda():
-    geo = negative_geometry(0.65, 0.65, 4, 6)
+    geo = negative_geometry(0.65, 0.65, 4)
     assert geo.m == 7
     assert geo.d == 0.25  # c / (4 |lambda|)
-    assert geo.l0 == 4 and geo.n_levels == 6
+    assert geo.l0 == 4 and len(geo.sigmas) == induced._BANDS + 2 == 6
     # bands decrease and deepen doubly exponentially; once the boundary
     # leaves float range the remaining floors are all -inf
     finite = [s for s in geo.sigmas if s != -math.inf]
@@ -172,9 +172,9 @@ def _sigma(geo, l):
 
 def test_sigmas_are_the_documented_sums_bit_for_bit():
     # sigma_l = log D - log 4 - 1 - (alpha_{l-2} + ... + alpha_0) - l log|lambda|
-    geo = negative_geometry(0.65, 0.65, 4, 6)
+    geo = negative_geometry(0.65, 0.65, 4)
     const = -math.log(4.0) - 1.0 + math.log(geo.d)
-    for l in range(geo.l0, geo.l0 + geo.n_levels + 2):
+    for l in range(geo.l0, geo.l0 + induced._BANDS + 2):
         total = 0.0
         for a in geo.alphas[:l - 1]:
             total += a
@@ -182,7 +182,7 @@ def test_sigmas_are_the_documented_sums_bit_for_bit():
 
 
 def test_geometry_level_ties_go_to_the_smaller_level():
-    geo = negative_geometry(0.65, 0.65, 4, 6)
+    geo = negative_geometry(0.65, 0.65, 4)
     for r in range(-30, -geo.m + 1):
         l = geo.level_of_column(r)
         assert _sigma(geo, l + 1) < r + 1 and _sigma(geo, l) > r
@@ -190,16 +190,16 @@ def test_geometry_level_ties_go_to_the_smaller_level():
 
 def test_geometry_validation():
     with pytest.raises(ValidationError):
-        negative_geometry(0.65, 0.7, 4, 6)  # c > |lambda|
+        negative_geometry(0.65, 0.7, 4)  # c > |lambda|
     with pytest.raises(ValidationError):
-        negative_geometry(0.65, 0.65, 0, 6)
+        negative_geometry(0.65, 0.65, 0)
     with pytest.raises(GeometryError):
         # attracting parameter: supergrowth fails outright
-        negative_geometry(0.2, 0.1, 3, 4)
+        negative_geometry(0.2, 0.1, 3)
     with pytest.raises(ValidationError, match="singular orbit length"):
-        # the bands need the singular orbit to level l0 + n_levels + 1
-        negative_geometry(0.65, 0.65, 4, induced._RANGE_LIMIT - 4)
-    geo = negative_geometry(0.65, 0.65, 4, 6)
+        # the bands need the singular orbit to level l0 + _BANDS + 1
+        negative_geometry(0.65, 0.65, induced._RANGE_LIMIT - induced._BANDS)
+    geo = negative_geometry(0.65, 0.65, 4)
     with pytest.raises(ValidationError):
         geo.level_of_column(0)
     # the deepest computed band has an infinite floor, so far-out columns
@@ -207,25 +207,50 @@ def test_geometry_validation():
     assert geo.level_of_column(-10 ** 6) == 7
 
 
+def test_every_accepted_geometry_has_an_unbounded_deepest_band():
+    # so no column of a certificate or cover built from negative_geometry
+    # falls below its bands
+    lams = [1 / math.e + 1e-6, 1 / math.e + 0.01, 0.4, 0.5, 0.65, 1.0, 2.0, 5.0, 50.0,
+            -1.0, -2.0, -5.0, cmath.rect(0.65, 2.5), cmath.rect(1.0, 0.5),
+            cmath.rect(2.0, -2.0), cmath.rect(5.0, 3.0)]
+    accepted = 0
+    for lam in lams:
+        for ratio in (1.0, 0.5, 0.2, 0.05, 1e-2, 1e-4):
+            for l0 in (1, 2, 3, 4, 5, 6, 8, 12, 20, 59):
+                try:
+                    geo = negative_geometry(lam, ratio * abs(lam), l0)
+                except (GeometryError, NumericRangeError):
+                    continue
+                accepted += 1
+                assert geo.sigmas[-1] == -math.inf, (lam, ratio, l0)
+    assert accepted == 58
+
+
 def _level_by_scan(geo, r):
     """Reference: the first level whose band holds column r, or None."""
-    for l in range(geo.l0, geo.l0 + geo.n_levels + 1):
+    for l in range(geo.l0, geo.l0 + len(geo.sigmas) - 1):
         if _sigma(geo, l + 1) < r + 1 and _sigma(geo, l) > r:
             return l
     return None
 
 
+def _two_bands(geo):
+    """The geometry with only its bands of levels l0 and l0 + 1, so that
+    its deepest floor sigma_{l0+2} is finite."""
+    return geo._replace(sigmas=geo.sigmas[:3])
+
+
 @pytest.mark.parametrize("geo", [
-    negative_geometry(0.65, 0.13, 5, 1),
-    negative_geometry(0.65, 0.65, 4, 6),
-    negative_geometry(1.0, 1.0, 3, 1),
-    negative_geometry(1.0, 0.2, 3, 6),
-    negative_geometry(2.0, 0.4, 3, 1),
-    negative_geometry(5.0, 1.0, 2, 1),
+    _two_bands(negative_geometry(0.65, 0.13, 5)),
+    negative_geometry(0.65, 0.65, 4),
+    _two_bands(negative_geometry(1.0, 1.0, 3)),
+    negative_geometry(1.0, 0.2, 3),
+    _two_bands(negative_geometry(2.0, 0.4, 3)),
+    _two_bands(negative_geometry(5.0, 1.0, 2)),
     # band edges on integers, repeated sigmas and a finite deepest floor
-    negative_geometry(1.0, 1.0, 3, 6)._replace(
+    negative_geometry(1.0, 1.0, 3)._replace(
         m=4, sigmas=(-4.0, -7.0, -7.0, -9.0, -10.0, -10.0, -13.0, -20.0)),
-], ids=lambda g: f"lam{g.lam.real:g}-l0{g.l0}-n{g.n_levels}-top{g.sigmas[0]:g}")
+], ids=lambda g: f"lam{g.lam.real:g}-l0{g.l0}-n{len(g.sigmas) - 2}-top{g.sigmas[0]:g}")
 def test_level_of_column_bisect_matches_the_scan(geo):
     finite = [s for s in geo.sigmas if s != -math.inf]
     deepest = max(math.floor(finite[-1]) - 3, -geo.m - 3000)
@@ -285,7 +310,7 @@ def test_certificate_without_rectangle_enumeration():
 
 
 def test_two_sided_certificate_with_geometry():
-    geo = negative_geometry(1.0, 1.0, 3, 6)
+    geo = negative_geometry(1.0, 1.0, 3)
     assert geo.m == 16
     cert = verify_contraction(1.0, STRIP, 0.2, geo.m + 20, geometry=geo)
     assert [r for r, _ in cert.per_column] == \
@@ -299,7 +324,7 @@ def test_two_sided_certificate_with_geometry():
 
 
 def test_mixed_depth_negative_bounds():
-    geo = negative_geometry(0.65, 0.65, 4, 6)
+    geo = negative_geometry(0.65, 0.65, 4)
     cert = verify_contraction(0.65, STRIP, 0.5, 20, geometry=geo)
     assert cert.passed
     assert cert.max_sum == 0.29928725932049105
@@ -318,7 +343,7 @@ def test_certificate_validation():
         verify_contraction(1.0, STRIP, 1.5, 30, m=10)
     with pytest.raises(ValidationError, match="r_max must be at least M = 10"):
         verify_contraction(1.0, STRIP, 0.5, 9, m=10)
-    geo = negative_geometry(1.0, 1.0, 3, 6)
+    geo = negative_geometry(1.0, 1.0, 3)
     with pytest.raises(ValidationError, match="disagrees"):
         verify_contraction(1.0, STRIP, 0.5, 20, m=10, geometry=geo)
     with pytest.raises(ValidationError, match="r_max must be at least M = 16"):
@@ -386,7 +411,7 @@ def test_certificate_enumerates_only_its_own_columns(monkeypatch):
     # the rows are the family's rows in the certified columns, both sides;
     # a rotated lambda puts two rectangles in each column
     lam = cmath.rect(0.65, 2.5)
-    geo = negative_geometry(0.65, 0.65, 4, 6)._replace(lam=lam)
+    geo = negative_geometry(0.65, 0.65, 4)._replace(lam=lam)
     cert = verify_contraction(lam, STRIP, 0.5, 20, geometry=geo)
     family = build_zm(STRIP, lam, 7, 20)
     assert [r for r, _ in cert.per_column] == list(range(-20, -6)) + list(range(7, 21))
@@ -520,7 +545,7 @@ def test_m_below_one_is_rejected(m):
 
 @pytest.mark.parametrize("allowance", [0.0, -1.0, math.nan, 0.5, math.inf])
 def test_distortion_allowance_must_be_finite_and_at_least_one(allowance):
-    geo = negative_geometry(1.0, 1.0, 3, 6)
+    geo = negative_geometry(1.0, 1.0, 3)
     for r_max, kw in ((11, {"m": 10}), (16, {"geometry": geo})):
         with pytest.raises(ValidationError, match="distortion allowance"):
             verify_contraction(1.0, STRIP, 0.5, r_max,
@@ -607,7 +632,7 @@ def test_one_sided_cover_run():
 
 
 def test_two_sided_cover_run():
-    geo = negative_geometry(1.0, 1.0, 3, 6)
+    geo = negative_geometry(1.0, 1.0, 3)
     run = cover_iterate(1.0, STRIP, 0.2, 4, 10 ** 5, geometry=geo)
     assert run.two_sided
     assert [lv.total for lv in run.levels] == \
@@ -634,7 +659,7 @@ def test_cover_validation():
 
 
 def test_cover_rejects_an_m_that_disagrees_with_the_geometry():
-    geo = negative_geometry(1.0, 1.0, 3, 6)
+    geo = negative_geometry(1.0, 1.0, 3)
     with pytest.raises(ValidationError, match="disagrees"):
         cover_iterate(1.0, STRIP, 0.2, 2, 10 ** 3, m=geo.m + 1, geometry=geo)
     agreed = cover_iterate(1.0, STRIP, 0.2, 2, 10 ** 3, m=geo.m, geometry=geo)
@@ -642,8 +667,20 @@ def test_cover_rejects_an_m_that_disagrees_with_the_geometry():
     assert agreed.m == 16
 
 
+def test_a_geometry_is_refused_for_another_lambda():
+    # its bands and balls come from the singular orbit of lambda = 1
+    geo = negative_geometry(1.0, 1.0, 3)
+    refusal = r"the geometry was built for lambda = 1\+0j, not 2\+0j"
+    with pytest.raises(ValidationError, match=refusal):
+        verify_contraction(2.0, STRIP, 0.5, 30, geometry=geo)
+    with pytest.raises(ValidationError, match=refusal):
+        cover_iterate(2.0, STRIP, 0.5, 2, 10 ** 3, geometry=geo)
+    # the same lambda given as an int is the same lambda
+    assert verify_contraction(1, STRIP, 0.5, 30, geometry=geo).lam == 1.0
+
+
 def test_certificate_json_lists_every_column_bound():
-    geo = negative_geometry(0.65, 0.65, 4, 6)
+    geo = negative_geometry(0.65, 0.65, 4)
     for cert in (verify_contraction(1.0, STRIP, 0.5, 30, m=10,
                                     enumerate_rectangles=False),
                  verify_contraction(0.65, STRIP, 0.5, 8, geometry=geo)):

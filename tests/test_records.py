@@ -45,7 +45,7 @@ def _examples():
         (ray.samples[0], "depth", 99),
         (ray, "residual", 1.0),
         (RectangleIndex(0, 7), "r", 8),
-        (expdyn.negative_geometry(1.0, 1.0, 3, 2), "n_levels", 3),
+        (expdyn.negative_geometry(1.0, 1.0, 3), "l0", 4),
         (expdyn.verify_contraction(1.0, STRIP, 0.5, 12, m=10), "status", "x"),
         (cover.levels[0], "cells", 2.0),
         (cover, "two_sided", True),

@@ -610,10 +610,12 @@ def test_column_ranges_past_the_limit_are_refused(argv):
     (["orbit", "--lambda=1,0", "--z=0,0", "--steps=10001"], "orbit length"),
     (["supergrowth", "--lambda=1,0", "--c=0.1", "--steps=10001"],
      "singular orbit length"),
-    (["certify", "--lambda=1,0", f"--set={STRIP}", "--delta=0.5", "--l0=3", "--c=1",
-      "--n-levels=9997", "--rmax=30"], "singular orbit length"),
-    (["certify", "--lambda=1,0", f"--set={STRIP}", "--delta=0.5", "--l0=9994", "--c=1",
+    # the bands of levels l0..l0 + 4 read the singular orbit to level l0 + 5,
+    # in certify and searchbound alike
+    (["certify", "--lambda=1,0", f"--set={STRIP}", "--delta=0.5", "--l0=9996", "--c=1",
       "--rmax=30"], "singular orbit length"),
+    (["searchbound", "--lambda=1,0", f"--set={STRIP}", "--delta-grid=0.5",
+      "--l0-grid=9996", "--c=1"], "singular orbit length"),
     (["certify", "--lambda=1,0", f"--set={STRIP}", "--delta=0.5", "--m=10",
       "--rmax=20", "--cover-depth=10001"], "--cover-depth"),
     (["ray", "--lambda=1", "--address=0", "--t=2:3:1", "--depth=10001"], "ray depth"),
@@ -1079,19 +1081,38 @@ def test_certify_at_rmax_equal_to_m_lists_the_one_column_of_build_zm():
 
 
 def test_certify_prints_nothing_when_its_cover_fails(tmp_path):
-    # the certificate passes, but the cover reaches a column below the one
-    # band computed: exit 2 with nothing printed and no file written
+    # the certificate passes, but the cover's first depth would pass 10^7
+    # cells: exit 4 with nothing printed and no file written
     argv = ["certify", "--lambda", "1,0", "--set", "strip:0,3.14", "--delta", "0.5",
-            "--l0", "3", "--c", "1", "--n-levels", "1", "--rmax", "20",
-            "--cover-depth", "3"]
+            "--l0", "3", "--c", "1", "--rmax", "20",
+            "--cover-depth", "1", "--branch-cap", "10000000"]
     code, out, err = run_cli(argv)
-    assert (code, out) == (2, "")
-    assert "below the deepest computed band" in err
+    assert (code, out) == (4, "")
+    assert err == "numeric range: the cover at depth 1 would pass 1e+07 cells\n"
     dest = tmp_path / "cert.json"
-    assert run_cli(argv + ["--json", str(dest)])[:2] == (2, "")
+    assert run_cli(argv + ["--json", str(dest)])[:2] == (4, "")
     assert not dest.exists()
     # the certificate alone passes
-    assert run_cli(argv[:-2])[0] == 0
+    assert run_cli(argv[:-4])[0] == 0
+
+
+def test_certify_at_l0_prints_the_certificate_that_searchbound_finds():
+    # both build the geometry of l0 = 3 with the same bands, M = 16
+    code, out, err = run_cli(["certify", "--lambda=1,0", "--set=strip:0,3.14",
+                              "--delta=0.5", "--l0=3", "--c=1", "--rmax=36"])
+    assert (code, err) == (0, "")
+    code, found, err = run_cli(["searchbound", "--lambda=1,0", "--set=strip:0,3.14",
+                                "--delta-grid=0.5", "--l0-grid=3", "--c=1",
+                                "--r-span=20"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == json.loads(found)["certificate"]
+    assert json.loads(out)["M"] == 16
+    # the band count is not an option
+    code, out, err = run_cli(["certify", "--lambda=1,0", "--set=strip:0,3.14",
+                              "--delta=0.5", "--l0=3", "--c=1", "--rmax=36",
+                              "--n-levels=6"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --n-levels=6\n")
 
 
 @pytest.mark.parametrize("depth", [1024, 1100])
