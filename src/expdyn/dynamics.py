@@ -340,6 +340,9 @@ def _strip_of_imag(im: float, arg_lam: float) -> int:
 
 
 class SupergrowthReport(NamedTuple):
+    """``orbit`` is the singular orbit beta_1 .. beta_n that was checked,
+    and ``alphas`` its real parts."""
+
     c: float
     n_checked: int
     holds: bool
@@ -350,6 +353,7 @@ class SupergrowthReport(NamedTuple):
     sustained: bool
     escape_threshold: Optional[float]
     alphas: tuple[TowerReal, ...]
+    orbit: tuple[LogPolarComplex, ...]
 
 
 def _largest_growth_root(c: float) -> Optional[float]:
@@ -457,6 +461,7 @@ def check_supergrowth(lam: complex, c: float, n: int) -> SupergrowthReport:
         sustained=sustained,
         escape_threshold=threshold,
         alphas=alphas,
+        orbit=orbit,
     )
 
 

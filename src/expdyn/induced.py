@@ -40,7 +40,6 @@ from .dynamics import (
     _require_lambda,
     _strip_of_imag,
     check_supergrowth,
-    singular_orbit,
 )
 from .invariant_sets import ThinSetSpec
 from .reports import report_json
@@ -278,7 +277,7 @@ def negative_geometry(lam: complex, c: float, l0: int) -> InducedGeometry:
             f"supergrowth fails for c={c:g} over horizon {horizon} "
             f"(first failure at {report.first_failure_index})"
         )
-    orbit = singular_orbit(lam, horizon)
+    orbit = report.orbit
     alphas = [0.0] + [a.to_float() for a in report.alphas]
     log_betas = [-math.inf] + [p.log_modulus.to_float() for p in orbit]
 
@@ -427,14 +426,20 @@ def verify_contraction(
     columns = _columns(m, r_max, two_sided=geometry is not None)
 
     per_column: list[tuple[int, float]] = []
+    # the negative bound depends on the level alone, and the columns run
+    # in ascending order, so each level's band is one run of columns
+    bound_level = None
     for r in columns:
         if r > 0:
             b = _positive_column_sum(lam, spec, float(r), delta, float(m))
         else:
-            b = _negative_level_bound(
-                lam, spec, geometry, geometry.level_of_column(r), delta,
-                distortion_allowance,
-            )
+            lvl = geometry.level_of_column(r)
+            if lvl != bound_level:
+                bound_level = lvl
+                nb = _negative_level_bound(
+                    lam, spec, geometry, lvl, delta, distortion_allowance
+                )
+            b = nb
         per_column.append((r, b))
     strips = _zm_strips(spec, lam, len(columns)) if enumerate_rectangles else None
 

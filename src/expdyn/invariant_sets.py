@@ -29,6 +29,14 @@ that modulus times the row's cosine and sine.  Only orbits still in the
 set after that go on one by one, and a trusted native point whose Re z
 lies in an interval derived from log|lambda| steps on after one
 chained comparison.  Each examined point is classified once.
+
+The image writers (field_to_pgm here, render.render_field) take a field
+of depth below 255 as one byte raster, top row first: bytes() converts
+the values, deleting the bytes 0..depth+1 must leave nothing, and the
+samples or pixels are then built by slice assignment and translate(),
+with no Python step per pixel.  A deeper field, or a value that bytes()
+refuses, goes through the per-value writers, with the same bytes and the
+same refusals.
 """
 
 from __future__ import annotations
@@ -397,10 +405,28 @@ class ExitDepthField(NamedTuple):
             raise ValidationError(f"field values must lie in 0..{self.depth + 1}")
         return self._top_first(d)
 
-    def _top_first(self, d: tuple[int, ...]) -> list[tuple[int, ...]]:
+    def _top_first(self, d: Sequence[int]) -> list[Sequence[int]]:
         """d's rows in image order, its values unchecked."""
         nx = self.nx
         return [d[iy * nx:(iy + 1) * nx] for iy in range(self.ny - 1, -1, -1)]
+
+    def _raster_bytes(self, policy: str = "conservative") -> Optional[bytes]:
+        """raster(policy) as one byte per value, top row first, or None
+        where a byte cannot hold it: past depth 254, or with a value that
+        bytes() refuses (below 0, above 255 or not an int).  A value above
+        depth + 1 that a byte holds is refused here, as raster() refuses
+        it, by deleting the allowed bytes 0..depth+1 and finding one left."""
+        d = self.data(policy)
+        top = self.depth + 1
+        if top > 255:
+            return None
+        try:
+            raw = bytes(d)
+        except (TypeError, ValueError):
+            return None
+        if raw.translate(None, bytes(range(top + 1))):
+            raise ValidationError(f"field values must lie in 0..{top}")
+        return b"".join(self._top_first(raw))
 
     def point(self, ix: int, iy: int) -> complex:
         x0, y0, x1, y1 = self.window
@@ -452,8 +478,9 @@ def sample_lambda_set(
     for row_cons, row_opt in parallel.ordered_map(one_row, range(ny)):
         cons += row_cons
         opt += row_opt
-    # a pixel's two exits differ exactly when its walk met a caveat
-    caveats = sum(map(ne, cons, opt))
+    # a pixel's two exits differ exactly when its walk met a caveat, and
+    # equal lists have no differing pixel
+    caveats = 0 if cons == opt else sum(map(ne, cons, opt))
     return ExitDepthField((x0, y0, x1, y1), nx, ny, n, tuple(cons), tuple(opt), caveats)
 
 
@@ -477,6 +504,12 @@ def field_to_csv(field: ExitDepthField, policy: str = "conservative") -> str:
 def field_to_pgm(field: ExitDepthField, policy: str = "conservative") -> bytes:
     """16-bit binary PGM; the first raster row is the window's top row."""
     header = f"P5\n{field.nx} {field.ny}\n65535\n".encode("ascii")
+    raw = field._raster_bytes(policy)
+    if raw is not None:
+        # big-endian samples below 256: a zero high byte, then the value
+        out = bytearray(2 * len(raw))
+        out[1::2] = raw
+        return header + out
     rows = field.raster(policy)
     if field.depth >= 65535:
         # survivors (and, past depth 65535, late exits) saturate at 65535

@@ -4,6 +4,11 @@ Two palettes: "gray" emits binary PGM (P5, 8 bit), "fire" emits binary
 PPM (P6) with a black-red-yellow-white ramp.  Pixels that never exit map
 to the top of the palette.  Rows are written top first, as Netpbm
 rasters run, so Im z grows upward in the image.
+
+A field of depth below 255 is rendered from its byte raster
+(``ExitDepthField._raster_bytes``): each channel is one translate() of
+the raster through a 256-byte table, filled from the palette for the
+values the raster holds.  Any other field is joined value by value.
 """
 
 from __future__ import annotations
@@ -52,8 +57,19 @@ def render_field(
     if palette not in ("gray", "fire"):
         raise ValidationError(f"unknown palette {palette!r}")
     table = _Palette(_gray if palette == "gray" else _fire, field.depth + 1)
-    magic = b"P5" if palette == "gray" else b"P6"
-    # the whole raster in one join; the palette checks each value
-    rows = field._top_first(field.data(policy))
-    pixels = b"".join(map(table.__getitem__, chain.from_iterable(rows)))
+    magic, width = (b"P5", 1) if palette == "gray" else (b"P6", 3)
+    raw = field._raster_bytes(policy)
+    if raw is None:
+        # the whole raster in one join; the palette checks each value
+        rows = field._top_first(field.data(policy))
+        pixels = b"".join(map(table.__getitem__, chain.from_iterable(rows)))
+    else:
+        # one 256-byte table per channel, filled for the values held
+        lut = bytearray(256 * width)
+        for v in range(table.top + 1):
+            if v in raw:
+                lut[v * width:(v + 1) * width] = table[v]
+        pixels = bytearray(width * len(raw))
+        for i in range(width):
+            pixels[i::width] = raw.translate(lut[i::width])
     _write_payload(dest, magic + b"\n%d %d\n255\n" % (field.nx, field.ny) + pixels)

@@ -525,6 +525,14 @@ def test_supergrowth_monotone_in_c():
     assert rep.first_failure_index is not None
 
 
+@pytest.mark.parametrize("lam, c, n", [(1.0, 1.0, 15), (10.0, 9.0, 12), (0.2, 0.1, 12),
+                                      (cmath.rect(2.0, -2.0), 0.4, 8)])
+def test_supergrowth_reports_the_orbit_it_checked(lam, c, n):
+    rep = check_supergrowth(lam, c, n)
+    assert repr(rep.orbit) == repr(singular_orbit(lam, n))
+    assert rep.alphas == tuple(p.real_part_tower() for p in rep.orbit)
+
+
 def test_supergrowth_validation():
     with pytest.raises(ValidationError):
         check_supergrowth(1.0, 0.0, 10)

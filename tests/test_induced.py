@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expdyn import induced
+from expdyn import dynamics, induced
 from expdyn import (
     GeometryError,
     NumericRangeError,
@@ -207,6 +207,33 @@ def test_geometry_validation():
     assert geo.level_of_column(-10 ** 6) == 7
 
 
+@pytest.mark.parametrize("lam, c, l0", [
+    (0.65, 0.65, 4), (0.65, 0.13, 5), (1.0, 1.0, 3), (1.0, 0.2, 3), (2.0, 0.4, 3),
+    (5.0, 1.0, 2),
+])
+def test_a_geometry_builds_the_singular_orbit_once(monkeypatch, lam, c, l0):
+    real = dynamics.singular_orbit
+    calls = []
+
+    def counted(lam, n):
+        calls.append(n)
+        return real(lam, n)
+
+    # induced may bind the name itself, so count it there as well
+    monkeypatch.setattr(dynamics, "singular_orbit", counted)
+    monkeypatch.setattr(induced, "singular_orbit", counted, raising=False)
+    geo = negative_geometry(lam, c, l0)
+    horizon = l0 + induced._BANDS + 1
+    assert calls == [horizon]
+    # the balls come from the orbit that supergrowth checked, bit for bit
+    # the orbit a second singular_orbit call gives
+    orbit = real(lam, horizon)
+    assert repr(geo.log_betas) == repr((-math.inf,) + tuple(
+        p.log_modulus.to_float() for p in orbit))
+    assert repr(geo.alphas) == repr((0.0,) + tuple(
+        p.real_part_tower().to_float() for p in orbit))
+
+
 def test_every_accepted_geometry_has_an_unbounded_deepest_band():
     # so no column of a certificate or cover built from negative_geometry
     # falls below its bands
@@ -334,6 +361,40 @@ def test_mixed_depth_negative_bounds():
     assert bound[-20] == 0.0
     assert bound[7] == cert.max_sum
     assert 11**3 not in bound
+
+
+@pytest.mark.parametrize("params, delta, r_max", [
+    ((0.65, 0.65, 4), 0.5, 40), ((1.0, 1.0, 3), 0.2, 60), ((1.0, 0.2, 3), 0.5, 120),
+])
+def test_negative_columns_take_one_bound_per_level(monkeypatch, params, delta, r_max):
+    lam = params[0]
+    geo = negative_geometry(*params)
+    cert = verify_contraction(lam, STRIP, delta, r_max, geometry=geo)
+    # the per-column loop: one bound for every column
+    want = [(r, induced._positive_column_sum(lam, STRIP, float(r), delta, float(geo.m))
+             if r > 0 else induced._negative_level_bound(
+                 lam, STRIP, geo, geo.level_of_column(r), delta, 1.2))
+            for r, _ in cert.per_column]
+    assert repr(cert.per_column) == repr(tuple(want))
+    # real bounds are mostly 0.0 here, so substitute one that differs
+    # from level to level, and count the calls
+    real_bound = induced._negative_level_bound
+    calls = []
+
+    def level_bound(lam, spec, geometry, l, delta, distortion_allowance):
+        calls.append(l)
+        return 1e-3 * (l - geometry.l0 + 1) ** 2 + real_bound(
+            lam, spec, geometry, l, delta, distortion_allowance)
+
+    monkeypatch.setattr(induced, "_negative_level_bound", level_bound)
+    got = verify_contraction(lam, STRIP, delta, r_max, geometry=geo).per_column
+    levels = [geo.level_of_column(r) for r, _ in got if r < 0]
+    assert calls == list(dict.fromkeys(levels)) and len(set(levels)) > 1
+    calls.clear()
+    want = tuple((r, b if r > 0 else level_bound(lam, STRIP, geo, geo.level_of_column(r),
+                                                 delta, 1.2))
+                 for r, b in got)
+    assert repr(got) == repr(want)
 
 
 def test_certificate_validation():

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from operator import ne
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -268,6 +269,24 @@ def test_field_counts_each_caveat_once():
     assert field.survivor_count("optimistic") == 14
     assert field.caveat_count == sum(
         c != o for c, o in zip(field.conservative, field.optimistic))
+
+
+# a row at 0 < Im z < pi e^-Re z with Re z past about 37.9 maps into the
+# strip at a modulus past ARG_TRUST_LIMIT, so its step 2 is a caveat; the
+# tall windows and depths below 3 give fields without one
+@settings(max_examples=60, deadline=None)
+@given(st.floats(36.0, 40.0), st.floats(0.5, 4.0),
+       st.one_of(st.tuples(st.just(0.0), st.floats(1e-17, 1e-16)),
+                 st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 3.0))),
+       st.integers(2, 6), st.integers(2, 6), st.integers(1, 6))
+# the field the CI pins: 9 caveats
+@example(38.0, 2.0, (0.0, 2e-17), 5, 3, 4)
+# a field with none
+@example(0.0, 4.0, (0.0, math.pi), 5, 4, 4)
+def test_caveat_count_is_the_number_of_pixels_whose_exits_differ(x0, w, yh, nx, ny, n):
+    y0, h = yh
+    field = sample_lambda_set(1.0, STRIP, (x0, y0, x0 + w, y0 + h), (nx, ny), n)
+    assert field.caveat_count == sum(map(ne, field.conservative, field.optimistic))
 
 
 def test_field_matches_pointwise_membership():

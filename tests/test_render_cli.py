@@ -109,7 +109,7 @@ def test_writers_accept_pathlib_paths(tmp_path, name):
 
 
 @pytest.mark.parametrize("palette", ["gray", "fire"])
-@pytest.mark.parametrize("bad", [-1, 99])
+@pytest.mark.parametrize("bad", [-1, 99, 256, 4.5])
 def test_render_rejects_values_outside_the_palette(palette, bad):
     field = _small_field()
     field = field._replace(conservative=(bad,) + field.conservative[1:])
@@ -117,7 +117,7 @@ def test_render_rejects_values_outside_the_palette(palette, bad):
         render_field(field, io.BytesIO(), palette=palette)
 
 
-@pytest.mark.parametrize("bad", [-1, 5, 99999])
+@pytest.mark.parametrize("bad", [-1, 5, 256, 4.5, 99999])
 def test_field_pgm_rejects_values_outside_the_field(bad):
     # depth 3: exits are 0..2 and survivors 4, so 5 and up cannot occur
     field = _small_field()
@@ -127,7 +127,7 @@ def test_field_pgm_rejects_values_outside_the_field(bad):
 
 
 @pytest.mark.parametrize("palette", ["gray", "fire"])
-@pytest.mark.parametrize("bad", [-1, 5])
+@pytest.mark.parametrize("bad", [-1, 5, 256, 4.5])
 def test_render_refuses_a_bad_value_in_the_last_row_before_writing(tmp_path, palette, bad):
     # the raster runs top row first, so the bottom row (iy = 0) is written
     # last; its last pixel is the first bad value the renderer meets
@@ -146,7 +146,8 @@ def test_render_rejects_unknown_palette():
 
 
 # ---------------------------------------------------------------------------
-# the raster writers against the per-value writers they replaced
+# the raster writers against the per-value writers they replaced; depths
+# 253 and 254 take the byte raster, 255 and 256 the per-value path
 
 
 def pgm_by_struct(field, policy):
@@ -185,14 +186,16 @@ def fields(draw, depths):
 
 
 @settings(max_examples=150, deadline=None)
-@given(fields(st.one_of(st.integers(1, 40), st.sampled_from([65534, 65535, 70000]))))
+@given(fields(st.one_of(st.integers(1, 40), st.integers(253, 256),
+                        st.sampled_from([65534, 65535, 70000]))))
 def test_field_pgm_matches_the_struct_writer(field):
     for policy in ("conservative", "optimistic"):
         assert field_to_pgm(field, policy) == pgm_by_struct(field, policy)
 
 
 @settings(max_examples=150, deadline=None)
-@given(fields(st.integers(1, 300)), st.sampled_from(["gray", "fire"]))
+@given(fields(st.one_of(st.integers(1, 300), st.integers(253, 256))),
+       st.sampled_from(["gray", "fire"]))
 def test_render_matches_the_generator_writer(field, palette):
     for policy in ("conservative", "optimistic"):
         buf = io.BytesIO()
@@ -208,14 +211,16 @@ def test_render_builds_entries_only_for_the_values_the_raster_holds(monkeypatch)
         return _fire(t)
 
     monkeypatch.setattr("expdyn.render._fire", fire)
-    depth = 10 ** 6
-    top = depth + 1
-    field = _field(depth, 2, 2, (0, 5, top, top), (top,) * 4)
-    buf = io.BytesIO()
-    render_field(field, buf, palette="fire")
-    assert sorted(calls) == [0.0, 5 / top, 1.0]
-    shade = [bytes(_fire(v / top)) for v in (top, top, 0, 5)]
-    assert buf.getvalue() == b"P6\n2 2\n255\n" + b"".join(shade)
+    # depth 10 takes the byte raster, 10^6 the per-value path
+    for depth in (10, 10 ** 6):
+        calls.clear()
+        top = depth + 1
+        field = _field(depth, 2, 2, (0, 5, top, top), (top,) * 4)
+        buf = io.BytesIO()
+        render_field(field, buf, palette="fire")
+        assert sorted(calls) == [0.0, 5 / top, 1.0]
+        shade = [bytes(_fire(v / top)) for v in (top, top, 0, 5)]
+        assert buf.getvalue() == b"P6\n2 2\n255\n" + b"".join(shade)
 
 
 def test_deep_field_pgms_saturate_at_65535():
