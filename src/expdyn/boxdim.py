@@ -14,7 +14,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import ValidationError
-from .dynamics import _require_lambda
+from .dynamics import _require_int, _require_lambda
 from .reports import report_json
 
 if TYPE_CHECKING:
@@ -129,10 +129,23 @@ def dimension_bound_search(
     Positive-only mode scans (delta, M) and certifies columns M..M+r_span,
     r_span >= 0.  With l0_grid (c required) it scans (delta, l0), derives
     M from each geometry, and certifies both sides; an M grid or a c that
-    the mode would not read is refused.  Absence of a certificate is a
-    result ("no certificate in grid"), not an error.
+    the mode would not read is refused.  r_span and every M and l0 must be
+    integers.  Absence of a certificate is a result ("no certificate in
+    grid"), not an error.
+
+    The bounds are those of verify_contraction: float-rounded, and modulo
+    the distortion allowance on the negative side.  Column M is one of
+    every certificate's columns, so a grid point whose column-M bound is
+    1/2 or more is rejected without building its certificate, after the
+    column range check that building it would make first.
     """
-    from .induced import _threshold, negative_geometry, verify_contraction
+    from .induced import (
+        _positive_column_sum,
+        _require_columns,
+        _threshold,
+        negative_geometry,
+        verify_contraction,
+    )
 
     lam = _require_lambda(lam)
     deltas = sorted(set(float(d) for d in delta_grid))
@@ -148,15 +161,16 @@ def dimension_bound_search(
         raise ValidationError("give an M grid or an l0 grid, not both")
     if l0_grid is None and c is not None:
         raise ValidationError("c is read only with an l0 grid")
-    if r_span < 0:
+    if _require_int(r_span, "r_span") < 0:
         raise ValidationError("r_span must be >= 0")
 
     if l0_grid is None:
-        ms = sorted(set(_threshold(lam, int(m), None) for m in m_grid))
+        ms = sorted(set(_threshold(lam, _require_int(m, "an m_grid value"), None)
+                        for m in m_grid))
         grid = {"mode": "positive-only", "m_grid": ms}
         candidates = ((m, None) for m in ms)
     else:
-        l0s = sorted(set(int(l) for l in l0_grid))
+        l0s = sorted(set(_require_int(l, "an l0_grid value") for l in l0_grid))
         grid = {"mode": "two-sided", "l0_grid": l0s, "c": c}
         # built on demand, so a GeometryError surfaces at its own l0
         geometries = (negative_geometry(lam, c, l0) for l0 in l0s)
@@ -169,6 +183,9 @@ def dimension_bound_search(
         for d in deltas:
             if best is not None and 1.0 + d >= 1.0 + best.delta:
                 break
+            _require_columns(m, m + r_span, two_sided=geo is not None)
+            if _positive_column_sum(lam, spec, m, d, m) >= 0.5:
+                continue  # the certificate fails at column M
             cert = verify_contraction(
                 lam, spec, d, m + r_span, m=m, geometry=geo, enumerate_rectangles=False
             )

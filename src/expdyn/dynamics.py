@@ -98,6 +98,13 @@ def _require_count(n: int, what: str) -> None:
         raise ValidationError(f"{what} must be at most {_RANGE_LIMIT}")
 
 
+def _require_int(value: int, name: str) -> int:
+    """value, refused unless it is an int: a float is not truncated."""
+    if not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _principal(theta: float) -> float:
     """Reduce to (-pi, pi]."""
     r = math.remainder(theta, TAU)

@@ -28,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from functools import partial, reduce
 from itertools import accumulate, chain, repeat
 from operator import add, lt, mul, neg
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import _RANGE_LIMIT, GeometryError, NumericRangeError, ValidationError
 from .dynamics import (
@@ -37,6 +37,7 @@ from .dynamics import (
     _abs,
     _lambda_logs,
     _require_count,
+    _require_int,
     _require_lambda,
     _strip_of_imag,
     check_supergrowth,
@@ -66,10 +67,10 @@ class RectangleIndex(NamedTuple):
     r: int  # column; rectangle is {r <= Re z < r+1} within strip k
 
 
-def _columns(m: int, r_max: int, two_sided: bool) -> list[int]:
-    """The columns of a certificate at threshold M, ascending: M..r_max,
-    after -r_max..-M when two-sided.  r_max below M and more than
-    _RANGE_LIMIT columns are refused before any is listed."""
+def _require_columns(m: int, r_max: int, two_sided: bool) -> None:
+    """Refuse an r_max that is not an integer or lies below M, and a
+    certificate of more than _RANGE_LIMIT columns."""
+    _require_int(r_max, "r_max")
     if r_max < m:
         raise ValidationError(f"r_max must be at least M = {m}")
     count = (r_max - m + 1) * (2 if two_sided else 1)
@@ -78,6 +79,13 @@ def _columns(m: int, r_max: int, two_sided: bool) -> list[int]:
             f"the column range {m}..{r_max} holds {count} columns, "
             f"more than {_RANGE_LIMIT}"
         )
+
+
+def _columns(m: int, r_max: int, two_sided: bool) -> list[int]:
+    """The columns of a certificate at threshold M, ascending: M..r_max,
+    after -r_max..-M when two-sided.  _require_columns refuses a range
+    before any column is listed."""
+    _require_columns(m, r_max, two_sided)
     negative = range(-r_max, -m + 1) if two_sided else range(0)
     return [*negative, *range(m, r_max + 1)]
 
@@ -119,8 +127,9 @@ def build_zm(
 
 def _max_width(spec: ThinSetSpec) -> float:
     """Widest slice over any image columns: a strip's width is the same in
-    every column.  A function of its own, so that the per-layer benchmark
-    (bench/tracer.py) counts the column sums' width reads."""
+    every column, so a column-sum call reads it once.  A function of its
+    own, so that the per-layer benchmark (bench/tracer.py) counts the
+    column sums' width reads."""
     return spec.width
 
 
@@ -145,13 +154,83 @@ def _bound_vanishes(
     A strip's width is the same in every column, so lead = sides n_sup is
     the same at every larger column, while the log branch's larger
     exponent log(lead) - delta log E falls as the column grows.  Once that
-    exponent is below _EXP_ZERO, _positive_column_sum returns 0.0 without
+    exponent is below _EXP_ZERO, _positive_column_sums gives 0.0 without
     evaluating exp.  (With lead >= 2 and delta < 1 this happens only past
     log E = 746, inside the log branch, where exp would give 0.0 too; the
     test on log E + 1 spares the log below _EXP_NATIVE.)
     """
     return (log_e + 1.0 >= _EXP_NATIVE
             and math.log(sides * n_sup) - delta * log_e < _EXP_ZERO)
+
+
+def _positive_column_sums(
+    lam: complex,
+    spec: ThinSetSpec,
+    columns: Iterable[float],
+    delta: float,
+    m: float,
+    sides: float = 2.0,
+) -> list[float]:
+    """Upper bounds for the per-rectangle image sum at each positive column.
+
+    Image moduli lie in [E, eE] with E = |lambda| e^r.  Columns with
+    lower Re-bound below E contribute at most E^{-(1+delta)} each and
+    their count is limited by the cone condition; columns beyond E decay
+    like s^{-(1+delta)} and are absorbed by an integral tail (_tail).
+
+    What does not depend on the column (log|lambda|, n_sup, lead, its
+    log, the cone constant K and the log branch's share) is computed
+    once; each column then evaluates the same expressions in the same
+    order as a call for that column alone, so the bits do not depend on
+    which columns share a call.  The cut is _bound_vanishes's test.
+    """
+    log_lam = _lambda_logs(lam)[0]
+    n_sup = _max_width(spec) / TAU + 2.0
+    lead = sides * n_sup
+    log_lead = math.log(lead)
+    cone = spec.cone_constant
+    share = max(0.0, 1.0 - 1.0 / cone) - math.expm1(-delta) / delta
+    pad = abs(log_lead)
+    m = float(m)
+    grow = 1.0 + delta
+    power = -grow
+    exp, ceil = math.exp, math.ceil
+    sums = []
+    for r in columns:
+        log_e = log_lam + r
+        if log_e + 1.0 >= _EXP_NATIVE and log_lead - delta * log_e < _EXP_ZERO:
+            sums.append(0.0)
+        elif grow * log_e > _EXP_NATIVE:
+            # The native formula below with E factored out, so that
+            # E^-(1+delta) cannot underflow: count <= E (1 - 1/K) + 3,
+            # s0 >= E and a tail integral of at most E^-delta
+            # (1 - e^-delta)/delta.  (Reading eE for eE + 1 at the tail's
+            # far end drops a relative 1/E, and log E > 345 here.)  lead
+            # goes into the exponents, so no factor leaves the normal range
+            # before the result does.  Rounding, for E = e^log_e: each
+            # exponent takes at most four roundings of at most S 2^-53,
+            # with S = |log lead| + (1 + delta) log_e, and its exp moves by
+            # the same relative amount; log, exp, expm1 and the other
+            # operations add under 16 ulps.  A relative pad of (S + 16)
+            # 2^-50 covers both at least twice.  Results below the normal
+            # range (2.2e-308) round coarser, but sit far below any budget.
+            bound = (share * exp(log_lead - delta * log_e)
+                     + 4.0 * exp(log_lead - grow * log_e))
+            size = pad + grow * log_e
+            sums.append(bound * (1.0 + (size + 16.0) * 2.0 ** -50))
+        else:
+            e = exp(log_e)
+            e1 = exp(log_e + 1.0)
+            if m > e1 + 1.0:
+                sums.append(0.0)
+                continue
+            inner = max(m, e / cone - 2.0)
+            count = max(0.0, e - inner + 1.0)
+            part1 = lead * count * e ** power
+            s0 = max(ceil(max(e, m)), 1)
+            tail = s0 ** power + max(0.0, (s0 ** -delta - (e1 + 1.0) ** -delta) / delta)
+            sums.append(part1 + lead * tail)
+    return sums
 
 
 def _positive_column_sum(
@@ -161,51 +240,10 @@ def _positive_column_sum(
     delta: float,
     m: float,
     sides: float = 2.0,
-    terms: Optional[tuple[float, float]] = None,
 ) -> float:
-    """Upper bound for the per-rectangle image sum at positive column r.
-
-    Image moduli lie in [E, eE] with E = |lambda| e^r.  Columns with
-    lower Re-bound below E contribute at most E^{-(1+delta)} each and
-    their count is limited by the cone condition; columns beyond E decay
-    like s^{-(1+delta)} and are absorbed by an integral tail.  terms is
-    _column_terms(lam, spec, r) when the caller already has it.
-    """
-    log_e, n_sup = _column_terms(lam, spec, r) if terms is None else terms
-    if _bound_vanishes(log_e, n_sup, delta, sides):
-        return 0.0
-    lead = sides * n_sup
-
-    if (1.0 + delta) * log_e > _EXP_NATIVE:
-        # The formula below with E factored out, so that E^-(1+delta) cannot
-        # underflow: count <= E (1 - 1/K) + 3, s0 >= E and a tail integral
-        # of at most E^-delta (1 - e^-delta)/delta.  (Reading eE for eE + 1
-        # at the tail's far end drops a relative 1/E, and log E > 345 here.)
-        # lead goes into the exponents, so no factor leaves the normal range
-        # before the result does.  Rounding, for E = e^log_e: each exponent
-        # takes at most four roundings of at most S 2^-53, with
-        # S = |log lead| + (1 + delta) log_e, and its exp moves by the same
-        # relative amount; log, exp, expm1 and the other operations add
-        # under 16 ulps.  A relative pad of (S + 16) 2^-50 covers both at
-        # least twice.  Results below the normal range (2.2e-308) round
-        # coarser, but sit far below any budget.
-        log_lead = math.log(lead)
-        share = max(0.0, 1.0 - 1.0 / spec.cone_constant) - math.expm1(-delta) / delta
-        bound = (share * math.exp(log_lead - delta * log_e)
-                 + 4.0 * math.exp(log_lead - (1.0 + delta) * log_e))
-        size = abs(log_lead) + (1.0 + delta) * log_e
-        return bound * (1.0 + (size + 16.0) * 2.0 ** -50)
-
-    e = math.exp(log_e)
-    e1 = math.exp(log_e + 1.0)
-    if m > e1 + 1.0:
-        return 0.0
-    inner = max(float(m), e / spec.cone_constant - 2.0)
-    count = max(0.0, e - inner + 1.0)
-    part1 = lead * count * e ** -(1.0 + delta)
-
-    s0 = max(math.ceil(max(e, float(m))), 1)
-    return part1 + lead * _tail(s0, e1, delta)
+    """Upper bound for the per-rectangle image sum at positive column r:
+    _positive_column_sums at this one column."""
+    return _positive_column_sums(lam, spec, (r,), delta, m, sides)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +289,30 @@ class InducedGeometry(NamedTuple):
         return max(float(self.m), math.floor(a - radius))
 
 
+def _level_bands(
+    geometry: InducedGeometry, start: int, stop: int
+) -> list[tuple[int, int, int]]:
+    """The negative columns start..stop - 1 in bands of one level,
+    ascending: (level, a, b) for the columns a..b - 1.
+
+    The level does not increase with the column, so a band starts with one
+    level_of_column call and ends where a bisection over the columns past
+    it finds the first smaller level.  The deepest column is looked up
+    first, so a column below the deepest band raises GeometryError as a
+    loop over every column would.
+    """
+    level = geometry.level_of_column
+    columns = range(start, stop)
+    bands = []
+    a = start
+    while a < stop:
+        lvl = level(a)
+        b = start + bisect_right(columns, -lvl, a - start + 1, key=lambda r: -level(r))
+        bands.append((lvl, a, b))
+        a = b
+    return bands
+
+
 def negative_geometry(lam: complex, c: float, l0: int) -> InducedGeometry:
     """Balls around the singular orbit and the level bands for Re z <= -M.
 
@@ -267,6 +329,7 @@ def negative_geometry(lam: complex, c: float, l0: int) -> InducedGeometry:
     lam_abs = _abs(lam)
     if not (0.0 < c <= lam_abs):
         raise ValidationError("need 0 < c <= |lambda| so that D <= 1/4")
+    _require_int(l0, "l0")
     if l0 < 1:
         raise ValidationError("need l0 >= 1")
 
@@ -378,9 +441,11 @@ def _negative_level_bound(
 def _threshold(
     lam: complex, m: Optional[int], geometry: Optional[InducedGeometry]
 ) -> int:
-    """M >= 1, given directly or by a geometry; when both are given they must
-    agree.  A geometry's bands come from the singular orbit of its own
-    lambda, so it is refused for any other lambda."""
+    """An integer M >= 1, given directly or by a geometry; when both are
+    given they must agree.  A geometry's bands come from the singular orbit
+    of its own lambda, so it is refused for any other lambda."""
+    if m is not None:
+        _require_int(m, "m")
     if geometry is not None:
         if lam != geometry.lam:
             raise ValidationError(
@@ -417,33 +482,33 @@ def verify_contraction(
     """Certificate that every per-rectangle image sum is below 1/2.
 
     It certifies the columns M..r_max, and -r_max..-M too when a geometry
-    is given (the geometry then also gives M).  A max in [1/2, 1) is
-    reported as "not achieved", not as an error.
+    is given (the geometry then also gives M); M and r_max must be
+    integers.  A max in [1/2, 1) is reported as "not achieved", not as an
+    error.  Each bound is float-rounded, and the negative ones hold modulo
+    the distortion allowance.
+
+    The positive columns take one _positive_column_sums call.  A negative
+    bound depends on the level alone, so the negative columns take one
+    _negative_level_bound per level band (_level_bands), in ascending
+    order.
     """
     lam = _require_lambda(lam)
     _require_run_parameters(delta, distortion_allowance)
     m = _threshold(lam, m, geometry)
     columns = _columns(m, r_max, two_sided=geometry is not None)
 
-    per_column: list[tuple[int, float]] = []
-    # the negative bound depends on the level alone, and the columns run
-    # in ascending order, so each level's band is one run of columns
-    bound_level = None
-    for r in columns:
-        if r > 0:
-            b = _positive_column_sum(lam, spec, float(r), delta, float(m))
-        else:
-            lvl = geometry.level_of_column(r)
-            if lvl != bound_level:
-                bound_level = lvl
-                nb = _negative_level_bound(
-                    lam, spec, geometry, lvl, delta, distortion_allowance
-                )
-            b = nb
-        per_column.append((r, b))
+    bounds: list[float] = []
+    if geometry is not None:
+        for lvl, a, b in _level_bands(geometry, -r_max, -m + 1):
+            nb = _negative_level_bound(
+                lam, spec, geometry, lvl, delta, distortion_allowance
+            )
+            bounds += repeat(nb, b - a)
+    bounds += _positive_column_sums(lam, spec, range(m, r_max + 1), delta, m)
+    per_column = tuple(zip(columns, bounds))
     strips = _zm_strips(spec, lam, len(columns)) if enumerate_rectangles else None
 
-    max_sum = max(b for _, b in per_column)
+    max_sum = max(bounds)
     passed = max_sum < 0.5
     status = "pass" if passed else (
         f"certificate not achieved at M={m}, delta={delta:g} "
@@ -451,7 +516,7 @@ def verify_contraction(
     )
     return ContractionCertificate(
         lam, geometry.c if geometry else None, delta, m,
-        geometry.l0 if geometry else None, tuple(per_column), strips,
+        geometry.l0 if geometry else None, per_column, strips,
         max_sum, passed, status, distortion_allowance,
     )
 
@@ -588,7 +653,7 @@ def cover_iterate(
     skipped in runs, so the totals and cell counts are those of a loop
     over every column.  Negative columns are taken deepest first in bands
     of one level (the level does not increase with the column), found by
-    bisection inside each run, with one _negative_level_bound per level,
+    _level_bands inside each run, with one _negative_level_bound per level,
     and a band whose bound is 0.0 is skipped.  The positive loop stops at
     the first column where _bound_vanishes holds, since the bound is then
     0.0 there and at every larger column.
@@ -630,22 +695,17 @@ def cover_iterate(
         to_m: list[float] = []
         bound_level = None
         for lo, vals in reversed(negative):
-            def level(i: int) -> int:
-                return geometry.level_of_column(-(lo + i) - 1)
-
-            j = len(vals)
-            while j > 0:
-                lvl = level(j - 1)
-                i = bisect_left(range(j - 1), lvl, key=level)
+            # vals[i] is the mass at column -(lo + i) - 1, so the columns
+            # a..b - 1 are vals[-b - lo:-a - lo], deepest last
+            for lvl, a, b in _level_bands(geometry, -lo - len(vals), -lo):
                 if lvl != bound_level:
                     bound_level = lvl
                     nb = _negative_level_bound(
                         lam, spec, geometry, lvl, delta, distortion_allowance
                     )
                 if nb != 0.0:
-                    weights = map(mul, reversed(vals[i:j]), repeat(nb))
+                    weights = map(mul, reversed(vals[-b - lo:-a - lo]), repeat(nb))
                     to_m += filter(partial(lt, 0.0), weights)
-                j = i
         if to_m:
             cells += len(to_m)
             new_positive.append((m, [reduce(add, to_m, 0.0)]))
@@ -657,9 +717,7 @@ def cover_iterate(
             log_e, n_sup = _column_terms(lam, spec, col)
             if _bound_vanishes(log_e, n_sup, delta, sides):
                 break
-            ps = _positive_column_sum(
-                lam, spec, float(col), delta, float(m), sides, (log_e, n_sup)
-            )
+            ps = _positive_column_sum(lam, spec, float(col), delta, float(m), sides)
             if mass * ps == 0.0:
                 continue
             if log_e > _EXP_NATIVE:

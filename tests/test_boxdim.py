@@ -1,7 +1,10 @@
 """Box counting and the certified dimension-bound search."""
 
+import hashlib
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +17,11 @@ from expdyn import (
     certificate_to_json,
     dimension_bound_search,
     horizontal_strip,
+    negative_geometry,
     report_to_json,
     verify_contraction,
 )
+from expdyn.cli import main
 
 STRIP = horizontal_strip(0.0, math.pi)
 EPS = [0.1, 0.05, 0.025, 0.0125, 0.01]
@@ -262,11 +267,104 @@ def test_search_verifies_each_grid_point_once(monkeypatch):
     monkeypatch.setattr(induced, "verify_contraction", counted)
     rep = dimension_bound_search(1.0, STRIP, [0.5, 0.2, 0.2, 0.5], m_grid=[5, 5])
     assert rep.provenance["delta_grid"] == [0.2, 0.5]
-    # 0.2 fails at M = 5, so the scan goes on to 0.5, each once
-    assert seen == [(5, 0.2), (5, 0.5)]
+    # both grid points fail at column M = 5, so neither certificate is built
+    assert [induced._positive_column_sum(1.0, STRIP, 5, d, 5) >= 0.5
+            for d in (0.2, 0.5)] == [True, True]
+    assert seen == [] and rep.status == "no certificate in grid"
+    # at M = 10, 0.2 fails at column 10 and 0.5 does not: the scan builds
+    # that one certificate, once
+    assert induced._positive_column_sum(1.0, STRIP, 10, 0.2, 10) >= 0.5
+    rep = dimension_bound_search(1.0, STRIP, [0.5, 0.2, 0.2, 0.5], m_grid=[10, 5, 10])
+    assert seen == [(10, 0.5)] and rep.bound_achieved == 1.5
 
 
 @pytest.mark.parametrize("m", [0, -3])
 def test_search_rejects_m_below_one(m):
     with pytest.raises(ValidationError, match="need M >= 1"):
         dimension_bound_search(1.0, STRIP, [0.5], m_grid=[10, m])
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"m_grid": [10.7]}, "an m_grid value must be an integer, got 10.7"),
+    ({"l0_grid": [3.9], "c": 1.0}, "an l0_grid value must be an integer, got 3.9"),
+    ({"m_grid": [10], "r_span": 2.5}, "r_span must be an integer, got 2.5"),
+])
+def test_search_refuses_a_grid_value_that_is_not_an_integer(kwargs, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        dimension_bound_search(1.0, STRIP, [0.5], **kwargs)
+
+
+def brute_force_search(lam, spec, delta_grid, m_grid=(), l0_grid=None, c=None, r_span=20):
+    """The search without its shortcuts: certify every grid point and keep
+    the smallest passing 1 + delta, the first candidate in grid order on a
+    tie."""
+    lam = complex(lam)
+    deltas = sorted(set(delta_grid))
+    if l0_grid is None:
+        grid = {"mode": "positive-only", "m_grid": sorted(set(m_grid))}
+        candidates = [(m, None) for m in grid["m_grid"]]
+    else:
+        grid = {"mode": "two-sided", "l0_grid": sorted(set(l0_grid)), "c": c}
+        candidates = [(geo.m, geo) for geo in
+                      (negative_geometry(lam, c, l0) for l0 in grid["l0_grid"])]
+    passing = []
+    for i, (m, geo) in enumerate(candidates):
+        for d in deltas:
+            cert = verify_contraction(lam, spec, d, m + r_span, m=m, geometry=geo,
+                                      enumerate_rectangles=False)
+            if cert.passed:
+                passing.append((1.0 + d, i, d, cert))
+    provenance = {"lambda": [lam.real, lam.imag], "delta_grid": deltas, **grid,
+                  "r_span": r_span}
+    if not passing:
+        return boxdim.DimensionReport(None, None, provenance, "no certificate in grid")
+    best = min(passing, key=lambda t: t[:3])[3]
+    return boxdim.DimensionReport(best, 1.0 + best.delta, provenance, "ok")
+
+
+@pytest.mark.parametrize("lam, spec, deltas, kwargs", [
+    (1.0, STRIP, [0.1, 0.2, 0.3, 0.5, 0.7], {"m_grid": [5, 8, 10], "r_span": 15}),
+    (1.0, STRIP, [0.1, 0.2, 0.3, 0.5, 0.7], {"m_grid": [5, 8, 10, 12, 20], "r_span": 0}),
+    (-1.0, STRIP, [0.05, 0.3, 0.31], {"m_grid": [12, 8], "r_span": 30}),
+    # both M pass at 0.3: the first in grid order wins
+    (1.0, STRIP, [0.5, 0.3], {"m_grid": [12, 10]}),
+    (1 + 0.3j, STRIP, [0.01, 0.02], {"m_grid": [5], "r_span": 10}),
+    (0.2, horizontal_strip(-1.0, 1.0), [0.1, 0.5, 0.9], {"m_grid": [1, 3, 10]}),
+    (2.0, STRIP, [0.05, 0.1, 0.2, 0.5], {"l0_grid": [2], "c": 1.0, "r_span": 15}),
+    (1.0, STRIP, [0.1, 0.15, 0.2, 0.5], {"l0_grid": [3], "c": 0.6}),
+    (0.65, horizontal_strip(0.0, math.pi), [0.05, 0.2, 0.4], {"l0_grid": [4, 5], "c": 0.65}),
+])
+def test_search_matches_a_search_that_certifies_every_grid_point(lam, spec, deltas, kwargs):
+    got = report_to_json(dimension_bound_search(lam, spec, deltas, **kwargs))
+    assert got == report_to_json(brute_force_search(lam, spec, deltas, **kwargs))
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--lambda=1,0", "--set=strip:0,3.14", "--delta-grid=0.1,0.2,0.3,0.5,0.7",
+      "--m-grid=5,8,10", "--r-span=15"],
+     "cbd5ccbdbd3ce6ade2bedb23773feeecdbe761e5e9ef107317ac784708a9daaf"),
+    (["--lambda=2,0", "--set=strip:0,3.14", "--delta-grid=0.05,0.1,0.2,0.5",
+      "--l0-grid=2", "--c=1", "--r-span=15"],
+     "6102b7dbc7aa82b49a7cf94b029d93db68d1e58e36e4f03107a263704fff12bc"),
+])
+def test_searchbound_output_is_pinned(argv, digest):
+    code, out, err = _run(["searchbound", *argv])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_column_range_past_the_limit_is_refused_before_column_m_is_read():
+    # column 5 fails at delta 0.1, but 5..100005 is too many columns, and
+    # that refusal comes first, as it does when the certificate is built
+    assert induced._positive_column_sum(1.0, horizontal_strip(0.0, 3.14), 5, 0.1, 5) >= 0.5
+    code, out, err = _run(["searchbound", "--lambda=1,0", "--set=strip:0,3.14",
+                           "--delta-grid=0.1", "--m-grid=5", "--r-span=100000"])
+    assert (code, out) == (2, "")
+    assert err == "error: the column range 5..100005 holds 100001 columns, more than 10000\n"

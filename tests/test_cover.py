@@ -9,6 +9,7 @@ and compare against a copy of that loop, which keeps one dict of masses.
 
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -235,16 +236,19 @@ def _window(lam, spec, col, m, cap):
 
 
 def _record_sources(monkeypatch):
-    """The positive source columns cover_iterate evaluates, in order."""
+    """The positive source columns cover_iterate evaluates, in order: those
+    where its cut test _bound_vanishes does not hold.  The test gets log E,
+    which is the column itself at lambda = 1."""
     seen = []
-    column_sum = induced._positive_column_sum
+    vanishes = induced._bound_vanishes
 
-    def recording(lam, spec, r, delta, m, sides=2.0, terms=None):
-        if terms is not None:  # the loop over the mass columns
-            seen.append(r)
-        return column_sum(lam, spec, r, delta, m, sides, terms)
+    def recording(log_e, n_sup, delta, sides):
+        cut = vanishes(log_e, n_sup, delta, sides)
+        if not cut and sys._getframe(1).f_code is induced.cover_iterate.__code__:
+            seen.append(log_e)
+        return cut
 
-    monkeypatch.setattr(induced, "_positive_column_sum", recording)
+    monkeypatch.setattr(induced, "_bound_vanishes", recording)
     return seen
 
 

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expdyn import dynamics, induced
 from expdyn import (
@@ -142,6 +142,77 @@ def test_smallest_passing_delta_falls_like_one_over_m():
     assert all(star[b] <= star[a] for a, b in zip(ms, ms[1:]))
     for m in (10, 100, 700, 5000):
         assert 2.8 <= star[m] * m <= 3.0
+
+
+def _frozen_column_sum(lam, spec, r, delta, m, sides):
+    """The one-column bound as it was written before the columns of a
+    certificate shared one call, kept as the bit-for-bit reference."""
+    log_e, n_sup = induced._lambda_logs(lam)[0] + r, spec.width / TAU + 2.0
+    if (log_e + 1.0 >= induced._EXP_NATIVE
+            and math.log(sides * n_sup) - delta * log_e < induced._EXP_ZERO):
+        return 0.0
+    lead = sides * n_sup
+    if (1.0 + delta) * log_e > induced._EXP_NATIVE:
+        log_lead = math.log(lead)
+        share = max(0.0, 1.0 - 1.0 / spec.cone_constant) - math.expm1(-delta) / delta
+        bound = (share * math.exp(log_lead - delta * log_e)
+                 + 4.0 * math.exp(log_lead - (1.0 + delta) * log_e))
+        size = abs(log_lead) + (1.0 + delta) * log_e
+        return bound * (1.0 + (size + 16.0) * 2.0 ** -50)
+    e = math.exp(log_e)
+    e1 = math.exp(log_e + 1.0)
+    if m > e1 + 1.0:
+        return 0.0
+    inner = max(float(m), e / spec.cone_constant - 2.0)
+    count = max(0.0, e - inner + 1.0)
+    part1 = lead * count * e ** -(1.0 + delta)
+    s = max(math.ceil(max(e, float(m))), 1)
+    tail = s ** -(1.0 + delta) + max(0.0, (s ** -delta - (e1 + 1.0) ** -delta) / delta)
+    return part1 + lead * tail
+
+
+def _outcome(f, *args):
+    """f(*args) as the hex of each float, or the type of what it raised."""
+    try:
+        got = f(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+    return [x.hex() for x in got] if isinstance(got, list) else got.hex()
+
+
+# columns: the native branch near M, the switch to the log branch at
+# (1 + delta) log E = 690, the cut where the log branch's exponent falls
+# below _EXP_ZERO, and columns far past it; lambda reaches 1e-300, whose
+# log shifts every column down by 690.8
+_COLUMNS = st.lists(st.one_of(st.integers(1, 80), st.integers(300, 1500),
+                              st.integers(1500, 80_000), st.integers(1, 10 ** 15),
+                              st.floats(1.0, 1e300)), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log10_lam=st.floats(-300.0, 3.0), arg=st.floats(-math.pi, math.pi),
+       a=st.floats(-10.0, 10.0), height=st.sampled_from([0.0, 1e-9, 0.5, math.pi, 40.0]),
+       columns=_COLUMNS, delta=st.floats(0.001, 0.999), m=st.integers(1, 60),
+       sides=st.sampled_from([1.0, 2.0]))
+@example(log10_lam=-300.0, arg=0.0, a=0.0, height=0.0, columns=[1, 2, 700, 1500],
+         delta=0.5, m=1, sides=1.0)
+@example(log10_lam=-300.0, arg=0.0, a=0.0, height=math.pi, columns=[700, 1500, 2200, 10 ** 6],
+         delta=0.5, m=2, sides=2.0)
+@example(log10_lam=0.0, arg=0.0, a=0.0, height=math.pi, columns=list(range(1488, 1500)),
+         delta=0.5, m=10, sides=2.0)
+def test_column_sums_equal_the_one_column_formula_bit_for_bit(
+        log10_lam, arg, a, height, columns, delta, m, sides):
+    lam = cmath.rect(10.0 ** log10_lam, arg)
+    spec = horizontal_strip(a, a + height)
+    want = [_outcome(lambda r: [_frozen_column_sum(lam, spec, r, delta, m, sides)], r)
+            for r in columns]
+    raised = [w for w in want if not isinstance(w, list)]
+    got = _outcome(induced._positive_column_sums, lam, spec, columns, delta, m, sides)
+    # a column that raises ends the call with the same error
+    assert got == (raised[0] if raised else [w[0] for w in want])
+    for r, w in zip(columns, want):
+        one = _outcome(induced._positive_column_sum, lam, spec, r, delta, m, sides)
+        assert one == (w if not isinstance(w, list) else w[0])
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +366,29 @@ def test_level_of_column_bisect_matches_the_scan(geo):
             assert geo.level_of_column(r) == want, r
 
 
+BAND_GEOMETRIES = {p: negative_geometry(*p)
+                   for p in [(1.0, 1.0, 3), (1.0, 0.2, 3), (0.65, 0.65, 4), (2.0, 1.0, 2)]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=st.sampled_from(sorted(BAND_GEOMETRIES)), anchor=st.integers(0, 4),
+       offset=st.integers(-40, 40), length=st.integers(0, 600))
+def test_level_bands_equal_the_per_column_levels(params, anchor, offset, length):
+    geo = BAND_GEOMETRIES[params]
+    # runs that end near -M or near a finite band edge
+    edges = [-geo.m + 1] + [math.floor(s) for s in geo.sigmas if s != -math.inf]
+    stop = min(edges[anchor % len(edges)] + offset, -geo.m + 1)
+    start = stop - length
+    bands = induced._level_bands(geo, start, stop)
+    levels = [lvl for lvl, a, b in bands for _ in range(a, b)]
+    assert levels == [geo.level_of_column(r) for r in range(start, stop)]
+    # the bands tile the columns in order, one level each
+    edges = [start] + [b for _, _, b in bands]
+    assert [(a, b) for _, a, b in bands] == list(zip(edges, edges[1:]))
+    assert edges[-1] == stop and all(a < b for _, a, b in bands)
+    assert all(l1 > l2 for (l1, _, _), (l2, _, _) in zip(bands, bands[1:]))
+
+
 # ---------------------------------------------------------------------------
 # contraction certificates
 
@@ -409,6 +503,22 @@ def test_certificate_validation():
         verify_contraction(1.0, STRIP, 0.5, 20, m=10, geometry=geo)
     with pytest.raises(ValidationError, match="r_max must be at least M = 16"):
         verify_contraction(1.0, STRIP, 0.5, 15, geometry=geo)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify_contraction(1.0, STRIP, 0.5, 30, m=10.5), "m must be an integer, got 10.5"),
+    (lambda: verify_contraction(1.0, STRIP, 0.5, 14.5, m=10),
+     "r_max must be an integer, got 14.5"),
+    (lambda: verify_contraction(1.0, STRIP, 0.5, 30, m=16.0,
+                                geometry=negative_geometry(1.0, 1.0, 3)),
+     "m must be an integer, got 16.0"),
+    (lambda: negative_geometry(1.0, 1.0, 3.5), "l0 must be an integer, got 3.5"),
+    (lambda: build_zm(STRIP, 1.0, 10, 12.0), "r_max must be an integer, got 12.0"),
+    (lambda: cover_iterate(1.0, STRIP, 0.5, 2, 10, m=10.0), "m must be an integer, got 10.0"),
+])
+def test_a_column_or_level_that_is_not_an_integer_is_refused(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------
