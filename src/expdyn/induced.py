@@ -570,42 +570,72 @@ class CoverRun(NamedTuple):
     two_sided: bool
 
 
+# masses (lo, n, v, values): v at the n columns from lo on, then values
+_Run = tuple[int, int, float, list[float]]
+
+
 def _window_weights(
     k: float, e: float, s_start: int, s_stop: int, power: float
-) -> list[float]:
+) -> tuple[int, float, list[float]]:
     """k t^power at the image columns s_start <= s < s_stop, with t = E up
-    to column floor(E) and t = s past it, less the zeros that end the list.
+    to column floor(E) and t = s past it, as (n, v, tail): n columns of
+    the one weight v = k E^power from s_start on, then the list of weights
+    past floor(E), less the zeros that end it.
 
-    The weights fall as s grows, so weights that underflow to 0.0 come
-    last; an empty list means that every weight is 0.0.
+    The weights do not increase with s, so weights that underflow to 0.0
+    come last and none before them is 0.0; (0, 0.0, []) means that every
+    weight is 0.0 or that the window is empty.
     """
+    v = k * e ** power
+    if v == 0.0 or s_stop <= s_start:
+        return 0, 0.0, []
     s_outer = min(max(math.floor(e) + 1, s_start), s_stop)
-    weights = [k * e ** power] * (s_outer - s_start)
-    weights += map(mul, repeat(k),
-                   map(pow, map(float, range(s_outer, s_stop)), repeat(power)))
-    if not any(weights):
-        return []
-    while weights[-1] == 0.0:
-        weights.pop()
-    return weights
+    tail = list(map(mul, repeat(k),
+                    map(pow, map(float, range(s_outer, s_stop)), repeat(power))))
+    while tail and tail[-1] == 0.0:
+        tail.pop()
+    return s_outer - s_start, v, tail
 
 
-def _deposit(runs: list, start: int, weights: list[float]) -> None:
-    """Add weights[i] to the mass at column start + i.
+def _deposit(runs: list[_Run], start: int, window: tuple[int, float, list[float]]) -> None:
+    """Add a window (n, v, tail) of _window_weights, whose first column is
+    start, to the masses.
 
-    The window joins the last run when it starts inside the run or right
-    after it, and opens a new run otherwise; weights is not kept.  Windows
-    come in with nondecreasing starts, so no earlier run can meet them.
+    A window that starts at or past the end of the last run opens a run
+    (start, n, v, copy of tail), so its flat prefix stays one count and
+    one value.  A window that overlaps the last run expands both to lists
+    and adds them by one slice assignment; the run keeps the list.
+    Windows come in with nondecreasing starts, so no earlier run can meet
+    them, and the window's tail list is not kept.
     """
+    n, v, tail = window
     if runs:
-        lo, vals = runs[-1]
-        shared = lo + len(vals) - start  # columns the run already holds
-        if shared >= 0:
+        lo, k, u, vals = runs[-1]
+        shared = lo + k + len(vals) - start  # columns the run already holds
+        if shared > 0:
+            if k:
+                vals = [u] * k + vals
+                runs[-1] = (lo, 0, 0.0, vals)
+            weights = [v] * n + tail
             at = start - lo
             vals[at:at + len(weights)] = map(add, vals[at:at + len(weights)], weights)
             vals += weights[shared:]
             return
-    runs.append((start, weights[:]))
+    runs.append((start, n, v, tail[:]))
+
+
+def _flat_terms(n: int, v: float) -> list[float]:
+    """n copies of v as ldexp(v, j) for each set bit j of n: at most
+    n.bit_length() terms with the exact sum n v, so math.fsum, which
+    rounds the exact sum once, gives the bits it gives for [v] * n.
+
+    Overflow can meet this only where the exact sum of everything fsum
+    adds passes the largest double.  Half a unit in the last place or
+    more past it, fsum raises OverflowError on [v] * n, and ldexp or fsum
+    raises it on the terms.  Less than half a unit past it, fsum may
+    return the largest double on one and raise OverflowError on the other.
+    """
+    return [math.ldexp(v, j) for j in range(n.bit_length()) if n >> j & 1]
 
 
 def cover_iterate(
@@ -635,19 +665,26 @@ def cover_iterate(
     The n = 0 row is the bare starting rectangle at column M, total
     (2 pi + 1)^{1+delta}; the budget comparison is meaningful from n = 1 on.
 
-    The masses of a level are runs (lo, values) of consecutive columns,
-    one list of runs per side: values[i] is the mass at column lo + i, or
-    at -(lo + i) - 1 on the negative side.  A positive source column's
-    image window [s_start, s_stop) is one list of weights
-    (mass n_sup) term, built by map, with its underflowed tail (weights
-    fall as s grows) cut off; it is added to the last run by one slice
-    assignment, or opens a new run, so the columns between windows that
-    branch_cap leaves empty are never stored.  This gives the bits of a
-    per-column dict: every weight is the same product, each column adds
-    its weights in source-column order (a new column holds w = 0.0 + w),
-    cells count the nonzero weights on each side, and fsum does not
-    depend on order.  A column that only zero weights reached holds 0.0
-    and, like a column missing from the dict, is skipped.
+    The masses of a level are runs (lo, n, v, values) of consecutive
+    columns, one list of runs per side: the mass is v at the n columns
+    lo..lo + n - 1 and values[i] at column lo + n + i, where column c
+    stands for -c - 1 on the negative side.  A positive source column's
+    image window [s_start, s_stop) is _window_weights' (n, v, tail) of
+    (mass n_sup) term: its columns up to floor(E) share one weight, so
+    they are one count and one value, and the underflowed end of its
+    tail (weights do not increase with s) is cut off.  _deposit opens a
+    new run with it, or expands it and the last run it overlaps to lists
+    and adds them by one slice assignment, so the columns between windows
+    that branch_cap leaves empty are never stored.  This gives the bits
+    of a per-column dict: every weight is the same product, each column
+    adds its weights in source-column order (a new column holds
+    w = 0.0 + w), and fsum, which does not depend on order, takes each
+    flat prefix as _flat_terms.  Cells count the nonzero weights on each
+    side, which are all of a window's n + len(tail) weights, since none
+    before the cut is 0.0.  A column that only zero weights reached holds
+    0.0 and, like a column missing from the dict, is skipped.  A negative
+    run is expanded only for a band whose bound is not 0.0, where reduce
+    adds its masses in column order.
 
     Columns whose bound is exactly 0.0 add nothing, and two kinds are
     skipped in runs, so the totals and cell counts are those of a loop
@@ -671,15 +708,15 @@ def cover_iterate(
     base = TAU + 1.0
     scale = base ** (1.0 + delta)
 
-    positive: list[tuple[int, list[float]]] = [(m, [1.0])]
-    negative: list[tuple[int, list[float]]] = []
+    positive: list[_Run] = [(m, 0, 0.0, [1.0])]
+    negative: list[_Run] = []
     tail_mass = 0.0
     tail_col = math.inf
     levels = [CoverLevel(0, scale, base, 1.0, 0.0)]
 
     for n in range(1, depth_max + 1):
-        new_positive: list[tuple[int, list[float]]] = []
-        new_negative: list[tuple[int, list[float]]] = []
+        new_positive: list[_Run] = []
+        new_negative: list[_Run] = []
         new_tail = 0.0
         new_tail_col = math.inf
         cells = 0.0
@@ -694,23 +731,27 @@ def cover_iterate(
         # column M, where the weights add up in this order
         to_m: list[float] = []
         bound_level = None
-        for lo, vals in reversed(negative):
-            # vals[i] is the mass at column -(lo + i) - 1, so the columns
-            # a..b - 1 are vals[-b - lo:-a - lo], deepest last
-            for lvl, a, b in _level_bands(geometry, -lo - len(vals), -lo):
+        for lo, k, v, vals in reversed(negative):
+            # the run's expanded list holds the mass at column -(lo + i) - 1
+            # at i, so the columns a..b - 1 are [-b - lo:-a - lo] of it,
+            # deepest last
+            for lvl, a, b in _level_bands(geometry, -lo - k - len(vals), -lo):
                 if lvl != bound_level:
                     bound_level = lvl
                     nb = _negative_level_bound(
                         lam, spec, geometry, lvl, delta, distortion_allowance
                     )
                 if nb != 0.0:
-                    weights = map(mul, reversed(vals[-b - lo:-a - lo]), repeat(nb))
+                    band = ([v] * k + vals)[-b - lo:-a - lo]
+                    weights = map(mul, reversed(band), repeat(nb))
                     to_m += filter(partial(lt, 0.0), weights)
         if to_m:
             cells += len(to_m)
-            new_positive.append((m, [reduce(add, to_m, 0.0)]))
+            new_positive.append((m, 0, 0.0, [reduce(add, to_m, 0.0)]))
 
-        sources = chain.from_iterable(enumerate(vals, lo) for lo, vals in positive)
+        sources = chain.from_iterable(
+            chain(zip(range(lo, lo + k), repeat(v)), enumerate(vals, lo + k))
+            for lo, k, v, vals in positive)
         for col, mass in sources:
             if mass == 0.0:  # no nonzero weight reached this column
                 continue
@@ -738,12 +779,13 @@ def cover_iterate(
                 raise NumericRangeError(
                     f"the cover at depth {n} would pass {_CELL_LIMIT:g} cells")
 
-            weights = _window_weights(mass * n_sup, e, s_start, s_stop, power)
-            if weights:
-                cells += sides * (len(weights) - weights.count(0.0))
-                _deposit(new_positive, s_start, weights)
+            window = _window_weights(mass * n_sup, e, s_start, s_stop, power)
+            count = window[0] + len(window[2])
+            if count:
+                cells += sides * count
+                _deposit(new_positive, s_start, window)
                 if two_sided:
-                    _deposit(new_negative, s_start, weights)
+                    _deposit(new_negative, s_start, window)
 
             if s_stop < s_stop_full:
                 s_cut = float(s_stop)
@@ -754,7 +796,8 @@ def cover_iterate(
 
         positive, negative = new_positive, new_negative
         tail_mass, tail_col = new_tail, new_tail_col
-        mass_sum = math.fsum(chain.from_iterable(v for _, v in positive + negative))
+        mass_sum = math.fsum(chain.from_iterable(
+            chain(_flat_terms(k, v), vals) for _, k, v, vals in positive + negative))
         total = scale * (mass_sum + tail_mass)
         levels.append(CoverLevel(
             n, total, math.ldexp(base, -n), cells, scale * tail_mass

@@ -1,18 +1,22 @@
 """Iterated covers: masses in runs of columns, zero bounds skipped.
 
 `cover_iterate` keeps each level's masses as runs of consecutive columns,
-takes negative columns in bands of one level and stops its positive loop
-at the first column where `_bound_vanishes` holds.  These tests pin
-totals and cell counts taken from the loop that evaluated every column,
-and compare against a copy of that loop, which keeps one dict of masses.
+with a window's columns up to floor(E) as one count and one value, takes
+negative columns in bands of one level and stops its positive loop at the
+first column where `_bound_vanishes` holds.  These tests pin totals and
+cell counts taken from the loop that evaluated every column, and compare
+against a copy of that loop, which keeps one dict of masses.
 """
 
+import cmath
 import math
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from expdyn import (
     GeometryError,
@@ -264,30 +268,45 @@ def _source_columns(lam, spec, delta, m, sides, sources):
     return want
 
 
+def _expand(n, v, vals):
+    return [v] * n + vals
+
+
 def test_deposits_match_a_dict_of_masses():
     rng = random.Random(5)
     for _ in range(200):
         runs, masses, start, windows = [], {}, 0, []
         for _ in range(rng.randrange(1, 12)):
             # starts never decrease; a window may start inside the last
-            # run, right after it or past it, and end anywhere after it
+            # run, right after it or past it, and end anywhere after it;
+            # its flat prefix or its tail may be empty
             start += rng.choice([0, 0, 1, 2, 3, 7, 40])
-            weights = [rng.uniform(0.0, 1.0) * 10.0 ** rng.randrange(-20, 3)
-                       for _ in range(rng.randrange(1, 30))]
-            windows.append((weights, list(weights)))
-            induced._deposit(runs, start, weights)
-            for s, w in enumerate(weights, start):
+            n = rng.choice([0, 0, 1, 5, 30])
+            v = rng.uniform(0.0, 1.0) * 10.0 ** rng.randrange(-20, 3)
+            tail = [v * rng.uniform(0.0, 1.0) ** (i + 1)
+                    for i in range(rng.randrange(0 if n else 1, 30))]
+            windows.append((tail, list(tail)))
+            flat_run = not runs or start >= runs[-1][0] + runs[-1][1] + len(runs[-1][3])
+            induced._deposit(runs, start, (n, v, tail))
+            if flat_run:  # a window that opens a run keeps its flat prefix
+                assert runs[-1][:3] == (start, n, v)
+            for s, w in enumerate(_expand(n, v, tail), start):
                 masses[s] = masses.get(s, 0.0) + w
         # the runs do not share a list with any window
-        assert all(weights == kept for weights, kept in windows)
-        got = {lo + i: v for lo, vals in runs for i, v in enumerate(vals)}
+        assert all(tail == kept for tail, kept in windows)
+        assert not {id(vals) for *_, vals in runs} & {id(tail) for tail, _ in windows}
+        got = {}
+        for lo, n, v, vals in runs:
+            got.update(enumerate(_expand(n, v, vals), lo))
         assert got == masses
-        assert [[lo, lo + len(vals)] for lo, vals in runs] == _runs(masses)
+        # the runs hold each column once, in order
+        columns = [c for lo, n, _, vals in runs for c in range(lo, lo + n + len(vals))]
+        assert columns == sorted(masses)
 
 
 def test_window_weights_are_the_per_column_products():
     rng = random.Random(11)
-    partial = 0
+    partial = flat = mixed = 0
     for _ in range(300):
         e = math.exp(rng.uniform(0.0, 12.0))
         power = -(1.0 + rng.uniform(0.01, 0.99))
@@ -300,12 +319,24 @@ def test_window_weights_are_the_per_column_products():
         s_stop = min(math.floor(e * math.e) + 2, s_start + rng.randrange(1, 400))
         want = [k * (e ** power if s <= e else float(s) ** power)
                 for s in range(s_start, s_stop)]
-        got = induced._window_weights(k, e, s_start, s_stop, power)
+        n, v, tail = induced._window_weights(k, e, s_start, s_stop, power)
+        got = _expand(n, v, tail)
         assert got == want[:len(got)]
         assert not any(want[len(got):])
-        assert not got or got[-1] != 0.0
+        # no weight before the cut is 0.0, so every one is a cell
+        assert 0.0 not in got
+        # the flat prefix is every column up to floor(E) when any weight is
+        # nonzero
+        if got:
+            assert n == len(range(s_start, min(math.floor(e) + 1, s_stop)))
         partial += 0 < len(got) < len(want)
-    assert partial >= 3
+        flat += n > 0
+        mixed += n > 0 and len(tail) > 0
+    assert partial >= 3 and flat >= 100 and mixed >= 10
+    # an empty window has no weights, nor does one whose first weight is 0.0
+    assert induced._window_weights(1.0, 3.0, 5, 2, -1.5) == (0, 0.0, [])
+    assert induced._window_weights(1.0, 3.0, 5, 5, -1.5) == (0, 0.0, [])
+    assert induced._window_weights(5e-324, 3.0, 1, 9, -1.5) == (0, 0.0, [])
 
 
 def test_overlapping_windows_match_the_per_column_loop(monkeypatch):
@@ -378,6 +409,176 @@ def test_a_window_far_from_m_stores_only_its_own_columns():
         tracemalloc.stop()
     assert run.levels[1].cells == 1000.0
     assert peak < 1 << 20
+
+
+def test_a_flat_window_is_one_count_and_one_value():
+    # the depth-1 window holds 10^6 columns, all up to floor(E), so they
+    # share one weight; a list of them would take 8 MB
+    tracemalloc.start()
+    try:
+        run = cover_iterate(1.0, STRIP, 0.5, 2, 10 ** 6, m=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.levels[1].cells == 1e6
+    assert peak < 64 << 10
+
+
+# ---------------------------------------------------------------------------
+# every window shape against the per-column loop
+
+# (lam, m, branch cap, depth) of one-sided covers, by the window shape
+# they hold
+WINDOW_SHAPES = {
+    "flat": (1.0, 16, 3000, 2),
+    "pow": (0.05, 4, 300, 2),
+    "mixed": (0.1, 10, 3000, 2),
+    "overlap": (1.0, 3, 40, 3),
+    "cap": (1.0, 3, 5, 3),
+}
+# the cells of the per-column loop's run, over all depths, stay within
+# this, so that it takes well under a second
+_REFERENCE_CELLS = 2e5
+
+
+@pytest.mark.parametrize("shape", WINDOW_SHAPES)
+def test_each_window_shape_is_reached(monkeypatch, shape):
+    lam, m, cap, depth = WINDOW_SHAPES[shape]
+    windows, overlaps = [], []
+    window_weights, deposit = induced._window_weights, induced._deposit
+
+    def recording_window(*args):
+        windows.append(window_weights(*args))
+        return windows[-1]
+
+    def recording_deposit(runs, start, window):
+        if runs:
+            lo, n, _, vals = runs[-1]
+            overlaps.append(start < lo + n + len(vals))
+        deposit(runs, start, window)
+
+    monkeypatch.setattr(induced, "_window_weights", recording_window)
+    monkeypatch.setattr(induced, "_deposit", recording_deposit)
+    run = cover_iterate(lam, STRIP, 0.5, depth, cap, m=m)
+    flat = [n > 0 for n, _, tail in windows]
+    powers = [len(tail) for _, _, tail in windows]
+    reached = {
+        "flat": all(flat) and not any(powers),
+        "pow": any(not f and p > 1 for f, p in zip(flat, powers)),
+        "mixed": any(f and p > 0 for f, p in zip(flat, powers)),
+        "overlap": any(overlaps),
+        "cap": any(lv.tail_mass > 0.0 for lv in run.levels),
+    }
+    assert windows and reached[shape]
+
+
+def _lam(modulus, kind, arg):
+    if kind == "negative":
+        return -modulus
+    return cmath.rect(modulus, arg) if kind == "complex" else modulus
+
+
+def _shape_example(shape):
+    lam, m, cap, depth = WINDOW_SHAPES[shape]
+    return example(modulus=lam, kind="real", arg=0.0, delta=0.5, m=m, cap=cap,
+                   depth=depth, params=None, level_bound=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(modulus=st.floats(0.05, 3.0), kind=st.sampled_from(["real", "negative", "complex"]),
+       arg=st.floats(-math.pi, math.pi),
+       delta=st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+       m=st.integers(1, 16), cap=st.integers(1, 3000), depth=st.integers(1, 3),
+       params=st.sampled_from((None,) + GEOMETRIES), level_bound=st.booleans())
+@_shape_example("flat")
+@_shape_example("pow")
+@_shape_example("mixed")
+@_shape_example("overlap")
+@_shape_example("cap")
+@example(modulus=0.65, kind="real", arg=0.0, delta=0.5, m=1, cap=40, depth=3,
+         params=(0.65, 0.65, 4), level_bound=True)
+def test_cover_matches_the_per_column_loop_bit_for_bit(
+        modulus, kind, arg, delta, m, cap, depth, params, level_bound):
+    """repr(total), cells and repr(tail_mass) at each depth; a two-sided
+    run takes the geometry's lambda and M, and may take a level bound that
+    is not 0.0 (no real geometry gives one)."""
+    if params is None:
+        lam, kwargs = _lam(modulus, kind, arg), {"m": m}
+    else:
+        lam, kwargs = params[0], {"geometry": negative_geometry(*params)}
+    with pytest.MonkeyPatch.context() as mp:
+        if params is not None and level_bound:
+            mp.setattr(induced, "_negative_level_bound",
+                       lambda lam, spec, geometry, l, delta, distortion_allowance:
+                       1e-3 * (l - geometry.l0 + 1) ** 2)
+        # the depths before the cell limit, and then those whose cells keep
+        # the per-column loop quick
+        while True:
+            try:
+                got = _rows(cover_iterate(lam, STRIP, delta, depth, cap, **kwargs))
+                break
+            except NumericRangeError:
+                depth -= 1
+        while depth > 1 and sum(row[1] for row in got[:depth]) > _REFERENCE_CELLS:
+            depth -= 1
+        want, _ = _reference_rows(mp, lam, STRIP, delta, depth, cap, **kwargs)
+    assert [(repr(t), c, repr(tm)) for t, c, tm in got[:depth]] == [
+        (repr(t), c, repr(tm)) for t, c, tm in want]
+
+
+# ---------------------------------------------------------------------------
+# a flat prefix in the level total
+
+SUBNORMALS = st.floats(5e-324, 2.225073858507201e-308)
+_MAX = sys.float_info.max
+# half a unit in the last place of the largest double
+_HALF_ULP = Fraction(2) ** 970
+
+
+def _fsum(terms):
+    """The hex of math.fsum(terms()), or the name of the error that building
+    or summing the terms raised."""
+    try:
+        return math.fsum(terms()).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 10 ** 5), v=st.floats(5e-324, 1e300) | SUBNORMALS,
+       rest=st.lists(st.floats(0.0, 1e300) | SUBNORMALS, max_size=8))
+@example(n=10 ** 5, v=5e-324, rest=[])
+@example(n=10 ** 5 - 1, v=0.1, rest=[5e-324, 1e-17])
+def test_flat_terms_sum_as_the_copies(n, v, rest):
+    assert math.fsum([v] * n + rest).hex() == math.fsum(induced._flat_terms(n, v) + rest).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 10 ** 5), scale=st.floats(1.0 - 1e-11, 1.0 + 1e-11))
+def test_flat_terms_overflow_only_past_the_largest_double(n, scale):
+    v = min(_MAX / n * scale, _MAX)
+    exact = Fraction(v) * n
+    copies = _fsum(lambda: [v] * n)
+    terms = _fsum(lambda: induced._flat_terms(n, v))
+    if exact <= _MAX:
+        assert copies == terms != "OverflowError"
+    elif exact >= _MAX + _HALF_ULP:
+        assert copies == terms == "OverflowError"
+    else:
+        assert {copies, terms} <= {_MAX.hex(), "OverflowError"}
+
+
+def test_flat_terms_can_overflow_where_the_copies_round_down():
+    # the exact sum is inside the half unit above the largest double: the
+    # copies round to it, and a partial sum of the terms overflows
+    n, v = 87069, float.fromhex("0x1.8160a2acdaab1p+1007")
+    assert _MAX < Fraction(v) * n < _MAX + _HALF_ULP
+    assert _fsum(lambda: [v] * n) == _MAX.hex()
+    assert _fsum(lambda: induced._flat_terms(n, v)) == "OverflowError"
+    # past it a term can overflow: ldexp raises
+    with pytest.raises(OverflowError, match="math range error"):
+        induced._flat_terms(2, 2.0 ** 1023)
+    assert _fsum(lambda: [2.0 ** 1023] * 2) == "OverflowError"
 
 
 # ---------------------------------------------------------------------------
